@@ -1,8 +1,9 @@
 """Command line entry point: data generation, training, evaluation, and
 the self-check suites.
 
-Exit codes: 2 config error, 3 training divergence, 4 checkpoint/data
-shape mismatch, 1 check-suite failure.
+Exit codes: 2 config error, 3 training divergence (including a numeric
+failure of the alignment lattice), 4 checkpoint/data shape mismatch,
+1 check-suite failure.
 """
 
 import argparse
@@ -10,7 +11,7 @@ import dataclasses
 import os
 import sys
 
-from . import metrics, model, synth, verify
+from . import ctc, metrics, model, synth, verify
 from .config import (ConfigError, append_metrics, load_checkpoint,
                      load_config, open_metrics, save_checkpoint)
 from .experiment import TEST_START_INDEX, evaluate_model
@@ -124,6 +125,11 @@ def cmd_train(args):
     train_set, val_set, _ = synth.split(
         pool, (1.0 - cfg.validation_fraction, cfg.validation_fraction, 0.0),
         seed=cfg.seed)
+    if not val_set:
+        return _fail(EXIT_CONFIG,
+                     "validation_fraction: %r of %d training sequences leaves "
+                     "the validation split empty"
+                     % (cfg.validation_fraction, len(pool)))
     tests = _load_test_sets(cfg.data_dir)
     state = cfg.new_state()
     bank = cfg.new_bank()
@@ -151,7 +157,8 @@ def cmd_train(args):
     try:
         state, bank, rows = model.train(state, bank, train_set, val_set,
                                         cfg.settings(), eval_hook=hook)
-    except model.NonFiniteGradient as exc:
+    except (model.NonFiniteGradient, ctc.NonPositivePosterior,
+            ctc.DegenerateFrame) as exc:
         fh.close()
         return _fail(EXIT_DIVERGED,
                      "training diverged (%s); last good checkpoint kept at %s"

@@ -13,6 +13,27 @@ Conventions used throughout:
   The extra emission factor is divided out wherever a true path mass is
   needed (gradients); the raw product is what the occupancy matrix exposes
   in its literal mode.
+
+Batched layout.  ``forward_backward_batch`` runs the recursions for B
+sequences at once, one numpy step per frame for the whole batch, and
+``forward_backward`` is its B=1 case:
+
+* The tables are (T_max, B, S_max + 2) arrays in log space.  Every cell
+  that belongs to no sequence holds -inf: frames past T_b, positions past
+  S_b, and two pad columns per row standing in for positions -2 and -1
+  (alpha) or S and S+1 (beta).  The skip rule is an additive 0/-inf mask.
+  Since ``logaddexp(x, -inf)`` is exactly x, padding never changes a real
+  cell, and each sequence's tables come out bit for bit as a recursion
+  over that sequence alone computes them.
+* alpha keeps the frames left-aligned.  beta keeps them right-aligned, so
+  that each sequence's beta is seeded at its own last frame T_b - 1,
+  which is row T_max - 1 of the table for every sequence.
+* Each AlignmentTables holds (T_b, S_b) views into the shared tables.
+  Everything after the lattice (occupancy, gradients, the expected
+  center loss) and the network before it stay per-sequence: a reduction
+  over a padded axis can regroup numpy's pairwise sums, and a batched
+  tanh recurrence turns matrix-vector products into matrix-matrix ones;
+  either can change the last bit of the result.
 """
 
 import numpy as np
@@ -28,6 +49,10 @@ class DegenerateFrame(Exception):
     """Every alignment weight at some frame underflowed to zero."""
 
 
+class NonPositivePosterior(ValueError):
+    """A posterior entry is zero or negative, so its log is not finite."""
+
+
 def extend_with_blanks(labels):
     """Interleave blanks around and between the labels.
 
@@ -37,7 +62,7 @@ def extend_with_blanks(labels):
     labels = np.asarray(labels, dtype=np.intp)
     if labels.ndim != 1:
         raise ValueError("labels must be one-dimensional")
-    if np.any(labels == BLANK):
+    if (labels == BLANK).any():
         raise ValueError("labels must not contain the blank index 0")
     zp = np.full(2 * len(labels) + 1, BLANK, dtype=np.intp)
     zp[1::2] = labels
@@ -53,21 +78,8 @@ def min_frames(labels):
     labels = np.asarray(labels)
     if len(labels) == 0:
         return 1
-    repeats = int(np.sum(labels[1:] == labels[:-1]))
+    repeats = np.count_nonzero(labels[1:] == labels[:-1])
     return len(labels) + repeats
-
-
-def _skip_allowed(zp):
-    """Boolean mask over positions s: the s-2 -> s transition is legal.
-
-    Legal when z'_s is a label that differs from z'_{s-2}; blanks and
-    repeated labels must pass through the intermediate position.
-    """
-    n = len(zp)
-    allowed = np.zeros(n, dtype=bool)
-    if n > 2:
-        allowed[2:] = (zp[2:] != BLANK) & (zp[2:] != zp[:-2])
-    return allowed
 
 
 class AlignmentTables:
@@ -80,19 +92,19 @@ class AlignmentTables:
         self.zp = zp
 
 
-def forward_backward(y, labels):
-    """Run the CTC forward and backward recursions in log space.
+def _emissions(y, labels):
+    """Validate one pair; return its (T, S) emission log-probs, z', and
+    its additive skip mask.
 
-    y : (T, K) array of per-frame class probabilities, all entries > 0.
-    labels : label sequence without blanks.
-
-    Returns AlignmentTables; raises InfeasibleLabeling when the labels
-    cannot fit into T frames.
+    The mask covers positions 0..S+1 (two trailing pad columns): 0 where
+    the s-2 -> s transition is legal, -inf elsewhere.  Legal when z'_s is
+    a label that differs from z'_{s-2}; blanks and repeated labels must
+    pass through the intermediate position.
     """
     y = np.asarray(y, dtype=float)
     T, K = y.shape
-    if np.any(y <= 0.0):
-        raise ValueError("posterior entries must be strictly positive")
+    if (y <= 0.0).any():
+        raise NonPositivePosterior("posterior entries must be strictly positive")
     labels = np.asarray(labels, dtype=np.intp)
     if len(labels) and (labels.min() < 1 or labels.max() >= K):
         raise ValueError("labels out of range for %d classes" % K)
@@ -101,41 +113,91 @@ def forward_backward(y, labels):
             "need at least %d frames for %d labels, got %d"
             % (min_frames(labels), len(labels), T)
         )
-
     zp = extend_with_blanks(labels)
-    S = len(zp)
-    ly = np.log(y)
-    lyz = ly[:, zp]                       # (T, S) emission log-probs per position
-    skip = _skip_allowed(zp)
+    skip = np.full(len(zp) + 2, -np.inf)
+    # odd s >= 3 holds z[(s-1)/2] and z'_{s-2} the label before it
+    skip[3:len(zp):2][labels[1:] != labels[:-1]] = 0.0
+    return np.log(y)[:, zp], zp, skip
+
+
+def forward_backward(y, labels):
+    """Run the CTC forward and backward recursions in log space.
+
+    y : (T, K) array of per-frame class probabilities, all entries > 0.
+    labels : label sequence without blanks.
+
+    Returns AlignmentTables; raises InfeasibleLabeling when the labels
+    cannot fit into T frames and NonPositivePosterior (a ValueError) when
+    an entry of y is not positive.  The B=1 case of forward_backward_batch.
+    """
+    return forward_backward_batch([y], [labels])[0]
+
+
+def forward_backward_batch(ys, labels_list):
+    """forward_backward over B (posterior, labels) pairs at once.
+
+    ys : B arrays of shape (T_b, K), all entries > 0.
+    labels_list : B label sequences without blanks.
+
+    Returns a list of B AlignmentTables, in order, equal bit for bit to
+    forward_backward on each pair; B = 0 gives [].  The pairs are
+    validated in order before any recursion runs, so a bad pair raises
+    what forward_backward raises for it alone: NonPositivePosterior,
+    ValueError for out-of-range labels, or InfeasibleLabeling.
+    """
+    pairs = [_emissions(y, labels) for y, labels in zip(ys, labels_list, strict=True)]
+    if not pairs:
+        return []
+    B = len(pairs)
+    Ts = [len(lyz) for lyz, _, _ in pairs]
+    Ss = [len(zp) for _, zp, _ in pairs]
+    T, S = max(Ts), max(Ss)
     neg = -np.inf
+    # Each table starts out holding the emission log-probs and is turned
+    # into alpha (beta) in place, one frame at a time (emission + acc is
+    # acc + emission bit for bit: addition commutes).  alpha has two
+    # leading -inf columns (position s sits at column s+2) and its frames
+    # left-aligned; beta has two trailing -inf columns and its frames
+    # right-aligned, so that every sequence's beta starts at frame T-1.
+    alpha = np.full((T, B, S + 2), neg)
+    beta = np.full((T, B, S + 2), neg)
+    skip = np.full((B, S + 2), neg)
+    for b, (lyz, _, mask) in enumerate(pairs):
+        Tb, Sb = lyz.shape
+        alpha[:Tb, b, 2:Sb + 2] = lyz
+        beta[T - Tb:, b, :Sb] = lyz
+        skip[b, :Sb + 2] = mask
+    acc = np.empty((B, S))
+    tmp = np.empty((B, S))
 
-    log_alpha = np.full((T, S), neg)
-    log_alpha[0, 0] = lyz[0, 0]
-    if S > 1:
-        log_alpha[0, 1] = lyz[0, 1]
-    for t in range(1, T):
-        prev = log_alpha[t - 1]
-        acc = prev.copy()
-        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
-        acc[2:] = np.where(skip[2:], np.logaddexp(acc[2:], prev[:-2]), acc[2:])
-        log_alpha[t] = acc + lyz[t]
+    # frame 0 can only be at the first blank or the first label
+    alpha[0, :, 4:] = neg
+    cur, back1, back2 = alpha[:, :, 2:], alpha[:, :, 1:-1], alpha[:, :, :-2]
+    skip_a = skip[:, :S]
+    for c, p, p1, p2 in zip(cur[1:], cur[:-1], back1[:-1], back2[:-1]):
+        np.logaddexp(p, p1, out=acc)
+        np.logaddexp(acc, np.add(p2, skip_a, out=tmp), out=acc)
+        c += acc
 
-    log_beta = np.full((T, S), neg)
-    log_beta[T - 1, S - 1] = lyz[T - 1, S - 1]
-    if S > 1:
-        log_beta[T - 1, S - 2] = lyz[T - 1, S - 2]
-    for t in range(T - 2, -1, -1):
-        nxt = log_beta[t + 1]
-        acc = nxt.copy()
-        acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
-        acc[:-2] = np.where(skip[2:], np.logaddexp(acc[:-2], nxt[2:]), acc[:-2])
-        log_beta[t] = acc + lyz[t]
+    # frame T-1 can only be at the last label or the last blank
+    for b, Sb in enumerate(Ss):
+        beta[T - 1, b, :max(Sb - 2, 0)] = neg
+    cur, ahead1, ahead2 = beta[:, :, :-2], beta[:, :, 1:-1], beta[:, :, 2:]
+    skip_b = skip[:, 2:]
+    for c, n, n1, n2 in zip(cur[-2::-1], cur[:0:-1], ahead1[:0:-1], ahead2[:0:-1]):
+        np.logaddexp(n, n1, out=acc)
+        np.logaddexp(acc, np.add(n2, skip_b, out=tmp), out=acc)
+        c += acc
 
-    if S > 1:
-        log_seq_prob = np.logaddexp(log_alpha[T - 1, S - 1], log_alpha[T - 1, S - 2])
-    else:
-        log_seq_prob = log_alpha[T - 1, 0]
-    return AlignmentTables(log_alpha, log_beta, float(log_seq_prob), zp)
+    out = []
+    for b, ((_, zp, _), Tb, Sb) in enumerate(zip(pairs, Ts, Ss)):
+        # storage column Sb + 1 holds position S_b - 1; for S_b = 1,
+        # column Sb is a pad column and logaddexp(x, -inf) is exactly x
+        last = alpha[Tb - 1, b]
+        log_seq_prob = float(np.logaddexp(last[Sb + 1], last[Sb]))
+        out.append(AlignmentTables(alpha[:Tb, b, 2:Sb + 2], beta[T - Tb:, b, :Sb],
+                                   log_seq_prob, zp))
+    return out
 
 
 def occupancy(tables, y, mode="paper_literal"):

@@ -201,11 +201,11 @@ def _onehot(cols, K):
     return out
 
 
-def _sequence_signals(state, sample, mode, cfg, bank):
-    """Loss, gradients, and center-update pieces for one sequence."""
-    u, a, y = forward(state, sample.x)
+def _sequence_signals(state, sample, u, y, tables, mode, cfg, bank):
+    """Loss, gradients, and center-update pieces for one sequence, from
+    its features u, posteriors y and (sequence modes) lattice tables;
+    state.cache must hold the sequence's own forward activations."""
     if mode in ("ctc", "tmf"):
-        tables = ctc.forward_backward(y, sample.collapsed)
         delta_ml = ctc.ctc_grad_logits(tables, y)
         loss = -tables.log_seq_prob
         if mode == "tmf":
@@ -234,6 +234,28 @@ def _sequence_signals(state, sample, mode, cfg, bank):
     return loss, grads, center_piece
 
 
+def _batch_signals(state, batch, mode, cfg, bank):
+    """Yield _sequence_signals for each sequence of a batch, in order.
+
+    The network runs on every sequence first, so that in sequence modes
+    one forward_backward_batch call covers the whole batch.  Parameters
+    and centers do not change within a batch, so the result is the same
+    as handling the sequences one at a time.
+    """
+    outputs = []
+    for sample in batch:
+        u, _, y = forward(state, sample.x)
+        outputs.append((u, y, state.cache))
+    if mode in ("ctc", "tmf"):
+        lattices = ctc.forward_backward_batch([y for _, y, _ in outputs],
+                                              [s.collapsed for s in batch])
+    else:
+        lattices = [None] * len(batch)
+    for sample, (u, y, cache), tables in zip(batch, outputs, lattices):
+        state.cache = cache
+        yield _sequence_signals(state, sample, u, y, tables, mode, cfg, bank)
+
+
 def _apply_center_updates(bank, pieces, mode):
     if mode == "tmf":
         total = {}
@@ -253,17 +275,17 @@ def _apply_center_updates(bank, pieces, mode):
 def validation_score(state, samples, mode):
     """Mean per-sequence log likelihood (sequence modes) or mean frame
     log probability (framewise modes); higher is better."""
-    total, frames = 0.0, 0
-    for sample in samples:
-        _, _, y = forward(state, sample.x)
-        if mode in ("ctc", "tmf"):
-            total += ctc.forward_backward(y, sample.collapsed).log_seq_prob
-        else:
-            cols = np.asarray(sample.framewise, dtype=np.intp) - 1
-            total += float(np.log(y[np.arange(len(cols)), cols]).sum())
-            frames += len(cols)
+    ys = [forward(state, sample.x)[2] for sample in samples]
+    total = 0.0
     if mode in ("ctc", "tmf"):
+        for tables in ctc.forward_backward_batch(ys, [s.collapsed for s in samples]):
+            total += tables.log_seq_prob
         return total / len(samples)
+    frames = 0
+    for sample, y in zip(samples, ys):
+        cols = np.asarray(sample.framewise, dtype=np.intp) - 1
+        total += float(np.log(y[np.arange(len(cols)), cols]).sum())
+        frames += len(cols)
     return total / frames
 
 
@@ -309,8 +331,7 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
             batch = [train_samples[i] for i in order[start:start + settings.batch_size]]
             grad_total = None
             center_pieces = []
-            for sample in batch:
-                loss, grads, piece = _sequence_signals(state, sample, mode, cfg, bank)
+            for loss, grads, piece in _batch_signals(state, batch, mode, cfg, bank):
                 running_loss += loss
                 if grad_total is None:
                     grad_total = grads

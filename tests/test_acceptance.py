@@ -150,6 +150,7 @@ def robustness():
     return spec, experiment.headline(results, spec.seeds), elapsed
 
 
+@pytest.mark.slow
 def test_criterion_07_directional_robustness(robustness):
     spec, h, elapsed = robustness
 
@@ -176,6 +177,7 @@ def test_criterion_07_directional_robustness(robustness):
               elapsed))
 
 
+@pytest.mark.slow
 def test_criterion_08_feature_discriminability(robustness):
     _, h, _ = robustness
     ok = h["scatter_wins"] >= 4

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from tmfusion import cli, config, losses, model, synth
+from tmfusion import cli, config, ctc, losses, model, synth
 
 
 def write_config(tmp_path, name="run.json", **kw):
@@ -184,6 +184,50 @@ def test_train_divergence_exits_3_keeping_checkpoint(tmp_path, capsys,
     # the pre-training checkpoint is still valid
     state, _, _, meta = config.load_checkpoint(cfg.checkpoint_path)
     assert meta["step_count"] == 0
+
+
+def test_train_empty_validation_split_exits_2(tmp_path, capsys):
+    # 3 sequences per condition split 3/0 at validation_fraction 0.1
+    cfg_path, cfg = write_config(tmp_path, num_train_sequences=3)
+    gen_data(tmp_path, cfg_path)
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+    assert "validation split empty" in capsys.readouterr().err
+    assert not os.path.exists(cfg.checkpoint_path)
+    assert not os.path.exists(cfg.metrics_path)
+
+
+def _assert_diverged_at_start(cfg, err, reason):
+    assert "diverged" in err and reason in err
+    assert cfg.checkpoint_path in err
+    _, _, _, meta = config.load_checkpoint(cfg.checkpoint_path)
+    assert meta["step_count"] == 0
+
+
+def test_train_zero_posterior_exits_3(tmp_path, capsys, monkeypatch):
+    cfg_path, cfg = write_config(tmp_path)
+    gen_data(tmp_path, cfg_path)
+    softmax = model.softmax
+
+    def underflow(a):
+        y = softmax(a)
+        y[0, 0] = 0.0
+        return y
+
+    monkeypatch.setattr(model, "softmax", underflow)
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_DIVERGED
+    _assert_diverged_at_start(cfg, capsys.readouterr().err, "strictly positive")
+
+
+def test_train_degenerate_frame_exits_3(tmp_path, capsys, monkeypatch):
+    cfg_path, cfg = write_config(tmp_path)
+    gen_data(tmp_path, cfg_path)
+
+    def vanish(tables, y):
+        raise ctc.DegenerateFrame("alignment mass vanished at frame 0")
+
+    monkeypatch.setattr(ctc, "ctc_grad_logits", vanish)
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_DIVERGED
+    _assert_diverged_at_start(cfg, capsys.readouterr().err, "mass vanished")
 
 
 def test_train_kill_and_resume(tmp_path):

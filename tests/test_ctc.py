@@ -78,8 +78,9 @@ def test_infeasible_labeling_raises():
 
 def test_nonpositive_posteriors_rejected():
     y = np.array([[0.0, 0.5, 0.5]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ctc.NonPositivePosterior):
         ctc.forward_backward(y, [1])
+    assert issubclass(ctc.NonPositivePosterior, ValueError)
 
 
 def test_out_of_range_labels_rejected():
@@ -134,6 +135,56 @@ def test_dp_matches_path_enumeration(data):
         return
     dp = np.exp(ctc.forward_backward(y, labels).log_seq_prob)
     assert dp == pytest.approx(bf, abs=1e-12)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ctc.InfeasibleLabeling) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batch_matches_per_sequence_bitwise(data):
+    # ragged T (T=1 included), empty labels (S=1), repeated labels and
+    # B=1 all occur; padding must leave every real cell bit for bit alone
+    K = data.draw(st.integers(2, 4))
+    B = data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    ys, zs = [], []
+    for _ in range(B):
+        z = np.array(data.draw(st.lists(st.integers(1, K - 1), max_size=4)),
+                     dtype=np.intp)
+        T = data.draw(st.integers(ctc.min_frames(z), 9))
+        ys.append(rand_posteriors(rng, T, K))
+        zs.append(z)
+    batch = ctc.forward_backward_batch(ys, zs)
+    assert len(batch) == B
+    for y, z, got in zip(ys, zs, batch):
+        ref = ctc.forward_backward(y, z)
+        assert got.log_alpha.shape == ref.log_alpha.shape == (len(y), 2 * len(z) + 1)
+        assert np.array_equal(got.log_alpha, ref.log_alpha)
+        assert np.array_equal(got.log_beta, ref.log_beta)
+        assert got.log_seq_prob == ref.log_seq_prob
+        np.testing.assert_array_equal(got.zp, ref.zp)
+
+    assert ctc.forward_backward_batch([], []) == []
+
+    # a bad pair at position b raises what the per-sequence call raises
+    b = data.draw(st.integers(0, B - 1))
+    fault = data.draw(st.sampled_from(["infeasible", "out_of_range", "nonpositive"]))
+    if fault == "infeasible":
+        zs[b] = np.ones(len(ys[b]) + 1, dtype=np.intp)
+    elif fault == "out_of_range":
+        zs[b] = np.array([K], dtype=np.intp)
+    else:
+        ys[b] = ys[b].copy()
+        ys[b][0, 0] = 0.0
+    expected = _outcome(ctc.forward_backward, ys[b], zs[b])
+    assert isinstance(expected, tuple)
+    assert _outcome(ctc.forward_backward_batch, ys, zs) == expected
 
 
 # ----------------------------------------------------------------- occupancy

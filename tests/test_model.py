@@ -249,6 +249,38 @@ def test_train_is_deterministic():
     np.testing.assert_array_equal(b1.centers, b2.centers)
 
 
+@pytest.mark.parametrize("mode", ["ctc", "tmf"])
+def test_train_batched_lattice_matches_per_sequence_bitwise(mode, monkeypatch):
+    # training makes one lattice call per batch and one per validation;
+    # answering each with a separate per-sequence (B=1) call must give
+    # the same parameters, centers and rows, bit for bit
+    from tmfusion import ctc
+
+    def run():
+        return fresh_run(mode, lam=1e-2, batch_size=6, max_batches=40,
+                         fusion=losses.FusionConfig(
+                             lam=1e-2, occupancy_mode="frame_normalized"))
+
+    batched = run()
+    one_at_a_time = ctc.forward_backward_batch
+    calls = []
+
+    def per_sequence(ys, zs):
+        calls.append(len(ys))
+        return [one_at_a_time([y], [z])[0] for y, z in zip(ys, zs)]
+
+    monkeypatch.setattr(ctc, "forward_backward_batch", per_sequence)
+    looped = run()
+    assert calls[0] == 6 and 12 in calls      # a training batch, the validation set
+    (s1, b1, r1), (s2, b2, r2) = batched, looped
+    assert r1 == r2
+    for k in s1.param_names():
+        assert np.array_equal(s1.params[k], s2.params[k])
+    assert np.array_equal(b1.centers, b2.centers)
+    if mode == "tmf":
+        assert np.any(b1.centers != 0.0)
+
+
 def test_train_lambda_zero_tmf_matches_ctc_bitwise():
     s_tmf, _, r_tmf = fresh_run("tmf", lam=0.0)
     s_ctc, _, r_ctc = fresh_run("ctc", lam=0.0)
