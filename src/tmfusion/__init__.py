@@ -10,11 +10,11 @@ from .losses import (CenterBank, FusionConfig, UnknownClass, center_loss,
                      fmf_loss, fuse_feature_grad, tmf_loss,
                      update_centers_framewise, update_centers_tmf)
 from .model import (ModelState, NetworkSpec, NonFiniteGradient, ScheduleState,
-                    TrainSettings, adam_step, backward, forward, schedule_tick,
-                    train, validation_score)
-from .synth import (CONDITIONS, ConfigInvalid, GeneratorConfig, SequenceSample,
-                    UnseenNoise, class_means, generate, load_jsonl, save_jsonl,
-                    split)
+                    TrainSettings, adam_step, backward, backward_batch, forward,
+                    forward_batch, schedule_tick, train, validation_score)
+from .synth import (CONDITIONS, ConfigInvalid, GeneratorConfig, MalformedDataset,
+                    SequenceSample, UnseenNoise, class_means, generate, load_jsonl,
+                    save_jsonl, split)
 from .metrics import (EvalReport, edit_distance, embedding_report,
                       frame_accuracy, greedy_decode, temporal_assignments,
                       token_error_rate)

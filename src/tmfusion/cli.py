@@ -1,9 +1,9 @@
 """Command line entry point: data generation, training, evaluation, and
 the self-check suites.
 
-Exit codes: 2 config error, 3 training divergence (including a numeric
-failure of the alignment lattice), 4 checkpoint/data shape mismatch,
-1 check-suite failure.
+Exit codes: 2 config error (a malformed dataset file included), 3
+training divergence (including a numeric failure of the alignment
+lattice), 4 checkpoint/data shape mismatch, 1 check-suite failure.
 """
 
 import argparse
@@ -15,7 +15,7 @@ from . import ctc, metrics, model, synth, verify
 from .config import (ConfigError, append_metrics, load_checkpoint,
                      load_config, open_metrics, save_checkpoint)
 from .experiment import TEST_START_INDEX, evaluate_model
-from .synth import CONDITIONS, ConfigInvalid
+from .synth import CONDITIONS, ConfigInvalid, MalformedDataset
 
 EXIT_CHECK = 1
 EXIT_CONFIG = 2
@@ -114,14 +114,28 @@ def _atomic_checkpoint(path, state, bank, sched, mode, seed, steps):
     os.replace(tmp, path)
 
 
+def _selected_row(rows):
+    """The evaluation whose state model.train returns with select_best:
+    the first with the best validation score (the last if none beats
+    -inf, when training keeps its final state)."""
+    chosen, best = rows[-1], float("-inf")
+    for row in rows:
+        if row["val_score"] > best:
+            chosen, best = row, row["val_score"]
+    return chosen
+
+
 def cmd_train(args):
     try:
         cfg = _config_for(args)
         pool = _load_train_pool(cfg)
+        tests = _load_test_sets(cfg.data_dir)
     except ConfigInvalid as exc:
         return _fail(EXIT_CONFIG, "generator config: %s" % exc)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config: %s" % exc)
+    except MalformedDataset as exc:
+        return _fail(EXIT_CONFIG, "dataset: %s" % exc)
     train_set, val_set, _ = synth.split(
         pool, (1.0 - cfg.validation_fraction, cfg.validation_fraction, 0.0),
         seed=cfg.seed)
@@ -130,7 +144,6 @@ def cmd_train(args):
                      "validation_fraction: %r of %d training sequences leaves "
                      "the validation split empty"
                      % (cfg.validation_fraction, len(pool)))
-    tests = _load_test_sets(cfg.data_dir)
     state = cfg.new_state()
     bank = cfg.new_bank()
     try:
@@ -145,7 +158,10 @@ def cmd_train(args):
                                            eval_interval=cfg.eval_interval),
                        cfg.mode, cfg.seed, 0)
 
+    final_sched = None
+
     def hook(hstate, hbank, row, sched):
+        nonlocal final_sched
         for condition, samples in tests.items():
             report = evaluate_model(hstate, hbank, samples, cfg.mode, condition)
             row["ter_%s" % condition] = report.token_error_rate
@@ -153,6 +169,7 @@ def cmd_train(args):
         append_metrics(writer, fh, row)
         _atomic_checkpoint(cfg.checkpoint_path, hstate, hbank, sched,
                            cfg.mode, cfg.seed, row["batches"])
+        final_sched = sched
 
     try:
         state, bank, rows = model.train(state, bank, train_set, val_set,
@@ -165,6 +182,11 @@ def cmd_train(args):
                      % (exc, cfg.checkpoint_path))
     finally:
         fh.close()
+    if rows:
+        # the model training returned, which select_best may have rolled
+        # back to an earlier evaluation than the last one checkpointed
+        _atomic_checkpoint(cfg.checkpoint_path, state, bank, final_sched,
+                           cfg.mode, cfg.seed, _selected_row(rows)["batches"])
     print("trained %s for %d evals; checkpoint %s, metrics %s"
           % (cfg.mode, len(rows), cfg.checkpoint_path, cfg.metrics_path))
     return 0
@@ -187,7 +209,7 @@ def cmd_eval(args):
                     samples.extend(synth.load_jsonl(path))
         else:
             samples = synth.load_jsonl(args.data)
-    except (OSError, ConfigError) as exc:
+    except (OSError, ConfigError, MalformedDataset) as exc:
         return _fail(EXIT_CONFIG, str(exc))
     temporal = meta["mode"] in ("ctc", "tmf")
     try:

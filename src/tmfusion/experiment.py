@@ -28,30 +28,37 @@ def _framewise_decode(y):
 
 
 def evaluate_model(state, bank, samples, mode, condition):
-    """Score one trained model on one condition's samples."""
+    """Score one trained model on one condition's samples.
+
+    The network runs on length-sorted groups (model.score_groups), and
+    each group's outputs are reduced before the next group runs; the
+    per-sample results are gathered in sample order.
+    """
     temporal = mode in ("ctc", "tmf")
-    pairs = []
+    hyps = [None] * len(samples)
+    feats = [None] * len(samples)
+    assigns = [None] * len(samples)
     correct = 0
-    frames = 0
-    feats = []
-    assigns = []
-    for sample in samples:
-        u, _, y = model.forward(state, sample.x)
-        if temporal:
-            hyp = metrics.greedy_decode(y)
-            steps, keep = metrics.temporal_assignments(y)
-            feats.append(u[keep])
-            assigns.append(steps)
-            correct += int((y.argmax(axis=1) == sample.framewise).sum())
-        else:
-            hyp = _framewise_decode(y)
-            pred = y.argmax(axis=1) + 1
-            feats.append(u)
-            assigns.append(pred)
-            correct += int((pred == sample.framewise).sum())
-        frames += len(sample.framewise)
-        pairs.append((hyp, sample.collapsed))
-    ter = metrics.token_error_rate(pairs)
+    for group in model.score_groups(samples):
+        outputs = model.forward_batch(state, [samples[i].x for i in group])
+        for i, (u, _, y) in zip(group, outputs):
+            sample = samples[i]
+            if temporal:
+                hyps[i] = metrics.greedy_decode(y)
+                steps, keep = metrics.temporal_assignments(y)
+                feats[i] = u[keep]
+                assigns[i] = steps
+                correct += int((y.argmax(axis=1) == sample.framewise).sum())
+            else:
+                hyps[i] = _framewise_decode(y)
+                pred = y.argmax(axis=1) + 1
+                feats[i] = u
+                assigns[i] = pred
+                correct += int((pred == sample.framewise).sum())
+        del outputs
+    frames = sum(len(sample.framewise) for sample in samples)
+    ter = metrics.token_error_rate(
+        [(hyp, sample.collapsed) for hyp, sample in zip(hyps, samples)])
     acc = 100.0 * correct / frames
     try:
         intra, inter, ratio = metrics.embedding_report(

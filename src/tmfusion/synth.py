@@ -21,6 +21,10 @@ class ConfigInvalid(Exception):
     pass
 
 
+class MalformedDataset(ValueError):
+    """A dataset file line that is not a sample record."""
+
+
 @dataclass
 class UnseenNoise:
     family: str = "uniform"
@@ -179,15 +183,29 @@ def save_jsonl(samples, path):
             }) + "\n")
 
 
+def _sample_from_record(rec):
+    x = np.array(rec["features"], dtype=float)
+    framewise = np.array(rec["framewise"], dtype=np.intp)
+    collapsed = np.array(rec["collapsed"], dtype=np.intp)
+    if x.ndim != 2 or framewise.shape != (len(x),) or collapsed.ndim != 1:
+        raise ValueError("features must be T rows with one framewise label "
+                         "each, and collapsed a list of labels")
+    return SequenceSample(x=x, framewise=framewise, collapsed=collapsed,
+                          condition=rec["condition"])
+
+
 def load_jsonl(path):
+    """Read the samples save_jsonl wrote.  A line that is not a sample
+    record raises MalformedDataset naming the path and the line."""
     out = []
     with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            out.append(SequenceSample(
-                x=np.array(rec["features"], dtype=float),
-                framewise=np.array(rec["framewise"], dtype=np.intp),
-                collapsed=np.array(rec["collapsed"], dtype=np.intp),
-                condition=rec["condition"],
-            ))
+        for lineno, line in enumerate(fh, 1):
+            try:
+                out.append(_sample_from_record(json.loads(line)))
+            except KeyError as exc:
+                raise MalformedDataset("%s line %d: missing field %s"
+                                       % (path, lineno, exc)) from exc
+            except (TypeError, ValueError) as exc:
+                raise MalformedDataset("%s line %d: %s"
+                                       % (path, lineno, exc)) from exc
     return out

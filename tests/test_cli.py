@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from tmfusion import cli, config, ctc, losses, model, synth
+from tmfusion import cli, config, ctc, experiment, losses, model, synth
 
 
 def write_config(tmp_path, name="run.json", **kw):
@@ -267,6 +267,58 @@ def test_train_kill_and_resume(tmp_path):
     assert report.read_text().count("\n") == 4      # header + 3 conditions
 
 
+def test_train_checkpoint_is_the_model_training_selected(tmp_path):
+    # at this step size the validation score peaks before the last
+    # evaluation, so training rolls back; the checkpoint must hold the
+    # rolled-back model, and eval must score exactly that model
+    cfg_path, cfg = write_config(tmp_path, learning_rate=1.0, max_batches=60)
+    gen_data(tmp_path, cfg_path)
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    pool = []
+    for condition in cfg.train_conditions:
+        pool += synth.load_jsonl(cli.dataset_path(cfg.data_dir, condition, "train"))
+    f = cfg.validation_fraction
+    train_set, val_set, _ = synth.split(pool, (1.0 - f, f, 0.0), seed=cfg.seed)
+    state, bank, rows = model.train(cfg.new_state(), cfg.new_bank(), train_set,
+                                    val_set, cfg.settings())
+    best = max(range(len(rows)), key=lambda i: rows[i]["val_score"])
+    assert best < len(rows) - 1
+    _, _, _, meta = config.load_checkpoint(cfg.checkpoint_path)
+    assert meta["step_count"] == rows[best]["batches"]
+    report = tmp_path / "eval.csv"
+    assert cli.main(["eval", "--checkpoint", cfg.checkpoint_path,
+                     "--data", cfg.data_dir, "--out", str(report)]) == 0
+    expected = []
+    for condition in synth.CONDITIONS:
+        samples = synth.load_jsonl(cli.dataset_path(cfg.data_dir, condition, "test"))
+        rep = experiment.evaluate_model(state, bank, samples, cfg.mode, condition)
+        expected.append(",".join(cli._format_cell(v) for v in rep.csv_row()))
+    assert report.read_text().splitlines()[1:] == expected
+
+
+MALFORMED = {
+    "truncated": (lambda good: good[:len(good) // 2], "Expecting"),
+    "empty_record": (lambda good: "{}", "missing field 'features'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_train_malformed_dataset_exits_2_naming_file_and_line(tmp_path, capsys, case):
+    cfg_path, cfg = write_config(tmp_path)
+    gen_data(tmp_path, cfg_path)
+    path = cli.dataset_path(cfg.data_dir, "seen", "train")
+    lines = open(path).read().splitlines()
+    make, reason = MALFORMED[case]
+    lines[6] = make(lines[6])
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "%s line 7" % path in err and reason in err
+    assert not os.path.exists(cfg.checkpoint_path)
+
+
 # ---------------------------------------------------------------------- eval
 
 def trained_checkpoint(tmp_path):
@@ -327,6 +379,20 @@ def test_eval_shape_mismatch_exits_4(tmp_path, capsys):
 def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):
     assert cli.main(["eval", "--checkpoint", str(tmp_path / "nope.json"),
                      "--data", str(tmp_path)]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_eval_malformed_dataset_exits_2_naming_file_and_line(tmp_path, capsys, case):
+    cfg = trained_checkpoint(tmp_path)
+    good = open(cli.dataset_path(cfg.data_dir, "unseen", "test")).readline()
+    make, reason = MALFORMED[case]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(good + make(good.rstrip("\n")) + "\n")
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", cfg.checkpoint_path,
+                     "--data", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "%s line 2" % path in err and reason in err
 
 
 # --------------------------------------------------------------------- check

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tmfusion import losses, model, oracle, synth
+from tmfusion import experiment, losses, model, oracle, synth
 
 
 TOY_GEN = synth.GeneratorConfig(num_classes=2, feature_dim=4,
@@ -74,6 +76,111 @@ def test_forward_uniform_bias_gives_uniform_posteriors():
     state.params["B"] = np.array([0.0, 1.0, 0.0, 0.0])
     _, _, y = model.forward(state, np.zeros((2, 2)))
     assert y[0, 1] > y[0, 0]
+
+
+# ------------------------------------------------------- batched vs one-by-one
+
+def reference_forward(state, x):
+    """The per-sequence network, one numpy step per frame."""
+    spec = state.spec
+    hs = [np.asarray(x, dtype=float)]
+    h = hs[0]
+    n_layers = len(spec.hidden)
+    for i in range(n_layers):
+        z = h @ state.params["W%d" % i].T + state.params["b%d" % i]
+        if spec.recurrent and i == n_layers - 1:
+            R = state.params["R"]
+            h = np.empty_like(z)
+            prev = np.zeros(spec.hidden[-1])
+            for t in range(len(z)):
+                prev = np.tanh(z[t] + prev @ R.T)
+                h[t] = prev
+        else:
+            h = np.tanh(z)
+        hs.append(h)
+    u = hs[-1]
+    a = u @ state.params["W"].T + state.params["B"]
+    return hs, (u, a, model.softmax(a))
+
+
+def reference_backward(state, hs, delta_ml, delta_fused):
+    spec = state.spec
+    grads = {"W": delta_ml.T @ hs[-1], "B": delta_ml.sum(axis=0)}
+    g = np.asarray(delta_fused, dtype=float)
+    n_layers = len(spec.hidden)
+    for i in range(n_layers - 1, -1, -1):
+        h, below = hs[i + 1], hs[i]
+        if spec.recurrent and i == n_layers - 1:
+            R = state.params["R"]
+            dz = np.empty_like(h)
+            carry = np.zeros(h.shape[1])
+            for t in range(len(h) - 1, -1, -1):
+                dz[t] = (g[t] + carry) * (1.0 - h[t] ** 2)
+                carry = dz[t] @ R
+            grads["R"] = dz[1:].T @ h[:-1] if len(h) > 1 else np.zeros_like(R)
+        else:
+            dz = g * (1.0 - h ** 2)
+        grads["W%d" % i] = dz.T @ below
+        grads["b%d" % i] = dz.sum(axis=0)
+        g = dz @ state.params["W%d" % i]
+    return grads
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batch_matches_per_sequence_bitwise(data):
+    # ragged batches, T = 1 and B in {0, 1, ...}, recurrent or not, at
+    # the widths in use ([5] in the suites, [16] in the experiment,
+    # [32, 16] in the CLI default); every output and gradient must equal
+    # the per-sequence network's bit for bit
+    hidden = data.draw(st.sampled_from([[5], [16], [32, 16]]))
+    recurrent = data.draw(st.booleans())
+    K = data.draw(st.integers(2, 6))
+    B = data.draw(st.integers(0, 7))
+    Ts = data.draw(st.lists(st.integers(1, 25), min_size=B, max_size=B))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    spec = model.NetworkSpec(4, hidden, K, recurrent=recurrent)
+    state = model.ModelState(spec, seed=int(rng.integers(1 << 30)))
+    for k in state.params:      # nonzero biases, as after training
+        state.params[k] = state.params[k] + rng.normal(0.0, 0.5, state.params[k].shape)
+    xs = [rng.normal(size=(T, 4)) for T in Ts]
+    dml = [rng.normal(size=(T, K)) for T in Ts]
+    dfused = [rng.normal(size=(T, spec.feature_dim)) for T in Ts]
+
+    outputs = model.forward_batch(state, xs)
+    grads = model.backward_batch(state, dml, dfused)
+    assert len(outputs) == len(grads) == B
+    for x, out, d1, d2, got in zip(xs, outputs, dml, dfused, grads):
+        hs, expected = reference_forward(state, x)
+        for a, b in zip(out, expected):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        want = reference_backward(state, hs, d1, d2)
+        assert list(got) == list(want)
+        for k in want:
+            assert got[k].shape == want[k].shape and np.array_equal(got[k], want[k])
+
+
+def test_recurrence_first_frame_matches_the_zero_product_bitwise():
+    # frame 0 adds 0.0 in place of R h_{-1} = R 0; like the product,
+    # that turns a pre-activation of -0 into +0
+    rng = np.random.default_rng(3)
+    R = rng.normal(size=(4, 4))
+    z = rng.normal(size=(3, 4))
+    z[0, :2] = -0.0
+    frames = z.copy()[None, :, None, :]
+    model._recurrence(frames, R)
+    h, prev = np.empty_like(z), np.zeros(4)
+    for t in range(3):
+        prev = np.tanh(z[t] + prev @ R.T)
+        h[t] = prev
+    assert frames[0, :, 0].tobytes() == h.tobytes()
+
+
+def test_backward_batch_needs_one_signal_per_cached_sequence():
+    state = model.ModelState(model.NetworkSpec(3, [4], 2, recurrent=True))
+    model.forward_batch(state, [np.ones((2, 3)), np.ones((3, 3))])
+    with pytest.raises(ValueError):
+        model.backward(state, np.zeros((2, 2)), np.zeros((2, 4)))
 
 
 # ------------------------------------------------------------------- backward
@@ -281,6 +388,80 @@ def test_train_batched_lattice_matches_per_sequence_bitwise(mode, monkeypatch):
         assert np.any(b1.centers != 0.0)
 
 
+
+@pytest.mark.parametrize("mode", ["ce", "fmf", "ctc", "tmf"])
+def test_train_batched_network_matches_per_sequence_bitwise(mode, monkeypatch):
+    # training makes one forward_batch and one backward_batch call per
+    # batch and scores validation in length-sorted groups; one call per
+    # sequence must give the same parameters, centers and rows, bit for bit
+    lam = 1e-2 if mode in ("fmf", "tmf") else 0.0
+
+    def run():
+        return fresh_run(mode, lam=lam, batch_size=6, max_batches=40,
+                         fusion=losses.FusionConfig(
+                             lam=lam, occupancy_mode="frame_normalized"))
+
+    monkeypatch.setattr(model, "SCORE_GROUP", 5)     # 12 validation sequences
+    batched = run()
+    forward_batch, backward_batch = model.forward_batch, model.backward_batch
+    sizes = []
+
+    def forward_each(state, xs):
+        sizes.append(len(xs))
+        outputs, caches = [], []
+        for x in xs:
+            outputs += forward_batch(state, [x])
+            caches += state.cache
+        state.cache = caches
+        return outputs
+
+    def backward_each(state, deltas_ml, deltas_fused):
+        caches, grads = state.cache, []
+        for cache, d1, d2 in zip(caches, deltas_ml, deltas_fused, strict=True):
+            state.cache = [cache]
+            grads += backward_batch(state, [d1], [d2])
+        state.cache = caches
+        return grads
+
+    monkeypatch.setattr(model, "forward_batch", forward_each)
+    monkeypatch.setattr(model, "backward_batch", backward_each)
+    looped = run()
+    assert sizes[0] == 6 and sizes.count(5) >= 2    # a batch, validation groups
+    (s1, b1, r1), (s2, b2, r2) = batched, looped
+    assert r1 == r2
+    for k in s1.param_names():
+        assert np.array_equal(s1.params[k], s2.params[k])
+    assert np.array_equal(b1.centers, b2.centers)
+    if lam:
+        assert np.any(b1.centers != 0.0)
+
+
+@pytest.mark.parametrize("mode", ["ce", "ctc"])
+def test_evaluate_model_groups_match_per_sequence_bitwise(mode, monkeypatch):
+    # length-sorted groups of 4 against one sequence at a time, in order
+    data = toy_data("unseen", n=23)
+    spec = model.NetworkSpec(4, [8], 3 if mode == "ctc" else 2, recurrent=True)
+    state = model.ModelState(spec, seed=5)
+    bank = losses.CenterBank(2, 8)
+    bank.centers = np.random.default_rng(2).normal(size=bank.centers.shape)
+    monkeypatch.setattr(model, "SCORE_GROUP", 4)
+    grouped = experiment.evaluate_model(state, bank, data, mode, "unseen")
+    monkeypatch.setattr(model, "score_groups",
+                        lambda samples: [[i] for i in range(len(samples))])
+    assert experiment.evaluate_model(state, bank, data, mode, "unseen") == grouped
+
+
+def test_score_groups_sort_by_length(monkeypatch):
+    monkeypatch.setattr(model, "SCORE_GROUP", 2)
+    data = toy_data(n=7)
+    groups = model.score_groups(data)
+    assert [len(g) for g in groups] == [2, 2, 2, 1]
+    order = [i for g in groups for i in g]
+    assert sorted(order) == list(range(7))
+    lengths = [len(data[i].x) for i in order]
+    assert lengths == sorted(lengths)
+
+
 def test_train_lambda_zero_tmf_matches_ctc_bitwise():
     s_tmf, _, r_tmf = fresh_run("tmf", lam=0.0)
     s_ctc, _, r_ctc = fresh_run("ctc", lam=0.0)
@@ -381,6 +562,27 @@ def test_validation_score_framewise_is_mean_frame_log_probability():
     got = model.validation_score(state, data, "ce")
     assert got == pytest.approx(num / den, rel=1e-12)
 
+
+
+@pytest.mark.parametrize("mode", ["ce", "ctc"])
+def test_validation_score_sums_in_sample_order(mode, monkeypatch):
+    # groups are scored in length order, but the terms must be added in
+    # sample order to give the one-at-a-time sum bit for bit
+    from tmfusion import ctc
+    data = toy_data(n=150)
+    spec = model.NetworkSpec(4, [8], 3 if mode == "ctc" else 2, recurrent=True)
+    state = model.ModelState(spec, seed=3)
+    total, frames = 0.0, 0
+    for s in data:
+        _, _, y = model.forward(state, s.x)
+        if mode == "ctc":
+            total += ctc.forward_backward(y, s.collapsed).log_seq_prob
+        else:
+            cols = s.framewise - 1
+            total += float(np.log(y[np.arange(len(cols)), cols]).sum())
+            frames += len(cols)
+    monkeypatch.setattr(model, "SCORE_GROUP", 8)
+    assert model.validation_score(state, data, mode) == total / (frames or len(data))
 
 # ------------------------------------------------------- full gradient check
 

@@ -272,6 +272,23 @@ def test_jsonl_round_trip_is_exact(tmp_path):
     assert filecmp.cmp(path, again, shallow=False)
 
 
+@pytest.mark.parametrize("record, reason", [
+    ('[1, 2]', "list indices"),
+    ('{"features": [1.0, 2.0], "framewise": [1, 1], "collapsed": [1], '
+     '"condition": "clean"}', "one framewise label"),
+    ('{"features": [[1.0], [2.0, 3.0]], "framewise": [1, 1], "collapsed": [1], '
+     '"condition": "clean"}', "array element"),
+])
+def test_load_jsonl_names_the_line_that_is_not_a_sample(tmp_path, record, reason):
+    path = tmp_path / "data.jsonl"
+    synth.save_jsonl(synth.generate(synth.GeneratorConfig(seed=1), 2), path)
+    with open(path, "a") as fh:
+        fh.write(record + "\n")
+    with pytest.raises(synth.MalformedDataset, match="line 3: .*%s" % reason) as info:
+        synth.load_jsonl(path)
+    assert str(path) in str(info.value)
+
+
 def test_jsonl_files_are_byte_identical_per_seed(tmp_path):
     cfg = synth.GeneratorConfig(seed=23)
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
