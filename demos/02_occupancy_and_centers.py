@@ -46,8 +46,9 @@ def main():
     banner("expected center loss")
     bank = losses.CenterBank(K - 1, dim)
     bank.centers = rng.normal(size=bank.centers.shape)
+    centers = bank.gather(tables.zp[1::2])
     for mode, g in (("paper_literal", gamma), ("frame_normalized", gamma_n)):
-        val = losses.ecl(features, g, tables.zp, bank)
+        val = losses.ecl(features, g[:, 1::2], centers)
         print("  %-16s ECL = %.6f" % (mode, val))
     print("blank positions carry no center and contribute nothing.")
 

@@ -5,17 +5,16 @@ framewise pairing, with brute-force oracles for every formula."""
 from .ctc import (AlignmentTables, BLANK, DegenerateFrame, InfeasibleLabeling,
                   ctc_grad_logits, extend_with_blanks, forward_backward,
                   min_frames, ml_loss, occupancy)
-from .losses import (CenterBank, FusionConfig, UnknownClass, center_loss,
-                     cl_grad_features, cross_entropy, ecl, ecl_grad_features,
-                     fmf_loss, fuse_feature_grad, tmf_loss,
-                     update_centers_framewise, update_centers_tmf)
+from .losses import (CenterBank, FusionConfig, UnknownClass, center_stats,
+                     cross_entropy, ecl, ecl_grad_features, fuse_feature_grad,
+                     update_centers_tmf)
 from .model import (ModelState, NetworkSpec, NonFiniteGradient, ScheduleState,
                     TrainSettings, adam_step, backward, backward_batch, forward,
                     forward_batch, schedule_tick, train, validation_score)
 from .synth import (CONDITIONS, ConfigInvalid, GeneratorConfig, MalformedDataset,
                     SequenceSample, UnseenNoise, class_means, generate, load_jsonl,
                     save_jsonl, split)
-from .metrics import (EvalReport, edit_distance, embedding_report,
+from .metrics import (EvalReport, collapse, edit_distance, embedding_report,
                       frame_accuracy, greedy_decode, temporal_assignments,
                       token_error_rate)
 from .config import (ConfigError, RunConfig, load_checkpoint, load_config,

@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import ctc, metrics, model, synth, verify
-from .config import (ConfigError, append_metrics, load_checkpoint,
+from .config import (ConfigError, _fmt, append_metrics, load_checkpoint,
                      load_config, open_metrics, save_checkpoint)
 from .experiment import TEST_START_INDEX, evaluate_model
 from .synth import CONDITIONS, ConfigInvalid, MalformedDataset
@@ -101,11 +101,11 @@ def _check_shapes(samples, spec, temporal):
             raise ShapeMismatch(
                 "sample %d has %d features, network expects %d"
                 % (i, sample.x.shape[1], spec.input_dim))
-        top = int(sample.framewise.max())
-        if top > limit:
+        low, top = int(sample.framewise.min()), int(sample.framewise.max())
+        if low < 1 or top > limit:
             raise ShapeMismatch(
-                "sample %d uses class %d, network only covers %d"
-                % (i, top, limit))
+                "sample %d uses class %d, network only covers 1..%d"
+                % (i, top if top > limit else low, limit))
 
 
 def _atomic_checkpoint(path, state, bank, sched, mode, seed, steps):
@@ -192,12 +192,6 @@ def cmd_train(args):
     return 0
 
 
-def _format_cell(value):
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def cmd_eval(args):
     try:
         state, bank, _, meta = load_checkpoint(args.checkpoint)
@@ -225,7 +219,7 @@ def cmd_eval(args):
             continue
         report = evaluate_model(state, bank, by_condition[condition],
                                 meta["mode"], condition)
-        lines.append(",".join(_format_cell(v) for v in report.csv_row()))
+        lines.append(",".join(_fmt(v) for v in report.csv_row()))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as out_fh:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .losses import CenterBank, FusionConfig
+from .losses import OCCUPANCY_MODES, CenterBank, FusionConfig
 from .model import ModelState, NetworkSpec, ScheduleState, TrainSettings
 from .synth import CONDITIONS, GeneratorConfig, UnseenNoise
 
@@ -77,16 +77,21 @@ class RunConfig:
         for field in ("lam", "learning_rate", "center_momentum"):
             if getattr(self, field) < 0:
                 raise ConfigError(f"{field}: must be nonnegative")
+        if self.occupancy_mode not in OCCUPANCY_MODES:
+            raise ConfigError(f"occupancy_mode: expected one of {OCCUPANCY_MODES}, "
+                              f"got {self.occupancy_mode!r}")
+        # occupancy and one-hot weights lie in [0, 1]: a threshold above 1
+        # would gate off every center update
+        if not 0.0 <= self.occupancy_threshold <= 1.0:
+            raise ConfigError("occupancy_threshold: must lie in [0, 1], got %r"
+                              % (self.occupancy_threshold,))
 
     @property
     def temporal(self):
         return self.mode in TEMPORAL_MODES
 
     def fusion(self):
-        return FusionConfig(
-            lam=self.lam,
-            mode="temporal" if self.temporal else "framewise",
-            occupancy_mode=self.occupancy_mode)
+        return FusionConfig(lam=self.lam, occupancy_mode=self.occupancy_mode)
 
     def settings(self):
         return TrainSettings(

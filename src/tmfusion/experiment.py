@@ -17,16 +17,6 @@ from .config import RunConfig
 from .model import NetworkSpec
 
 
-def _framewise_decode(y):
-    cols = np.asarray(y).argmax(axis=1)
-    pred = cols + 1
-    out = [int(pred[0])] if len(pred) else []
-    for v in pred[1:]:
-        if int(v) != out[-1]:
-            out.append(int(v))
-    return np.array(out, dtype=np.intp)
-
-
 def evaluate_model(state, bank, samples, mode, condition):
     """Score one trained model on one condition's samples.
 
@@ -50,8 +40,8 @@ def evaluate_model(state, bank, samples, mode, condition):
                 assigns[i] = steps
                 correct += int((y.argmax(axis=1) == sample.framewise).sum())
             else:
-                hyps[i] = _framewise_decode(y)
                 pred = y.argmax(axis=1) + 1
+                hyps[i] = metrics.collapse(pred)
                 feats[i] = u
                 assigns[i] = pred
                 correct += int((pred == sample.framewise).sum())

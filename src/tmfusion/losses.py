@@ -1,19 +1,34 @@
 """Loss functions, their error signals, and the class-center bank.
 
-Two training modes share this module.  Framewise mode pairs per-frame
-cross-entropy with the classic center loss; sequence mode pairs the CTC
-likelihood with the expected center loss (ECL), where the per-frame
-labels are replaced by alignment-occupancy weights.
+One center-loss path serves both fusion modes.  The expected center
+loss (ECL) weights the squared distance from each frame's feature u_t
+to the center of each label position i by a weight w(t, i):
 
-The feature-space error signals (``ecl_grad_features``,
-``cl_grad_features``) deliberately omit the factor 2 that differentiating
-a squared norm produces; the balancing factor lambda absorbs it.  Tests
-pin the relationship: twice the returned signal equals the true gradient.
+* sequence mode (``tmf``) uses the alignment occupancy of the non-blank
+  positions of the blank-extended labeling, so no frame labels are
+  needed;
+* framewise mode (``fmf``) uses the one-hot target of the frame labels
+  over the classes 1..C, which makes the ECL the classic center loss
+  (Wen et al., ECCV 2016).
+
+``ecl``, ``ecl_grad_features`` and ``center_stats`` take the weights
+w (T, r), the centers of their r positions, gathered once per sequence,
+and (``center_stats``) the positions' class labels.  The center update
+differs between the modes only in its normalization: the framewise
+rule divides each class's sum by 1 + its weight, the occupancy rule
+does not (``CenterBank.step``).
+
+The feature-space error signal (``ecl_grad_features``) deliberately
+omits the factor 2 that differentiating a squared norm produces; the
+balancing factor lambda absorbs it.  Tests pin the relationship: twice
+the returned signal equals the true gradient.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+OCCUPANCY_MODES = ("paper_literal", "frame_normalized")
 
 
 class UnknownClass(Exception):
@@ -23,15 +38,12 @@ class UnknownClass(Exception):
 @dataclass
 class FusionConfig:
     lam: float = 1e-3
-    mode: str = "temporal"              # "framewise" or "temporal"
     occupancy_mode: str = "paper_literal"
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
-        if self.mode not in ("framewise", "temporal"):
-            raise ValueError("unknown mode %r" % (self.mode,))
-        if self.occupancy_mode not in ("paper_literal", "frame_normalized"):
+        if self.occupancy_mode not in OCCUPANCY_MODES:
             raise ValueError("unknown occupancy mode %r" % (self.occupancy_mode,))
 
 
@@ -69,27 +81,20 @@ class CenterBank:
         out.centers = self.centers.copy()
         return out
 
-    def step(self, deltas):
-        """Return a bank moved by -momentum * deltas (a class -> vector map)."""
+    def step(self, sums, weights=None):
+        """Return a bank moved by -momentum * sums, the (C, D) center-update
+        sums of ``center_stats``.  With the (C,) weights given, each
+        class's sum is first divided by 1 + its weight, the framewise
+        rule:
+
+            c_j <- c_j - momentum * (sum over frames labeled j of c_j - u_t)
+                                    / (1 + number of frames labeled j)
+        """
+        if weights is not None:
+            sums = sums / (1.0 + weights)[:, None]
         out = self.copy()
-        for label, delta in deltas.items():
-            out.centers[label - 1] = self.centers[label - 1] - self.momentum * delta
+        out.centers = self.centers - self.momentum * sums
         return out
-
-
-def center_loss(u, k, bank):
-    """Sum over frames of the squared distance to the labeled class center."""
-    u = np.asarray(u, dtype=float)
-    d = u - bank.gather(k)
-    return float((d * d).sum())
-
-
-def cl_grad_features(u, k, bank):
-    """Per-frame feature error signal of the center loss, u_t - c_{k_t}.
-
-    Half of the true gradient; see the module note on the factor 2.
-    """
-    return np.asarray(u, dtype=float) - bank.gather(k)
 
 
 def cross_entropy(y, cols):
@@ -103,45 +108,28 @@ def cross_entropy(y, cols):
     return float(-np.log(y[np.arange(len(cols)), cols]).sum())
 
 
-def fmf_loss(y, cols, u, k, bank, cfg):
-    """Framewise fusion: cross-entropy plus lambda times center loss."""
-    if cfg.mode != "framewise":
-        raise ValueError("fmf_loss requires framewise mode")
-    return cross_entropy(y, cols) + cfg.lam * center_loss(u, k, bank)
+def ecl(u, w, centers):
+    """Expected center loss: weighted squared center distances,
 
+        sum_t sum_i w(t, i) * |u_t - c_i|^2
 
-def ecl(u, gamma, zp, bank):
-    """Expected center loss: occupancy-weighted squared center distances.
-
-    gamma is a (T, 2r+1) occupancy matrix aligned with the blank-extended
-    sequence zp; blank positions carry no center and are skipped.
+    for features u (T, D), weights w (T, r) and position centers c (r, D).
     """
     u = np.asarray(u, dtype=float)
-    labels = zp[1::2]
-    if len(labels) == 0:
+    if len(centers) == 0:
         return 0.0
-    d = u[:, None, :] - bank.gather(labels)[None, :, :]   # (T, r, D)
-    return float((gamma[:, 1::2] * (d * d).sum(axis=2)).sum())
+    d = u[:, None, :] - centers[None, :, :]               # (T, r, D)
+    return float((w * (d * d).sum(axis=2)).sum())
 
 
-def tmf_loss(ml, ecl_value, cfg):
-    """Sequence fusion: CTC likelihood loss plus lambda times ECL."""
-    if cfg.mode != "temporal":
-        raise ValueError("tmf_loss requires temporal mode")
-    return ml + cfg.lam * ecl_value
-
-
-def ecl_grad_features(u, gamma, zp, bank):
+def ecl_grad_features(u, w, centers):
     """Per-frame feature error signal of the ECL (without the factor 2):
 
-        delta(t) = sum_s gamma(t, s) * (u_t - c_{z'_s}),  blanks skipped.
+        delta(t) = sum_i w(t, i) * (u_t - c_i).
     """
     u = np.asarray(u, dtype=float)
-    labels = zp[1::2]
-    if len(labels) == 0:
+    if len(centers) == 0:
         return np.zeros_like(u)
-    w = gamma[:, 1::2]                                    # (T, r)
-    centers = bank.gather(labels)                         # (r, D)
     return w.sum(axis=1)[:, None] * u - w @ centers
 
 
@@ -158,57 +146,35 @@ def fuse_feature_grad(delta_ml, W, delta_ecl, cfg):
     return base + cfg.lam * np.asarray(delta_ecl, dtype=float)
 
 
-def center_delta_tmf(bank, u, gamma, zp):
-    """Raw center-update sums for one sequence, threshold-gated per term:
+def center_stats(bank, u, w, labels, centers):
+    """Center-update statistics of one sequence, threshold-gated per term.
 
-        delta_j = sum over positions s with z'_s = j, frames t with
-                  gamma(t, s) >= threshold, of gamma(t, s) * (c_j - u_t)
+    For class j, over the positions i with labels[i] = j and the frames t
+    with w(t, i) >= the bank's threshold:
 
-    Returned as a class -> vector map so a batch can accumulate before a
-    single momentum step.
+        weights[j - 1] = sum of w(t, i)
+        sums[j - 1]    = sum of w(t, i) * (c_j - u_t)
+
+    Returns the (C,) weights and (C, D) sums, which a batch adds up
+    before a single ``CenterBank.step``.
     """
     u = np.asarray(u, dtype=float)
-    deltas = {}
-    for i, label in enumerate(zp[1::2]):
-        label = int(label)
-        w = gamma[:, 2 * i + 1]
-        live = w >= bank.occupancy_threshold
+    weights = np.zeros(bank.num_classes)
+    sums = np.zeros((bank.num_classes, bank.dim))
+    for label, wi, c in zip(labels, w.T, centers):
+        live = wi >= bank.occupancy_threshold
         if not live.any():
             continue
-        wl = w[live]
-        c = bank.center(label)
-        d = wl.sum() * c - wl @ u[live]
-        deltas[label] = deltas.get(label, 0.0) + d
-    return deltas
+        wl = wi[live]
+        n = wl.sum()
+        weights[label - 1] += n
+        sums[label - 1] += n * c - wl @ u[live]
+    return weights, sums
 
 
 def update_centers_tmf(bank, u, gamma, zp):
-    """Apply the occupancy-weighted center update for one sequence."""
-    return bank.step(center_delta_tmf(bank, u, gamma, zp))
-
-
-def center_delta_framewise(bank, u, k):
-    """Per-class difference sums and counts for the framewise update."""
-    u = np.asarray(u, dtype=float)
-    k = np.asarray(k, dtype=np.intp)
-    if len(k) and (k.min() < 1 or k.max() > bank.num_classes):
-        raise UnknownClass("label outside 1..%d" % bank.num_classes)
-    sums, counts = {}, {}
-    for label in np.unique(k):
-        label = int(label)
-        mask = k == label
-        n = int(mask.sum())
-        sums[label] = n * bank.center(label) - u[mask].sum(axis=0)
-        counts[label] = n
-    return sums, counts
-
-
-def update_centers_framewise(bank, u, k):
-    """Count-normalized center update from framewise labels:
-
-        c_j <- c_j - momentum * (sum over labeled frames of c_j - u_t)
-                                / (1 + number of labeled frames)
-    """
-    sums, counts = center_delta_framewise(bank, u, k)
-    deltas = {j: sums[j] / (1.0 + counts[j]) for j in sums}
-    return bank.step(deltas)
+    """Apply the occupancy-weighted center update for one sequence, from
+    its (T, 2r+1) occupancy gamma over the blank-extended labeling zp."""
+    labels = zp[1::2]
+    _, sums = center_stats(bank, u, gamma[:, 1::2], labels, bank.gather(labels))
+    return bank.step(sums)

@@ -37,12 +37,16 @@ class EvalReport:
 def greedy_decode(y):
     """Best-path decode: per-frame argmax (ties to the lowest index),
     merge repeats, drop blanks."""
-    steps = np.argmax(y, axis=1)
+    return collapse(np.argmax(y, axis=1))
+
+
+def collapse(steps):
+    """Merge repeated steps of a class sequence, then drop blanks."""
     out = []
     prev = -1
-    for c in steps:
+    for c in steps.tolist():
         if c != prev and c != BLANK:
-            out.append(int(c))
+            out.append(c)
         prev = c
     return out
 

@@ -297,39 +297,39 @@ def _onehot(cols, K):
 
 
 def _sequence_signals(state, sample, u, y, tables, mode, cfg, bank):
-    """Loss, error signals (delta_ml, delta_fused) and center-update
-    piece for one sequence, from its features u, posteriors y and
-    (sequence modes) lattice tables."""
+    """Loss, error signals (delta_ml, delta_fused) and center statistics
+    for one sequence, from its features u, posteriors y and (sequence
+    modes) lattice tables.
+
+    Both fusion modes take the one center-loss path: tmf weighs the
+    label positions of the lattice by their occupancy, fmf weighs the
+    classes 1..C by the one-hot frame target.
+    """
     if mode in ("ctc", "tmf"):
         delta_ml = ctc.ctc_grad_logits(tables, y)
         loss = -tables.log_seq_prob
         if mode == "tmf":
-            gamma = ctc.occupancy(tables, y, cfg.occupancy_mode)
-            zp = tables.zp
-            loss = loss + cfg.lam * losses.ecl(u, gamma, zp, bank)
-            delta_ecl = losses.ecl_grad_features(u, gamma, zp, bank)
-            delta_fused = losses.fuse_feature_grad(delta_ml, state.params["W"], delta_ecl, cfg)
-            center_piece = losses.center_delta_tmf(bank, u, gamma, zp)
-        else:
-            delta_fused = delta_ml @ state.params["W"]
-            center_piece = None
+            w = ctc.occupancy(tables, y, cfg.occupancy_mode)[:, 1::2]
+            labels = tables.zp[1::2]
+            centers = bank.gather(labels)
     else:
         cols = np.asarray(sample.framewise, dtype=np.intp) - 1
-        delta_ml = y - _onehot(cols, y.shape[1])
+        w = _onehot(cols, y.shape[1])
+        delta_ml = y - w
         loss = losses.cross_entropy(y, cols)
-        if mode == "fmf":
-            loss = loss + cfg.lam * losses.center_loss(u, sample.framewise, bank)
-            delta_cl = losses.cl_grad_features(u, sample.framewise, bank)
-            delta_fused = losses.fuse_feature_grad(delta_ml, state.params["W"], delta_cl, cfg)
-            center_piece = losses.center_delta_framewise(bank, u, sample.framewise)
-        else:
-            delta_fused = delta_ml @ state.params["W"]
-            center_piece = None
-    return loss, delta_ml, delta_fused, center_piece
+        # the one-hot columns are the classes 1..C, in the bank's order
+        labels, centers = range(1, bank.num_classes + 1), bank.centers
+    W = state.params["W"]
+    if mode not in ("tmf", "fmf"):
+        return loss, delta_ml, delta_ml @ W, None
+    loss = loss + cfg.lam * losses.ecl(u, w, centers)
+    delta_ecl = losses.ecl_grad_features(u, w, centers)
+    delta_fused = losses.fuse_feature_grad(delta_ml, W, delta_ecl, cfg)
+    return loss, delta_ml, delta_fused, losses.center_stats(bank, u, w, labels, centers)
 
 
 def _batch_signals(state, batch, mode, cfg, bank):
-    """(loss, gradients, center piece) of each sequence of a batch, in
+    """(loss, gradients, center statistics) of each sequence of a batch, in
     order.
 
     One forward_batch, one forward_backward_batch (sequence modes) and
@@ -346,23 +346,15 @@ def _batch_signals(state, batch, mode, cfg, bank):
     signals = [_sequence_signals(state, sample, u, y, tables, mode, cfg, bank)
                for sample, (u, _, y), tables in zip(batch, outputs, lattices)]
     grads = backward_batch(state, [s[1] for s in signals], [s[2] for s in signals])
-    return [(loss, g, piece) for (loss, _, _, piece), g in zip(signals, grads)]
+    return [(loss, g, stats) for (loss, _, _, stats), g in zip(signals, grads)]
 
 
-def _apply_center_updates(bank, pieces, mode):
-    if mode == "tmf":
-        total = {}
-        for piece in pieces:
-            for j, d in piece.items():
-                total[j] = total.get(j, 0.0) + d
-        return bank.step(total)
-    sums, counts = {}, {}
-    for piece_sums, piece_counts in pieces:
-        for j in piece_sums:
-            sums[j] = sums.get(j, 0.0) + piece_sums[j]
-            counts[j] = counts.get(j, 0) + piece_counts[j]
-    deltas = {j: sums[j] / (1.0 + counts[j]) for j in sums}
-    return bank.step(deltas)
+def _apply_center_updates(bank, stats, mode):
+    """One momentum step from the summed per-sequence center statistics;
+    the framewise rule divides each class's sum by 1 + its weight."""
+    weights = sum(w for w, _ in stats)
+    sums = sum(s for _, s in stats)
+    return bank.step(sums, weights if mode == "fmf" else None)
 
 
 SCORE_GROUP = 32        # sequences per forward_batch call when scoring
@@ -442,21 +434,21 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
         for start in range(0, len(order), settings.batch_size):
             batch = [train_samples[i] for i in order[start:start + settings.batch_size]]
             grad_total = None
-            center_pieces = []
-            for loss, grads, piece in _batch_signals(state, batch, mode, cfg, bank):
+            batch_stats = []
+            for loss, grads, stats in _batch_signals(state, batch, mode, cfg, bank):
                 running_loss += loss
                 if grad_total is None:
                     grad_total = grads
                 else:
                     for k in grad_total:
                         grad_total[k] += grads[k]
-                if piece is not None:
-                    center_pieces.append(piece)
+                if stats is not None:
+                    batch_stats.append(stats)
             if not np.isfinite(running_loss):
                 raise NonFiniteGradient("training loss is not finite")
             adam_step(state, grad_total)
             if fused_mode:
-                bank = _apply_center_updates(bank, center_pieces, mode)
+                bank = _apply_center_updates(bank, batch_stats, mode)
             running_n += len(batch)
             batches_seen += 1
             if batches_seen % sched.eval_interval == 0 or batches_seen >= settings.max_batches:

@@ -57,7 +57,7 @@ def occupancy_suite(n=100, seed=1):
         u = rng.normal(size=(T, D))
         bank = losses.CenterBank(K - 1, D)
         bank.centers = rng.normal(size=bank.centers.shape)
-        dp_ecl = losses.ecl(u, gamma, tables.zp, bank)
+        dp_ecl = losses.ecl(u, gamma[:, 1::2], bank.gather(tables.zp[1::2]))
         bf_ecl = oracle.brute_force_ecl(
             y, z, u, {j: bank.center(j) for j in range(1, K)})
         worst = max(worst, abs(dp_ecl - bf_ecl))
@@ -136,11 +136,12 @@ def grad_ecl_suite(n=50, seed=5):
         bank = losses.CenterBank(K - 1, D)
         bank.centers = rng.normal(size=bank.centers.shape)
         u = rng.normal(size=(T, D))
+        w, centers = gamma[:, 1::2], bank.gather(tables.zp[1::2])
 
         def ecl_of(flat):
-            return losses.ecl(flat.reshape(T, D), gamma, tables.zp, bank)
+            return losses.ecl(flat.reshape(T, D), w, centers)
 
-        analytic = 2.0 * losses.ecl_grad_features(u, gamma, tables.zp, bank).ravel()
+        analytic = 2.0 * losses.ecl_grad_features(u, w, centers).ravel()
         fd = oracle.finite_diff(ecl_of, u.ravel())
         worst = max(worst, _rel_err(analytic, fd))
     return worst, n
@@ -156,7 +157,8 @@ def tmf_network_loss(state, bank, x, z, lam, occupancy_mode="paper_literal",
     gamma = frozen_gamma
     if gamma is None:
         gamma = ctc.occupancy(tables, y, occupancy_mode)
-    return -tables.log_seq_prob + lam * losses.ecl(u, gamma, tables.zp, bank)
+    centers = bank.gather(tables.zp[1::2])
+    return -tables.log_seq_prob + lam * losses.ecl(u, gamma[:, 1::2], centers)
 
 
 def grad_full_suite(n=50, seed=6, lam=0.05):
@@ -181,8 +183,9 @@ def grad_full_suite(n=50, seed=6, lam=0.05):
         tables = ctc.forward_backward(y, z)
         gamma = ctc.occupancy(tables, y, "paper_literal")
         delta_ml = ctc.ctc_grad_logits(tables, y)
-        delta_ecl = losses.ecl_grad_features(u, gamma, tables.zp, bank)
-        cfg2 = losses.FusionConfig(lam=2.0 * lam, mode="temporal")
+        delta_ecl = losses.ecl_grad_features(u, gamma[:, 1::2],
+                                             bank.gather(tables.zp[1::2]))
+        cfg2 = losses.FusionConfig(lam=2.0 * lam)
         fused = losses.fuse_feature_grad(delta_ml, state.params["W"], delta_ecl, cfg2)
         grads = model.backward(state, delta_ml, fused)
         analytic = np.concatenate([grads[k].ravel() for k in state.param_names()])

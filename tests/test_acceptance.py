@@ -113,8 +113,7 @@ def _toy_run(mode, lam):
     state = model.ModelState(model.NetworkSpec(4, [8], K, recurrent=True),
                              seed=5, lr=1e-2)
     bank = losses.CenterBank(2, 8)
-    fusion = losses.FusionConfig(
-        lam=lam, mode="temporal" if mode in ("ctc", "tmf") else "framewise")
+    fusion = losses.FusionConfig(lam=lam)
     settings = model.TrainSettings(mode=mode, batch_size=8, max_batches=40,
                                    eval_interval=10, seed=5, fusion=fusion)
     return model.train(state, bank, data[:48], data[48:], settings)

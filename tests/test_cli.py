@@ -97,6 +97,26 @@ def test_gen_data_unknown_field_exits_2_naming_field(tmp_path, capsys):
     assert "learning_rte" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("occupancy_threshold", -0.5),
+    ("occupancy_threshold", 2.0),       # would gate off every center update
+    ("occupancy_mode", "literal"),
+], ids=["threshold_below_0", "threshold_above_1", "unknown_mode"])
+def test_train_invalid_occupancy_setting_exits_2_naming_field(tmp_path, capsys,
+                                                             field, value):
+    import json
+
+    cfg_path, cfg = write_config(tmp_path)
+    gen_data(tmp_path, cfg_path)
+    data = json.loads(cfg_path.read_text())
+    data[field] = value
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    assert cli.main(["train", "--config", str(broken)]) == cli.EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not os.path.exists(cfg.checkpoint_path)
+
+
 # --------------------------------------------------------------------- train
 
 def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
@@ -166,6 +186,18 @@ def test_train_shape_mismatch_exits_4(tmp_path, capsys):
         data_dir=cfg.data_dir)
     assert cli.main(["train", "--config", str(wide_path)]) == cli.EXIT_SHAPE
     assert "features" in capsys.readouterr().err
+
+
+def test_train_frame_label_outside_the_classes_exits_4(tmp_path, capsys):
+    # a framewise label of 0 would index the last one-hot column
+    cfg_path, cfg = write_config(tmp_path)
+    gen_data(tmp_path, cfg_path)
+    path = cli.dataset_path(cfg.data_dir, "clean", "train")
+    samples = synth.load_jsonl(path)
+    samples[3].framewise[0] = 0
+    synth.save_jsonl(samples, path)
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_SHAPE
+    assert "class 0" in capsys.readouterr().err
 
 
 def test_train_divergence_exits_3_keeping_checkpoint(tmp_path, capsys,
@@ -292,7 +324,7 @@ def test_train_checkpoint_is_the_model_training_selected(tmp_path):
     for condition in synth.CONDITIONS:
         samples = synth.load_jsonl(cli.dataset_path(cfg.data_dir, condition, "test"))
         rep = experiment.evaluate_model(state, bank, samples, cfg.mode, condition)
-        expected.append(",".join(cli._format_cell(v) for v in rep.csv_row()))
+        expected.append(",".join(config._fmt(v) for v in rep.csv_row()))
     assert report.read_text().splitlines()[1:] == expected
 
 
@@ -417,8 +449,8 @@ def test_check_catches_a_planted_sign_error(monkeypatch, capsys):
     # fail and drive a nonzero exit
     real = losses.ecl_grad_features
 
-    def flipped(u, gamma, zp, bank):
-        return -real(u, gamma, zp, bank)
+    def flipped(u, w, centers):
+        return -real(u, w, centers)
 
     monkeypatch.setattr("tmfusion.losses.ecl_grad_features", flipped)
     assert cli.main(["check", "--scope", "losses"]) == cli.EXIT_CHECK

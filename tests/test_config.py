@@ -71,7 +71,8 @@ def test_unknown_nested_field_is_named():
 
 def test_factories_are_consistent():
     cfg = small_config()
-    assert cfg.fusion().mode == "temporal"
+    assert cfg.temporal
+    assert cfg.fusion().occupancy_mode == cfg.occupancy_mode
     assert cfg.settings().mode == "tmf"
     state = cfg.new_state()
     assert state.spec.num_classes == 3

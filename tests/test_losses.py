@@ -1,11 +1,14 @@
 """Unit tests for the loss functions, error signals, and center updates."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tmfusion import ctc, losses, oracle
+from tmfusion import ctc, losses, model, oracle
 
 
 def make_bank(num_classes, dim, rng=None, **kw):
@@ -24,6 +27,47 @@ def single_frame_case():
     return tables, gamma
 
 
+def lattice_weights(gamma, zp, bank):
+    """Weights, labels and centers of the label positions of a
+    blank-extended labeling: the sequence-mode arguments of the path."""
+    labels = zp[1::2]
+    return gamma[:, 1::2], labels, bank.gather(labels)
+
+
+def onehot_weights(k, bank):
+    """One-hot weights over the classes 1..C, their labels and centers:
+    the framewise-mode arguments of the path, as model.train builds them."""
+    w = model._onehot(np.asarray(k, dtype=np.intp) - 1, bank.num_classes)
+    return w, range(1, bank.num_classes + 1), bank.centers
+
+
+def lattice_ecl(u, gamma, zp, bank):
+    w, _, centers = lattice_weights(gamma, zp, bank)
+    return losses.ecl(u, w, centers)
+
+
+def lattice_ecl_grad(u, gamma, zp, bank):
+    w, _, centers = lattice_weights(gamma, zp, bank)
+    return losses.ecl_grad_features(u, w, centers)
+
+
+def center_loss(u, k, bank):
+    w, _, centers = onehot_weights(k, bank)
+    return losses.ecl(u, w, centers)
+
+
+def center_loss_grad(u, k, bank):
+    w, _, centers = onehot_weights(k, bank)
+    return losses.ecl_grad_features(u, w, centers)
+
+
+def update_centers_framewise(bank, u, k):
+    """The fmf center step: one-hot statistics, divided by 1 + count."""
+    w, labels, centers = onehot_weights(k, bank)
+    weights, sums = losses.center_stats(bank, u, w, labels, centers)
+    return bank.step(sums, weights)
+
+
 # -------------------------------------------------------------- fusion config
 
 def test_fusion_config_rejects_negative_lambda():
@@ -32,8 +76,6 @@ def test_fusion_config_rejects_negative_lambda():
 
 
 def test_fusion_config_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        losses.FusionConfig(mode="frame")
     with pytest.raises(ValueError):
         losses.FusionConfig(occupancy_mode="literal")
 
@@ -81,18 +123,18 @@ def test_center_loss_zero_at_centers():
     rng = np.random.default_rng(1)
     bank = make_bank(3, 4, rng)
     u = bank.gather([2, 3, 1])
-    assert losses.center_loss(u, [2, 3, 1], bank) == 0.0
+    assert center_loss(u, [2, 3, 1], bank) == 0.0
 
 
 def test_center_loss_unit_distance():
     bank = losses.CenterBank(1, 2)
-    assert losses.center_loss(np.array([[1.0, 0.0]]), [1], bank) == 1.0
+    assert center_loss(np.array([[1.0, 0.0]]), [1], bank) == 1.0
 
 
 def test_center_loss_sums_squared_distances():
     bank = losses.CenterBank(1, 2)
     u = np.array([[1.0, 0.0], [0.0, 2.0]])
-    assert losses.center_loss(u, [1, 1], bank) == 5.0
+    assert center_loss(u, [1, 1], bank) == 5.0
 
 
 def test_center_loss_gradient_factor_two():
@@ -102,9 +144,9 @@ def test_center_loss_gradient_factor_two():
     u = rng.normal(size=(4, 3))
 
     def f(flat):
-        return losses.center_loss(flat.reshape(4, 3), k, bank)
+        return center_loss(flat.reshape(4, 3), k, bank)
 
-    analytic = 2.0 * losses.cl_grad_features(u, k, bank).ravel()
+    analytic = 2.0 * center_loss_grad(u, k, bank).ravel()
     fd = oracle.finite_diff(f, u.ravel())
     np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
 
@@ -131,30 +173,29 @@ def test_cross_entropy_quarter():
 
 # ---------------------------------------------------------------- fmf fusion
 
+def sequence_loss(mode, lam, u, y, bank, framewise=None, tables=None):
+    """The training loss of one sequence, as model.train sums it."""
+    state = SimpleNamespace(params={"W": np.zeros((y.shape[1], u.shape[1]))})
+    sample = SimpleNamespace(framewise=np.asarray(framewise))
+    cfg = losses.FusionConfig(lam=lam)
+    return model._sequence_signals(state, sample, u, y, tables, mode, cfg, bank)[0]
+
+
 def test_fmf_equals_cross_entropy_at_lambda_zero():
     rng = np.random.default_rng(3)
     bank = make_bank(2, 3, rng)
     y = np.array([[0.7, 0.3], [0.4, 0.6]])
     u = rng.normal(size=(2, 3))
-    cfg = losses.FusionConfig(lam=0.0, mode="framewise")
-    assert losses.fmf_loss(y, [0, 1], u, [1, 2], bank, cfg) == \
+    assert sequence_loss("fmf", 0.0, u, y, bank, framewise=[1, 2]) == \
         losses.cross_entropy(y, [0, 1])
 
 
 def test_fmf_arithmetic():
-    bank = losses.CenterBank(1, 2)
+    bank = losses.CenterBank(2, 2)
     y = np.array([[math.exp(-1.0), 1.0]])          # CE term contributes 1.0
     u = np.array([[1.0, 2.0]])                     # CL term contributes 5.0
-    cfg = losses.FusionConfig(lam=0.5, mode="framewise")
-    got = losses.fmf_loss(y, [0], u, [1], bank, cfg)
+    got = sequence_loss("fmf", 0.5, u, y, bank, framewise=[1])
     assert got == pytest.approx(3.5, rel=1e-12)
-
-
-def test_fmf_requires_framewise_mode():
-    bank = losses.CenterBank(1, 2)
-    cfg = losses.FusionConfig(lam=0.0, mode="temporal")
-    with pytest.raises(ValueError):
-        losses.fmf_loss(np.array([[1.0]]), [0], np.zeros((1, 2)), [1], bank, cfg)
 
 
 # ----------------------------------------------------------------------- ecl
@@ -164,14 +205,14 @@ def test_ecl_zero_when_features_match_centers():
     tables, gamma = single_frame_case()
     bank = make_bank(2, 2, rng)
     u = bank.center(1)[None, :]
-    assert losses.ecl(u, gamma, tables.zp, bank) == pytest.approx(0.0)
+    assert lattice_ecl(u, gamma, tables.zp, bank) == pytest.approx(0.0)
 
 
 def test_ecl_single_frame_hand_value():
     tables, gamma = single_frame_case()
     bank = losses.CenterBank(2, 2)
     u = np.array([[1.0, 0.0]])
-    assert losses.ecl(u, gamma, tables.zp, bank) == pytest.approx(0.25)
+    assert lattice_ecl(u, gamma, tables.zp, bank) == pytest.approx(0.25)
 
 
 def test_ecl_linear_in_occupancy():
@@ -182,8 +223,8 @@ def test_ecl_linear_in_occupancy():
     gamma = ctc.occupancy(tables, y, "paper_literal")
     bank = make_bank(2, 3, rng)
     u = rng.normal(size=(4, 3))
-    one = losses.ecl(u, gamma, tables.zp, bank)
-    two = losses.ecl(u, 2.0 * gamma, tables.zp, bank)
+    one = lattice_ecl(u, gamma, tables.zp, bank)
+    two = lattice_ecl(u, 2.0 * gamma, tables.zp, bank)
     assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
@@ -191,10 +232,10 @@ def test_ecl_ignores_blank_occupancy():
     tables, gamma = single_frame_case()
     bank = losses.CenterBank(2, 2)
     u = np.array([[1.0, 0.0]])
-    base = losses.ecl(u, gamma, tables.zp, bank)
+    base = lattice_ecl(u, gamma, tables.zp, bank)
     spiked = gamma.copy()
     spiked[:, 0::2] += 7.0                         # blank positions only
-    assert losses.ecl(u, spiked, tables.zp, bank) == pytest.approx(base)
+    assert lattice_ecl(u, spiked, tables.zp, bank) == pytest.approx(base)
 
 
 def test_ecl_empty_labeling_is_zero():
@@ -202,26 +243,28 @@ def test_ecl_empty_labeling_is_zero():
     tables = ctc.forward_backward(y, [])
     gamma = ctc.occupancy(tables, y, "paper_literal")
     bank = losses.CenterBank(1, 2)
-    assert losses.ecl(np.ones((1, 2)), gamma, tables.zp, bank) == 0.0
+    assert lattice_ecl(np.ones((1, 2)), gamma, tables.zp, bank) == 0.0
 
 
 # ---------------------------------------------------------------- tmf fusion
 
 def test_tmf_equals_ml_at_lambda_zero():
-    cfg = losses.FusionConfig(lam=0.0, mode="temporal")
-    assert losses.tmf_loss(1.0986, 0.25, cfg) == 1.0986
+    tables, _ = single_frame_case()
+    y = np.array([[0.2, 0.5, 0.3]])
+    u = np.array([[1.0, 0.0]])
+    bank = losses.CenterBank(2, 2)
+    assert sequence_loss("tmf", 0.0, u, y, bank, tables=tables) == \
+        -tables.log_seq_prob
 
 
 def test_tmf_arithmetic():
-    cfg = losses.FusionConfig(lam=1e-3, mode="temporal")
-    assert losses.tmf_loss(1.0986, 0.25, cfg) == pytest.approx(1.09885,
-                                                               rel=1e-12)
-
-
-def test_tmf_requires_temporal_mode():
-    cfg = losses.FusionConfig(lam=0.0, mode="framewise")
-    with pytest.raises(ValueError):
-        losses.tmf_loss(1.0, 0.0, cfg)
+    # ML term -log 0.5, ECL term 0.25 (the single-frame worked example)
+    tables, _ = single_frame_case()
+    y = np.array([[0.2, 0.5, 0.3]])
+    u = np.array([[1.0, 0.0]])
+    bank = losses.CenterBank(2, 2)
+    got = sequence_loss("tmf", 1e-3, u, y, bank, tables=tables)
+    assert got == pytest.approx(math.log(2.0) + 1e-3 * 0.25, rel=1e-12)
 
 
 # --------------------------------------------------------- feature gradients
@@ -232,7 +275,7 @@ def test_ecl_grad_zero_at_centers():
     bank = make_bank(2, 2, rng)
     u = bank.center(1)[None, :]
     np.testing.assert_allclose(
-        losses.ecl_grad_features(u, gamma, tables.zp, bank),
+        lattice_ecl_grad(u, gamma, tables.zp, bank),
         np.zeros((1, 2)), atol=1e-15)
 
 
@@ -240,7 +283,7 @@ def test_ecl_grad_single_frame_hand_value():
     tables, gamma = single_frame_case()
     bank = losses.CenterBank(2, 2)
     u = np.array([[1.0, 0.0]])
-    delta = losses.ecl_grad_features(u, gamma, tables.zp, bank)
+    delta = lattice_ecl_grad(u, gamma, tables.zp, bank)
     np.testing.assert_allclose(delta, [[0.25, 0.0]], atol=1e-15)
 
 
@@ -254,9 +297,9 @@ def test_ecl_grad_factor_two_versus_finite_differences():
     u = rng.normal(size=(5, 3))
 
     def f(flat):
-        return losses.ecl(flat.reshape(5, 3), gamma, tables.zp, bank)
+        return lattice_ecl(flat.reshape(5, 3), gamma, tables.zp, bank)
 
-    analytic = 2.0 * losses.ecl_grad_features(u, gamma, tables.zp, bank).ravel()
+    analytic = 2.0 * lattice_ecl_grad(u, gamma, tables.zp, bank).ravel()
     fd = oracle.finite_diff(f, u.ravel())
     np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
 
@@ -266,14 +309,14 @@ def test_fuse_lambda_zero_is_pure_backprop():
     delta_ml = rng.normal(size=(4, 3))
     W = rng.normal(size=(3, 5))
     delta_ecl = rng.normal(size=(4, 5))
-    cfg = losses.FusionConfig(lam=0.0, mode="temporal")
+    cfg = losses.FusionConfig(lam=0.0)
     got = losses.fuse_feature_grad(delta_ml, W, delta_ecl, cfg)
     np.testing.assert_array_equal(got, delta_ml @ W)
 
 
 def test_fuse_passes_center_signal_through():
     delta_ecl = np.array([[1.0, -2.0]])
-    cfg = losses.FusionConfig(lam=1.0, mode="temporal")
+    cfg = losses.FusionConfig(lam=1.0)
     got = losses.fuse_feature_grad(np.zeros((1, 3)), np.zeros((3, 2)),
                                    delta_ecl, cfg)
     np.testing.assert_array_equal(got, delta_ecl)
@@ -285,9 +328,9 @@ def test_fuse_linear_in_lambda():
     W = rng.normal(size=(3, 5))
     delta_ecl = rng.normal(size=(4, 5))
     one = losses.fuse_feature_grad(
-        delta_ml, W, delta_ecl, losses.FusionConfig(lam=0.3, mode="temporal"))
+        delta_ml, W, delta_ecl, losses.FusionConfig(lam=0.3))
     two = losses.fuse_feature_grad(
-        delta_ml, W, delta_ecl, losses.FusionConfig(lam=0.6, mode="temporal"))
+        delta_ml, W, delta_ecl, losses.FusionConfig(lam=0.6))
     base = delta_ml @ W
     np.testing.assert_allclose(two - base, 2.0 * (one - base), rtol=1e-12)
 
@@ -354,9 +397,9 @@ def test_center_step_descends_on_ecl():
         gamma = ctc.occupancy(tables, y, "paper_literal")
         bank = make_bank(3, 3, rng, momentum=0.05, occupancy_threshold=0.0)
         u = rng.normal(size=(5, 3))
-        before = losses.ecl(u, gamma, tables.zp, bank)
+        before = lattice_ecl(u, gamma, tables.zp, bank)
         updated = losses.update_centers_tmf(bank, u, gamma, tables.zp)
-        after = losses.ecl(u, gamma, tables.zp, updated)
+        after = lattice_ecl(u, gamma, tables.zp, updated)
         assert after <= before + 1e-12
 
 
@@ -366,7 +409,7 @@ def test_framewise_update_skips_absent_classes():
     rng = np.random.default_rng(11)
     bank = make_bank(3, 2, rng)
     u = rng.normal(size=(4, 2))
-    updated = losses.update_centers_framewise(bank, u, [1, 1, 2, 1])
+    updated = update_centers_framewise(bank, u, [1, 1, 2, 1])
     np.testing.assert_array_equal(updated.center(3), bank.center(3))
     assert not np.array_equal(updated.center(1), bank.center(1))
 
@@ -375,13 +418,13 @@ def test_framewise_update_fixed_point():
     rng = np.random.default_rng(12)
     bank = make_bank(2, 3, rng)
     u = bank.gather([2, 2, 1])
-    updated = losses.update_centers_framewise(bank, u, [2, 2, 1])
+    updated = update_centers_framewise(bank, u, [2, 2, 1])
     np.testing.assert_array_equal(updated.centers, bank.centers)
 
 
 def test_framewise_update_single_frame_hand_value():
     bank = losses.CenterBank(1, 2, momentum=0.5)
-    updated = losses.update_centers_framewise(bank, np.array([[2.0, 0.0]]), [1])
+    updated = update_centers_framewise(bank, np.array([[2.0, 0.0]]), [1])
     # (c - u) summed is (-2, 0); divided by 1 + count = 2; scaled by 0.5
     np.testing.assert_allclose(updated.center(1), [0.5, 0.0], atol=1e-15)
 
@@ -389,15 +432,18 @@ def test_framewise_update_single_frame_hand_value():
 def test_framewise_update_count_normalization():
     bank = losses.CenterBank(1, 1, momentum=1.0)
     u = np.array([[3.0], [3.0], [3.0]])
-    updated = losses.update_centers_framewise(bank, u, [1, 1, 1])
+    updated = update_centers_framewise(bank, u, [1, 1, 1])
     # sum of (c - u) is -9, divided by 1 + 3
     np.testing.assert_allclose(updated.center(1), [2.25], atol=1e-15)
 
 
 def test_framewise_update_rejects_unknown_class():
+    # the statistics take the centers the bank gathers for the labels,
+    # and the bank refuses a class it does not track
     bank = losses.CenterBank(2, 2)
     with pytest.raises(losses.UnknownClass):
-        losses.update_centers_framewise(bank, np.zeros((1, 2)), [3])
+        losses.update_centers_tmf(bank, np.zeros((1, 2)), np.ones((1, 3)),
+                                  np.array([0, 3, 0]))
 
 
 # ----------------------------------------------------------- collapse hazard
@@ -410,12 +456,188 @@ def test_center_loss_alone_collapses_without_separating_pressure():
     bank = losses.CenterBank(3, 2, momentum=0.01)
     u = rng.normal(size=(30, 2))
     k = rng.integers(1, 4, 30)
-    initial = losses.center_loss(u, k, bank)
+    initial = center_loss(u, k, bank)
     initial_spread = np.abs(u - u.mean(axis=0)).max()
     for _ in range(300):
-        u = u - 0.1 * 2.0 * losses.cl_grad_features(u, k, bank)
-        bank = losses.update_centers_framewise(bank, u, k)
-    final = losses.center_loss(u, k, bank)
+        u = u - 0.1 * 2.0 * center_loss_grad(u, k, bank)
+        bank = update_centers_framewise(bank, u, k)
+    final = center_loss(u, k, bank)
     assert final < 1e-3 * initial
     spread = np.abs(bank.centers - bank.centers.mean(axis=0)).max()
     assert spread < 0.05 * initial_spread
+
+
+# ------------------------------------- one path equals the two it replaced
+#
+# The framewise center loss and the ECL used to be two stacks of code.
+# Below is a copy of both, as they were, and the unified path must give
+# the same numbers: bit for bit on the sequence side, and on the
+# framewise side wherever no sum changed its order.
+
+class parent:
+    """The two center-loss stacks before they became one path."""
+
+    @staticmethod
+    def ecl(u, gamma, zp, bank):
+        labels = zp[1::2]
+        if len(labels) == 0:
+            return 0.0
+        d = u[:, None, :] - bank.gather(labels)[None, :, :]
+        return float((gamma[:, 1::2] * (d * d).sum(axis=2)).sum())
+
+    @staticmethod
+    def ecl_grad_features(u, gamma, zp, bank):
+        labels = zp[1::2]
+        if len(labels) == 0:
+            return np.zeros_like(u)
+        w = gamma[:, 1::2]
+        return w.sum(axis=1)[:, None] * u - w @ bank.gather(labels)
+
+    @staticmethod
+    def center_delta_tmf(bank, u, gamma, zp):
+        deltas = {}
+        for i, label in enumerate(zp[1::2]):
+            label = int(label)
+            w = gamma[:, 2 * i + 1]
+            live = w >= bank.occupancy_threshold
+            if not live.any():
+                continue
+            wl = w[live]
+            d = wl.sum() * bank.center(label) - wl @ u[live]
+            deltas[label] = deltas.get(label, 0.0) + d
+        return deltas
+
+    @staticmethod
+    def center_loss(u, k, bank):
+        d = u - bank.gather(k)
+        return float((d * d).sum())
+
+    @staticmethod
+    def cl_grad_features(u, k, bank):
+        return u - bank.gather(k)
+
+    @staticmethod
+    def center_delta_framewise(bank, u, k):
+        sums, counts = {}, {}
+        for label in np.unique(k):
+            label = int(label)
+            mask = k == label
+            n = int(mask.sum())
+            sums[label] = n * bank.center(label) - u[mask].sum(axis=0)
+            counts[label] = n
+        return sums, counts
+
+    @staticmethod
+    def step(bank, deltas):
+        out = bank.copy()
+        for label, delta in deltas.items():
+            out.centers[label - 1] = bank.centers[label - 1] - bank.momentum * delta
+        return out
+
+    @staticmethod
+    def apply_center_updates(bank, pieces, mode):
+        if mode == "tmf":
+            total = {}
+            for piece in pieces:
+                for j, d in piece.items():
+                    total[j] = total.get(j, 0.0) + d
+            return parent.step(bank, total)
+        sums, counts = {}, {}
+        for piece_sums, piece_counts in pieces:
+            for j in piece_sums:
+                sums[j] = sums.get(j, 0.0) + piece_sums[j]
+                counts[j] = counts.get(j, 0) + piece_counts[j]
+        return parent.step(bank, {j: sums[j] / (1.0 + counts[j]) for j in sums})
+
+
+def as_arrays(deltas, bank):
+    out = np.zeros((bank.num_classes, bank.dim))
+    for label, d in deltas.items():
+        out[label - 1] = d
+    return out
+
+
+def draw_bank(data, rng, C, D):
+    threshold = data.draw(st.sampled_from([0.0, 0.01, 0.25, 0.5, 1.0]))
+    bank = losses.CenterBank(C, D, momentum=data.draw(st.sampled_from([1e-3, 0.5])),
+                             occupancy_threshold=threshold)
+    bank.centers = rng.normal(size=(C, D))
+    return bank
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lattice_path_matches_the_ecl_stack_bitwise(data):
+    C = data.draw(st.integers(1, 4))
+    D = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    bank = draw_bank(data, rng, C, D)
+    pieces, stats = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        # ragged T and r, repeated labels, empty labelings, and weights
+        # at the threshold, at zero and above one
+        T = data.draw(st.integers(1, 7))
+        z = np.array(data.draw(st.lists(st.integers(1, C), max_size=4)),
+                     dtype=np.intp)
+        zp = ctc.extend_with_blanks(z)
+        gamma = rng.uniform(0.0, 1.0, (T, len(zp)))
+        kind = rng.integers(0, 4, gamma.shape)
+        gamma[kind == 0] = bank.occupancy_threshold
+        gamma[kind == 1] = 0.0
+        gamma[kind == 2] *= data.draw(st.sampled_from([1.0, 3.0]))
+        u = rng.normal(size=(T, D))
+        w, labels, centers = lattice_weights(gamma, zp, bank)
+
+        assert losses.ecl(u, w, centers) == parent.ecl(u, gamma, zp, bank)
+        assert np.array_equal(losses.ecl_grad_features(u, w, centers),
+                              parent.ecl_grad_features(u, gamma, zp, bank))
+        weights, sums = losses.center_stats(bank, u, w, labels, centers)
+        piece = parent.center_delta_tmf(bank, u, gamma, zp)
+        assert np.array_equal(sums, as_arrays(piece, bank))
+        mass = np.zeros(C)                 # the gated occupancy per class
+        for i, label in enumerate(labels):
+            col = gamma[:, 2 * i + 1]
+            mass[label - 1] += col[col >= bank.occupancy_threshold].sum()
+        assert np.array_equal(weights, mass)
+        assert np.array_equal(losses.update_centers_tmf(bank, u, gamma, zp).centers,
+                              parent.step(bank, piece).centers)
+        pieces.append(piece)
+        stats.append((weights, sums))
+    assert np.array_equal(model._apply_center_updates(bank, stats, "tmf").centers,
+                          parent.apply_center_updates(bank, pieces, "tmf").centers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_onehot_path_matches_the_framewise_stack(data):
+    C = data.draw(st.integers(1, 4))
+    D = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    bank = draw_bank(data, rng, C, D)
+    pieces, stats = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        T = data.draw(st.integers(1, 9))
+        k = np.array(data.draw(st.lists(st.integers(1, C), min_size=T, max_size=T)),
+                     dtype=np.intp)
+        u = rng.normal(size=(T, D))
+        w, labels, centers = onehot_weights(k, bank)
+
+        assert losses.ecl(u, w, centers) == pytest.approx(
+            parent.center_loss(u, k, bank), rel=1e-12)
+        assert np.array_equal(losses.ecl_grad_features(u, w, centers),
+                              parent.cl_grad_features(u, k, bank))
+        weights, sums = losses.center_stats(bank, u, w, labels, centers)
+        piece = parent.center_delta_framewise(bank, u, k)
+        assert np.array_equal(weights, as_arrays(
+            {j: np.full(D, n) for j, n in piece[1].items()}, bank)[:, 0])
+        np.testing.assert_allclose(sums, as_arrays(piece[0], bank),
+                                   rtol=1e-12, atol=1e-12)
+        single = parent.apply_center_updates(bank, [piece], "fmf")
+        np.testing.assert_allclose(bank.step(sums, weights).centers, single.centers,
+                                   rtol=1e-12, atol=1e-12)
+        pieces.append(piece)
+        stats.append((weights, sums))
+    np.testing.assert_allclose(
+        model._apply_center_updates(bank, stats, "fmf").centers,
+        parent.apply_center_updates(bank, pieces, "fmf").centers,
+        rtol=1e-12, atol=1e-12)

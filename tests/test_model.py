@@ -304,8 +304,7 @@ def test_schedule_equal_score_is_not_improvement():
 # ------------------------------------------------------------------- training
 
 def settings_for(mode, lam=0.0, **kw):
-    fusion = losses.FusionConfig(
-        lam=lam, mode="temporal" if mode in ("ctc", "tmf") else "framewise")
+    fusion = losses.FusionConfig(lam=lam)
     defaults = dict(mode=mode, batch_size=4, max_batches=60, eval_interval=20,
                     seed=0, fusion=fusion)
     defaults.update(kw)
