@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .losses import OCCUPANCY_MODES, CenterBank, FusionConfig
+from .losses import CenterBank, FusionConfig
 from .model import ModelState, NetworkSpec, ScheduleState, TrainSettings
 from .synth import CONDITIONS, GeneratorConfig, UnseenNoise
 
@@ -74,17 +74,16 @@ class RunConfig:
                 raise ConfigError(f"train_conditions: unknown condition {cond!r}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction: must lie strictly in (0, 1)")
-        for field in ("lam", "learning_rate", "center_momentum"):
+        for field in ("learning_rate", "center_momentum"):
             if getattr(self, field) < 0:
                 raise ConfigError(f"{field}: must be nonnegative")
-        if self.occupancy_mode not in OCCUPANCY_MODES:
-            raise ConfigError(f"occupancy_mode: expected one of {OCCUPANCY_MODES}, "
-                              f"got {self.occupancy_mode!r}")
-        # occupancy and one-hot weights lie in [0, 1]: a threshold above 1
-        # would gate off every center update
-        if not 0.0 <= self.occupancy_threshold <= 1.0:
-            raise ConfigError("occupancy_threshold: must lie in [0, 1], got %r"
-                              % (self.occupancy_threshold,))
+        # the fusion settings and the center bank check their own fields
+        # (lam, occupancy_mode, occupancy_threshold), naming them
+        try:
+            self.fusion()
+            self.new_bank()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def temporal(self):
@@ -251,9 +250,12 @@ def load_checkpoint(path):
                                      tuple(data["shapes"][name]))
     state.step_count = adam["steps"]
     cen = data["centers"]
-    bank = CenterBank(cen["num_classes"], cen["dim"],
-                      momentum=float(cen["momentum"]),
-                      occupancy_threshold=float(cen["occupancy_threshold"]))
+    try:
+        bank = CenterBank(cen["num_classes"], cen["dim"],
+                          momentum=float(cen["momentum"]),
+                          occupancy_threshold=float(cen["occupancy_threshold"]))
+    except ValueError as exc:
+        raise ConfigError(f"checkpoint: centers.{exc}") from exc
     bank.centers = _array_in(cen["values"], (cen["num_classes"], cen["dim"]))
     sch = data["schedule"]
     sched = ScheduleState(

@@ -42,9 +42,10 @@ class FusionConfig:
 
     def __post_init__(self):
         if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+            raise ValueError("lam: must be nonnegative")
         if self.occupancy_mode not in OCCUPANCY_MODES:
-            raise ValueError("unknown occupancy mode %r" % (self.occupancy_mode,))
+            raise ValueError("occupancy_mode: expected one of %s, got %r"
+                             % (OCCUPANCY_MODES, self.occupancy_mode))
 
 
 class CenterBank:
@@ -55,8 +56,11 @@ class CenterBank:
     """
 
     def __init__(self, num_classes, dim, momentum=1e-3, occupancy_threshold=0.01):
-        if occupancy_threshold < 0:
-            raise ValueError("occupancy threshold must be nonnegative")
+        # occupancy and one-hot weights lie in [0, 1]: a threshold above 1
+        # would gate off every center update
+        if not 0.0 <= occupancy_threshold <= 1.0:
+            raise ValueError("occupancy_threshold: must lie in [0, 1], got %r"
+                             % (occupancy_threshold,))
         self.num_classes = num_classes
         self.dim = dim
         self.momentum = momentum

@@ -314,6 +314,8 @@ def _sequence_signals(state, sample, u, y, tables, mode, cfg, bank):
             centers = bank.gather(labels)
     else:
         cols = np.asarray(sample.framewise, dtype=np.intp) - 1
+        if len(cols) and (cols.min() < 0 or cols.max() >= y.shape[1]):
+            raise losses.UnknownClass("frame label outside 1..%d" % y.shape[1])
         w = _onehot(cols, y.shape[1])
         delta_ml = y - w
         loss = losses.cross_entropy(y, cols)

@@ -175,6 +175,17 @@ def test_checkpoint_fresh_schedule_best_survives(tmp_path):
     assert loaded_sched.since_improvement == 0
 
 
+def test_checkpoint_rejects_threshold_above_one(tmp_path):
+    state, bank, sched = trained_state()
+    path = tmp_path / "ckpt.json"
+    config.save_checkpoint(path, state, bank, sched, "tmf", 8, 3)
+    data = json.loads(path.read_text())
+    data["centers"]["occupancy_threshold"] = "2.0"
+    path.write_text(json.dumps(data))
+    with pytest.raises(config.ConfigError, match="occupancy_threshold"):
+        config.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_foreign_format(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"format": "something-else"}))

@@ -90,6 +90,13 @@ def test_bank_has_no_blank_center():
         bank.center(4)
 
 
+@pytest.mark.parametrize("threshold", [-0.5, 2.0])
+def test_bank_rejects_threshold_outside_unit_interval(threshold):
+    # weights lie in [0, 1]: above 1 the gate would drop every update
+    with pytest.raises(ValueError, match="occupancy_threshold"):
+        losses.CenterBank(2, 2, occupancy_threshold=threshold)
+
+
 def test_bank_starts_at_zero():
     bank = losses.CenterBank(3, 4)
     np.testing.assert_array_equal(bank.centers, np.zeros((3, 4)))
@@ -438,12 +445,14 @@ def test_framewise_update_count_normalization():
 
 
 def test_framewise_update_rejects_unknown_class():
-    # the statistics take the centers the bank gathers for the labels,
-    # and the bank refuses a class it does not track
+    # a frame label outside 1..C must not wrap around to another class
     bank = losses.CenterBank(2, 2)
-    with pytest.raises(losses.UnknownClass):
-        losses.update_centers_tmf(bank, np.zeros((1, 2)), np.ones((1, 3)),
-                                  np.array([0, 3, 0]))
+    y = np.array([[0.5, 0.5]])
+    for mode in ("fmf", "ce"):
+        for label in (3, 0):
+            with pytest.raises(losses.UnknownClass):
+                sequence_loss(mode, 0.5, np.zeros((1, 2)), y, bank,
+                              framewise=[label])
 
 
 # ----------------------------------------------------------- collapse hazard
