@@ -31,7 +31,7 @@ def hand_example():
     def loss_at(v):
         a2 = a.copy()
         a2[t, k] = v
-        return ctc.ml_loss([(softmax(a2), labels)])
+        return -ctc.forward_backward(softmax(a2), labels).log_seq_prob
 
     num = oracle.finite_diff(loss_at, a[t, k])
     print("one pre-softmax coordinate of the alignment loss gradient:")

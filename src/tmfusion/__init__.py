@@ -4,7 +4,7 @@ framewise pairing, with brute-force oracles for every formula."""
 
 from .ctc import (AlignmentTables, BLANK, DegenerateFrame, InfeasibleLabeling,
                   ctc_grad_logits, extend_with_blanks, forward_backward,
-                  min_frames, ml_loss, occupancy)
+                  min_frames, occupancy)
 from .losses import (CenterBank, FusionConfig, UnknownClass, center_stats,
                      cross_entropy, ecl, ecl_grad_features, fuse_feature_grad,
                      update_centers_tmf)
@@ -15,8 +15,7 @@ from .synth import (CONDITIONS, ConfigInvalid, GeneratorConfig, MalformedDataset
                     SequenceSample, UnseenNoise, class_means, generate, load_jsonl,
                     save_jsonl, split)
 from .metrics import (EvalReport, collapse, edit_distance, embedding_report,
-                      frame_accuracy, greedy_decode, temporal_assignments,
-                      token_error_rate)
+                      greedy_decode, temporal_assignments, token_error_rate)
 from .config import (ConfigError, RunConfig, load_checkpoint, load_config,
                      save_checkpoint, save_config)
 from .experiment import (ExperimentSpec, evaluate_model, headline,

@@ -14,7 +14,8 @@ import sys
 from . import ctc, metrics, model, synth, verify
 from .config import (ConfigError, _fmt, append_metrics, load_checkpoint,
                      load_config, open_metrics, save_checkpoint)
-from .experiment import TEST_START_INDEX, evaluate_model
+from .experiment import corpus_part, evaluate_model
+from .model import TEMPORAL_MODES
 from .synth import CONDITIONS, ConfigInvalid, MalformedDataset
 
 EXIT_CHECK = 1
@@ -63,11 +64,9 @@ def cmd_gen_data(args):
     os.makedirs(out_dir, exist_ok=True)
     gen = dataclasses.replace(cfg.generator, seed=cfg.seed)
     for condition in CONDITIONS:
-        ccfg = dataclasses.replace(gen, noise_condition=condition)
-        for part, count, start in (
-                ("train", cfg.num_train_sequences, 0),
-                ("test", cfg.num_test_sequences, TEST_START_INDEX)):
-            samples = synth.generate(ccfg, count, start_index=start)
+        for part, count in (("train", cfg.num_train_sequences),
+                            ("test", cfg.num_test_sequences)):
+            samples = corpus_part(gen, condition, part, count)
             path = dataset_path(out_dir, condition, part)
             synth.save_jsonl(samples, path)
             print("%s: %d records" % (path, len(samples)))
@@ -115,9 +114,9 @@ def _atomic_checkpoint(path, state, bank, sched, mode, seed, steps):
 
 
 def _selected_row(rows):
-    """The evaluation whose state model.train returns with select_best:
-    the first with the best validation score (the last if none beats
-    -inf, when training keeps its final state)."""
+    """The evaluation whose state model.train returns: the first with
+    the best validation score (the last if none beats -inf, when
+    training keeps its final state)."""
     chosen, best = rows[-1], float("-inf")
     for row in rows:
         if row["val_score"] > best:
@@ -136,9 +135,7 @@ def cmd_train(args):
         return _fail(EXIT_CONFIG, "config: %s" % exc)
     except MalformedDataset as exc:
         return _fail(EXIT_CONFIG, "dataset: %s" % exc)
-    train_set, val_set, _ = synth.split(
-        pool, (1.0 - cfg.validation_fraction, cfg.validation_fraction, 0.0),
-        seed=cfg.seed)
+    train_set, val_set = synth.split(pool, cfg.validation_fraction, seed=cfg.seed)
     if not val_set:
         return _fail(EXIT_CONFIG,
                      "validation_fraction: %r of %d training sequences leaves "
@@ -154,8 +151,7 @@ def cmd_train(args):
     fh, writer = open_metrics(cfg.metrics_path)
     _atomic_checkpoint(cfg.checkpoint_path, state, bank,
                        model.ScheduleState(halve_after=cfg.halve_after,
-                                           stop_after=cfg.stop_after,
-                                           eval_interval=cfg.eval_interval),
+                                           stop_after=cfg.stop_after),
                        cfg.mode, cfg.seed, 0)
 
     final_sched = None
@@ -183,8 +179,8 @@ def cmd_train(args):
     finally:
         fh.close()
     if rows:
-        # the model training returned, which select_best may have rolled
-        # back to an earlier evaluation than the last one checkpointed
+        # the model training returned, which may be rolled back to an
+        # earlier evaluation than the last one checkpointed
         _atomic_checkpoint(cfg.checkpoint_path, state, bank, final_sched,
                            cfg.mode, cfg.seed, _selected_row(rows)["batches"])
     print("trained %s for %d evals; checkpoint %s, metrics %s"
@@ -196,16 +192,13 @@ def cmd_eval(args):
     try:
         state, bank, _, meta = load_checkpoint(args.checkpoint)
         if os.path.isdir(args.data):
-            samples = []
-            for condition in CONDITIONS:
-                path = dataset_path(args.data, condition, "test")
-                if os.path.exists(path):
-                    samples.extend(synth.load_jsonl(path))
+            samples = [sample for part in _load_test_sets(args.data).values()
+                       for sample in part]
         else:
             samples = synth.load_jsonl(args.data)
     except (OSError, ConfigError, MalformedDataset) as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    temporal = meta["mode"] in ("ctc", "tmf")
+    temporal = meta["mode"] in TEMPORAL_MODES
     try:
         _check_shapes(samples, state.spec, temporal)
     except ShapeMismatch as exc:

@@ -3,6 +3,13 @@
 All three formats are JSON or CSV with floats rendered by repr(), so a
 parse -> serialize -> parse cycle is bit-exact and two runs with the
 same seed produce byte-identical files.
+
+A run config is read by the dataclasses' own field types: a field typed
+by a dataclass is read from a nested object, a list or tuple field from
+an array.  The training settings, the fusion settings and the center
+bank check their own fields (the mode against model.MODES, lam,
+occupancy_mode, occupancy_threshold), and RunConfig reports their
+errors as ConfigError.
 """
 
 import csv
@@ -13,11 +20,9 @@ import math
 import numpy as np
 
 from .losses import CenterBank, FusionConfig
-from .model import ModelState, NetworkSpec, ScheduleState, TrainSettings
-from .synth import CONDITIONS, GeneratorConfig, UnseenNoise
-
-MODES = ("ctc", "tmf", "ce", "fmf")
-TEMPORAL_MODES = ("ctc", "tmf")
+from .model import (MODES, TEMPORAL_MODES, ModelState, NetworkSpec, ScheduleState,
+                    TrainSettings, output_units)
+from .synth import CONDITIONS, GeneratorConfig
 
 METRIC_COLUMNS = (
     "eval_index", "batches", "lr", "train_loss", "val_score",
@@ -61,9 +66,13 @@ class RunConfig:
     metrics_path: str = "metrics.csv"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode: expected one of {MODES}, got {self.mode!r}")
-        want = self.generator.num_classes + (1 if self.temporal else 0)
+        # first, so that output_units below sees a known mode
+        try:
+            self.settings()
+            self.new_bank()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        want = output_units(self.mode, self.generator.num_classes)
         if self.network.num_classes != want:
             raise ConfigError(
                 "network.num_classes: mode %r over %d data classes needs %d "
@@ -77,13 +86,6 @@ class RunConfig:
         for field in ("learning_rate", "center_momentum"):
             if getattr(self, field) < 0:
                 raise ConfigError(f"{field}: must be nonnegative")
-        # the fusion settings and the center bank check their own fields
-        # (lam, occupancy_mode, occupancy_threshold), naming them
-        try:
-            self.fusion()
-            self.new_bank()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     @property
     def temporal(self):
@@ -109,58 +111,36 @@ class RunConfig:
                           occupancy_threshold=self.occupancy_threshold)
 
 
-def _reject_unknown(data, known, where):
-    extra = set(data) - set(known)
+def _build(cls, data, where=""):
+    """cls from its JSON object, by the field types: a dataclass-typed
+    field is built from its nested object, and an array becomes the list
+    or tuple its field names.  where is the object's dotted path, empty
+    at the top level; errors name it."""
+    label = where or "top level"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{label}: expected a JSON object")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    extra = sorted(set(data) - set(types))
     if extra:
-        raise ConfigError(f"{where}: unknown field {sorted(extra)[0]!r}")
-
-
-def _build(cls, data, where):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    _reject_unknown(data, fields, where)
+        raise ConfigError(f"{label}: unknown field {extra[0]!r}")
     kwargs = {}
     for name, value in data.items():
-        if name == "unseen":
-            value = _build(UnseenNoise, value, where + ".unseen")
-        elif name in ("hidden",):
-            value = list(value)
-        elif isinstance(value, list):
-            value = tuple(value)
+        kind = types[name]
+        if dataclasses.is_dataclass(kind):
+            value = _build(kind, value, f"{where}.{name}" if where else name)
+        elif kind in (list, tuple) and isinstance(value, list):
+            value = kind(value)
         kwargs[name] = value
     try:
         return cls(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 def config_from_dict(data):
-    if not isinstance(data, dict):
-        raise ConfigError("top level: expected a JSON object")
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    _reject_unknown(data, fields, "top level")
-    kwargs = dict(data)
-    if "network" in kwargs:
-        kwargs["network"] = _build(NetworkSpec, kwargs["network"], "network")
-    if "generator" in kwargs:
-        kwargs["generator"] = _build(GeneratorConfig, kwargs["generator"], "generator")
-    if "train_conditions" in kwargs:
-        kwargs["train_conditions"] = tuple(kwargs["train_conditions"])
-    try:
-        return RunConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def config_to_dict(cfg):
-    data = dataclasses.asdict(cfg)
-    data["train_conditions"] = list(cfg.train_conditions)
-    data["generator"]["segment_length"] = list(cfg.generator.segment_length)
-    data["generator"]["labels_per_sequence"] = list(cfg.generator.labels_per_sequence)
-    return data
+    return _build(RunConfig, data)
 
 
 def load_config(path):
@@ -174,7 +154,7 @@ def load_config(path):
 
 def save_config(cfg, path):
     with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
+        json.dump(dataclasses.asdict(cfg), fh, indent=2)
         fh.write("\n")
 
 
@@ -222,7 +202,6 @@ def save_checkpoint(path, state, bank, sched, mode, seed, step_count):
             "since_improvement": sched.since_improvement,
             "halve_after": sched.halve_after,
             "stop_after": sched.stop_after,
-            "eval_interval": sched.eval_interval,
         },
     }
     with open(path, "w") as fh:
@@ -236,6 +215,9 @@ def load_checkpoint(path):
         data = json.load(fh)
     if data.get("format") != "tmfusion-checkpoint-v1":
         raise ConfigError("checkpoint: unrecognized format marker")
+    if data["mode"] not in MODES:
+        raise ConfigError("checkpoint: mode: expected one of %s, got %r"
+                          % (MODES, data["mode"]))
     net = data["network"]
     spec = NetworkSpec(net["input_dim"], list(net["hidden"]),
                        net["num_classes"], net["recurrent"])
@@ -257,10 +239,9 @@ def load_checkpoint(path):
     except ValueError as exc:
         raise ConfigError(f"checkpoint: centers.{exc}") from exc
     bank.centers = _array_in(cen["values"], (cen["num_classes"], cen["dim"]))
-    sch = data["schedule"]
+    sch = data["schedule"]         # an eval_interval key of older files is ignored
     sched = ScheduleState(
         halve_after=sch["halve_after"], stop_after=sch["stop_after"],
-        eval_interval=sch["eval_interval"],
         best=float("-inf") if sch["best"] is None else float(sch["best"]),
         since_improvement=sch["since_improvement"])
     meta = {"mode": data["mode"], "seed": data["seed"],

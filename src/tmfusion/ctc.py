@@ -218,14 +218,6 @@ def occupancy(tables, y, mode="paper_literal"):
     raise ValueError("unknown occupancy mode %r" % (mode,))
 
 
-def ml_loss(pairs):
-    """Negative log likelihood summed over (posterior, labels) pairs."""
-    total = 0.0
-    for y, labels in pairs:
-        total -= forward_backward(y, labels).log_seq_prob
-    return total
-
-
 def ctc_grad_logits(tables, y):
     """Error signal at the pre-softmax layer: y_t^k minus the posterior
     occupancy of class k at frame t.

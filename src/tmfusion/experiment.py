@@ -6,6 +6,12 @@ model per noise condition.  The headline comparisons are TMF vs CTC on
 unseen-noise token error rate and FMF vs CE on unseen-noise frame
 accuracy, with feature discriminability (scatter ratio) on held-out
 clean data as the secondary axis.
+
+This module also owns the corpus recipe: ``corpus_part`` says which
+sequence indices a condition's train or test part draws, for the
+experiment's per-seed corpus and for the files ``tmfusion gen-data``
+writes alike.  The modes and the blank-output rule come from the mode
+table in ``model`` (MODES, TEMPORAL_MODES, FUSION_MODES, output_units).
 """
 
 from dataclasses import dataclass, field, replace
@@ -24,7 +30,7 @@ def evaluate_model(state, bank, samples, mode, condition):
     each group's outputs are reduced before the next group runs; the
     per-sample results are gathered in sample order.
     """
-    temporal = mode in ("ctc", "tmf")
+    temporal = mode in model.TEMPORAL_MODES
     hyps = [None] * len(samples)
     feats = [None] * len(samples)
     assigns = [None] * len(samples)
@@ -88,17 +94,21 @@ class ExperimentSpec:
         default_factory=synth.GeneratorConfig)
 
 
+def _generator(spec, seed):
+    """The seed's draws from the task that spec.task_seed pins."""
+    return replace(spec.generator, seed=seed, mean_seed=spec.task_seed)
+
+
 def run_config_for(spec, mode, seed):
-    gen = replace(spec.generator, seed=seed, mean_seed=spec.task_seed)
-    num_out = gen.num_classes + (1 if mode in ("ctc", "tmf") else 0)
-    lam = spec.lam_tmf if mode == "tmf" else spec.lam_fmf
-    if mode in ("ctc", "ce"):
-        lam = 0.0
+    gen = _generator(spec, seed)
     return RunConfig(
         mode=mode, seed=seed,
-        network=NetworkSpec(gen.feature_dim, list(spec.hidden), num_out,
+        network=NetworkSpec(gen.feature_dim, list(spec.hidden),
+                            model.output_units(mode, gen.num_classes),
                             recurrent=spec.recurrent),
-        generator=gen, lam=lam, occupancy_mode=spec.occupancy_mode,
+        generator=gen,
+        lam={"tmf": spec.lam_tmf, "fmf": spec.lam_fmf}.get(mode, 0.0),
+        occupancy_mode=spec.occupancy_mode,
         learning_rate=spec.learning_rate,
         center_momentum=spec.center_momentum,
         batch_size=spec.batch_size, max_batches=spec.max_batches,
@@ -111,22 +121,27 @@ def run_config_for(spec, mode, seed):
 TEST_START_INDEX = 1_000_000
 
 
+def corpus_part(gen, condition, part, count):
+    """The count sequences of one condition's "train" or "test" part
+    under generator gen: train draws indices 0..count-1, test draws from
+    TEST_START_INDEX on, a disjoint range of the same task, never a
+    reseeded one."""
+    start = {"train": 0, "test": TEST_START_INDEX}[part]
+    return synth.generate(replace(gen, noise_condition=condition), count,
+                          start_index=start)
+
+
 def make_datasets(spec, seed):
-    """Generate the per-seed corpus: pooled clean+seen training data and
-    one held-out test set per condition.  Test sequences come from a
-    disjoint index range of the same task, never from a reseeded one."""
-    gen = replace(spec.generator, seed=seed, mean_seed=spec.task_seed)
+    """Generate the per-seed corpus: pooled clean+seen training data,
+    split into train and validation, and one held-out test set per
+    condition."""
+    gen = _generator(spec, seed)
     pool = []
     for cond in ("clean", "seen"):
-        cfg = replace(gen, noise_condition=cond)
-        pool.extend(synth.generate(cfg, spec.num_train_per_condition))
-    train, val, _ = synth.split(
-        pool, (1.0 - spec.val_fraction, spec.val_fraction, 0.0), seed=seed)
-    tests = {}
-    for cond in synth.CONDITIONS:
-        cfg = replace(gen, noise_condition=cond)
-        tests[cond] = synth.generate(cfg, spec.num_test,
-                                     start_index=TEST_START_INDEX)
+        pool.extend(corpus_part(gen, cond, "train", spec.num_train_per_condition))
+    train, val = synth.split(pool, spec.val_fraction, seed=seed)
+    tests = {cond: corpus_part(gen, cond, "test", spec.num_test)
+             for cond in synth.CONDITIONS}
     return train, val, tests
 
 

@@ -1,5 +1,5 @@
-"""Decoding and evaluation: greedy decode, token error rate, frame
-accuracy, and embedding-geometry measures."""
+"""Decoding and evaluation: greedy decode, token error rate, the
+per-condition report, and embedding-geometry measures."""
 
 from dataclasses import dataclass
 
@@ -74,13 +74,6 @@ def token_error_rate(pairs):
     if tokens == 0:
         raise EmptyReferenceCorpus("reference corpus has no tokens")
     return 100.0 * edits / tokens
-
-
-def frame_accuracy(assignments, labels):
-    """Percentage of frames whose predicted class matches the label."""
-    assignments = np.asarray(assignments)
-    labels = np.asarray(labels)
-    return 100.0 * float((assignments == labels).mean())
 
 
 def temporal_assignments(y):

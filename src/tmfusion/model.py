@@ -44,6 +44,17 @@ import numpy as np
 from . import ctc, losses
 
 
+MODES = ("ctc", "tmf", "ce", "fmf")
+TEMPORAL_MODES = ("ctc", "tmf")         # the lattice loss, a blank output
+FUSION_MODES = ("tmf", "fmf")           # plus the center-loss term
+
+
+def output_units(mode, num_classes):
+    """Output columns of a mode's network over num_classes data classes:
+    the temporal modes add the blank."""
+    return num_classes + (1 if mode in TEMPORAL_MODES else 0)
+
+
 class MissingForwardCache(Exception):
     """backward() called without a preceding forward()."""
 
@@ -270,7 +281,6 @@ class ScheduleState:
     consecutive non-improving evaluations, stop after stop_after."""
     halve_after: int = 3
     stop_after: int = 8
-    eval_interval: int = 200
     best: float = -np.inf
     since_improvement: int = 0
 
@@ -305,7 +315,7 @@ def _sequence_signals(state, sample, u, y, tables, mode, cfg, bank):
     label positions of the lattice by their occupancy, fmf weighs the
     classes 1..C by the one-hot frame target.
     """
-    if mode in ("ctc", "tmf"):
+    if mode in TEMPORAL_MODES:
         delta_ml = ctc.ctc_grad_logits(tables, y)
         loss = -tables.log_seq_prob
         if mode == "tmf":
@@ -322,7 +332,7 @@ def _sequence_signals(state, sample, u, y, tables, mode, cfg, bank):
         # the one-hot columns are the classes 1..C, in the bank's order
         labels, centers = range(1, bank.num_classes + 1), bank.centers
     W = state.params["W"]
-    if mode not in ("tmf", "fmf"):
+    if mode not in FUSION_MODES:
         return loss, delta_ml, delta_ml @ W, None
     loss = loss + cfg.lam * losses.ecl(u, w, centers)
     delta_ecl = losses.ecl_grad_features(u, w, centers)
@@ -340,7 +350,7 @@ def _batch_signals(state, batch, mode, cfg, bank):
     handling the sequences one at a time.
     """
     outputs = forward_batch(state, [sample.x for sample in batch])
-    if mode in ("ctc", "tmf"):
+    if mode in TEMPORAL_MODES:
         lattices = ctc.forward_backward_batch([y for _, _, y in outputs],
                                               [s.collapsed for s in batch])
     else:
@@ -374,7 +384,7 @@ def validation_score(state, samples, mode):
     """Mean per-sequence log likelihood (sequence modes) or mean frame
     log probability (framewise modes); higher is better.  The terms are
     summed in sample order, whatever order the groups score them in."""
-    temporal = mode in ("ctc", "tmf")
+    temporal = mode in TEMPORAL_MODES
     terms = [0.0] * len(samples)
     for group in score_groups(samples):
         members = [samples[i] for i in group]
@@ -397,15 +407,18 @@ def validation_score(state, samples, mode):
 
 @dataclass
 class TrainSettings:
-    mode: str = "tmf"                     # ce | fmf | ctc | tmf
+    mode: str = "tmf"                     # one of MODES
     batch_size: int = 8
     max_batches: int = 2000
     eval_interval: int = 200
     halve_after: int = 3
     stop_after: int = 8
     seed: int = 0
-    select_best: bool = True              # return the best-validation snapshot
     fusion: losses.FusionConfig = field(default_factory=losses.FusionConfig)
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError("mode: expected one of %s, got %r" % (MODES, self.mode))
 
 
 def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
@@ -416,17 +429,16 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
     accumulated per-sequence sums (fusion modes only).  Every
     eval_interval batches the validation score drives the plateau
     schedule.  Returns (state, bank, rows) where rows hold one metrics
-    dict per evaluation; with select_best the returned state and bank
-    are rolled back to the evaluation with the best validation score.
+    dict per evaluation; the returned state and bank are rolled back to
+    the evaluation with the best validation score.
     """
     mode = settings.mode
     cfg = settings.fusion
     sched = ScheduleState(halve_after=settings.halve_after,
-                          stop_after=settings.stop_after,
-                          eval_interval=settings.eval_interval)
+                          stop_after=settings.stop_after)
     rng = np.random.default_rng(settings.seed)
     rows = []
-    fused_mode = mode in ("tmf", "fmf")
+    fused_mode = mode in FUSION_MODES
     batches_seen = 0
     running_loss, running_n = 0.0, 0
     stop = False
@@ -453,7 +465,7 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
                 bank = _apply_center_updates(bank, batch_stats, mode)
             running_n += len(batch)
             batches_seen += 1
-            if batches_seen % sched.eval_interval == 0 or batches_seen >= settings.max_batches:
+            if batches_seen % settings.eval_interval == 0 or batches_seen >= settings.max_batches:
                 score = validation_score(state, val_samples, mode)
                 row = {
                     "eval_index": len(rows),
@@ -466,7 +478,7 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
                     eval_hook(state, bank, row, sched)
                 rows.append(row)
                 running_loss, running_n = 0.0, 0
-                if settings.select_best and score > sched.best:
+                if score > sched.best:
                     best_snapshot = ({k: v.copy() for k, v in state.params.items()},
                                      bank.copy())
                 action = schedule_tick(sched, score)

@@ -149,24 +149,22 @@ def generate(cfg, n, start_index=0):
     return [_one_sequence(cfg, means, start_index + i) for i in range(n)]
 
 
-def split(dataset, fractions, seed=0):
-    """Disjoint (train, validation, test) split, stratified by condition."""
-    if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
-        raise ConfigInvalid("fractions: must be nonnegative and sum to 1")
+def split(dataset, validation_fraction, seed=0):
+    """Disjoint (train, validation) split, stratified by condition: each
+    condition's n samples give round((1 - validation_fraction) * n) to
+    train and the rest to validation, so nothing is dropped."""
+    if not 0.0 <= validation_fraction <= 1.0:
+        raise ConfigInvalid("validation_fraction: must lie in [0, 1]")
     by_condition = {}
     for i, sample in enumerate(dataset):
         by_condition.setdefault(sample.condition, []).append(i)
     rng = np.random.default_rng([seed, 104729])
-    parts = ([], [], [])
+    parts = ([], [])
     for condition in sorted(by_condition):
         idx = np.array(by_condition[condition])
         idx = idx[rng.permutation(len(idx))]
-        n = len(idx)
-        n_train = int(round(fractions[0] * n))
-        n_val = int(round(fractions[1] * n))
-        n_val = min(n_val, n - n_train)
-        cut1, cut2 = n_train, n_train + n_val
-        for part, sel in zip(parts, (idx[:cut1], idx[cut1:cut2], idx[cut2:])):
+        cut = int(round((1.0 - validation_fraction) * len(idx)))
+        for part, sel in zip(parts, (idx[:cut], idx[cut:])):
             part.extend(int(i) for i in sel)
     return tuple([dataset[i] for i in sorted(part)] for part in parts)
 

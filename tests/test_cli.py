@@ -2,6 +2,7 @@
 evaluation, checkpoint resume, and the verification suites."""
 
 import filecmp
+import json
 import os
 import signal
 import subprocess
@@ -78,8 +79,6 @@ def test_gen_data_seed_override_changes_content(tmp_path):
 
 
 def test_gen_data_invalid_config_exits_2_naming_field(tmp_path, capsys):
-    import json
-
     cfg_path, _ = write_config(tmp_path)
     data = json.loads(cfg_path.read_text())
     data["generator"]["segment_length"] = [4, 2]
@@ -104,8 +103,6 @@ def test_gen_data_unknown_field_exits_2_naming_field(tmp_path, capsys):
 ], ids=["threshold_below_0", "threshold_above_1", "unknown_mode"])
 def test_train_invalid_occupancy_setting_exits_2_naming_field(tmp_path, capsys,
                                                              field, value):
-    import json
-
     cfg_path, cfg = write_config(tmp_path)
     gen_data(tmp_path, cfg_path)
     data = json.loads(cfg_path.read_text())
@@ -309,8 +306,7 @@ def test_train_checkpoint_is_the_model_training_selected(tmp_path):
     pool = []
     for condition in cfg.train_conditions:
         pool += synth.load_jsonl(cli.dataset_path(cfg.data_dir, condition, "train"))
-    f = cfg.validation_fraction
-    train_set, val_set, _ = synth.split(pool, (1.0 - f, f, 0.0), seed=cfg.seed)
+    train_set, val_set = synth.split(pool, cfg.validation_fraction, seed=cfg.seed)
     state, bank, rows = model.train(cfg.new_state(), cfg.new_bank(), train_set,
                                     val_set, cfg.settings())
     best = max(range(len(rows)), key=lambda i: rows[i]["val_score"])
@@ -406,6 +402,36 @@ def test_eval_shape_mismatch_exits_4(tmp_path, capsys):
     assert cli.main(["eval", "--checkpoint", cfg.checkpoint_path,
                      "--data", str(path)]) == cli.EXIT_SHAPE
     assert "features" in capsys.readouterr().err
+
+
+def _rewrite_checkpoint(cfg, tmp_path, change):
+    data = json.loads(open(cfg.checkpoint_path).read())
+    change(data)
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(data, indent=1) + "\n")
+    return str(path)
+
+
+def test_eval_unknown_mode_in_checkpoint_exits_2(tmp_path, capsys):
+    cfg = trained_checkpoint(tmp_path)
+    path = _rewrite_checkpoint(cfg, tmp_path, lambda d: d.update(mode="CTC"))
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", path,
+                     "--data", cfg.data_dir]) == cli.EXIT_CONFIG
+    assert "mode" in capsys.readouterr().err
+
+
+def test_eval_old_checkpoint_with_eval_interval_gives_the_same_report(tmp_path, capsys):
+    cfg = trained_checkpoint(tmp_path)
+    path = _rewrite_checkpoint(
+        cfg, tmp_path, lambda d: d["schedule"].update(eval_interval=cfg.eval_interval))
+    capsys.readouterr()
+    reports = []
+    for checkpoint in (cfg.checkpoint_path, path):
+        assert cli.main(["eval", "--checkpoint", checkpoint,
+                         "--data", cfg.data_dir]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmfusion import config, losses, model, synth
 
@@ -30,6 +32,8 @@ def test_defaults_are_valid():
 def test_mode_validation():
     with pytest.raises(config.ConfigError, match="mode"):
         config.RunConfig(mode="mmi")
+    with pytest.raises(config.ConfigError, match="mode: expected one of"):
+        config.config_from_dict({"mode": "CTC"})
 
 
 def test_temporal_modes_need_a_blank_output():
@@ -67,6 +71,14 @@ def test_unknown_top_level_field_is_named():
 def test_unknown_nested_field_is_named():
     with pytest.raises(config.ConfigError, match="hiden"):
         config.config_from_dict({"network": {"hiden": [4]}})
+    with pytest.raises(config.ConfigError,
+                       match="generator.unseen: unknown field 'famly'"):
+        config.config_from_dict({"generator": {"unseen": {"famly": "uniform"}}})
+
+
+def test_nested_field_that_is_not_an_object_is_named():
+    with pytest.raises(config.ConfigError, match="network: expected a JSON object"):
+        config.config_from_dict({"network": [8, [4], 6]})
 
 
 def test_factories_are_consistent():
@@ -90,6 +102,37 @@ def test_config_round_trip(tmp_path):
     loaded = config.load_config(path)
     assert loaded == cfg
     again = tmp_path / "run2.json"
+    config.save_config(loaded, again)
+    assert filecmp.cmp(path, again, shallow=False)
+
+
+def _ranges():
+    return st.tuples(st.integers(1, 6), st.integers(0, 4)).map(
+        lambda p: (p[0], p[0] + p[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(conditions=st.lists(st.sampled_from(synth.CONDITIONS), min_size=1,
+                           max_size=3, unique=True).map(tuple),
+       hidden=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       segment_length=_ranges(), labels_per_sequence=_ranges(),
+       mean_seed=st.none() | st.integers(0, 2**31),
+       variance=st.floats(0.0, 10.0), offset=st.floats(0.0, 3.0))
+def test_config_round_trip_over_nested_fields(tmp_path_factory, conditions, hidden,
+                                              segment_length, labels_per_sequence,
+                                              mean_seed, variance, offset):
+    gen = synth.GeneratorConfig(
+        num_classes=2, feature_dim=4, segment_length=segment_length,
+        labels_per_sequence=labels_per_sequence, mean_seed=mean_seed,
+        unseen=synth.UnseenNoise(variance_multiplier=variance,
+                                 offset_scale=offset))
+    cfg = small_config(network=model.NetworkSpec(4, hidden, 3, recurrent=True),
+                       generator=gen, train_conditions=conditions)
+    folder = tmp_path_factory.mktemp("cfg")
+    path, again = folder / "run.json", folder / "run2.json"
+    config.save_config(cfg, path)
+    loaded = config.load_config(path)
+    assert loaded == cfg        # tuples stay tuples and lists lists
     config.save_config(loaded, again)
     assert filecmp.cmp(path, again, shallow=False)
 
@@ -184,6 +227,28 @@ def test_checkpoint_rejects_threshold_above_one(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(config.ConfigError, match="occupancy_threshold"):
         config.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_unknown_mode(tmp_path):
+    state, bank, sched = trained_state()
+    path = tmp_path / "ckpt.json"
+    config.save_checkpoint(path, state, bank, sched, "CTC", 8, 3)
+    with pytest.raises(config.ConfigError, match="mode"):
+        config.load_checkpoint(path)
+
+
+def test_checkpoint_ignores_an_old_eval_interval(tmp_path):
+    # earlier v1 files carried schedule.eval_interval, a copy of the
+    # training setting; it loads and is dropped
+    state, bank, sched = trained_state()
+    path = tmp_path / "ckpt.json"
+    config.save_checkpoint(path, state, bank, sched, "tmf", 8, 3)
+    data = json.loads(path.read_text())
+    assert "eval_interval" not in data["schedule"]
+    data["schedule"]["eval_interval"] = 200
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(data, indent=1) + "\n")
+    assert config.load_checkpoint(old)[2] == sched
 
 
 def test_checkpoint_rejects_foreign_format(tmp_path):

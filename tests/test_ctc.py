@@ -229,22 +229,18 @@ def test_occupancy_rejects_unknown_mode():
 
 
 # ------------------------------------------------------------------- ml loss
+# the maximum-likelihood loss of one sequence is -log_seq_prob
 
 def test_ml_loss_single_pair():
     y = np.array([[0.2, 0.5, 0.3]])
-    assert ctc.ml_loss([(y, [1])]) == pytest.approx(-math.log(0.5), abs=1e-15)
-
-
-def test_ml_loss_sums_over_pairs():
-    y = np.array([[0.2, 0.5, 0.3]])
-    single = ctc.ml_loss([(y, [1])])
-    double = ctc.ml_loss([(y, [1]), (y, [1])])
-    assert double == pytest.approx(2.0 * single, abs=1e-15)
+    loss = -ctc.forward_backward(y, [1]).log_seq_prob
+    assert loss == pytest.approx(-math.log(0.5), abs=1e-15)
 
 
 def test_ml_loss_uniform_two_frames():
     y = np.full((2, 3), 1.0 / 3.0)
-    assert ctc.ml_loss([(y, [1])]) == pytest.approx(math.log(3.0), abs=1e-12)
+    loss = -ctc.forward_backward(y, [1]).log_seq_prob
+    assert loss == pytest.approx(math.log(3.0), abs=1e-12)
 
 
 # ----------------------------------------------------------------- gradients

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmfusion import losses, metrics
+from tmfusion import experiment, losses, metrics, model, synth
 
 
 def posteriors_for(argmaxes, K=3):
@@ -104,8 +104,26 @@ def test_ter_requires_reference_tokens():
 # -------------------------------------------------------------------- frames
 
 def test_frame_accuracy():
-    assert metrics.frame_accuracy([1, 2, 2], [1, 2, 3]) == pytest.approx(
-        100.0 * 2 / 3)
+    # evaluate_model counts a frame right when its argmax class is the
+    # frame label; in a sequence mode a blank argmax counts as wrong
+    gen = synth.GeneratorConfig(num_classes=2, feature_dim=4,
+                                segment_length=(2, 4),
+                                labels_per_sequence=(1, 3), seed=5)
+    samples = synth.generate(gen, 12)
+    for mode in ("ce", "ctc"):
+        spec = model.NetworkSpec(4, [6], model.output_units(mode, 2))
+        state = model.ModelState(spec, seed=1)
+        right = total = 0
+        for s in samples:
+            steps = model.forward(state, s.x)[2].argmax(axis=1)
+            pred = steps if mode in model.TEMPORAL_MODES else steps + 1
+            right += int((pred == s.framewise).sum())
+            total += len(s.framewise)
+        report = experiment.evaluate_model(state, losses.CenterBank(2, 6),
+                                           samples, mode, "clean")
+        assert report.frame_accuracy == 100.0 * right / total
+        if mode == "ce":
+            assert 0 < right < total
 
 
 def test_temporal_assignments_drop_blank_frames():

@@ -515,6 +515,12 @@ def test_train_select_best_returns_best_validation_state():
         np.testing.assert_array_equal(state.params[k], best_params[k])
 
 
+def test_train_settings_reject_an_unknown_mode():
+    # a misspelt mode must not train a blank-output network as framewise ce
+    with pytest.raises(ValueError, match="mode: expected one of"):
+        settings_for("CTC")
+
+
 def test_train_eval_hook_sees_schedule_state():
     seen = []
 

@@ -1,9 +1,12 @@
 """Unit tests for the synthetic data generator and its serialization."""
 
 import filecmp
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmfusion import synth
 
@@ -215,21 +218,21 @@ def test_unseen_noise_is_bounded_seen_is_not():
 
 def test_split_everything_to_train():
     data = synth.generate(synth.GeneratorConfig(seed=17), 30)
-    train, val, test = synth.split(data, (1.0, 0.0, 0.0))
-    assert len(train) == 30 and not val and not test
+    train, val = synth.split(data, 0.0)
+    assert len(train) == 30 and not val
 
 
-def test_split_80_10_10():
+def test_split_90_10():
     data = synth.generate(synth.GeneratorConfig(seed=18), 100)
-    train, val, test = synth.split(data, (0.8, 0.1, 0.1))
-    assert (len(train), len(val), len(test)) == (80, 10, 10)
-    assert len({id(s) for s in train + val + test}) == 100
+    train, val = synth.split(data, 0.1)
+    assert (len(train), len(val)) == (90, 10)
+    assert len({id(s) for s in train + val}) == 100
 
 
 def test_split_is_deterministic():
     data = synth.generate(synth.GeneratorConfig(seed=19), 40)
-    a = synth.split(data, (0.5, 0.25, 0.25), seed=3)
-    b = synth.split(data, (0.5, 0.25, 0.25), seed=3)
+    a = synth.split(data, 0.25, seed=3)
+    b = synth.split(data, 0.25, seed=3)
     for part_a, part_b in zip(a, b):
         assert [id(s) for s in part_a] == [id(s) for s in part_b]
 
@@ -238,19 +241,76 @@ def test_split_stratifies_by_condition():
     clean = synth.generate(synth.GeneratorConfig(seed=20), 40)
     seen = synth.generate(synth.GeneratorConfig(seed=20,
                                                 noise_condition="seen"), 40)
-    train, val, _ = synth.split(clean + seen, (0.75, 0.25, 0.0))
+    train, val = synth.split(clean + seen, 0.25)
     for part, count in ((train, 30), (val, 10)):
         conditions = [s.condition for s in part]
         assert conditions.count("clean") == count
         assert conditions.count("seen") == count
 
 
+def test_split_keeps_every_sequence():
+    # 25 per condition at 0.1: round(22.5) is 22 and round(2.5) is 2, so
+    # a three-way split with an empty third part dropped one per condition
+    clean = synth.generate(synth.GeneratorConfig(seed=24), 25)
+    seen = synth.generate(synth.GeneratorConfig(seed=24,
+                                                noise_condition="seen"), 25)
+    train, val = synth.split(clean + seen, 0.1, seed=1)
+    assert (len(train), len(val)) == (44, 6)
+
+
 def test_split_rejects_bad_fractions():
     data = synth.generate(synth.GeneratorConfig(seed=21), 4)
-    with pytest.raises(synth.ConfigInvalid, match="fractions"):
-        synth.split(data, (0.5, 0.2, 0.2))
-    with pytest.raises(synth.ConfigInvalid, match="fractions"):
-        synth.split(data, (1.5, -0.5, 0.0))
+    with pytest.raises(synth.ConfigInvalid, match="validation_fraction"):
+        synth.split(data, 1.5)
+    with pytest.raises(synth.ConfigInvalid, match="validation_fraction"):
+        synth.split(data, -0.5)
+
+
+def _three_way_split(dataset, fractions, seed):
+    """The earlier (train, validation, test) split, kept as a reference."""
+    by_condition = {}
+    for i, sample in enumerate(dataset):
+        by_condition.setdefault(sample.condition, []).append(i)
+    rng = np.random.default_rng([seed, 104729])
+    parts = ([], [], [])
+    for condition in sorted(by_condition):
+        idx = np.array(by_condition[condition])
+        idx = idx[rng.permutation(len(idx))]
+        n = len(idx)
+        n_train = int(round(fractions[0] * n))
+        n_val = min(int(round(fractions[1] * n)), n - n_train)
+        cut1, cut2 = n_train, n_train + n_val
+        for part, sel in zip(parts, (idx[:cut1], idx[cut1:cut2], idx[cut2:])):
+            part.extend(int(i) for i in sel)
+    return tuple([dataset[i] for i in sorted(part)] for part in parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(0, 40), min_size=3, max_size=3),
+       fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**16))
+def test_split_partitions_the_pool(sizes, fraction, seed):
+    pool = [types.SimpleNamespace(condition=condition, index=k)
+            for condition, n in zip(synth.CONDITIONS, sizes) for k in range(n)]
+    train, val = synth.split(pool, fraction, seed=seed)
+    # nothing lost or repeated, each part in pool order
+    assert sorted(map(id, train + val)) == sorted(map(id, pool))
+    for part in (train, val):
+        positions = [pool.index(s) for s in part]
+        assert positions == sorted(positions)
+    # stratified: each condition's own share goes to train
+    for condition, n in zip(synth.CONDITIONS, sizes):
+        n_train = sum(s.condition == condition for s in train)
+        assert n_train == int(round((1.0 - fraction) * n))
+    # deterministic
+    again = synth.split(pool, fraction, seed=seed)
+    assert [list(map(id, p)) for p in again] == [list(map(id, p)) for p in (train, val)]
+    # the earlier split wherever it dropped nothing
+    old_train, old_val, dropped = _three_way_split(
+        pool, (1.0 - fraction, fraction, 0.0), seed)
+    if not dropped:
+        assert list(map(id, old_train)) == list(map(id, train))
+        assert list(map(id, old_val)) == list(map(id, val))
 
 
 # ------------------------------------------------------------- serialization
