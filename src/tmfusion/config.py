@@ -210,14 +210,29 @@ def save_checkpoint(path, state, bank, sched, mode, seed, step_count):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back; returns (state, bank, sched, meta)."""
+    """Read a checkpoint back; returns (state, bank, sched, meta).
+
+    A file that is not JSON, or lacks or mistypes a field, raises
+    ConfigError naming the file.
+    """
     with open(path) as fh:
-        data = json.load(fh)
-    if data.get("format") != "tmfusion-checkpoint-v1":
-        raise ConfigError("checkpoint: unrecognized format marker")
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"checkpoint {path}: invalid JSON: {exc}") from exc
+    try:
+        return _checkpoint_from_dict(data)
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint {path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:      # ConfigError is a ValueError
+        raise ConfigError(f"checkpoint {path}: {exc}") from exc
+
+
+def _checkpoint_from_dict(data):
+    if not isinstance(data, dict) or data.get("format") != "tmfusion-checkpoint-v1":
+        raise ConfigError("unrecognized format marker")
     if data["mode"] not in MODES:
-        raise ConfigError("checkpoint: mode: expected one of %s, got %r"
-                          % (MODES, data["mode"]))
+        raise ConfigError("mode: expected one of %s, got %r" % (MODES, data["mode"]))
     net = data["network"]
     spec = NetworkSpec(net["input_dim"], list(net["hidden"]),
                        net["num_classes"], net["recurrent"])
@@ -237,7 +252,7 @@ def load_checkpoint(path):
                           momentum=float(cen["momentum"]),
                           occupancy_threshold=float(cen["occupancy_threshold"]))
     except ValueError as exc:
-        raise ConfigError(f"checkpoint: centers.{exc}") from exc
+        raise ConfigError(f"centers.{exc}") from exc
     bank.centers = _array_in(cen["values"], (cen["num_classes"], cen["dim"]))
     sch = data["schedule"]         # an eval_interval key of older files is ignored
     sched = ScheduleState(

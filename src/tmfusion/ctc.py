@@ -14,26 +14,34 @@ Conventions used throughout:
   needed (gradients); the raw product is what the occupancy matrix exposes
   in its literal mode.
 
-Batched layout.  ``forward_backward_batch`` runs the recursions for B
-sequences at once, one numpy step per frame for the whole batch, and
+Batched layout.  ``forward_backward_batch`` runs both recursions for B
+sequences at once, four numpy calls per frame for the whole batch, and
 ``forward_backward`` is its B=1 case:
 
-* The tables are (T_max, B, S_max + 2) arrays in log space.  Every cell
-  that belongs to no sequence holds -inf: frames past T_b, positions past
-  S_b, and two pad columns per row standing in for positions -2 and -1
-  (alpha) or S and S+1 (beta).  The skip rule is an additive 0/-inf mask.
-  Since ``logaddexp(x, -inf)`` is exactly x, padding never changes a real
-  cell, and each sequence's tables come out bit for bit as a recursion
-  over that sequence alone computes them.
-* alpha keeps the frames left-aligned.  beta keeps them right-aligned, so
-  that each sequence's beta is seeded at its own last frame T_b - 1,
-  which is row T_max - 1 of the table for every sequence.
-* Each AlignmentTables holds (T_b, S_b) views into the shared tables.
-  Everything after the lattice (occupancy, gradients, the expected
-  center loss) and the network before it stay per-sequence: a reduction
-  over a padded axis can regroup numpy's pairwise sums, and a batched
-  tanh recurrence turns matrix-vector products into matrix-matrix ones;
-  either can change the last bit of the result.
+* One (T_max, 2B, S_max + 2) log-space table.  Rows 0..B-1 hold each
+  sequence's emissions log(y_t[z'_s]) and become alpha.  Rows B..2B-1
+  hold the same emissions reversed in time and in position.  Read
+  backwards, beta's recursion has exactly alpha's form (position s
+  takes from s, s+1 and s+2 at the next frame), so the same calls turn
+  those rows into beta, reversed.  Frames are left-aligned in every
+  row, and position s sits at column s + 2.
+* Every cell that belongs to no sequence holds -inf: frames past T_b,
+  positions past S_b, and the two pad columns for positions -2 and -1.
+  The skip rule is an additive 0/-inf mask per row; a reversed row
+  takes the mask of the reversed labels, which is the forward mask of
+  labels[1:] != labels[:-1] read backwards.  Since ``logaddexp(x, -inf)``
+  is exactly x, padding never changes a real cell, and each sequence's
+  tables come out bit for bit as a recursion over that sequence alone
+  computes them.
+* Each AlignmentTables holds (T_b, S_b) views into the shared table
+  (``log_beta`` a view with negative strides) and the emission
+  log-probs it was built from, which ``ctc_grad_logits`` divides back
+  out instead of taking the log of y again.
+* Everything after the lattice (occupancy, the gradient, the expected
+  center loss) stays per-sequence.  Those reduce over positions, and a
+  row sum over a padded (B, S_max) block regroups numpy's pairwise sum,
+  which can change the last bit.  (The network before the lattice keeps
+  one matrix-vector product per sequence for the same kind of reason.)
 """
 
 import numpy as np
@@ -60,10 +68,16 @@ def extend_with_blanks(labels):
     ``[0]``.
     """
     labels = np.asarray(labels, dtype=np.intp)
-    if labels.ndim != 1:
-        raise ValueError("labels must be one-dimensional")
+    zp = _interleave(labels)
     if (labels == BLANK).any():
         raise ValueError("labels must not contain the blank index 0")
+    return zp
+
+
+def _interleave(labels):
+    """extend_with_blanks without the blank check, for an intp array."""
+    if labels.ndim != 1:
+        raise ValueError("labels must be one-dimensional")
     zp = np.full(2 * len(labels) + 1, BLANK, dtype=np.intp)
     zp[1::2] = labels
     return zp
@@ -76,30 +90,38 @@ def min_frames(labels):
     every adjacent repeated pair.
     """
     labels = np.asarray(labels)
+    return _min_frames(labels, labels[1:] != labels[:-1])
+
+
+def _min_frames(labels, changes):
+    """min_frames, given ``changes = labels[1:] != labels[:-1]``: of the
+    r - 1 adjacent pairs, each one that repeats needs a blank frame."""
     if len(labels) == 0:
         return 1
-    repeats = np.count_nonzero(labels[1:] == labels[:-1])
-    return len(labels) + repeats
+    return 2 * len(labels) - 1 - np.count_nonzero(changes)
 
 
 class AlignmentTables:
-    """Forward/backward tables for one (posterior, label-sequence) pair."""
+    """Forward/backward tables for one (posterior, label-sequence) pair,
+    with the (T, S) emission log-probs ``log(y)[:, zp]`` they were built
+    from."""
 
-    def __init__(self, log_alpha, log_beta, log_seq_prob, zp):
+    def __init__(self, log_alpha, log_beta, log_seq_prob, zp, log_emissions):
         self.log_alpha = log_alpha
         self.log_beta = log_beta
         self.log_seq_prob = log_seq_prob
         self.zp = zp
+        self.log_emissions = log_emissions
 
 
 def _emissions(y, labels):
     """Validate one pair; return its (T, S) emission log-probs, z', and
-    its additive skip mask.
+    ``labels[1:] != labels[:-1]``.
 
-    The mask covers positions 0..S+1 (two trailing pad columns): 0 where
-    the s-2 -> s transition is legal, -inf elsewhere.  Legal when z'_s is
-    a label that differs from z'_{s-2}; blanks and repeated labels must
-    pass through the intermediate position.
+    That one comparison gives both the frames the labels need and the
+    skip rule: the s-2 -> s transition into odd s = 2i+1 >= 3 is legal
+    exactly when z[i] differs from z[i-1].  Blanks and repeated labels
+    must pass through the intermediate position.
     """
     y = np.asarray(y, dtype=float)
     T, K = y.shape
@@ -108,16 +130,13 @@ def _emissions(y, labels):
     labels = np.asarray(labels, dtype=np.intp)
     if len(labels) and (labels.min() < 1 or labels.max() >= K):
         raise ValueError("labels out of range for %d classes" % K)
-    if min_frames(labels) > T:
+    changes = labels[1:] != labels[:-1]
+    need = _min_frames(labels, changes)
+    if need > T:
         raise InfeasibleLabeling(
-            "need at least %d frames for %d labels, got %d"
-            % (min_frames(labels), len(labels), T)
-        )
-    zp = extend_with_blanks(labels)
-    skip = np.full(len(zp) + 2, -np.inf)
-    # odd s >= 3 holds z[(s-1)/2] and z'_{s-2} the label before it
-    skip[3:len(zp):2][labels[1:] != labels[:-1]] = 0.0
-    return np.log(y)[:, zp], zp, skip
+            "need at least %d frames for %d labels, got %d" % (need, len(labels), T))
+    zp = _interleave(labels)
+    return np.log(y)[:, zp], zp, changes
 
 
 def forward_backward(y, labels):
@@ -149,54 +168,45 @@ def forward_backward_batch(ys, labels_list):
     if not pairs:
         return []
     B = len(pairs)
-    Ts = [len(lyz) for lyz, _, _ in pairs]
-    Ss = [len(zp) for _, zp, _ in pairs]
-    T, S = max(Ts), max(Ss)
+    T = max(len(lyz) for lyz, _, _ in pairs)
+    S = max(len(zp) for _, zp, _ in pairs)
     neg = -np.inf
-    # Each table starts out holding the emission log-probs and is turned
-    # into alpha (beta) in place, one frame at a time (emission + acc is
-    # acc + emission bit for bit: addition commutes).  alpha has two
-    # leading -inf columns (position s sits at column s+2) and its frames
-    # left-aligned; beta has two trailing -inf columns and its frames
-    # right-aligned, so that every sequence's beta starts at frame T-1.
-    alpha = np.full((T, B, S + 2), neg)
-    beta = np.full((T, B, S + 2), neg)
-    skip = np.full((B, S + 2), neg)
-    for b, (lyz, _, mask) in enumerate(pairs):
+    # Row b holds sequence b's emissions, row B + b the same emissions
+    # reversed in time and position; the recursion turns them into alpha
+    # and into beta read backwards, in place (emission + acc is acc +
+    # emission bit for bit: addition commutes).  Position s sits at
+    # column s + 2 behind two -inf columns for positions -2 and -1.
+    table = np.full((T, 2 * B, S + 2), neg)
+    skip = np.full((2 * B, S), neg)
+    for b, (lyz, _, changes) in enumerate(pairs):
         Tb, Sb = lyz.shape
-        alpha[:Tb, b, 2:Sb + 2] = lyz
-        beta[T - Tb:, b, :Sb] = lyz
-        skip[b, :Sb + 2] = mask
-    acc = np.empty((B, S))
-    tmp = np.empty((B, S))
+        table[:Tb, b, 2:Sb + 2] = lyz
+        table[:Tb, B + b, 2:Sb + 2] = lyz[::-1, ::-1]
+        # the skip into odd s >= 3 is legal where the label changes
+        skip[b, 3:Sb:2][changes] = 0.0
+        skip[B + b, 3:Sb:2][changes[::-1]] = 0.0
+    acc = np.empty((2 * B, S))
+    tmp = np.empty((2 * B, S))
 
-    # frame 0 can only be at the first blank or the first label
-    alpha[0, :, 4:] = neg
-    cur, back1, back2 = alpha[:, :, 2:], alpha[:, :, 1:-1], alpha[:, :, :-2]
-    skip_a = skip[:, :S]
+    # frame 0 can only be at the first blank or the first label (read
+    # backwards: frame T_b - 1 at the last label or the last blank)
+    table[0, :, 4:] = neg
+    cur, back1, back2 = table[:, :, 2:], table[:, :, 1:-1], table[:, :, :-2]
     for c, p, p1, p2 in zip(cur[1:], cur[:-1], back1[:-1], back2[:-1]):
         np.logaddexp(p, p1, out=acc)
-        np.logaddexp(acc, np.add(p2, skip_a, out=tmp), out=acc)
-        c += acc
-
-    # frame T-1 can only be at the last label or the last blank
-    for b, Sb in enumerate(Ss):
-        beta[T - 1, b, :max(Sb - 2, 0)] = neg
-    cur, ahead1, ahead2 = beta[:, :, :-2], beta[:, :, 1:-1], beta[:, :, 2:]
-    skip_b = skip[:, 2:]
-    for c, n, n1, n2 in zip(cur[-2::-1], cur[:0:-1], ahead1[:0:-1], ahead2[:0:-1]):
-        np.logaddexp(n, n1, out=acc)
-        np.logaddexp(acc, np.add(n2, skip_b, out=tmp), out=acc)
+        np.logaddexp(acc, np.add(p2, skip, out=tmp), out=acc)
         c += acc
 
     out = []
-    for b, ((_, zp, _), Tb, Sb) in enumerate(zip(pairs, Ts, Ss)):
+    for b, (lyz, zp, _) in enumerate(pairs):
+        Tb, Sb = lyz.shape
         # storage column Sb + 1 holds position S_b - 1; for S_b = 1,
         # column Sb is a pad column and logaddexp(x, -inf) is exactly x
-        last = alpha[Tb - 1, b]
+        last = table[Tb - 1, b]
         log_seq_prob = float(np.logaddexp(last[Sb + 1], last[Sb]))
-        out.append(AlignmentTables(alpha[:Tb, b, 2:Sb + 2], beta[T - Tb:, b, :Sb],
-                                   log_seq_prob, zp))
+        out.append(AlignmentTables(table[:Tb, b, 2:Sb + 2],
+                                   table[Tb - 1::-1, B + b, Sb + 1:1:-1],
+                                   log_seq_prob, zp, lyz))
     return out
 
 
@@ -228,17 +238,16 @@ def ctc_grad_logits(tables, y):
     is the exact gradient of the negative log likelihood w.r.t. logits.
     """
     y = np.asarray(y, dtype=float)
-    T, K = y.shape
-    zp = tables.zp
-    log_mass = tables.log_alpha + tables.log_beta - np.log(y)[:, zp]
+    log_mass = tables.log_alpha + tables.log_beta - tables.log_emissions
     peak = log_mass.max(axis=1)
     if np.any(~np.isfinite(peak)):
         t_bad = int(np.flatnonzero(~np.isfinite(peak))[0])
         raise DegenerateFrame("alignment mass vanished at frame %d" % t_bad)
     mass = np.exp(log_mass - peak[:, None])
     denom = mass.sum(axis=1)
-    ratio = np.zeros((T, K))
-    for s, sym in enumerate(zp):
-        ratio[:, sym] += mass[:, s]
+    ratio = np.zeros(y.shape)
+    # adds each position's column into its class in position order, as
+    # a loop over positions would
+    np.add.at(ratio.T, tables.zp, mass.T)
     ratio /= denom[:, None]
     return y - ratio

@@ -165,9 +165,9 @@ def center_stats(bank, u, w, labels, centers):
     u = np.asarray(u, dtype=float)
     weights = np.zeros(bank.num_classes)
     sums = np.zeros((bank.num_classes, bank.dim))
-    for label, wi, c in zip(labels, w.T, centers):
-        live = wi >= bank.occupancy_threshold
-        if not live.any():
+    gate = w >= bank.occupancy_threshold
+    for label, wi, live, any_live, c in zip(labels, w.T, gate.T, gate.any(axis=0), centers):
+        if not any_live:
             continue
         wl = wi[live]
         n = wl.sum()

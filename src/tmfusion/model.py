@@ -395,8 +395,7 @@ def validation_score(state, samples, mode):
                 terms[i] = tables.log_seq_prob
         else:
             for i, sample, y in zip(group, members, ys):
-                cols = np.asarray(sample.framewise, dtype=np.intp) - 1
-                terms[i] = float(np.log(y[np.arange(len(cols)), cols]).sum())
+                terms[i] = -losses.cross_entropy(y, np.asarray(sample.framewise) - 1)
     total = 0.0
     for term in terms:
         total += term

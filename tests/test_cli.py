@@ -439,6 +439,27 @@ def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):
                      "--data", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
+def test_eval_truncated_checkpoint_exits_2_naming_file(tmp_path, capsys):
+    cfg = trained_checkpoint(tmp_path)
+    path = tmp_path / "truncated.json"
+    path.write_bytes(open(cfg.checkpoint_path, "rb").read(500))
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(path),
+                     "--data", cfg.data_dir]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and "invalid JSON" in err
+
+
+def test_eval_checkpoint_without_adam_exits_2_naming_file(tmp_path, capsys):
+    cfg = trained_checkpoint(tmp_path)
+    path = _rewrite_checkpoint(cfg, tmp_path, lambda d: d.pop("adam"))
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", path,
+                     "--data", cfg.data_dir]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert path in err and "'adam'" in err
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_eval_malformed_dataset_exits_2_naming_file_and_line(tmp_path, capsys, case):
     cfg = trained_checkpoint(tmp_path)

@@ -187,6 +187,95 @@ def test_batch_matches_per_sequence_bitwise(data):
     assert _outcome(ctc.forward_backward_batch, ys, zs) == expected
 
 
+def _two_table_lattice(ys, labels_list):
+    """Reference: alpha and beta from two separate recursions, beta on
+    right-aligned frames with its own pad columns, as the lattice ran
+    before it shared one table.  Returns (alpha, beta, log p, z') per pair."""
+    pairs = []
+    for y, z in zip(ys, labels_list):
+        z = np.asarray(z, dtype=np.intp)
+        zp = np.zeros(2 * len(z) + 1, dtype=np.intp)
+        zp[1::2] = z
+        mask = np.full(len(zp) + 2, -np.inf)
+        mask[3:len(zp):2][z[1:] != z[:-1]] = 0.0
+        pairs.append((np.log(y)[:, zp], zp, mask))
+    B = len(pairs)
+    Ts = [len(lyz) for lyz, _, _ in pairs]
+    Ss = [len(zp) for _, zp, _ in pairs]
+    T, S = max(Ts), max(Ss)
+    alpha = np.full((T, B, S + 2), -np.inf)
+    beta = np.full((T, B, S + 2), -np.inf)
+    skip = np.full((B, S + 2), -np.inf)
+    for b, (lyz, _, mask) in enumerate(pairs):
+        Tb, Sb = lyz.shape
+        alpha[:Tb, b, 2:Sb + 2] = lyz
+        beta[T - Tb:, b, :Sb] = lyz
+        skip[b, :Sb + 2] = mask
+    acc, tmp = np.empty((B, S)), np.empty((B, S))
+    alpha[0, :, 4:] = -np.inf
+    cur, back1, back2 = alpha[:, :, 2:], alpha[:, :, 1:-1], alpha[:, :, :-2]
+    for c, p, p1, p2 in zip(cur[1:], cur[:-1], back1[:-1], back2[:-1]):
+        np.logaddexp(p, p1, out=acc)
+        np.logaddexp(acc, np.add(p2, skip[:, :S], out=tmp), out=acc)
+        c += acc
+    for b, Sb in enumerate(Ss):
+        beta[T - 1, b, :max(Sb - 2, 0)] = -np.inf
+    cur, ahead1, ahead2 = beta[:, :, :-2], beta[:, :, 1:-1], beta[:, :, 2:]
+    for c, n, n1, n2 in zip(cur[-2::-1], cur[:0:-1], ahead1[:0:-1], ahead2[:0:-1]):
+        np.logaddexp(n, n1, out=acc)
+        np.logaddexp(acc, np.add(n2, skip[:, 2:], out=tmp), out=acc)
+        c += acc
+    out = []
+    for b, ((_, zp, _), Tb, Sb) in enumerate(zip(pairs, Ts, Ss)):
+        last = alpha[Tb - 1, b]
+        out.append((alpha[:Tb, b, 2:Sb + 2], beta[T - Tb:, b, :Sb],
+                    float(np.logaddexp(last[Sb + 1], last[Sb])), zp))
+    return out
+
+
+def _loop_grad_logits(alpha, beta, zp, y):
+    """Reference: ctc_grad_logits with its per-position scatter loop."""
+    log_mass = alpha + beta - np.log(y)[:, zp]
+    peak = log_mass.max(axis=1)
+    mass = np.exp(log_mass - peak[:, None])
+    denom = mass.sum(axis=1)
+    ratio = np.zeros(y.shape)
+    for s, sym in enumerate(zp):
+        ratio[:, sym] += mass[:, s]
+    ratio /= denom[:, None]
+    return y - ratio
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lattice_matches_two_table_reference_bitwise(data):
+    # up to 9 labels gives S up to 19, past the 8-way unrolled sums of
+    # numpy's reductions; T = 1 and empty labelings (S = 1) occur too
+    K = data.draw(st.integers(2, 6))
+    B = data.draw(st.integers(1, 8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    ys, zs = [], []
+    for _ in range(B):
+        z = np.array(data.draw(st.lists(st.integers(1, K - 1), max_size=9)),
+                     dtype=np.intp)
+        T = data.draw(st.integers(ctc.min_frames(z), 22))
+        ys.append(rand_posteriors(rng, T, K))
+        zs.append(z)
+    for y, got, (alpha, beta, log_p, zp) in zip(
+            ys, ctc.forward_backward_batch(ys, zs), _two_table_lattice(ys, zs)):
+        assert np.array_equal(got.log_alpha, alpha)
+        assert np.array_equal(got.log_beta, beta)
+        assert got.log_seq_prob == log_p
+        assert np.array_equal(got.zp, zp)
+        assert np.array_equal(ctc.ctc_grad_logits(got, y),
+                              _loop_grad_logits(alpha, beta, zp, y))
+        prod = alpha + beta
+        assert np.array_equal(ctc.occupancy(got, y, "paper_literal"), np.exp(prod))
+        scaled = np.exp(prod - prod.max(axis=1, keepdims=True))
+        assert np.array_equal(ctc.occupancy(got, y, "frame_normalized"),
+                              scaled / scaled.sum(axis=1, keepdims=True))
+
+
 # ----------------------------------------------------------------- occupancy
 
 def test_occupancy_single_path_literal_value():
