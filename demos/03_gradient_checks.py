@@ -28,10 +28,13 @@ def hand_example():
     delta = ctc.ctc_grad_logits(tables, y)
 
     t, k = 2, 1
-    def loss_at(v):
-        a2 = a.copy()
-        a2[t, k] = v
-        return -ctc.forward_backward(softmax(a2), labels).log_seq_prob
+    def loss_at(points):
+        values = []
+        for (v,) in points:
+            a2 = a.copy()
+            a2[t, k] = v
+            values.append(-ctc.forward_backward(softmax(a2), labels).log_seq_prob)
+        return values
 
     num = oracle.finite_diff(loss_at, a[t, k])
     print("one pre-softmax coordinate of the alignment loss gradient:")

@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import traceback
 
 from . import ctc, metrics, model, synth, verify
 from .config import (ConfigError, _fmt, append_metrics, load_checkpoint,
@@ -225,8 +226,12 @@ def cmd_eval(args):
 def cmd_check(args):
     failed = False
     for name, err, tol, ok in verify.run_suites(args.scope):
-        print("%-16s max_err=%.3e tol=%.0e %s"
-              % (name, err, tol, "PASS" if ok else "FAIL"))
+        if isinstance(err, Exception):
+            traceback.print_exception(err, file=sys.stderr)
+            result = "raised %s: %s" % (type(err).__name__, err)
+        else:
+            result = "max_err=%.3e" % err
+        print("%-16s %s tol=%.0e %s" % (name, result, tol, "PASS" if ok else "FAIL"))
         failed = failed or not ok
     return EXIT_CHECK if failed else 0
 

@@ -4,6 +4,17 @@ gradient against its brute-force or finite-difference reference.
 Each suite returns (max_error, instance_count); the CLI `check`
 subcommand wraps them with tolerances and exit codes, and the test suite
 calls them directly.
+
+Three suites run many lattices for one instance, and put them in one
+``ctc.forward_backward_batch`` call: ``partition`` every feasible
+labeling of one posterior, ``grad_ml`` and ``grad_full`` the 2n points
+of one finite difference (``oracle.finite_diff`` hands them over
+stacked).  ``grad_full`` still runs the network once per point, since
+the parameters differ, and ``grad_ecl`` evaluates its points one by
+one.  Their errors keep every bit of a per-point loop: the batched
+lattice equals ``forward_backward`` on each pair bit for bit, the
+points are built by the same elementwise additions, and the partition
+sums its probabilities in enumeration order.
 """
 
 import numpy as np
@@ -66,15 +77,15 @@ def occupancy_suite(n=100, seed=1):
 
 def partition_suite(n=20, K=3, T=5, seed=2):
     """Sum of DP probabilities over every labeling equals one."""
+    labelings = [np.array(z) for z in oracle.all_label_sequences(K - 1, T)]
+    labelings = [z for z in labelings if ctc.min_frames(z) <= T]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
         y = _random_posteriors(rng, T, K)
         total = 0.0
-        for z in oracle.all_label_sequences(K - 1, T):
-            if ctc.min_frames(np.array(z)) > T:
-                continue
-            total += np.exp(ctc.forward_backward(y, np.array(z)).log_seq_prob)
+        for tables in ctc.forward_backward_batch([y] * len(labelings), labelings):
+            total += np.exp(tables.log_seq_prob)
         worst = max(worst, abs(total - 1.0))
     return worst, n
 
@@ -108,9 +119,10 @@ def grad_ml_suite(n=50, seed=4):
         z = _random_labels(rng, K, T, 2)
         logits = rng.normal(size=(T, K))
 
-        def loss_of(flat):
-            y = model.softmax(flat.reshape(T, K))
-            return -ctc.forward_backward(y, z).log_seq_prob
+        def loss_of(points):
+            ys = [model.softmax(flat.reshape(T, K)) for flat in points]
+            return [-tables.log_seq_prob
+                    for tables in ctc.forward_backward_batch(ys, [z] * len(ys))]
 
         y = model.softmax(logits)
         tables = ctc.forward_backward(y, z)
@@ -138,8 +150,8 @@ def grad_ecl_suite(n=50, seed=5):
         u = rng.normal(size=(T, D))
         w, centers = gamma[:, 1::2], bank.gather(tables.zp[1::2])
 
-        def ecl_of(flat):
-            return losses.ecl(flat.reshape(T, D), w, centers)
+        def ecl_of(points):
+            return [losses.ecl(flat.reshape(T, D), w, centers) for flat in points]
 
         analytic = 2.0 * losses.ecl_grad_features(u, w, centers).ravel()
         fd = oracle.finite_diff(ecl_of, u.ravel())
@@ -147,18 +159,23 @@ def grad_ecl_suite(n=50, seed=5):
     return worst, n
 
 
-def tmf_network_loss(state, bank, x, z, lam, occupancy_mode="paper_literal",
-                     frozen_gamma=None):
-    """Fused sequence loss for one input.  With frozen_gamma the
-    occupancy weights are held fixed (how the learning rule treats them);
-    otherwise they are recomputed from the current posteriors."""
-    u, _, y = model.forward(state, x)
-    tables = ctc.forward_backward(y, z)
-    gamma = frozen_gamma
-    if gamma is None:
-        gamma = ctc.occupancy(tables, y, occupancy_mode)
-    centers = bank.gather(tables.zp[1::2])
-    return -tables.log_seq_prob + lam * losses.ecl(u, gamma[:, 1::2], centers)
+def tmf_network_loss(state, points, x, z, lam, w, centers):
+    """Fused sequence loss of one input at each flat parameter vector in
+    ``points``, with the label occupancy weights ``w`` and the gathered
+    ``centers`` held fixed (how the learning rule treats them).  The
+    network runs once per point; the lattices run as one batch.  The
+    state's parameters are restored afterwards."""
+    base = state.flat_params()
+    outputs = []
+    try:
+        for flat in points:
+            state.set_flat_params(flat)
+            outputs.append(model.forward(state, x))
+    finally:
+        state.set_flat_params(base)
+    batch = ctc.forward_backward_batch([y for _, _, y in outputs], [z] * len(outputs))
+    return [-tables.log_seq_prob + lam * losses.ecl(u, w, centers)
+            for (u, _, _), tables in zip(outputs, batch)]
 
 
 def grad_full_suite(n=50, seed=6, lam=0.05):
@@ -181,25 +198,19 @@ def grad_full_suite(n=50, seed=6, lam=0.05):
 
         u, _, y = model.forward(state, x)
         tables = ctc.forward_backward(y, z)
-        gamma = ctc.occupancy(tables, y, "paper_literal")
+        w = ctc.occupancy(tables, y, "paper_literal")[:, 1::2]
+        centers = bank.gather(tables.zp[1::2])
         delta_ml = ctc.ctc_grad_logits(tables, y)
-        delta_ecl = losses.ecl_grad_features(u, gamma[:, 1::2],
-                                             bank.gather(tables.zp[1::2]))
+        delta_ecl = losses.ecl_grad_features(u, w, centers)
         cfg2 = losses.FusionConfig(lam=2.0 * lam)
         fused = losses.fuse_feature_grad(delta_ml, state.params["W"], delta_ecl, cfg2)
         grads = model.backward(state, delta_ml, fused)
         analytic = np.concatenate([grads[k].ravel() for k in state.param_names()])
 
-        base = state.flat_params()
+        def loss_of(points):
+            return tmf_network_loss(state, points, x, z, lam, w, centers)
 
-        def loss_of(flat):
-            state.set_flat_params(flat)
-            try:
-                return tmf_network_loss(state, bank, x, z, lam, frozen_gamma=gamma)
-            finally:
-                state.set_flat_params(base)
-
-        fd = oracle.finite_diff(loss_of, base)
+        fd = oracle.finite_diff(loss_of, state.flat_params())
         worst = max(worst, _rel_err(analytic, fd))
     return worst, n
 
@@ -221,9 +232,16 @@ SUITES = {
 
 
 def run_suites(scope="all"):
-    """Run the selected suites; yields (name, max_err, tolerance, ok)."""
+    """Run the selected suites; yields (name, max_err, tolerance, ok).
+
+    A suite that raises has failed: its max_err is the exception, ok is
+    False, and the remaining suites still run."""
     for name, (fn, tol, tag) in SUITES.items():
         if scope != "all" and tag != scope:
             continue
-        err, _ = fn()
+        try:
+            err, _ = fn()
+        except Exception as exc:
+            yield name, exc, tol, False
+            continue
         yield name, err, tol, err <= tol

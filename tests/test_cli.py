@@ -516,3 +516,20 @@ def test_check_catches_a_planted_table_error(monkeypatch, capsys):
     monkeypatch.setattr("tmfusion.ctc.occupancy", biased)
     assert cli.main(["check", "--scope", "ctc"]) == cli.EXIT_CHECK
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_reports_a_suite_that_raises_and_runs_the_rest(monkeypatch, capsys):
+    def vanished(tables, y, mode="paper_literal"):
+        raise ctc.DegenerateFrame("alignment mass vanished at frame 0")
+
+    monkeypatch.setattr("tmfusion.ctc.occupancy", vanished)
+    assert cli.main(["check", "--scope", "ctc"]) == cli.EXIT_CHECK
+    captured = capsys.readouterr()
+    assert "Traceback" in captured.err
+    lines = captured.out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "seq_prob", "occupancy_ecl", "partition", "consistency"]
+    failed = lines[1]
+    assert failed.endswith("FAIL")
+    assert "DegenerateFrame: alignment mass vanished at frame 0" in failed
+    assert all(line.endswith("PASS") for i, line in enumerate(lines) if i != 1)

@@ -150,8 +150,8 @@ def test_center_loss_gradient_factor_two():
     k = np.array([1, 3, 2, 2])
     u = rng.normal(size=(4, 3))
 
-    def f(flat):
-        return center_loss(flat.reshape(4, 3), k, bank)
+    def f(points):
+        return [center_loss(flat.reshape(4, 3), k, bank) for flat in points]
 
     analytic = 2.0 * center_loss_grad(u, k, bank).ravel()
     fd = oracle.finite_diff(f, u.ravel())
@@ -303,8 +303,9 @@ def test_ecl_grad_factor_two_versus_finite_differences():
     bank = make_bank(3, 3, rng)
     u = rng.normal(size=(5, 3))
 
-    def f(flat):
-        return lattice_ecl(flat.reshape(5, 3), gamma, tables.zp, bank)
+    def f(points):
+        return [lattice_ecl(flat.reshape(5, 3), gamma, tables.zp, bank)
+                for flat in points]
 
     analytic = 2.0 * lattice_ecl_grad(u, gamma, tables.zp, bank).ravel()
     fd = oracle.finite_diff(f, u.ravel())

@@ -1,12 +1,14 @@
 """The brute-force references are themselves checked here, on cases small
 enough to verify by hand, before anything else trusts them."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tmfusion import oracle
+from tmfusion import ctc, losses, model, oracle, verify
 
 
 def rand_posteriors(rng, T, K):
@@ -124,20 +126,59 @@ def test_ecl_scales_with_distance_squared():
 # -------------------------------------------------------------- finite diff
 
 def test_finite_diff_quadratic():
-    grad = oracle.finite_diff(lambda x: float((x * x).sum()),
+    grad = oracle.finite_diff(lambda points: (points * points).sum(axis=1),
                               np.array([1.0, 2.0]))
     np.testing.assert_allclose(grad, [2.0, 4.0], atol=1e-6)
 
 
 def test_finite_diff_constant():
-    grad = oracle.finite_diff(lambda x: 3.5, np.array([1.0, -2.0, 0.3]))
+    grad = oracle.finite_diff(lambda points: np.full(len(points), 3.5),
+                              np.array([1.0, -2.0, 0.3]))
     np.testing.assert_array_equal(grad, np.zeros(3))
 
 
 def test_finite_diff_product():
-    grad = oracle.finite_diff(lambda x: float(x[0] * x[1]),
+    grad = oracle.finite_diff(lambda points: points[:, 0] * points[:, 1],
                               np.array([3.0, 5.0]))
     np.testing.assert_allclose(grad, [5.0, 3.0], atol=1e-6)
+
+
+def per_coordinate_finite_diff(f, x, epsilon=1e-6):
+    """The one-point-at-a-time loop finite_diff's stacked points replace."""
+    x = np.asarray(x, dtype=float)
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step.flat[i] = epsilon
+        grad.flat[i] = (f(x + step) - f(x - step)) / (2.0 * epsilon)
+    return grad
+
+
+def signed_wave(v):
+    """A scalar that also reads the sign of each zero."""
+    return sum((i + 1.5) * math.sin(a) + math.copysign(1e-3 * (i + 1), a)
+               for i, a in enumerate(np.ravel(v).tolist()))
+
+
+entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                    st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(entries.map(np.array),
+                 st.lists(entries, min_size=1, max_size=7).map(np.array)),
+       st.sampled_from([1e-6, 1e-4, 0.25, -1e-5]))
+@example(np.array(-0.0), 1e-6)
+@example(np.array([-0.0, 1.0]), -1e-5)
+@example(np.array([0.0, -0.0, 3.0]), 1e-4)
+def test_finite_diff_equals_per_coordinate_loop_bitwise(x, epsilon):
+    def stacked(points):
+        return [signed_wave(point.reshape(x.shape)) for point in points]
+
+    got = oracle.finite_diff(stacked, x, epsilon)
+    want = per_coordinate_finite_diff(signed_wave, x, epsilon)
+    assert got.shape == want.shape == x.shape
+    assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------------- enumeration
@@ -148,3 +189,92 @@ def test_all_label_sequences_counts():
     assert len(seqs) == 15
     assert len(set(seqs)) == 15
     assert all(all(1 <= c <= 2 for c in z) for z in seqs)
+
+
+# ------------------------------------------ batched suites vs per-point loops
+
+def per_point_partition_suite(n=20, K=3, T=5, seed=2):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        y = verify._random_posteriors(rng, T, K)
+        total = 0.0
+        for z in oracle.all_label_sequences(K - 1, T):
+            if ctc.min_frames(np.array(z)) > T:
+                continue
+            total += np.exp(ctc.forward_backward(y, np.array(z)).log_seq_prob)
+        worst = max(worst, abs(total - 1.0))
+    return worst, n
+
+
+def per_point_grad_ml_suite(n=50, seed=4):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        K = int(rng.integers(2, 5))
+        T = int(rng.integers(2, 6))
+        z = verify._random_labels(rng, K, T, 2)
+        logits = rng.normal(size=(T, K))
+
+        def loss_of(flat):
+            y = model.softmax(flat.reshape(T, K))
+            return -ctc.forward_backward(y, z).log_seq_prob
+
+        y = model.softmax(logits)
+        tables = ctc.forward_backward(y, z)
+        analytic = ctc.ctc_grad_logits(tables, y).ravel()
+        fd = per_coordinate_finite_diff(loss_of, logits.ravel())
+        worst = max(worst, verify._rel_err(analytic, fd))
+    return worst, n
+
+
+def per_point_grad_full_suite(n=50, seed=6, lam=0.05):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for i in range(n):
+        spec = model.NetworkSpec(input_dim=4, hidden=[5], num_classes=4,
+                                 recurrent=bool(i % 2))
+        state = model.ModelState(spec, seed=int(rng.integers(1 << 30)))
+        T = 5
+        x = rng.normal(size=(T, spec.input_dim))
+        z = verify._random_labels(rng, spec.num_classes, T, 2)
+        bank = losses.CenterBank(spec.num_classes - 1, spec.feature_dim)
+        bank.centers = rng.normal(size=bank.centers.shape)
+
+        u, _, y = model.forward(state, x)
+        tables = ctc.forward_backward(y, z)
+        gamma = ctc.occupancy(tables, y, "paper_literal")
+        delta_ml = ctc.ctc_grad_logits(tables, y)
+        delta_ecl = losses.ecl_grad_features(u, gamma[:, 1::2],
+                                             bank.gather(tables.zp[1::2]))
+        cfg2 = losses.FusionConfig(lam=2.0 * lam)
+        fused = losses.fuse_feature_grad(delta_ml, state.params["W"], delta_ecl, cfg2)
+        grads = model.backward(state, delta_ml, fused)
+        analytic = np.concatenate([grads[k].ravel() for k in state.param_names()])
+
+        base = state.flat_params()
+
+        def loss_of(flat):
+            state.set_flat_params(flat)
+            try:
+                u, _, y = model.forward(state, x)
+                tables = ctc.forward_backward(y, z)
+                centers = bank.gather(tables.zp[1::2])
+                return (-tables.log_seq_prob
+                        + lam * losses.ecl(u, gamma[:, 1::2], centers))
+            finally:
+                state.set_flat_params(base)
+
+        fd = per_coordinate_finite_diff(loss_of, base)
+        worst = max(worst, verify._rel_err(analytic, fd))
+    return worst, n
+
+
+@pytest.mark.parametrize("batched, per_point, n", [
+    (verify.partition_suite, per_point_partition_suite, 20),
+    (verify.grad_ml_suite, per_point_grad_ml_suite, 30),
+    (verify.grad_full_suite, per_point_grad_full_suite, 6),
+], ids=["partition", "grad_ml", "grad_full"])
+@pytest.mark.parametrize("seed", [0, 7, 41])
+def test_batched_suite_equals_per_point_loop(batched, per_point, n, seed):
+    assert batched(n=n, seed=seed) == per_point(n=n, seed=seed)
