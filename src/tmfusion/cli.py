@@ -3,7 +3,9 @@ the self-check suites.
 
 Exit codes: 2 config error (a malformed dataset file included), 3
 training divergence (including a numeric failure of the alignment
-lattice), 4 checkpoint/data shape mismatch, 1 check-suite failure.
+lattice), 4 checkpoint/data shape mismatch (a dataset sample whose
+features, labels or labeling do not fit the network), 1 check-suite
+failure.
 """
 
 import argparse
@@ -74,38 +76,53 @@ def cmd_gen_data(args):
     return 0
 
 
+def _load_checked(path, spec, temporal):
+    """The samples of a dataset file.  Each must match the network's
+    input width and label space, and in the temporal modes its labeling
+    must fit its frames; the first that does not raises ShapeMismatch
+    naming the file and the sample."""
+    samples = synth.load_jsonl(path)
+    limit = spec.num_classes - 1 if temporal else spec.num_classes
+    for i, sample in enumerate(samples):
+        where = "%s: sample %d" % (path, i)
+        if sample.x.shape[1] != spec.input_dim:
+            raise ShapeMismatch(
+                "%s has %d features, network expects %d"
+                % (where, sample.x.shape[1], spec.input_dim))
+        for kind, labels in (("class", sample.framewise),
+                             ("collapsed label", sample.collapsed)):
+            if not len(labels):
+                continue
+            low, top = int(labels.min()), int(labels.max())
+            if low < 1 or top > limit:
+                raise ShapeMismatch(
+                    "%s uses %s %d, network only covers 1..%d"
+                    % (where, kind, top if top > limit else low, limit))
+        need = ctc.min_frames(sample.collapsed) if temporal else 0
+        if need > len(sample.x):
+            raise ShapeMismatch(
+                "%s has %d collapsed labels, which need %d frames; it has %d"
+                % (where, len(sample.collapsed), need, len(sample.x)))
+    return samples
+
+
 def _load_train_pool(cfg):
     pool = []
     for condition in cfg.train_conditions:
         path = dataset_path(cfg.data_dir, condition, "train")
         if not os.path.exists(path):
             raise ConfigError("data_dir: missing dataset file %s" % path)
-        pool.extend(synth.load_jsonl(path))
+        pool.extend(_load_checked(path, cfg.network, cfg.temporal))
     return pool
 
 
-def _load_test_sets(data_dir):
+def _load_test_sets(data_dir, spec, temporal):
     tests = {}
     for condition in CONDITIONS:
         path = dataset_path(data_dir, condition, "test")
         if os.path.exists(path):
-            tests[condition] = synth.load_jsonl(path)
+            tests[condition] = _load_checked(path, spec, temporal)
     return tests
-
-
-def _check_shapes(samples, spec, temporal):
-    """Samples must match the network's input width and label space."""
-    limit = spec.num_classes - 1 if temporal else spec.num_classes
-    for i, sample in enumerate(samples):
-        if sample.x.shape[1] != spec.input_dim:
-            raise ShapeMismatch(
-                "sample %d has %d features, network expects %d"
-                % (i, sample.x.shape[1], spec.input_dim))
-        low, top = int(sample.framewise.min()), int(sample.framewise.max())
-        if low < 1 or top > limit:
-            raise ShapeMismatch(
-                "sample %d uses class %d, network only covers 1..%d"
-                % (i, top if top > limit else low, limit))
 
 
 def _atomic_checkpoint(path, state, bank, sched, mode, seed, steps):
@@ -129,13 +146,15 @@ def cmd_train(args):
     try:
         cfg = _config_for(args)
         pool = _load_train_pool(cfg)
-        tests = _load_test_sets(cfg.data_dir)
+        tests = _load_test_sets(cfg.data_dir, cfg.network, cfg.temporal)
     except ConfigInvalid as exc:
         return _fail(EXIT_CONFIG, "generator config: %s" % exc)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config: %s" % exc)
     except MalformedDataset as exc:
         return _fail(EXIT_CONFIG, "dataset: %s" % exc)
+    except ShapeMismatch as exc:
+        return _fail(EXIT_SHAPE, str(exc))
     train_set, val_set = synth.split(pool, cfg.validation_fraction, seed=cfg.seed)
     if not val_set:
         return _fail(EXIT_CONFIG,
@@ -144,10 +163,6 @@ def cmd_train(args):
                      % (cfg.validation_fraction, len(pool)))
     state = cfg.new_state()
     bank = cfg.new_bank()
-    try:
-        _check_shapes(pool, cfg.network, cfg.temporal)
-    except ShapeMismatch as exc:
-        return _fail(EXIT_SHAPE, str(exc))
 
     fh, writer = open_metrics(cfg.metrics_path)
     _atomic_checkpoint(cfg.checkpoint_path, state, bank,
@@ -192,16 +207,15 @@ def cmd_train(args):
 def cmd_eval(args):
     try:
         state, bank, _, meta = load_checkpoint(args.checkpoint)
+        temporal = meta["mode"] in TEMPORAL_MODES
         if os.path.isdir(args.data):
-            samples = [sample for part in _load_test_sets(args.data).values()
+            samples = [sample for part in
+                       _load_test_sets(args.data, state.spec, temporal).values()
                        for sample in part]
         else:
-            samples = synth.load_jsonl(args.data)
+            samples = _load_checked(args.data, state.spec, temporal)
     except (OSError, ConfigError, MalformedDataset) as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    temporal = meta["mode"] in TEMPORAL_MODES
-    try:
-        _check_shapes(samples, state.spec, temporal)
     except ShapeMismatch as exc:
         return _fail(EXIT_SHAPE, str(exc))
     by_condition = {}

@@ -9,10 +9,12 @@ their own momentum rule.  Centers are never differentiated through.
 
 Batched layout.  ``forward_batch`` and ``backward_batch`` run B
 sequences at once, and ``forward``/``backward`` are their B=1 cases.
-Only the per-frame tanh recurrence and its reverse run batched; every
-other step runs once per sequence on exactly the operands a
-single-sequence network would use, so each sequence's outputs and
-gradients are bit for bit those of a network that sees it alone.
+The per-frame tanh recurrence and its reverse run over the whole batch;
+forward's other steps run once per run of consecutive equal-length
+inputs, backward's once per sequence.  Every product is the one a
+single-sequence network runs, on operands with the same strides, so
+each sequence's outputs and gradients are bit for bit those of a
+network that sees it alone.
 
 * The recurrence works on batch-major (B, T_max, 1, H) buffers, three
   numpy calls per frame for the whole batch, so that a frame of the
@@ -30,11 +32,29 @@ gradients are bit for bit those of a network that sees it alone.
   dies out there instead of growing.  Each sequence's activations and
   gradients are (T_b, H) views into the buffers, laid out as a
   per-sequence array would be.
-* The input projections, the output layer and the gradient products stay
-  per-sequence because OpenBLAS picks its kernel by the row count:
-  stacking the rows of 8 sequences into one ``h @ W.T`` changed the bits
-  in 200 of 200 trials at inner dimension 32 (the second layer of a
-  [32, 16] network), and in none at inner dimension 8.
+* Rows of different sequences never share one 2-D product, because
+  OpenBLAS picks its kernel by the row count: stacking the rows of 8
+  sequences into one ``h @ W.T`` changed the bits in 200 of 200 trials
+  at inner dimension 32 (the second layer of a [32, 16] network), and
+  in none at inner dimension 8.
+* Equal-length runs.  G consecutive inputs of length T run as one
+  (G, T, F) array, each layer as one stacked (G, T, F) @ (F, H)
+  product.  numpy runs a stacked product as one gemm per (T, F) slice,
+  with T rows and the slice's strides, so each input keeps its bits
+  (300 of 300 random trials, G 2-8, T 1-29, F and H up to 32); the
+  elementwise steps and the softmax, which reduces over the last axis,
+  act row by row.  A run of one runs the 2-D code.  Length-sorted
+  scoring groups and a gradient check's copies of one input form long
+  runs; training batches are ragged and rarely do.
+* Per-input parameters.  A parameter array with a leading axis of B
+  gives input b the parameters [b]: ``ModelState.unflatten`` makes such
+  views of a (B, n) array of flat vectors.  Weights enter as
+  ``W.swapaxes(-1, -2)``, a stack of W[b].T, biases with an axis for
+  the frames, and the recurrence multiplies by a stack of R[b].T.
+  Each W[b] is a contiguous row slice, strided like the copy that
+  ``set_flat_params`` makes, so every product is the one the network
+  runs after loading point b.  backward_batch takes shared parameters
+  only.
 """
 
 from dataclasses import dataclass, field
@@ -114,16 +134,24 @@ class ModelState:
         return np.concatenate([self.params[k].ravel() for k in self.param_names()])
 
     def set_flat_params(self, flat):
-        pos = 0
+        self.params.update({k: v.copy() for k, v in self.unflatten(flat).items()})
+
+    def unflatten(self, flat):
+        """Parameter views of a (..., n) array of flat parameter vectors:
+        each array keeps the leading axes, so the rows of a (P, n) array
+        become per-input parameters for forward_batch, without copies."""
+        views, pos = {}, 0
         for k in self.param_names():
-            n = self.params[k].size
-            self.params[k] = flat[pos:pos + n].reshape(self.params[k].shape).copy()
-            pos += n
+            p = self.params[k]
+            views[k] = flat[..., pos:pos + p.size].reshape(flat.shape[:-1] + p.shape)
+            pos += p.size
+        return views
 
 
 def softmax(a):
-    e = np.exp(a - a.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax over the last axis of a (..., K) array."""
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def forward(state, x):
@@ -140,38 +168,83 @@ def forward_batch(state, xs):
     """forward over B inputs of shapes (T_b, F) at once.
 
     Returns a list of B (u, a, y) triples, in order, equal bit for bit
-    to forward on each input; B = 0 gives [].  The activations of all B
-    inputs are cached on the state for backward_batch().
+    to forward on each input; B = 0 gives [].  A parameter array with a
+    leading axis of B gives input b the parameters [b] (backward_batch
+    takes shared parameters only).  The activations of all B inputs are
+    cached on the state for backward_batch().
     """
     spec, params = state.spec, state.params
     top = len(spec.hidden) - 1          # the recurrent layer, if any
     n_plain = top if spec.recurrent else top + 1
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    per_input = {k for k, p in params.items() if p.ndim > _shared_ndim(k)}
+    # the weight matrices enter transposed: W.T, or a stack of W[b].T
+    operands = {k: p.swapaxes(-1, -2) if _shared_ndim(k) == 2 else p
+                for k, p in params.items()}
     frames = None
     if spec.recurrent:
         frames = np.zeros((len(xs), max(map(len, xs), default=0), 1,
                            spec.hidden[-1]))
-    caches = []
-    for b, x in enumerate(xs):
-        h = np.asarray(x, dtype=float)
-        hs = [h]
+    runs = []
+    for lo, hi in _equal_length_runs(xs):
+        p = _run_params(operands, per_input, lo, hi) if per_input else operands
+        rows = lo if hi - lo == 1 else slice(lo, hi)
+        h = xs[lo] if hi - lo == 1 else np.stack(xs[lo:hi])
+        layers = []
         for i in range(n_plain):
-            h = np.tanh(h @ params["W%d" % i].T + params["b%d" % i])
-            hs.append(h)
+            h = np.tanh(h @ p["W%d" % i] + p["b%d" % i])
+            layers.append(h)
         if frames is not None:
             # W h + b of the recurrent layer; _recurrence makes it h_t
-            hs.append(np.add(h @ params["W%d" % top].T, params["b%d" % top],
-                             out=frames[b, :len(h), 0]))
-        caches.append(hs)
+            layers.append(np.add(h @ p["W%d" % top], p["b%d" % top],
+                                 out=frames[rows, :len(xs[lo]), 0]))
+        runs.append((lo, hi, p, layers))
     if frames is not None:
         _recurrence(frames, params["R"])
-    W, B = params["W"], params["B"]
-    out = []
-    for hs in caches:
-        u = hs[-1]
-        a = u @ W.T + B
-        out.append((u, a, softmax(a)))
+    out, caches = [], []
+    for lo, hi, p, layers in runs:
+        u = layers[-1]
+        a = u @ p["W"] + p["B"]
+        y = softmax(a)
+        if hi - lo == 1:
+            out.append((u, a, y))
+            caches.append([xs[lo]] + layers)
+            continue
+        for g in range(hi - lo):
+            out.append((u[g], a[g], y[g]))
+            caches.append([xs[lo + g]] + [h[g] for h in layers])
     state.cache = caches
     return out
+
+
+def _shared_ndim(name):
+    """Dimensions of a parameter that all inputs share: 1 for the biases
+    (b0, b1, ..., B), 2 for the weight matrices."""
+    return 1 if name[0] in "bB" else 2
+
+
+def _equal_length_runs(xs):
+    """(lo, hi) bounds of the maximal runs of consecutive inputs of equal
+    length, in order."""
+    runs, lo = [], 0
+    for hi in range(1, len(xs) + 1):
+        if hi == len(xs) or len(xs[hi]) != len(xs[lo]):
+            runs.append((lo, hi))
+            lo = hi
+    return runs
+
+
+def _run_params(params, per_input, lo, hi):
+    """The parameters of inputs lo..hi-1: a shared array as it is; a
+    per-input one as input lo's own (a run of one) or as the run's slice,
+    a bias with an axis inserted for the frames."""
+    if hi - lo == 1:
+        return {k: p[lo] if k in per_input else p for k, p in params.items()}
+    run = dict(params)
+    for k in per_input:
+        p = params[k][lo:hi]
+        run[k] = p if p.ndim == 3 else p[:, None]
+    return run
 
 
 def _recurrence(frames, R):
@@ -182,7 +255,7 @@ def _recurrence(frames, R):
     so frame 0 adds the scalar 0.0 instead of running it (the addition
     still turns a z_0 of -0 into +0, as the product would).
     """
-    RT = R.T
+    RT = R.swapaxes(-1, -2)
     prev = None
     for ht in frames.swapaxes(0, 1):
         ht += 0.0 if prev is None else prev @ RT

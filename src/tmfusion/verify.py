@@ -9,13 +9,17 @@ Three suites run many lattices for one instance, and put them in one
 ``ctc.forward_backward_batch`` call: ``partition`` every feasible
 labeling of one posterior, ``grad_ml`` and ``grad_full`` the 2n points
 of one finite difference (``oracle.finite_diff`` hands them over
-stacked).  ``grad_full`` still runs the network once per point, since
-the parameters differ, and ``grad_ecl`` evaluates its points one by
+stacked).  ``grad_ml`` takes the softmax of all its points in one call,
+and ``grad_full`` runs the network once for all of them, each point's
+parameters a view of its row; ``grad_ecl`` evaluates its points one by
 one.  Their errors keep every bit of a per-point loop: the batched
-lattice equals ``forward_backward`` on each pair bit for bit, the
-points are built by the same elementwise additions, and the partition
-sums its probabilities in enumeration order.
+lattice and network equal ``forward_backward`` and ``forward`` on each
+point bit for bit, the points are built by the same elementwise
+additions, and the partition sums its probabilities in enumeration
+order.
 """
+
+import copy
 
 import numpy as np
 
@@ -120,7 +124,7 @@ def grad_ml_suite(n=50, seed=4):
         logits = rng.normal(size=(T, K))
 
         def loss_of(points):
-            ys = [model.softmax(flat.reshape(T, K)) for flat in points]
+            ys = list(model.softmax(points.reshape(len(points), T, K)))
             return [-tables.log_seq_prob
                     for tables in ctc.forward_backward_batch(ys, [z] * len(ys))]
 
@@ -162,17 +166,13 @@ def grad_ecl_suite(n=50, seed=5):
 def tmf_network_loss(state, points, x, z, lam, w, centers):
     """Fused sequence loss of one input at each flat parameter vector in
     ``points``, with the label occupancy weights ``w`` and the gathered
-    ``centers`` held fixed (how the learning rule treats them).  The
-    network runs once per point; the lattices run as one batch.  The
-    state's parameters are restored afterwards."""
-    base = state.flat_params()
-    outputs = []
-    try:
-        for flat in points:
-            state.set_flat_params(flat)
-            outputs.append(model.forward(state, x))
-    finally:
-        state.set_flat_params(base)
+    ``centers`` held fixed (how the learning rule treats them).  One
+    ``forward_batch`` call runs the input at every point, each point's
+    parameters a view of its row, and the lattices run as one batch.
+    The state is left as it was."""
+    points_state = copy.copy(state)
+    points_state.params = state.unflatten(points)
+    outputs = model.forward_batch(points_state, [x] * len(points))
     batch = ctc.forward_backward_batch([y for _, _, y in outputs], [z] * len(outputs))
     return [-tables.log_seq_prob + lam * losses.ecl(u, w, centers)
             for (u, _, _), tables in zip(outputs, batch)]

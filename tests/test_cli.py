@@ -197,6 +197,93 @@ def test_train_frame_label_outside_the_classes_exits_4(tmp_path, capsys):
     assert "class 0" in capsys.readouterr().err
 
 
+def _edit_dataset(cfg, condition, part, edit):
+    """Rewrite one dataset file with ``edit`` applied to its samples;
+    returns the file's path."""
+    path = cli.dataset_path(cfg.data_dir, condition, part)
+    samples = synth.load_jsonl(path)
+    edit(samples)
+    synth.save_jsonl(samples, path)
+    return path
+
+
+def _framewise_network():
+    return model.NetworkSpec(4, [6], 2, recurrent=True)    # no blank output
+
+
+def _assert_exit_4_before_writing(cfg_path, cfg, capsys, path, sample, words):
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_SHAPE
+    err = capsys.readouterr().err
+    assert "%s: sample %d " % (path, sample) in err
+    for word in words:
+        assert word in err
+    assert not os.path.exists(cfg.checkpoint_path)
+    assert not os.path.exists(cfg.metrics_path)
+
+
+def test_train_test_set_with_wide_features_exits_4_before_writing(tmp_path, capsys):
+    # the test sets are scored at every evaluation; a wide one used to
+    # pass load and escape from the first evaluation as a matmul error
+    cfg_path, cfg = write_config(tmp_path)
+    gen_data(tmp_path, cfg_path)
+
+    def widen(samples):
+        samples[2].x = np.hstack([samples[2].x, np.zeros((len(samples[2].x), 1))])
+
+    path = _edit_dataset(cfg, "seen", "test", widen)
+    _assert_exit_4_before_writing(cfg_path, cfg, capsys, path, 2,
+                                  ["5 features", "network expects 4"])
+
+
+def test_train_test_set_frame_label_outside_the_classes_exits_4(tmp_path, capsys):
+    cfg_path, cfg = write_config(tmp_path, mode="fmf", network=_framewise_network())
+    gen_data(tmp_path, cfg_path)
+
+    def relabel(samples):
+        samples[4].framewise[-1] = 7
+
+    path = _edit_dataset(cfg, "unseen", "test", relabel)
+    _assert_exit_4_before_writing(cfg_path, cfg, capsys, path, 4,
+                                  ["class 7", "1..2"])
+
+
+@pytest.mark.parametrize("mode", ["ctc", "ce"])
+def test_train_collapsed_label_outside_the_classes_exits_4(tmp_path, capsys, mode):
+    kw = {"network": _framewise_network()} if mode == "ce" else {}
+    cfg_path, cfg = write_config(tmp_path, mode=mode, **kw)
+    gen_data(tmp_path, cfg_path)
+
+    def relabel(samples):
+        samples[5].collapsed = np.array([1, 99])
+
+    path = _edit_dataset(cfg, "clean", "train", relabel)
+    _assert_exit_4_before_writing(cfg_path, cfg, capsys, path, 5,
+                                  ["collapsed label 99"])
+
+
+def test_train_labeling_longer_than_its_frames_exits_4(tmp_path, capsys):
+    # the lattice cannot align more labels than frames; only the
+    # temporal modes read the labeling
+    cfg_path, cfg = write_config(tmp_path, mode="ctc")
+    gen_data(tmp_path, cfg_path)
+    too_long = {}
+
+    def lengthen(samples):
+        T = len(samples[1].x)
+        samples[1].collapsed = np.tile([1, 2], T)
+        too_long["T"] = T
+
+    path = _edit_dataset(cfg, "clean", "train", lengthen)
+    T = too_long["T"]
+    _assert_exit_4_before_writing(
+        cfg_path, cfg, capsys, path, 1,
+        ["%d collapsed labels" % (2 * T), "need %d frames" % (2 * T),
+         "it has %d" % T])
+    framewise_path, _ = write_config(tmp_path, "ce.json", mode="ce",
+                                     network=_framewise_network())
+    assert cli.main(["train", "--config", str(framewise_path)]) == 0
+
+
 def test_train_divergence_exits_3_keeping_checkpoint(tmp_path, capsys,
                                                      monkeypatch):
     cfg_path, cfg = write_config(tmp_path)
@@ -263,10 +350,14 @@ def test_train_kill_and_resume(tmp_path):
     cfg_path, cfg = write_config(tmp_path, max_batches=100000,
                                  eval_interval=2, num_test_sequences=2)
     gen_data(tmp_path, cfg_path)
+    # the child imports the package this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "tmfusion.cli", "train",
          "--config", str(cfg_path)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
     try:
         deadline = time.monotonic() + 120.0
         batches = 0

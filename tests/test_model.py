@@ -132,12 +132,15 @@ def test_batch_matches_per_sequence_bitwise(data):
     # ragged batches, T = 1 and B in {0, 1, ...}, recurrent or not, at
     # the widths in use ([5] in the suites, [16] in the experiment,
     # [32, 16] in the CLI default); every output and gradient must equal
-    # the per-sequence network's bit for bit
+    # the per-sequence network's bit for bit.  The lengths come from a
+    # pool of at most 3, so that runs of equal lengths (one stacked
+    # product per layer) are common
     hidden = data.draw(st.sampled_from([[5], [16], [32, 16]]))
     recurrent = data.draw(st.booleans())
     K = data.draw(st.integers(2, 6))
     B = data.draw(st.integers(0, 7))
-    Ts = data.draw(st.lists(st.integers(1, 25), min_size=B, max_size=B))
+    pool = data.draw(st.lists(st.integers(1, 25), min_size=1, max_size=3))
+    Ts = data.draw(st.lists(st.sampled_from(pool), min_size=B, max_size=B))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     spec = model.NetworkSpec(4, hidden, K, recurrent=recurrent)
     state = model.ModelState(spec, seed=int(rng.integers(1 << 30)))
@@ -158,6 +161,39 @@ def test_batch_matches_per_sequence_bitwise(data):
         assert list(got) == list(want)
         for k in want:
             assert got[k].shape == want[k].shape and np.array_equal(got[k], want[k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_forward_batch_per_input_parameters_match_set_flat_params_bitwise(data):
+    # P parameter vectors as the rows of one (P, n) array, each input run
+    # with its own row; equal to loading each row with set_flat_params
+    # and running forward, bit for bit
+    hidden = data.draw(st.sampled_from([[5], [16], [32, 16]]))
+    recurrent = data.draw(st.booleans())
+    K = data.draw(st.integers(2, 6))
+    P = data.draw(st.integers(0, 16))
+    pool = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))
+    Ts = data.draw(st.lists(st.sampled_from(pool), min_size=P, max_size=P))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    spec = model.NetworkSpec(4, hidden, K, recurrent=recurrent)
+    state = model.ModelState(spec, seed=int(rng.integers(1 << 30)))
+    base = state.flat_params()
+    points = base + rng.normal(0.0, 0.5, (P, base.size))
+    xs = [rng.normal(size=(T, 4)) for T in Ts]
+
+    per_point = model.ModelState(spec)
+    per_point.params = state.unflatten(points)
+    for k, p in per_point.params.items():
+        assert p.shape == (P,) + state.params[k].shape
+        assert np.shares_memory(p, points) or P == 0
+    outputs = model.forward_batch(per_point, xs)
+    assert len(outputs) == P
+    reference = model.ModelState(spec)
+    for flat, x, out in zip(points, xs, outputs):
+        reference.set_flat_params(flat)
+        for a, b in zip(out, model.forward(reference, x)):
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_recurrence_first_frame_matches_the_zero_product_bitwise():

@@ -270,6 +270,29 @@ def per_point_grad_full_suite(n=50, seed=6, lam=0.05):
     return worst, n
 
 
+def test_tmf_network_loss_leaves_the_state_alone():
+    # the points run on a shallow copy; the caller's parameter dict, its
+    # arrays, their values and the forward cache stay as they were
+    rng = np.random.default_rng(11)
+    spec = model.NetworkSpec(input_dim=4, hidden=[5], num_classes=4, recurrent=True)
+    state = model.ModelState(spec, seed=3)
+    x = rng.normal(size=(5, 4))
+    model.forward(state, x)
+    params, cache = state.params, state.cache
+    arrays = dict(params)
+    values = {k: v.copy() for k, v in params.items()}
+    base = state.flat_params()
+    points = base + rng.normal(0.0, 0.1, (6, base.size))
+    w = rng.uniform(size=(5, 2))
+    centers = rng.normal(size=(2, spec.feature_dim))
+    losses_at = verify.tmf_network_loss(state, points, x, [1, 2], 0.05, w, centers)
+    assert len(losses_at) == 6 and np.all(np.isfinite(losses_at))
+    assert state.params is params and state.cache is cache
+    assert state.params.keys() == values.keys()
+    for k, v in values.items():
+        assert state.params[k] is arrays[k] and np.array_equal(state.params[k], v)
+
+
 @pytest.mark.parametrize("batched, per_point, n", [
     (verify.partition_suite, per_point_partition_suite, 20),
     (verify.grad_ml_suite, per_point_grad_ml_suite, 30),
