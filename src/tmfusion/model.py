@@ -9,52 +9,64 @@ their own momentum rule.  Centers are never differentiated through.
 
 Batched layout.  ``forward_batch`` and ``backward_batch`` run B
 sequences at once, and ``forward``/``backward`` are their B=1 cases.
-The per-frame tanh recurrence and its reverse run over the whole batch;
-forward's other steps run once per run of consecutive equal-length
-inputs, backward's once per sequence.  Every product is the one a
-single-sequence network runs, on operands with the same strides, so
-each sequence's outputs and gradients are bit for bit those of a
-network that sees it alone.
+Both work on padded (B, T_max, .) stacks, each sequence left-aligned in
+its slice: the inputs and backward's signals are zero on the padding
+frames, and each layer's activations are what the layer makes of them.
+Each plain layer, the recurrent layer's W h + b, the output layer and
+the softmax are one stacked product or call per batch, and so are
+backward's weight and bias gradients and the dz @ W it passes down
+between layers.  Only the tanh recurrence and its reverse step frame by
+frame, over the whole batch.  Each sequence's outputs and gradients are
+bit for bit those of a network that sees it alone, by these facts,
+measured with numpy 2.4 and OpenBLAS 0.3.31 on x86-64 and kept as canary
+tests in tests/test_model.py:
 
+* Forward rows.  numpy runs a stacked (B, T_max, F) @ (F, H) product as
+  one gemm per (T_max, F) slice, and the first T_b rows of a slice equal
+  the (T_b, F) product bit for bit for every T_b >= 2, whatever the
+  padding rows hold: T_b 2-40, T_max up to 40, 20 trials each at
+  8->16, 16->11, 16->16 and 32->16, with 0 failures.  The elementwise
+  steps and the softmax, which reduces over the last axis, act row by
+  row.
+* One-frame inputs.  numpy runs a 1-row product as a gemv, whose bits
+  differ from the same row inside a gemm, so a length-1 input keeps its
+  own 1-row product (``_rows_product``).  It is the one per-input branch.
+* Weight gradients.  The signals are zero on the padding frames, so is
+  every layer's dz there, and dz^T @ h and dz.sum over T_max frames add
+  only +-0 terms to the T_b-frame ones: with zero rows appended the
+  product equalled the unpadded one in 8400 of 8400 trials, 2-D and
+  stacked.
+* Rows of different sequences never share one 2-D product, because
+  OpenBLAS picks its kernel by the row count: stacking the rows of 8
+  sequences into one ``h @ W.T`` changed the bits in 200 of 200 trials
+  at inner dimension 32 (the second layer of a [32, 16] network).  The
+  stacked product keeps each sequence in a slice of its own.
 * The recurrence works on batch-major (B, T_max, 1, H) buffers, three
   numpy calls per frame for the whole batch, so that a frame of the
   batch is a (B, 1, H) view.  ``prev @ R.T`` and ``d @ R`` are then
   stacked vector-matrix products, which numpy runs as one gemv per
   sequence, each equal bit for bit to the 1-D product.  A (B, H) @ R.T
   runs as one gemm instead, and changed the last bits in 200 of 200
-  random trials (H=16, B=8; numpy 2.4 with OpenBLAS 0.3.31 on x86-64).
+  random trials (H=16, B=8).
 * Frame 0 skips the product with h_{-1} = 0, which is exactly +0 for
   a finite R, so the equality holds for finite parameters (training
   never steps to non-finite ones: adam_step rejects such gradients).
-* Forward keeps the frames left-aligned.  Backward keeps them
+* Forward runs the padding frames through every layer; they hold finite
+  values that no output reads.  The reverse recurrence keeps the frames
   right-aligned, so that every sequence's carry starts at exact zero at
   frame T_max - 1; the tanh slope is 0 on padding frames, so the carry
-  dies out there instead of growing.  Each sequence's activations and
-  gradients are (T_b, H) views into the buffers, laid out as a
-  per-sequence array would be.
-* Rows of different sequences never share one 2-D product, because
-  OpenBLAS picks its kernel by the row count: stacking the rows of 8
-  sequences into one ``h @ W.T`` changed the bits in 200 of 200 trials
-  at inner dimension 32 (the second layer of a [32, 16] network), and
-  in none at inner dimension 8.
-* Equal-length runs.  G consecutive inputs of length T run as one
-  (G, T, F) array, each layer as one stacked (G, T, F) @ (F, H)
-  product.  numpy runs a stacked product as one gemm per (T, F) slice,
-  with T rows and the slice's strides, so each input keeps its bits
-  (300 of 300 random trials, G 2-8, T 1-29, F and H up to 32); the
-  elementwise steps and the softmax, which reduces over the last axis,
-  act row by row.  A run of one runs the 2-D code.  Length-sorted
-  scoring groups and a gradient check's copies of one input form long
-  runs; training batches are ragged and rarely do.
+  dies out there instead of growing.  Its dz goes back to the
+  left-aligned stack, zero on padding.  The outputs (u, a, y) of
+  sequence b are (T_b, .) views into the stacks.
 * Per-input parameters.  A parameter array with a leading axis of B
   gives input b the parameters [b]: ``ModelState.unflatten`` makes such
   views of a (B, n) array of flat vectors.  Weights enter as
-  ``W.swapaxes(-1, -2)``, a stack of W[b].T, biases with an axis for
-  the frames, and the recurrence multiplies by a stack of R[b].T.
-  Each W[b] is a contiguous row slice, strided like the copy that
-  ``set_flat_params`` makes, so every product is the one the network
-  runs after loading point b.  backward_batch takes shared parameters
-  only.
+  ``W.swapaxes(-1, -2)``, so slice b of a stacked product runs against
+  W[b].T; biases get an axis for the frames, and the recurrence
+  multiplies by a stack of R[b].T.  Each W[b] is a contiguous row slice,
+  strided like the copy that ``set_flat_params`` makes, so every product
+  is the one the network runs after loading point b.  backward_batch
+  takes shared parameters only.
 """
 
 from dataclasses import dataclass, field
@@ -103,7 +115,13 @@ class NetworkSpec:
 
 class ModelState:
     """Network parameters plus Adam moments, learning rate, and the
-    forward cache used by backward()."""
+    forward cache used by backward().
+
+    ``cache`` is (Ts, stacks) from the last forward_batch call: the B
+    input lengths, and the padded (B, T_max, .) stacks of the inputs
+    (zero on padding) and of each layer's activations, the features u
+    last.
+    """
 
     def __init__(self, spec, seed=0, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.spec = spec
@@ -176,75 +194,52 @@ def forward_batch(state, xs):
     spec, params = state.spec, state.params
     top = len(spec.hidden) - 1          # the recurrent layer, if any
     n_plain = top if spec.recurrent else top + 1
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    per_input = {k for k, p in params.items() if p.ndim > _shared_ndim(k)}
-    # the weight matrices enter transposed: W.T, or a stack of W[b].T
-    operands = {k: p.swapaxes(-1, -2) if _shared_ndim(k) == 2 else p
+    Ts = [len(x) for x in xs]
+    # the weight matrices enter transposed: W.T, or a stack of W[b].T;
+    # a per-input bias gets an axis for the frames
+    operands = {k: p.swapaxes(-1, -2) if k[0] not in "bB"
+                else p[:, None] if p.ndim == 2 else p
                 for k, p in params.items()}
-    frames = None
+    h = _padded(xs, Ts, spec.input_dim)
+    stacks = [h]
+    for i in range(n_plain):
+        h = np.tanh(_rows_product(h, operands["W%d" % i], Ts) + operands["b%d" % i])
+        stacks.append(h)
     if spec.recurrent:
-        frames = np.zeros((len(xs), max(map(len, xs), default=0), 1,
-                           spec.hidden[-1]))
-    runs = []
-    for lo, hi in _equal_length_runs(xs):
-        p = _run_params(operands, per_input, lo, hi) if per_input else operands
-        rows = lo if hi - lo == 1 else slice(lo, hi)
-        h = xs[lo] if hi - lo == 1 else np.stack(xs[lo:hi])
-        layers = []
-        for i in range(n_plain):
-            h = np.tanh(h @ p["W%d" % i] + p["b%d" % i])
-            layers.append(h)
-        if frames is not None:
-            # W h + b of the recurrent layer; _recurrence makes it h_t
-            layers.append(np.add(h @ p["W%d" % top], p["b%d" % top],
-                                 out=frames[rows, :len(xs[lo]), 0]))
-        runs.append((lo, hi, p, layers))
-    if frames is not None:
+        # W h + b of the recurrent layer; _recurrence makes it h_t
+        frames = np.zeros((len(Ts), h.shape[1], 1, spec.hidden[-1]))
+        h = np.add(_rows_product(h, operands["W%d" % top], Ts),
+                   operands["b%d" % top], out=frames[:, :, 0])
         _recurrence(frames, params["R"])
-    out, caches = [], []
-    for lo, hi, p, layers in runs:
-        u = layers[-1]
-        a = u @ p["W"] + p["B"]
-        y = softmax(a)
-        if hi - lo == 1:
-            out.append((u, a, y))
-            caches.append([xs[lo]] + layers)
-            continue
-        for g in range(hi - lo):
-            out.append((u[g], a[g], y[g]))
-            caches.append([xs[lo + g]] + [h[g] for h in layers])
-    state.cache = caches
+        stacks.append(h)
+    a = _rows_product(h, operands["W"], Ts) + operands["B"]
+    y = softmax(a)
+    state.cache = (Ts, stacks)
+    return [(h[b, :Tb], a[b, :Tb], y[b, :Tb]) for b, Tb in enumerate(Ts)]
+
+
+def _padded(arrays, Ts, width):
+    """The (T_b, width) arrays as one left-aligned (B, T_max, width)
+    stack, zero on the padding frames.  Any other shape is a ValueError,
+    where a copy would broadcast it."""
+    out = np.zeros((len(Ts), max(Ts, default=0), width))
+    for o, a, Tb in zip(out, arrays, Ts):
+        if np.shape(a) != (Tb, width):
+            raise ValueError("expected a (%d, %d) array, got shape %s"
+                             % (Tb, width, np.shape(a)))
+        o[:Tb] = a
     return out
 
 
-def _shared_ndim(name):
-    """Dimensions of a parameter that all inputs share: 1 for the biases
-    (b0, b1, ..., B), 2 for the weight matrices."""
-    return 1 if name[0] in "bB" else 2
-
-
-def _equal_length_runs(xs):
-    """(lo, hi) bounds of the maximal runs of consecutive inputs of equal
-    length, in order."""
-    runs, lo = [], 0
-    for hi in range(1, len(xs) + 1):
-        if hi == len(xs) or len(xs[hi]) != len(xs[lo]):
-            runs.append((lo, hi))
-            lo = hi
-    return runs
-
-
-def _run_params(params, per_input, lo, hi):
-    """The parameters of inputs lo..hi-1: a shared array as it is; a
-    per-input one as input lo's own (a run of one) or as the run's slice,
-    a bias with an axis inserted for the frames."""
-    if hi - lo == 1:
-        return {k: p[lo] if k in per_input else p for k, p in params.items()}
-    run = dict(params)
-    for k in per_input:
-        p = params[k][lo:hi]
-        run[k] = p if p.ndim == 3 else p[:, None]
-    return run
+def _rows_product(h, W, Ts):
+    """h @ W over a padded (B, T_max, F) stack, W shared or one per
+    input.  A length-1 input gets its own 1-row product, which numpy runs
+    as a gemv instead of the stack's gemm."""
+    out = h @ W
+    for b, Tb in enumerate(Ts):
+        if Tb == 1:
+            out[b, :1] = h[b, :1] @ (W[b] if W.ndim == 3 else W)
+    return out
 
 
 def _recurrence(frames, R):
@@ -262,25 +257,24 @@ def _recurrence(frames, R):
         prev = np.tanh(ht, out=ht)
 
 
-def _recurrence_backward(R, hs, gs):
+def _recurrence_backward(R, hs, gs, Ts):
     """Reverse of the recurrence: dz_t = (g_t + dz_{t+1} R) * (1 - h_t^2)
-    from dz_T = 0, for B output sequences h and signals g (T_b, H);
-    returns the B dz as (T_b, H) views."""
-    B, H = len(hs), R.shape[0]
-    Ts = [len(h) for h in hs]
-    T = max(Ts, default=0)
+    from dz_T = 0, for the padded (B, T_max, H) stacks of outputs h and
+    signals g of sequences of lengths Ts; returns dz as the same stack,
+    zero on padding."""
+    B, T, H = gs.shape
     dz = np.zeros((B, T, 1, H))
     slope = np.zeros((B, T, 1, H))         # 0 on padding: the carry dies there
     for db, sb, g, h, Tb in zip(dz, slope, gs, hs, Ts):
-        db[T - Tb:, 0] = g
-        sb[T - Tb:, 0] = 1.0 - h ** 2
+        db[T - Tb:, 0] = g[:Tb]
+        sb[T - Tb:, 0] = 1.0 - h[:Tb] ** 2
     carry = np.zeros((B, 1, H))
     # frame t of every sequence holds g_t and becomes dz_t in place
     for dt, st in zip(dz[:, ::-1].swapaxes(0, 1), slope[:, ::-1].swapaxes(0, 1)):
         dt += carry
         dt *= st
         carry = dt @ R
-    return [db[T - Tb:, 0] for db, Tb in zip(dz, Ts)]
+    return _padded([db[T - Tb:, 0] for db, Tb in zip(dz, Ts)], Ts, H)
 
 
 def backward(state, delta_ml, delta_fused):
@@ -304,32 +298,27 @@ def backward_batch(state, deltas_ml, deltas_fused):
     if state.cache is None:
         raise MissingForwardCache("run forward() before backward()")
     spec, params = state.spec, state.params
-    caches = state.cache
-    if not len(caches) == len(deltas_ml) == len(deltas_fused):
+    Ts, stacks = state.cache
+    if not len(Ts) == len(deltas_ml) == len(deltas_fused):
         raise ValueError("%d cached sequences, %d and %d error signals"
-                         % (len(caches), len(deltas_ml), len(deltas_fused)))
+                         % (len(Ts), len(deltas_ml), len(deltas_fused)))
     top = len(spec.hidden) - 1
-    gs = [np.asarray(g, dtype=float) for g in deltas_fused]
-    if spec.recurrent:
-        R = params["R"]
-        dzs = _recurrence_backward(R, [hs[-1] for hs in caches], gs)
-    grads = []
-    for b, (d, hs) in enumerate(zip(deltas_ml, caches)):
-        grad = {"W": d.T @ hs[-1], "B": d.sum(axis=0)}
-        g = gs[b]
-        for i in range(top, -1, -1):
-            h = hs[i + 1]
-            if spec.recurrent and i == top:
-                dz = dzs[b]
-                grad["R"] = dz[1:].T @ h[:-1] if len(h) > 1 else np.zeros_like(R)
-            else:
-                dz = g * (1.0 - h ** 2)
-            grad["W%d" % i] = dz.T @ hs[i]
-            grad["b%d" % i] = dz.sum(axis=0)
-            if i:
-                g = dz @ params["W%d" % i]
-        grads.append(grad)
-    return grads
+    # zero signal rows on the padding frames make their terms +-0
+    d = _padded(deltas_ml, Ts, spec.num_classes)
+    g = _padded(deltas_fused, Ts, spec.feature_dim)
+    grads = {"W": d.swapaxes(1, 2) @ stacks[-1], "B": d.sum(axis=1)}
+    for i in range(top, -1, -1):
+        h = stacks[i + 1]
+        if spec.recurrent and i == top:
+            dz = _recurrence_backward(params["R"], h, g, Ts)
+            grads["R"] = dz[:, 1:].swapaxes(1, 2) @ h[:, :-1]
+        else:
+            dz = g * (1.0 - h ** 2)
+        grads["W%d" % i] = dz.swapaxes(1, 2) @ stacks[i]
+        grads["b%d" % i] = dz.sum(axis=1)
+        if i:
+            g = _rows_product(dz, params["W%d" % i], Ts)
+    return [{k: v[b] for k, v in grads.items()} for b in range(len(Ts))]
 
 
 def adam_step(state, grads):

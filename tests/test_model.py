@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmfusion import experiment, losses, model, oracle, synth
@@ -126,22 +126,32 @@ def reference_backward(state, hs, delta_ml, delta_fused):
     return grads
 
 
+@st.composite
+def lengths(draw, max_count, max_T, pool_size):
+    """0..max_count input lengths from a pool of at most pool_size values
+    in 1..max_T, so that equal lengths (a stack without padding) and a
+    length beside a longer one (padding) are both common."""
+    count = draw(st.integers(0, max_count))
+    pool = draw(st.lists(st.integers(1, max_T), min_size=1, max_size=pool_size))
+    return draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+
+
+WIDTHS = st.sampled_from([[5], [16], [32, 16]])
+SEEDS = st.integers(0, 2 ** 16)
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_batch_matches_per_sequence_bitwise(data):
+@given(hidden=WIDTHS, recurrent=st.booleans(), K=st.integers(2, 6),
+       Ts=lengths(7, 25, 3), seed=SEEDS)
+@example(hidden=[16], recurrent=True, K=3, Ts=[25, 1, 25], seed=1)
+@example(hidden=[32, 16], recurrent=False, K=6, Ts=[1, 25], seed=2)
+def test_batch_matches_per_sequence_bitwise(hidden, recurrent, K, Ts, seed):
     # ragged batches, T = 1 and B in {0, 1, ...}, recurrent or not, at
     # the widths in use ([5] in the suites, [16] in the experiment,
     # [32, 16] in the CLI default); every output and gradient must equal
-    # the per-sequence network's bit for bit.  The lengths come from a
-    # pool of at most 3, so that runs of equal lengths (one stacked
-    # product per layer) are common
-    hidden = data.draw(st.sampled_from([[5], [16], [32, 16]]))
-    recurrent = data.draw(st.booleans())
-    K = data.draw(st.integers(2, 6))
-    B = data.draw(st.integers(0, 7))
-    pool = data.draw(st.lists(st.integers(1, 25), min_size=1, max_size=3))
-    Ts = data.draw(st.lists(st.sampled_from(pool), min_size=B, max_size=B))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    # the per-sequence network's bit for bit.  A length-1 input beside a
+    # longer one is the case the padded stack cannot run as it is
+    rng = np.random.default_rng(seed)
     spec = model.NetworkSpec(4, hidden, K, recurrent=recurrent)
     state = model.ModelState(spec, seed=int(rng.integers(1 << 30)))
     for k in state.params:      # nonzero biases, as after training
@@ -152,7 +162,7 @@ def test_batch_matches_per_sequence_bitwise(data):
 
     outputs = model.forward_batch(state, xs)
     grads = model.backward_batch(state, dml, dfused)
-    assert len(outputs) == len(grads) == B
+    assert len(outputs) == len(grads) == len(Ts)
     for x, out, d1, d2, got in zip(xs, outputs, dml, dfused, grads):
         hs, expected = reference_forward(state, x)
         for a, b in zip(out, expected):
@@ -164,18 +174,16 @@ def test_batch_matches_per_sequence_bitwise(data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_forward_batch_per_input_parameters_match_set_flat_params_bitwise(data):
+@given(hidden=WIDTHS, recurrent=st.booleans(), K=st.integers(2, 6),
+       Ts=lengths(16, 12, 2), seed=SEEDS)
+@example(hidden=[32, 16], recurrent=True, K=4, Ts=[12, 1, 12, 5], seed=3)
+def test_forward_batch_per_input_parameters_match_set_flat_params_bitwise(
+        hidden, recurrent, K, Ts, seed):
     # P parameter vectors as the rows of one (P, n) array, each input run
     # with its own row; equal to loading each row with set_flat_params
     # and running forward, bit for bit
-    hidden = data.draw(st.sampled_from([[5], [16], [32, 16]]))
-    recurrent = data.draw(st.booleans())
-    K = data.draw(st.integers(2, 6))
-    P = data.draw(st.integers(0, 16))
-    pool = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))
-    Ts = data.draw(st.lists(st.sampled_from(pool), min_size=P, max_size=P))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    P = len(Ts)
+    rng = np.random.default_rng(seed)
     spec = model.NetworkSpec(4, hidden, K, recurrent=recurrent)
     state = model.ModelState(spec, seed=int(rng.integers(1 << 30)))
     base = state.flat_params()
@@ -194,6 +202,59 @@ def test_forward_batch_per_input_parameters_match_set_flat_params_bitwise(data):
         reference.set_flat_params(flat)
         for a, b in zip(out, model.forward(reference, x)):
             assert a.shape == b.shape and np.array_equal(a, b)
+
+
+# (F, H) of every row product the network runs at the widths in use:
+# the input projections (F = 4 in the tests and suites, 8 from the
+# generator), the second layer of [32, 16] and its backward dz @ W1, and
+# the output layer and its K = 2..11 columns
+ROW_PRODUCTS = ([(F, H) for F in (4, 8) for H in (5, 16, 32)]
+                + [(32, 16), (16, 32)]
+                + [(D, K) for D in (5, 16) for K in range(2, 12)])
+
+
+def test_blas_rows_inside_a_padded_stack_match_the_unpadded_product():
+    # forward_batch runs each input's (T_b, F) @ (F, H) as the first T_b
+    # rows of one (T_max, F) slice of a padded stack; this holds for
+    # T_b >= 2 with the padding zero or not, shared weights or a stack
+    # of them.  A 1-row product runs as a gemv and is not covered: the
+    # network runs it on its own
+    rng = np.random.default_rng(0)
+    T_max = 40
+    for F, H in ROW_PRODUCTS:
+        W = rng.normal(size=(H, F))
+        Ws = np.stack([W, W])
+        for Tb in range(2, T_max + 1):
+            x = rng.normal(size=(Tb, F))
+            stack = rng.normal(size=(2, T_max, F))
+            stack[0, Tb:] = 0.0
+            stack[:, :Tb] = x
+            want = x @ W.T
+            for got in (stack @ W.T, stack @ Ws.swapaxes(-1, -2)):
+                for rows in got[:, :Tb]:
+                    assert rows.tobytes() == want.tobytes(), (F, H, Tb)
+
+
+def test_blas_weight_gradient_over_padded_frames_matches_the_unpadded_product():
+    # backward_batch's dz^T @ h and dz.sum over a padded stack, whose
+    # signal rows are zero on the padding and whose activation rows are
+    # not, equal the per-sequence products and sums bit for bit; the
+    # recurrent layer adds R's (H, H)
+    rng = np.random.default_rng(1)
+    T_max = 40
+    for F, H in ROW_PRODUCTS + [(5, 5), (16, 16)]:
+        for Tb in range(1, T_max + 1):
+            dz, h = rng.normal(size=(Tb, H)), rng.normal(size=(Tb, F))
+            dz_stack = np.zeros((2, T_max, H))
+            dz_stack[:, :Tb] = dz
+            h_stack = rng.normal(size=(2, T_max, F))
+            h_stack[:, :Tb] = h
+            want = (dz.T @ h).tobytes(), dz.sum(axis=0).tobytes()
+            products = dz_stack.swapaxes(1, 2) @ h_stack
+            sums = dz_stack.sum(axis=1)
+            for b in range(2):
+                assert (products[b].tobytes(), sums[b].tobytes()) == want, (F, H, Tb)
+            assert (dz_stack[0].T @ h_stack[0]).tobytes() == want[0]
 
 
 def test_recurrence_first_frame_matches_the_zero_product_bitwise():
@@ -217,6 +278,19 @@ def test_backward_batch_needs_one_signal_per_cached_sequence():
     model.forward_batch(state, [np.ones((2, 3)), np.ones((3, 3))])
     with pytest.raises(ValueError):
         model.backward(state, np.zeros((2, 2)), np.zeros((2, 4)))
+
+
+def test_batch_rejects_a_wrong_shape_instead_of_broadcasting():
+    # copying into the padded stack would broadcast a (T, 1) input or a
+    # one-row signal over every frame
+    state = model.ModelState(model.NetworkSpec(3, [4], 2, recurrent=True))
+    with pytest.raises(ValueError, match="expected a"):
+        model.forward(state, np.ones((5, 1)))
+    model.forward(state, np.ones((3, 3)))
+    with pytest.raises(ValueError, match="expected a"):
+        model.backward(state, np.ones((1, 2)), np.ones((3, 4)))
+    with pytest.raises(ValueError, match="expected a"):
+        model.backward(state, np.ones((3, 3)), np.ones((3, 4)))
 
 
 # ------------------------------------------------------------------- backward
@@ -442,18 +516,19 @@ def test_train_batched_network_matches_per_sequence_bitwise(mode, monkeypatch):
     sizes = []
 
     def forward_each(state, xs):
+        # the B=1 caches, one per input, stand in for the batch's cache
         sizes.append(len(xs))
         outputs, caches = [], []
         for x in xs:
             outputs += forward_batch(state, [x])
-            caches += state.cache
+            caches.append(state.cache)
         state.cache = caches
         return outputs
 
     def backward_each(state, deltas_ml, deltas_fused):
         caches, grads = state.cache, []
         for cache, d1, d2 in zip(caches, deltas_ml, deltas_fused, strict=True):
-            state.cache = [cache]
+            state.cache = cache
             grads += backward_batch(state, [d1], [d2])
         state.cache = caches
         return grads
