@@ -2,6 +2,11 @@
 loss with an occupancy-weighted center loss, next to the classic
 framewise pairing, with brute-force oracles for every formula."""
 
+# numpy 2 imports numpy.random on first use; a signal handler that calls
+# np.random (a profiler, a timer) and lands inside that import dies with
+# a RecursionError, so the library imports it up front
+import numpy.random as _numpy_random  # noqa: F401
+
 from .ctc import (AlignmentTables, BLANK, DegenerateFrame, InfeasibleLabeling,
                   ctc_grad_logits, extend_with_blanks, forward_backward,
                   min_frames, occupancy)
@@ -10,7 +15,8 @@ from .losses import (CenterBank, FusionConfig, UnknownClass, center_stats,
                      update_centers_tmf)
 from .model import (ModelState, NetworkSpec, NonFiniteGradient, ScheduleState,
                     TrainSettings, adam_step, backward, backward_batch, forward,
-                    forward_batch, schedule_tick, train, validation_score)
+                    forward_batch, forward_stacks, schedule_tick, train,
+                    validation_score)
 from .synth import (CONDITIONS, ConfigInvalid, GeneratorConfig, MalformedDataset,
                     SequenceSample, UnseenNoise, class_means, generate, load_jsonl,
                     save_jsonl, split)

@@ -40,8 +40,7 @@ sequences at once, four numpy calls per frame for the whole batch, and
 * Everything after the lattice (occupancy, the gradient, the expected
   center loss) stays per-sequence.  Those reduce over positions, and a
   row sum over a padded (B, S_max) block regroups numpy's pairwise sum,
-  which can change the last bit.  (The network before the lattice keeps
-  one matrix-vector product per sequence for the same kind of reason.)
+  which can change the last bit.
 """
 
 import numpy as np

@@ -13,10 +13,11 @@ to the center of each label position i by a weight w(t, i):
 
 ``ecl``, ``ecl_grad_features`` and ``center_stats`` take the weights
 w (T, r), the centers of their r positions, gathered once per sequence,
-and (``center_stats``) the positions' class labels.  The center update
-differs between the modes only in its normalization: the framewise
-rule divides each class's sum by 1 + its weight, the occupancy rule
-does not (``CenterBank.step``).
+and (``center_stats``) the positions' class labels; ``ecl_terms`` and
+``ecl_grad_features`` also take a batch's padded (B, T_max, .) stacks.
+The center update differs between the modes only in its normalization:
+the framewise rule divides each class's sum by 1 + its weight, the
+occupancy rule does not (``CenterBank.step``).
 
 The feature-space error signal (``ecl_grad_features``) deliberately
 omits the factor 2 that differentiating a squared norm produces; the
@@ -101,50 +102,55 @@ class CenterBank:
         return out
 
 
-def cross_entropy(y, cols):
-    """Negative log probability of the labeled column, summed over frames.
+def cross_entropy(y, cols, Ts=None):
+    """Negative log probability of the labeled column, summed over frames,
+    for posteriors y (T, K) and 0-based columns cols (an UnknownClass
+    outside the K classes).  For a padded (B, T_max, K) stack y, with the
+    columns of its sequences back to back and their lengths Ts, returns
+    the B sums, each over its own contiguous slice of one gathered NLL,
+    so each keeps the bits of its (T_b, K) case."""
+    y, cols = np.asarray(y, dtype=float), np.asarray(cols, dtype=np.intp)
+    if len(cols) and (cols.min() < 0 or cols.max() >= y.shape[-1]):
+        raise UnknownClass("frame label outside 1..%d" % y.shape[-1])
+    if Ts is None:
+        return cross_entropy(y[None], cols, [len(cols)])[0]
+    b, t = np.nonzero(np.arange(y.shape[1]) < np.asarray(Ts)[:, None])
+    nll = -np.log(y[b, t, cols])
+    ends = np.cumsum(Ts, dtype=int)
+    return [float(nll[e - Tb:e].sum()) for Tb, e in zip(Ts, ends)]
 
-    cols are 0-based column indices into y (callers with 1-based class
-    ids map them down first).
-    """
-    y = np.asarray(y, dtype=float)
-    cols = np.asarray(cols, dtype=np.intp)
-    return float(-np.log(y[np.arange(len(cols)), cols]).sum())
+
+def ecl_terms(u, w, centers):
+    """The terms w(t, i) * |u_t - c_i|^2 of the expected center loss as a
+    (..., T, r) table, for features u (..., T, D), weights w (..., T, r)
+    and position centers c (r, D).  A batch's sequences each sum their
+    own (T_b, r) slice of it."""
+    d = u[..., :, None, :] - centers[..., None, :, :]
+    return w * (d * d).sum(axis=-1)
 
 
 def ecl(u, w, centers):
-    """Expected center loss: weighted squared center distances,
-
-        sum_t sum_i w(t, i) * |u_t - c_i|^2
-
-    for features u (T, D), weights w (T, r) and position centers c (r, D).
-    """
-    u = np.asarray(u, dtype=float)
-    if len(centers) == 0:
-        return 0.0
-    d = u[:, None, :] - centers[None, :, :]               # (T, r, D)
-    return float((w * (d * d).sum(axis=2)).sum())
+    """Expected center loss of one sequence, the sum of its ``ecl_terms``:
+    sum_t sum_i w(t, i) * |u_t - c_i|^2."""
+    return float(ecl_terms(np.asarray(u, dtype=float), w, centers).sum())
 
 
-def ecl_grad_features(u, w, centers):
-    """Per-frame feature error signal of the ECL (without the factor 2):
-
-        delta(t) = sum_i w(t, i) * (u_t - c_i).
-    """
+def ecl_grad_features(u, w, centers, product=np.matmul):
+    """Per-frame feature error signal of the ECL (without the factor 2),
+    delta(t) = sum_i w(t, i) * (u_t - c_i), with arguments shaped as for
+    ``ecl_terms``.  ``product(w, centers)`` is w @ centers; a padded
+    batch passes one that keeps each sequence's bits."""
     u = np.asarray(u, dtype=float)
     if len(centers) == 0:
         return np.zeros_like(u)
-    return w.sum(axis=1)[:, None] * u - w @ centers
+    return w.sum(axis=-1)[..., None] * u - product(w, centers)
 
 
-def fuse_feature_grad(delta_ml, W, delta_ecl, cfg):
-    """Fused error signal entering the second-last layer:
-
-        delta = delta_ml W + lambda * delta_ecl
-
-    (per frame: W^T delta_ml(t), plus the weighted center signal).
-    """
-    base = np.asarray(delta_ml, dtype=float) @ np.asarray(W, dtype=float)
+def fuse_feature_grad(delta_ml, W, delta_ecl, cfg, product=np.matmul):
+    """Fused error signal entering the second-last layer,
+    delta = product(delta_ml, W) + lambda * delta_ecl: per frame,
+    W^T delta_ml(t) plus the weighted center signal."""
+    base = product(np.asarray(delta_ml, dtype=float), np.asarray(W, dtype=float))
     if cfg.lam == 0.0:
         return base
     return base + cfg.lam * np.asarray(delta_ecl, dtype=float)

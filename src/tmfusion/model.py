@@ -7,69 +7,54 @@ signal through the last layer with the center-loss signal at the feature
 layer, steps the weights with Adam, and moves the class centers with
 their own momentum rule.  Centers are never differentiated through.
 
-Batched layout.  ``forward_batch`` and ``backward_batch`` run B
-sequences at once, and ``forward``/``backward`` are their B=1 cases.
-Both work on padded (B, T_max, .) stacks, each sequence left-aligned in
-its slice: the inputs and backward's signals are zero on the padding
-frames, and each layer's activations are what the layer makes of them.
-Each plain layer, the recurrent layer's W h + b, the output layer and
-the softmax are one stacked product or call per batch, and so are
-backward's weight and bias gradients and the dz @ W it passes down
-between layers.  Only the tanh recurrence and its reverse step frame by
-frame, over the whole batch.  Each sequence's outputs and gradients are
+Batched layout.  ``forward_stacks`` runs B sequences at once on padded
+(B, T_max, .) stacks, each sequence left-aligned in its slice, and
+``forward_batch`` hands out (T_b, .) views of them.  ``backward_batch``
+takes the error signals as stacks of that layout, zeroes their padding
+frames, and returns (B, ...) gradient stacks; ``forward``/``backward``
+are the B=1 cases.  Training builds its signals on the stacks too and
+sums each gradient stack once.  Only the tanh recurrence and its
+reverse step frame by frame.  Each sequence's outputs and gradients are
 bit for bit those of a network that sees it alone, by these facts,
 measured with numpy 2.4 and OpenBLAS 0.3.31 on x86-64 and kept as canary
 tests in tests/test_model.py:
 
-* Forward rows.  numpy runs a stacked (B, T_max, F) @ (F, H) product as
-  one gemm per (T_max, F) slice, and the first T_b rows of a slice equal
-  the (T_b, F) product bit for bit for every T_b >= 2, whatever the
-  padding rows hold: T_b 2-40, T_max up to 40, 20 trials each at
-  8->16, 16->11, 16->16 and 32->16, with 0 failures.  The elementwise
-  steps and the softmax, which reduces over the last axis, act row by
-  row.
-* One-frame inputs.  numpy runs a 1-row product as a gemv, whose bits
-  differ from the same row inside a gemm, so a length-1 input keeps its
-  own 1-row product (``_rows_product``).  It is the one per-input branch.
-* Weight gradients.  The signals are zero on the padding frames, so is
-  every layer's dz there, and dz^T @ h and dz.sum over T_max frames add
-  only +-0 terms to the T_b-frame ones: with zero rows appended the
-  product equalled the unpadded one in 8400 of 8400 trials, 2-D and
-  stacked.
-* Rows of different sequences never share one 2-D product, because
-  OpenBLAS picks its kernel by the row count: stacking the rows of 8
-  sequences into one ``h @ W.T`` changed the bits in 200 of 200 trials
-  at inner dimension 32 (the second layer of a [32, 16] network).  The
-  stacked product keeps each sequence in a slice of its own.
-* The recurrence works on batch-major (B, T_max, 1, H) buffers, three
-  numpy calls per frame for the whole batch, so that a frame of the
-  batch is a (B, 1, H) view.  ``prev @ R.T`` and ``d @ R`` are then
-  stacked vector-matrix products, which numpy runs as one gemv per
-  sequence, each equal bit for bit to the 1-D product.  A (B, H) @ R.T
-  runs as one gemm instead, and changed the last bits in 200 of 200
-  random trials (H=16, B=8).
-* Frame 0 skips the product with h_{-1} = 0, which is exactly +0 for
-  a finite R, so the equality holds for finite parameters (training
-  never steps to non-finite ones: adam_step rejects such gradients).
-* Forward runs the padding frames through every layer; they hold finite
-  values that no output reads.  The reverse recurrence keeps the frames
-  right-aligned, so that every sequence's carry starts at exact zero at
-  frame T_max - 1; the tanh slope is 0 on padding frames, so the carry
-  dies out there instead of growing.  Its dz goes back to the
-  left-aligned stack, zero on padding.  The outputs (u, a, y) of
-  sequence b are (T_b, .) views into the stacks.
+* Rows.  numpy runs a stacked (B, T_max, K) @ (K, D) product as one
+  gemm per slice, and the first T_b rows of a slice equal the (T_b, K)
+  product for every T_b >= 2 and D >= 2, whatever the padding rows
+  hold, with the matrix transposed (the layers) or as stored
+  (``delta_ml @ W``, fmf's ``w @ centers``).  A 1-row product, or one
+  with D = 1, runs as a gemv whose bits depend on the row count, so
+  ``_rows_product`` gives such an input a product of its own.  Rows of
+  different sequences never share one 2-D product: OpenBLAS picks its
+  kernel by the row count (200 of 200 trials changed bits).
+* Weight gradients.  dz is zero on the padding frames, so dz^T @ h and
+  dz.sum over T_max frames add only +-0 terms to the T_b-frame ones
+  (8400 of 8400 trials).  Where dz or h has width 1, numpy sums over the
+  frames as a gemv or pairwise instead, so ``_weight_grads`` then sums
+  each input on its own; the batch's sum runs in sequence order too
+  (``np.add.accumulate``), since a (B, 1) ``sum(axis=0)`` is pairwise.
+* The recurrence runs on time-major (T_max, B, 1, H) buffers, so that a
+  frame of the batch is one contiguous (B, 1, H) block.  ``prev @ R.T``
+  and ``d @ R`` are stacked vector-matrix products, which numpy runs as
+  one gemv per sequence, equal to the 1-D product; a (B, H) @ R.T gemm
+  changed the last bits in 200 of 200 trials.  Frame 0 adds 0.0 for
+  R h_{-1} = R 0, exactly +0 for the finite R that training keeps
+  (adam_step rejects non-finite gradients).  The reverse step keeps
+  each sequence right-aligned, so its carry starts at exact zero, and
+  the tanh slope is 0 on padding frames, where forward left finite
+  values that no output reads.
 * Per-input parameters.  A parameter array with a leading axis of B
-  gives input b the parameters [b]: ``ModelState.unflatten`` makes such
-  views of a (B, n) array of flat vectors.  Weights enter as
-  ``W.swapaxes(-1, -2)``, so slice b of a stacked product runs against
-  W[b].T; biases get an axis for the frames, and the recurrence
-  multiplies by a stack of R[b].T.  Each W[b] is a contiguous row slice,
-  strided like the copy that ``set_flat_params`` makes, so every product
-  is the one the network runs after loading point b.  backward_batch
+  gives input b the parameters [b] (``ModelState.unflatten`` makes such
+  views of a (B, n) array of flat vectors): weights enter as
+  ``W.swapaxes(-1, -2)``, biases get an axis for the frames, and the
+  recurrence multiplies by a stack of R[b].T, each the product that the
+  network runs after ``set_flat_params`` of point b.  backward_batch
   takes shared parameters only.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -117,10 +102,10 @@ class ModelState:
     """Network parameters plus Adam moments, learning rate, and the
     forward cache used by backward().
 
-    ``cache`` is (Ts, stacks) from the last forward_batch call: the B
+    ``cache`` is (Ts, stacks) from the last forward_stacks call: the B
     input lengths, and the padded (B, T_max, .) stacks of the inputs
     (zero on padding) and of each layer's activations, the features u
-    last.
+    last, which backward_batch reads.
     """
 
     def __init__(self, spec, seed=0, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -173,24 +158,26 @@ def softmax(a):
 
 
 def forward(state, x):
-    """Run the network on a (T, F) input.
-
-    Returns (u, a, y): the feature sequence, the logits, and the softmax
-    posteriors.  Activations are cached on the state for backward().
-    The B=1 case of forward_batch.
-    """
+    """Run the network on a (T, F) input: (u, a, y), the feature
+    sequence, the logits and the softmax posteriors, with the activations
+    cached for backward().  The B=1 case of forward_batch."""
     return forward_batch(state, [x])[0]
 
 
 def forward_batch(state, xs):
-    """forward over B inputs of shapes (T_b, F) at once.
+    """forward over B inputs of shapes (T_b, F) at once: a list of B
+    (u, a, y) triples, (T_b, .) views into the stacks of forward_stacks,
+    equal bit for bit to forward on each input; B = 0 gives []."""
+    Ts, u, a, y = forward_stacks(state, xs)
+    return [(u[b, :Tb], a[b, :Tb], y[b, :Tb]) for b, Tb in enumerate(Ts)]
 
-    Returns a list of B (u, a, y) triples, in order, equal bit for bit
-    to forward on each input; B = 0 gives [].  A parameter array with a
-    leading axis of B gives input b the parameters [b] (backward_batch
-    takes shared parameters only).  The activations of all B inputs are
-    cached on the state for backward_batch().
-    """
+
+def forward_stacks(state, xs):
+    """The network on B inputs of shapes (T_b, F): (Ts, u, a, y), the
+    input lengths and the padded (B, T_max, .) stacks of the features,
+    logits and posteriors.  A parameter array with a leading axis of B
+    gives input b the parameters [b].  The activations are cached on the
+    state for backward_batch()."""
     spec, params = state.spec, state.params
     top = len(spec.hidden) - 1          # the recurrent layer, if any
     n_plain = top if spec.recurrent else top + 1
@@ -206,16 +193,18 @@ def forward_batch(state, xs):
         h = np.tanh(_rows_product(h, operands["W%d" % i], Ts) + operands["b%d" % i])
         stacks.append(h)
     if spec.recurrent:
-        # W h + b of the recurrent layer; _recurrence makes it h_t
-        frames = np.zeros((len(Ts), h.shape[1], 1, spec.hidden[-1]))
-        h = np.add(_rows_product(h, operands["W%d" % top], Ts),
-                   operands["b%d" % top], out=frames[:, :, 0])
+        # W h + b of the recurrent layer, written time-major; _recurrence
+        # makes it h_t, which goes back to the batch-major stack once
+        frames = np.empty((h.shape[1], len(Ts), 1, spec.hidden[-1]))
+        np.add(_rows_product(h, operands["W%d" % top], Ts), operands["b%d" % top],
+               out=frames[:, :, 0].swapaxes(0, 1))
         _recurrence(frames, params["R"])
+        h = np.ascontiguousarray(frames[:, :, 0].swapaxes(0, 1))
         stacks.append(h)
     a = _rows_product(h, operands["W"], Ts) + operands["B"]
     y = softmax(a)
     state.cache = (Ts, stacks)
-    return [(h[b, :Tb], a[b, :Tb], y[b, :Tb]) for b, Tb in enumerate(Ts)]
+    return Ts, h, a, y
 
 
 def _padded(arrays, Ts, width):
@@ -232,27 +221,39 @@ def _padded(arrays, Ts, width):
 
 
 def _rows_product(h, W, Ts):
-    """h @ W over a padded (B, T_max, F) stack, W shared or one per
-    input.  A length-1 input gets its own 1-row product, which numpy runs
-    as a gemv instead of the stack's gemm."""
+    """h @ W over a padded (B, T_max, K) stack, W shared or one per
+    input.  numpy runs a 1-row product, or one with a single output
+    column, as a gemv whose bits depend on the row count, so a length-1
+    input, or every input when W has one column, gets its own product."""
     out = h @ W
     for b, Tb in enumerate(Ts):
-        if Tb == 1:
-            out[b, :1] = h[b, :1] @ (W[b] if W.ndim == 3 else W)
+        if Tb == 1 or W.shape[-1] == 1:
+            out[b, :Tb] = h[b, :Tb] @ (W[b] if W.ndim == 3 else W)
     return out
+
+
+def _weight_grads(dz, h, Ts, bias=True):
+    """dz^T @ h and, with bias, dz summed over the frames (else None) of
+    padded stacks, one per input.  When dz or h has width 1, numpy sums
+    over the frames as a gemv, or pairwise, whose bits depend on the
+    frame count, so then each input gets its own product and sum."""
+    prod, total = dz.swapaxes(1, 2) @ h, dz.sum(axis=1) if bias else None
+    if 1 in (dz.shape[-1], h.shape[-1]):
+        for b, Tb in enumerate(Ts):
+            prod[b] = dz[b, :Tb].T @ h[b, :Tb]
+            if bias:
+                total[b] = dz[b, :Tb].sum(axis=0)
+    return prod, total
 
 
 def _recurrence(frames, R):
     """h_t = tanh(z_t + R h_{t-1}) from h_{-1} = 0, in place on the
-    (B, T_max, 1, H) frames that hold z_t, every sequence from frame 0.
-
-    With h_{-1} = 0 the product R h_{-1} is exactly +0 for a finite R,
-    so frame 0 adds the scalar 0.0 instead of running it (the addition
-    still turns a z_0 of -0 into +0, as the product would).
-    """
+    time-major (T_max, B, 1, H) frames that hold z_t.  Frame 0 adds the
+    scalar 0.0 for R h_{-1}, which like the product turns a z_0 of -0
+    into +0."""
     RT = R.swapaxes(-1, -2)
     prev = None
-    for ht in frames.swapaxes(0, 1):
+    for ht in frames:
         ht += 0.0 if prev is None else prev @ RT
         prev = np.tanh(ht, out=ht)
 
@@ -261,64 +262,65 @@ def _recurrence_backward(R, hs, gs, Ts):
     """Reverse of the recurrence: dz_t = (g_t + dz_{t+1} R) * (1 - h_t^2)
     from dz_T = 0, for the padded (B, T_max, H) stacks of outputs h and
     signals g of sequences of lengths Ts; returns dz as the same stack,
-    zero on padding."""
+    zero on padding.  The step runs on time-major (T_max, B, 1, H)
+    buffers with each sequence right-aligned."""
     B, T, H = gs.shape
-    dz = np.zeros((B, T, 1, H))
-    slope = np.zeros((B, T, 1, H))         # 0 on padding: the carry dies there
-    for db, sb, g, h, Tb in zip(dz, slope, gs, hs, Ts):
-        db[T - Tb:, 0] = g[:Tb]
-        sb[T - Tb:, 0] = 1.0 - h[:Tb] ** 2
+    dz, slope = np.zeros((2, T, B, 1, H))   # slope 0 on padding: the carry dies there
+    for b, Tb in enumerate(Ts):
+        dz[T - Tb:, b, 0], slope[T - Tb:, b, 0] = gs[b, :Tb], 1.0 - hs[b, :Tb] ** 2
     carry = np.zeros((B, 1, H))
     # frame t of every sequence holds g_t and becomes dz_t in place
-    for dt, st in zip(dz[:, ::-1].swapaxes(0, 1), slope[:, ::-1].swapaxes(0, 1)):
+    for dt, st in zip(dz[::-1], slope[::-1]):
         dt += carry
         dt *= st
         carry = dt @ R
-    return _padded([db[T - Tb:, 0] for db, Tb in zip(dz, Ts)], Ts, H)
+    out = np.zeros((B, T, H))
+    for b, Tb in enumerate(Ts):
+        out[b, :Tb] = dz[T - Tb:, b, 0]
+    return out
 
 
 def backward(state, delta_ml, delta_fused):
-    """Chain the two error signals into parameter gradients.
-
-    delta_ml (T, K) is the gradient at the logits and produces the
-    last-layer gradients directly; delta_fused (T, D) is the full signal
-    at the feature layer and is propagated through the hidden stack.
-    The B=1 case of backward_batch.
-    """
-    return backward_batch(state, [delta_ml], [delta_fused])[0]
+    """Chain the two error signals into parameter gradients: delta_ml
+    (T, K), the gradient at the logits, gives the last layer's directly;
+    delta_fused (T, D), the full signal at the feature layer, goes back
+    through the hidden stack.  The B=1 case of backward_batch."""
+    grads = backward_batch(state, np.asarray(delta_ml)[None], np.asarray(delta_fused)[None])
+    return {k: g[0] for k, g in grads.items()}
 
 
-def backward_batch(state, deltas_ml, deltas_fused):
-    """backward for the B sequences of the last forward_batch call.
-
-    deltas_ml[b] (T_b, K) and deltas_fused[b] (T_b, D) are the signals
-    of sequence b.  Returns a list of B gradient dicts, in order, equal
-    bit for bit to backward on each sequence.
-    """
+def backward_batch(state, delta_ml, delta_fused):
+    """backward for the B sequences of the last forward_stacks call, from
+    the (B, T_max, K) and (B, T_max, D) signal stacks, laid out as the
+    forward stacks; what their padding frames hold is ignored.  Returns a
+    dict of (B, ...) gradient stacks, slice b bit for bit backward on
+    sequence b."""
     if state.cache is None:
         raise MissingForwardCache("run forward() before backward()")
     spec, params = state.spec, state.params
     Ts, stacks = state.cache
-    if not len(Ts) == len(deltas_ml) == len(deltas_fused):
-        raise ValueError("%d cached sequences, %d and %d error signals"
-                         % (len(Ts), len(deltas_ml), len(deltas_fused)))
-    top = len(spec.hidden) - 1
+    B, T = stacks[0].shape[:2]
+    for delta, width in ((delta_ml, spec.num_classes), (delta_fused, spec.feature_dim)):
+        if delta.shape != (B, T, width):
+            raise ValueError("expected a (%d, %d, %d) stack, got shape %s"
+                             % (B, T, width, delta.shape))
     # zero signal rows on the padding frames make their terms +-0
-    d = _padded(deltas_ml, Ts, spec.num_classes)
-    g = _padded(deltas_fused, Ts, spec.feature_dim)
-    grads = {"W": d.swapaxes(1, 2) @ stacks[-1], "B": d.sum(axis=1)}
+    live = (np.arange(T) < np.asarray(Ts)[:, None])[..., None]
+    delta_ml, delta_fused = np.where(live, delta_ml, 0.0), np.where(live, delta_fused, 0.0)
+    top = len(spec.hidden) - 1
+    grads, g = dict(zip("WB", _weight_grads(delta_ml, stacks[-1], Ts))), delta_fused
     for i in range(top, -1, -1):
         h = stacks[i + 1]
         if spec.recurrent and i == top:
             dz = _recurrence_backward(params["R"], h, g, Ts)
-            grads["R"] = dz[:, 1:].swapaxes(1, 2) @ h[:, :-1]
+            grads["R"] = _weight_grads(dz[:, 1:], h[:, :-1], [Tb - 1 for Tb in Ts],
+                                       bias=False)[0]
         else:
             dz = g * (1.0 - h ** 2)
-        grads["W%d" % i] = dz.swapaxes(1, 2) @ stacks[i]
-        grads["b%d" % i] = dz.sum(axis=1)
+        grads["W%d" % i], grads["b%d" % i] = _weight_grads(dz, stacks[i], Ts)
         if i:
             g = _rows_product(dz, params["W%d" % i], Ts)
-    return [{k: v[b] for k, v in grads.items()} for b in range(len(Ts))]
+    return grads
 
 
 def adam_step(state, grads):
@@ -362,76 +364,72 @@ def schedule_tick(sched, validation_score):
     return "continue"
 
 
-def _onehot(cols, K):
-    out = np.zeros((len(cols), K))
-    out[np.arange(len(cols)), cols] = 1.0
-    return out
-
-
-def _sequence_signals(state, sample, u, y, tables, mode, cfg, bank):
-    """Loss, error signals (delta_ml, delta_fused) and center statistics
-    for one sequence, from its features u, posteriors y and (sequence
-    modes) lattice tables.
-
-    Both fusion modes take the one center-loss path: tmf weighs the
-    label positions of the lattice by their occupancy, fmf weighs the
-    classes 1..C by the one-hot frame target.
-    """
+def _batch_signals(state, batch, Ts, u, y, mode, cfg, bank):
+    """Each sequence's loss, the signal stacks delta_ml and delta_fused,
+    and each sequence's center statistics, from the feature and posterior
+    stacks.  tmf weighs the label positions of each lattice by their
+    occupancy, fmf the classes 1..C by the one-hot frame targets.  The
+    lattice gradient, the occupancy and center_stats run per sequence
+    (their reductions would regroup on a padded stack)."""
+    W, rows, stats = state.params["W"], partial(_rows_product, Ts=Ts), []
     if mode in TEMPORAL_MODES:
-        delta_ml = ctc.ctc_grad_logits(tables, y)
-        loss = -tables.log_seq_prob
-        if mode == "tmf":
-            w = ctc.occupancy(tables, y, cfg.occupancy_mode)[:, 1::2]
-            labels = tables.zp[1::2]
-            centers = bank.gather(labels)
-    else:
-        cols = np.asarray(sample.framewise, dtype=np.intp) - 1
-        if len(cols) and (cols.min() < 0 or cols.max() >= y.shape[1]):
-            raise losses.UnknownClass("frame label outside 1..%d" % y.shape[1])
-        w = _onehot(cols, y.shape[1])
-        delta_ml = y - w
-        loss = losses.cross_entropy(y, cols)
-        # the one-hot columns are the classes 1..C, in the bank's order
-        labels, centers = range(1, bank.num_classes + 1), bank.centers
-    W = state.params["W"]
-    if mode not in FUSION_MODES:
-        return loss, delta_ml, delta_ml @ W, None
-    loss = loss + cfg.lam * losses.ecl(u, w, centers)
-    delta_ecl = losses.ecl_grad_features(u, w, centers)
-    delta_fused = losses.fuse_feature_grad(delta_ml, W, delta_ecl, cfg)
-    return loss, delta_ml, delta_fused, losses.center_stats(bank, u, w, labels, centers)
-
-
-def _batch_signals(state, batch, mode, cfg, bank):
-    """(loss, gradients, center statistics) of each sequence of a batch, in
-    order.
-
-    One forward_batch, one forward_backward_batch (sequence modes) and
-    one backward_batch call cover the whole batch.  Parameters and
-    centers do not change within a batch, so the result is the same as
-    handling the sequences one at a time.
-    """
-    outputs = forward_batch(state, [sample.x for sample in batch])
-    if mode in TEMPORAL_MODES:
-        lattices = ctc.forward_backward_batch([y for _, _, y in outputs],
+        lattices = ctc.forward_backward_batch([y[b, :Tb] for b, Tb in enumerate(Ts)],
                                               [s.collapsed for s in batch])
+        delta_ml, delta_ecl = np.zeros(y.shape), np.zeros(u.shape)
+        seq_losses = [-tables.log_seq_prob for tables in lattices]
+        for b, (Tb, tables) in enumerate(zip(Ts, lattices)):
+            ub, yb = u[b, :Tb], y[b, :Tb]
+            delta_ml[b, :Tb] = ctc.ctc_grad_logits(tables, yb)
+            if mode == "tmf":
+                w = ctc.occupancy(tables, yb, cfg.occupancy_mode)[:, 1::2]
+                labels = tables.zp[1::2]
+                centers = bank.gather(labels)
+                seq_losses[b] += cfg.lam * losses.ecl(ub, w, centers)
+                delta_ecl[b, :Tb] = losses.ecl_grad_features(ub, w, centers)
+                stats.append(losses.center_stats(bank, ub, w, labels, centers))
     else:
-        lattices = [None] * len(batch)
-    signals = [_sequence_signals(state, sample, u, y, tables, mode, cfg, bank)
-               for sample, (u, _, y), tables in zip(batch, outputs, lattices)]
-    grads = backward_batch(state, [s[1] for s in signals], [s[2] for s in signals])
-    return [(loss, g, stats) for (loss, _, _, stats), g in zip(signals, grads)]
+        cols = np.concatenate([s.framewise for s in batch]).astype(np.intp) - 1
+        seq_losses = losses.cross_entropy(y, cols, Ts)
+        w = np.zeros(y.shape)
+        w[(*np.nonzero(np.arange(y.shape[1]) < np.asarray(Ts)[:, None]), cols)] = 1.0
+        delta_ml = y - w
+        if mode == "fmf":
+            # the one-hot columns are the classes 1..C, in the bank's order
+            labels, centers = range(1, bank.num_classes + 1), bank.centers
+            terms = losses.ecl_terms(u, w, centers)
+            seq_losses = [loss + cfg.lam * float(terms[b, :Tb].sum())
+                          for b, (Tb, loss) in enumerate(zip(Ts, seq_losses))]
+            delta_ecl = losses.ecl_grad_features(u, w, centers, rows)
+            stats = [losses.center_stats(bank, u[b, :Tb], w[b, :Tb], labels, centers)
+                     for b, Tb in enumerate(Ts)]
+    delta_fused = (losses.fuse_feature_grad(delta_ml, W, delta_ecl, cfg, rows)
+                   if mode in FUSION_MODES else rows(delta_ml, W))
+    return seq_losses, delta_ml, delta_fused, stats
+
+
+def _batch_step(state, batch, mode, cfg, bank):
+    """Each sequence's loss, the gradients summed over the batch, and
+    each sequence's center statistics (fusion modes), from one
+    forward_stacks, one lattice call (sequence modes) and one
+    backward_batch.  Parameters and centers stay fixed within a
+    batch, so this equals taking the sequences one at a time."""
+    Ts, u, _, y = forward_stacks(state, [sample.x for sample in batch])
+    seq_losses, delta_ml, delta_fused, stats = _batch_signals(
+        state, batch, Ts, u, y, mode, cfg, bank)
+    grads = backward_batch(state, delta_ml, delta_fused)
+    # in sequence order: a sum(axis=0) of (B, 1) stacks runs pairwise
+    grads = {k: np.add.accumulate(g, axis=0)[-1] for k, g in grads.items()}
+    return seq_losses, grads, stats
 
 
 def _apply_center_updates(bank, stats, mode):
     """One momentum step from the summed per-sequence center statistics;
     the framewise rule divides each class's sum by 1 + its weight."""
-    weights = sum(w for w, _ in stats)
-    sums = sum(s for _, s in stats)
+    weights, sums = sum(w for w, _ in stats), sum(s for _, s in stats)
     return bank.step(sums, weights if mode == "fmf" else None)
 
 
-SCORE_GROUP = 32        # sequences per forward_batch call when scoring
+SCORE_GROUP = 32        # sequences per forward_stacks call when scoring
 
 
 def score_groups(samples):
@@ -450,20 +448,21 @@ def validation_score(state, samples, mode):
     terms = [0.0] * len(samples)
     for group in score_groups(samples):
         members = [samples[i] for i in group]
-        ys = [y for _, _, y in forward_batch(state, [s.x for s in members])]
+        Ts, _, _, y = forward_stacks(state, [s.x for s in members])
         if temporal:
-            lattices = ctc.forward_backward_batch(ys, [s.collapsed for s in members])
-            for i, tables in zip(group, lattices):
-                terms[i] = tables.log_seq_prob
+            lattices = ctc.forward_backward_batch([y[b, :Tb] for b, Tb in enumerate(Ts)],
+                                                  [s.collapsed for s in members])
+            group_terms = [tables.log_seq_prob for tables in lattices]
         else:
-            for i, sample, y in zip(group, members, ys):
-                terms[i] = -losses.cross_entropy(y, np.asarray(sample.framewise) - 1)
+            cols = np.concatenate([s.framewise for s in members]).astype(np.intp) - 1
+            group_terms = [-nll for nll in losses.cross_entropy(y, cols, Ts)]
+        for i, term in zip(group, group_terms):
+            terms[i] = term
     total = 0.0
     for term in terms:
         total += term
-    if temporal:
-        return total / len(samples)
-    return total / sum(len(sample.framewise) for sample in samples)
+    return total / (len(samples) if temporal
+                    else sum(len(sample.framewise) for sample in samples))
 
 
 @dataclass
@@ -499,7 +498,6 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
                           stop_after=settings.stop_after)
     rng = np.random.default_rng(settings.seed)
     rows = []
-    fused_mode = mode in FUSION_MODES
     batches_seen = 0
     running_loss, running_n = 0.0, 0
     stop = False
@@ -508,22 +506,14 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
         order = rng.permutation(len(train_samples))
         for start in range(0, len(order), settings.batch_size):
             batch = [train_samples[i] for i in order[start:start + settings.batch_size]]
-            grad_total = None
-            batch_stats = []
-            for loss, grads, stats in _batch_signals(state, batch, mode, cfg, bank):
+            seq_losses, grads, stats = _batch_step(state, batch, mode, cfg, bank)
+            for loss in seq_losses:
                 running_loss += loss
-                if grad_total is None:
-                    grad_total = grads
-                else:
-                    for k in grad_total:
-                        grad_total[k] += grads[k]
-                if stats is not None:
-                    batch_stats.append(stats)
             if not np.isfinite(running_loss):
                 raise NonFiniteGradient("training loss is not finite")
-            adam_step(state, grad_total)
-            if fused_mode:
-                bank = _apply_center_updates(bank, batch_stats, mode)
+            adam_step(state, grads)
+            if mode in FUSION_MODES:
+                bank = _apply_center_updates(bank, stats, mode)
             running_n += len(batch)
             batches_seen += 1
             if batches_seen % settings.eval_interval == 0 or batches_seen >= settings.max_batches:
@@ -545,10 +535,7 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
                 action = schedule_tick(sched, score)
                 if action == "halve_lr":
                     state.lr = state.lr / 2.0
-                elif action == "early_stop":
-                    stop = True
-                if batches_seen >= settings.max_batches:
-                    stop = True
+                stop = action == "early_stop" or batches_seen >= settings.max_batches
                 if stop:
                     break
         if not len(order):

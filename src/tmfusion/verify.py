@@ -10,13 +10,14 @@ Three suites run many lattices for one instance, and put them in one
 labeling of one posterior, ``grad_ml`` and ``grad_full`` the 2n points
 of one finite difference (``oracle.finite_diff`` hands them over
 stacked).  ``grad_ml`` takes the softmax of all its points in one call,
-and ``grad_full`` runs the network once for all of them, each point's
-parameters a view of its row; ``grad_ecl`` evaluates its points one by
-one.  Their errors keep every bit of a per-point loop: the batched
-lattice and network equal ``forward_backward`` and ``forward`` on each
-point bit for bit, the points are built by the same elementwise
-additions, and the partition sums its probabilities in enumeration
-order.
+``grad_full`` runs the network once for all of them, each point's
+parameters a view of its row, and ``grad_ecl`` and ``grad_full`` take
+one ECL table for all their points.  Their errors keep every bit of a
+per-point loop: the batched lattice and network equal
+``forward_backward`` and ``forward`` on each point bit for bit, each
+point sums its own contiguous slice of the ECL table, the points are
+built by the same elementwise additions, and the partition sums its
+probabilities in enumeration order.
 """
 
 import copy
@@ -155,7 +156,8 @@ def grad_ecl_suite(n=50, seed=5):
         w, centers = gamma[:, 1::2], bank.gather(tables.zp[1::2])
 
         def ecl_of(points):
-            return [losses.ecl(flat.reshape(T, D), w, centers) for flat in points]
+            terms = losses.ecl_terms(points.reshape(len(points), T, D), w, centers)
+            return [float(t.sum()) for t in terms]
 
         analytic = 2.0 * losses.ecl_grad_features(u, w, centers).ravel()
         fd = oracle.finite_diff(ecl_of, u.ravel())
@@ -167,15 +169,15 @@ def tmf_network_loss(state, points, x, z, lam, w, centers):
     """Fused sequence loss of one input at each flat parameter vector in
     ``points``, with the label occupancy weights ``w`` and the gathered
     ``centers`` held fixed (how the learning rule treats them).  One
-    ``forward_batch`` call runs the input at every point, each point's
-    parameters a view of its row, and the lattices run as one batch.
-    The state is left as it was."""
+    ``forward_stacks`` call runs the input at every point, each point's
+    parameters a view of its row; the lattices run as one batch and the
+    ECL terms as one table.  The state is left as it was."""
     points_state = copy.copy(state)
     points_state.params = state.unflatten(points)
-    outputs = model.forward_batch(points_state, [x] * len(points))
-    batch = ctc.forward_backward_batch([y for _, _, y in outputs], [z] * len(outputs))
-    return [-tables.log_seq_prob + lam * losses.ecl(u, w, centers)
-            for (u, _, _), tables in zip(outputs, batch)]
+    _, u, _, y = model.forward_stacks(points_state, [x] * len(points))
+    batch = ctc.forward_backward_batch(list(y), [z] * len(points))
+    return [-tables.log_seq_prob + lam * float(terms.sum())
+            for tables, terms in zip(batch, losses.ecl_terms(u, w, centers))]
 
 
 def grad_full_suite(n=50, seed=6, lam=0.05):

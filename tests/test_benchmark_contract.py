@@ -35,3 +35,16 @@ def test_benchmark_workload_runs_traced(checkout, workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+
+
+def test_importing_the_library_imports_numpy_random():
+    # numpy 2 imports numpy.random on first use; a timer signal handler
+    # that calls np.random (the benchmark's calibration sampler) and lands
+    # inside that first import re-enters it and dies with a RecursionError
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tmfusion; print('numpy.random' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]

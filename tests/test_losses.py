@@ -37,7 +37,9 @@ def lattice_weights(gamma, zp, bank):
 def onehot_weights(k, bank):
     """One-hot weights over the classes 1..C, their labels and centers:
     the framewise-mode arguments of the path, as model.train builds them."""
-    w = model._onehot(np.asarray(k, dtype=np.intp) - 1, bank.num_classes)
+    k = np.asarray(k, dtype=np.intp)
+    w = np.zeros((len(k), bank.num_classes))
+    w[np.arange(len(k)), k - 1] = 1.0
     return w, range(1, bank.num_classes + 1), bank.centers
 
 
@@ -178,14 +180,35 @@ def test_cross_entropy_quarter():
     assert losses.cross_entropy(y, [0]) == pytest.approx(math.log(4), rel=1e-12)
 
 
+def test_cross_entropy_of_a_padded_stack_matches_each_sequence_bitwise():
+    # each sequence sums its own slice of one gathered NLL, whatever the
+    # padding frames hold, and keeps the bits of the per-sequence sum
+    rng = np.random.default_rng(14)
+    Ts = [1, 9, 40, 17, 8, 130]
+    ys = [model.softmax(rng.normal(size=(T, 5))) for T in Ts]
+    cols = [rng.integers(0, 5, T) for T in Ts]
+    stack = rng.uniform(0.1, 1.0, (len(Ts), max(Ts), 5))
+    for b, y in enumerate(ys):
+        stack[b, :len(y)] = y
+    got = losses.cross_entropy(stack, np.concatenate(cols), Ts)
+    assert got == [float(-np.log(y[np.arange(len(c)), c]).sum()) for y, c in zip(ys, cols)]
+    for bad in (-1, 5):
+        with pytest.raises(losses.UnknownClass):
+            losses.cross_entropy(ys[1], [0] * 8 + [bad])
+
+
 # ---------------------------------------------------------------- fmf fusion
 
 def sequence_loss(mode, lam, u, y, bank, framewise=None, tables=None):
-    """The training loss of one sequence, as model.train sums it."""
+    """The training loss of one sequence, as model.train sums it: the
+    signal step of a batch of one, whose lattice (sequence modes) labels
+    the sequence with the labels of ``tables``."""
     state = SimpleNamespace(params={"W": np.zeros((y.shape[1], u.shape[1]))})
-    sample = SimpleNamespace(framewise=np.asarray(framewise))
+    sample = SimpleNamespace(framewise=np.asarray(framewise),
+                             collapsed=None if tables is None else tables.zp[1::2])
     cfg = losses.FusionConfig(lam=lam)
-    return model._sequence_signals(state, sample, u, y, tables, mode, cfg, bank)[0]
+    return model._batch_signals(state, [sample], [len(y)], u[None], y[None],
+                                mode, cfg, bank)[0][0]
 
 
 def test_fmf_equals_cross_entropy_at_lambda_zero():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tmfusion import experiment, losses, model, oracle, synth
+from tmfusion import ctc, experiment, losses, model, oracle, synth
 
 
 TOY_GEN = synth.GeneratorConfig(num_classes=2, feature_dim=4,
@@ -136,21 +136,58 @@ def lengths(draw, max_count, max_T, pool_size):
     return draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
 
 
-WIDTHS = st.sampled_from([[5], [16], [32, 16]])
+WIDTHS = st.sampled_from([[5], [16], [32, 16], [1]])
 SEEDS = st.integers(0, 2 ** 16)
 
 
+def padded(arrays, Ts, width):
+    """The (T_b, width) arrays as a left-aligned (B, T_max, width)
+    stack, zero on the padding frames."""
+    out = np.zeros((len(Ts), max(Ts, default=0), width))
+    for o, a in zip(out, arrays):
+        o[:len(a)] = a
+    return out
+
+
+@pytest.mark.parametrize("hidden, recurrent", [([16], True), ([16, 1], True), ([5], False)])
+def test_backward_batch_ignores_what_the_padding_frames_hold(hidden, recurrent):
+    # signal stacks whose padding frames hold noise, inf or nan give the
+    # gradients of zero padding, bit for bit, and are left as they were
+    rng = np.random.default_rng(5)
+    spec = model.NetworkSpec(4, hidden, 3, recurrent=recurrent)
+    state = model.ModelState(spec, seed=5)
+    Ts, D = [9, 1, 5], spec.feature_dim
+    model.forward_stacks(state, [rng.normal(size=(T, 4)) for T in Ts])
+    dml = padded([rng.normal(size=(T, 3)) for T in Ts], Ts, 3)
+    dfused = padded([rng.normal(size=(T, D)) for T in Ts], Ts, D)
+    want = model.backward_batch(state, dml, dfused)
+    padding = np.arange(max(Ts)) >= np.asarray(Ts)[:, None]
+    dml[padding] = rng.normal(0.0, 1e3, (padding.sum(), 3))
+    dfused[padding] = np.inf
+    b, t = np.nonzero(padding)
+    dfused[b[0], t[0]] = np.nan
+    before = dml.copy(), dfused.copy()
+    got = model.backward_batch(state, dml, dfused)
+    assert got.keys() == want.keys()
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
+    assert np.array_equal(dml, before[0])
+    assert np.array_equal(dfused, before[1], equal_nan=True)
+
+
 @settings(max_examples=80, deadline=None)
-@given(hidden=WIDTHS, recurrent=st.booleans(), K=st.integers(2, 6),
+@given(hidden=WIDTHS, recurrent=st.booleans(), K=st.integers(1, 11),
        Ts=lengths(7, 25, 3), seed=SEEDS)
 @example(hidden=[16], recurrent=True, K=3, Ts=[25, 1, 25], seed=1)
 @example(hidden=[32, 16], recurrent=False, K=6, Ts=[1, 25], seed=2)
+@example(hidden=[16, 1], recurrent=True, K=3, Ts=[20, 7, 13], seed=4)
 def test_batch_matches_per_sequence_bitwise(hidden, recurrent, K, Ts, seed):
     # ragged batches, T = 1 and B in {0, 1, ...}, recurrent or not, at
     # the widths in use ([5] in the suites, [16] in the experiment,
     # [32, 16] in the CLI default); every output and gradient must equal
     # the per-sequence network's bit for bit.  A length-1 input beside a
-    # longer one is the case the padded stack cannot run as it is
+    # longer one is the case the padded stack cannot run as it is, and
+    # so is a layer of width 1 over a wider one ([16, 1])
     rng = np.random.default_rng(seed)
     spec = model.NetworkSpec(4, hidden, K, recurrent=recurrent)
     state = model.ModelState(spec, seed=int(rng.integers(1 << 30)))
@@ -161,8 +198,11 @@ def test_batch_matches_per_sequence_bitwise(hidden, recurrent, K, Ts, seed):
     dfused = [rng.normal(size=(T, spec.feature_dim)) for T in Ts]
 
     outputs = model.forward_batch(state, xs)
-    grads = model.backward_batch(state, dml, dfused)
+    stacks = model.backward_batch(state, padded(dml, Ts, K),
+                                  padded(dfused, Ts, spec.feature_dim))
+    grads = [{k: g[b] for k, g in stacks.items()} for b in range(len(Ts))]
     assert len(outputs) == len(grads) == len(Ts)
+    assert all(len(g) == len(Ts) for g in stacks.values())
     for x, out, d1, d2, got in zip(xs, outputs, dml, dfused, grads):
         hs, expected = reference_forward(state, x)
         for a, b in zip(out, expected):
@@ -257,6 +297,44 @@ def test_blas_weight_gradient_over_padded_frames_matches_the_unpadded_product():
             assert (dz_stack[0].T @ h_stack[0]).tobytes() == want[0]
 
 
+def test_blas_contiguous_frame_products_match_the_one_dimensional_product():
+    # the recurrence runs frame t of the whole batch as one contiguous
+    # (B, 1, H) block f: f @ R.T forward, f @ R backward, and f @ R[b].T
+    # with per-input parameters.  numpy runs each as one gemv per
+    # sequence, equal bit for bit to the row's 1-D product
+    rng = np.random.default_rng(4)
+    for H in (1, 5, 16, 32):
+        for B in range(1, 9):
+            for _ in range(5):
+                R, Rs = rng.normal(size=(H, H)), rng.normal(size=(B, H, H))
+                f = rng.normal(size=(B, 1, H))
+                for got, mats in ((f @ R.T, [R.T] * B), (f @ R, [R] * B),
+                                  (f @ Rs.swapaxes(-1, -2), [r.T for r in Rs])):
+                    for row, fb, m in zip(got, f, mats):
+                        assert row.tobytes() == (fb[0] @ m).tobytes(), (H, B)
+
+
+def test_blas_rows_of_a_padded_stack_times_a_stored_matrix_match_the_unpadded_product():
+    # the signal step runs delta_ml @ W and fmf's w @ centers on padded
+    # stacks, with the (K, D) matrix as it is stored.  The rows of an
+    # input of T_b >= 2 frames equal its unpadded product, for two or
+    # more columns D.  One column runs as a gemv and is not covered:
+    # _rows_product runs each input on its own there
+    rng = np.random.default_rng(5)
+    T_max = 40
+    for K in range(1, 12):
+        for D in (2, 5, 8, 16, 32):
+            W = rng.normal(size=(K, D))
+            for Tb in range(2, T_max + 1):
+                x = rng.normal(size=(Tb, K))
+                stack = rng.normal(size=(2, T_max, K))
+                stack[0, Tb:] = 0.0
+                stack[:, :Tb] = x
+                want = (x @ W).tobytes()
+                for rows in (stack @ W)[:, :Tb]:
+                    assert rows.tobytes() == want, (K, D, Tb)
+
+
 def test_recurrence_first_frame_matches_the_zero_product_bitwise():
     # frame 0 adds 0.0 in place of R h_{-1} = R 0; like the product,
     # that turns a pre-activation of -0 into +0
@@ -264,13 +342,13 @@ def test_recurrence_first_frame_matches_the_zero_product_bitwise():
     R = rng.normal(size=(4, 4))
     z = rng.normal(size=(3, 4))
     z[0, :2] = -0.0
-    frames = z.copy()[None, :, None, :]
+    frames = z.copy()[:, None, None, :]          # time-major (T, B, 1, H)
     model._recurrence(frames, R)
     h, prev = np.empty_like(z), np.zeros(4)
     for t in range(3):
         prev = np.tanh(z[t] + prev @ R.T)
         h[t] = prev
-    assert frames[0, :, 0].tobytes() == h.tobytes()
+    assert frames[:, 0, 0].tobytes() == h.tobytes()
 
 
 def test_backward_batch_needs_one_signal_per_cached_sequence():
@@ -421,13 +499,13 @@ def settings_for(mode, lam=0.0, **kw):
     return model.TrainSettings(**defaults)
 
 
-def fresh_run(mode, lam=0.0, seed=42, **kw):
+def fresh_run(mode, lam=0.0, seed=42, hidden=(8,), **kw):
     data = toy_data(seed=seed)
     train_set, val_set = data[:48], data[48:]
     K = 3 if mode in ("ctc", "tmf") else 2
-    spec = model.NetworkSpec(4, [8], K, recurrent=True)
+    spec = model.NetworkSpec(4, list(hidden), K, recurrent=True)
     state = model.ModelState(spec, seed=7, lr=1e-2)
-    bank = losses.CenterBank(2, 8)
+    bank = losses.CenterBank(2, hidden[-1])
     return model.train(state, bank, train_set, val_set,
                        settings_for(mode, lam, **kw))
 
@@ -498,11 +576,82 @@ def test_train_batched_lattice_matches_per_sequence_bitwise(mode, monkeypatch):
 
 
 
+def parent_sequence_signals(state, sample, u, y, tables, mode, cfg, bank):
+    """The per-sequence signal step that the batch's stacks replaced, as
+    it was: the loss, delta_ml, delta_fused and center statistics of one
+    sequence from its features u, posteriors y and lattice tables."""
+    if mode in model.TEMPORAL_MODES:
+        delta_ml = ctc.ctc_grad_logits(tables, y)
+        loss = -tables.log_seq_prob
+        if mode == "tmf":
+            w = ctc.occupancy(tables, y, cfg.occupancy_mode)[:, 1::2]
+            labels = tables.zp[1::2]
+            centers = bank.gather(labels)
+    else:
+        cols = np.asarray(sample.framewise, dtype=np.intp) - 1
+        w = np.zeros((len(cols), y.shape[1]))
+        w[np.arange(len(cols)), cols] = 1.0
+        delta_ml = y - w
+        loss = losses.cross_entropy(y, cols)
+        labels, centers = range(1, bank.num_classes + 1), bank.centers
+    W = state.params["W"]
+    if mode not in model.FUSION_MODES:
+        return loss, delta_ml, delta_ml @ W, None
+    loss = loss + cfg.lam * losses.ecl(u, w, centers)
+    delta_ecl = losses.ecl_grad_features(u, w, centers)
+    delta_fused = losses.fuse_feature_grad(delta_ml, W, delta_ecl, cfg)
+    return loss, delta_ml, delta_fused, losses.center_stats(bank, u, w, labels, centers)
+
+
+def train_one_at_a_time(run, monkeypatch):
+    """run() with each training sequence and each validation input run
+    through the network alone: a training step is one forward, the
+    parent signal step and one backward per sequence, its gradients
+    added one sequence at a time.  Returns run's result and the batch
+    sizes that the steps and the validation groups were handed."""
+    forward_stacks, sizes = model.forward_stacks, []
+
+    def step(state, batch, mode, cfg, bank):
+        sizes.append(len(batch))
+        seq_losses, total, stats = [], None, []
+        for sample in batch:
+            _, u, _, y = forward_stacks(state, [sample.x])
+            u, y = u[0], y[0]
+            tables = (ctc.forward_backward(y, sample.collapsed)
+                      if mode in model.TEMPORAL_MODES else None)
+            loss, d1, d2, st = parent_sequence_signals(state, sample, u, y, tables,
+                                                       mode, cfg, bank)
+            grads = model.backward(state, d1, d2)
+            if total is None:
+                total = grads
+            else:
+                for k in total:
+                    total[k] += grads[k]
+            seq_losses.append(loss)
+            if st is not None:
+                stats.append(st)
+        return seq_losses, total, stats
+
+    def forward_each(state, xs):
+        # each input alone, its outputs copied into the padded stacks
+        sizes.append(len(xs))
+        Ts = [len(x) for x in xs]
+        alone = [forward_stacks(state, [x])[1:] for x in xs]
+        return [Ts] + [padded([out[j][0] for out in alone], Ts, alone[0][j].shape[-1])
+                       for j in range(3)]
+
+    monkeypatch.setattr(model, "_batch_step", step)
+    monkeypatch.setattr(model, "forward_stacks", forward_each)
+    return run(), sizes
+
+
 @pytest.mark.parametrize("mode", ["ce", "fmf", "ctc", "tmf"])
 def test_train_batched_network_matches_per_sequence_bitwise(mode, monkeypatch):
-    # training makes one forward_batch and one backward_batch call per
-    # batch and scores validation in length-sorted groups; one call per
-    # sequence must give the same parameters, centers and rows, bit for bit
+    # training makes one forward_stacks and one backward_batch call per
+    # batch, computes the signals on the padded stacks and scores
+    # validation in length-sorted groups; one sequence at a time through
+    # the per-sequence signal step must give the same parameters,
+    # centers and rows, bit for bit
     lam = 1e-2 if mode in ("fmf", "tmf") else 0.0
 
     def run():
@@ -512,38 +661,44 @@ def test_train_batched_network_matches_per_sequence_bitwise(mode, monkeypatch):
 
     monkeypatch.setattr(model, "SCORE_GROUP", 5)     # 12 validation sequences
     batched = run()
-    forward_batch, backward_batch = model.forward_batch, model.backward_batch
-    sizes = []
-
-    def forward_each(state, xs):
-        # the B=1 caches, one per input, stand in for the batch's cache
-        sizes.append(len(xs))
-        outputs, caches = [], []
-        for x in xs:
-            outputs += forward_batch(state, [x])
-            caches.append(state.cache)
-        state.cache = caches
-        return outputs
-
-    def backward_each(state, deltas_ml, deltas_fused):
-        caches, grads = state.cache, []
-        for cache, d1, d2 in zip(caches, deltas_ml, deltas_fused, strict=True):
-            state.cache = cache
-            grads += backward_batch(state, [d1], [d2])
-        state.cache = caches
-        return grads
-
-    monkeypatch.setattr(model, "forward_batch", forward_each)
-    monkeypatch.setattr(model, "backward_batch", backward_each)
-    looped = run()
+    looped, sizes = train_one_at_a_time(run, monkeypatch)
     assert sizes[0] == 6 and sizes.count(5) >= 2    # a batch, validation groups
     (s1, b1, r1), (s2, b2, r2) = batched, looped
     assert r1 == r2
     for k in s1.param_names():
         assert np.array_equal(s1.params[k], s2.params[k])
+        assert np.array_equal(s1.adam_m[k], s2.adam_m[k])
+        assert np.array_equal(s1.adam_v[k], s2.adam_v[k])
     assert np.array_equal(b1.centers, b2.centers)
     if lam:
         assert np.any(b1.centers != 0.0)
+
+
+@pytest.mark.parametrize("mode", ["ce", "fmf", "ctc", "tmf"])
+def test_train_at_width_one_matches_one_at_a_time_bitwise(mode, monkeypatch):
+    # at hidden [1] the gradients of b0 and R, and the features, have
+    # width 1: a sum over the batch of (8, 1) gradients that ran pairwise
+    # differed from adding the sequences one at a time in about half of
+    # random trials, and so do the padded stack's sums over frames
+    lam = 1e-2 if mode in ("fmf", "tmf") else 0.0
+
+    def run():
+        return fresh_run(mode, lam=lam, hidden=(1,), batch_size=8, max_batches=30,
+                         eval_interval=15, fusion=losses.FusionConfig(
+                             lam=lam, occupancy_mode="frame_normalized"))
+
+    batched = run()
+    (s2, b2, r2), sizes = train_one_at_a_time(run, monkeypatch)
+    s1, b1, r1 = batched
+    assert sizes[0] == 8
+    assert r1 == r2
+    for k in s1.param_names():
+        # a last-bit change in a gradient rarely survives the parameter
+        # step's rounding, but it stays in the Adam moments
+        for got, want in zip((s1.params, s1.adam_m, s1.adam_v),
+                             (s2.params, s2.adam_m, s2.adam_v)):
+            assert np.array_equal(got[k], want[k])
+    assert np.array_equal(b1.centers, b2.centers)
 
 
 @pytest.mark.parametrize("mode", ["ce", "ctc"])
