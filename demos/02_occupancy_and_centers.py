@@ -21,6 +21,15 @@ def banner(text):
     print("-" * len(text))
 
 
+def center_step(bank, u, gamma, zp):
+    """One occupancy-weighted center update from one sequence: its
+    center statistics over the label positions, then one bank step."""
+    labels = zp[1::2]
+    _, sums = losses.center_stats(bank, u, gamma[:, 1::2], labels,
+                                  bank.gather(labels))
+    return bank.step(sums)
+
+
 def main():
     rng = np.random.default_rng(3)
     T, K, dim = 6, 3, 2
@@ -31,7 +40,7 @@ def main():
     tables = ctc.forward_backward(y, labels)
 
     banner("occupancy, literal convention (rows are frames)")
-    gamma = ctc.occupancy(tables, y, "paper_literal")
+    gamma = ctc.occupancy(tables, "paper_literal")
     print("columns follow z' =", list(tables.zp))
     print(np.round(gamma, 4))
     ident = (gamma / y[:, tables.zp]).sum(axis=1)
@@ -39,7 +48,7 @@ def main():
     print("  %s vs %.6f" % (np.round(ident, 6), np.exp(tables.log_seq_prob)))
 
     banner("occupancy, frame normalized")
-    gamma_n = ctc.occupancy(tables, y, "frame_normalized")
+    gamma_n = ctc.occupancy(tables, "frame_normalized")
     print(np.round(gamma_n, 4))
     print("row sums:", np.round(gamma_n.sum(axis=1), 12))
 
@@ -53,8 +62,8 @@ def main():
     print("blank positions carry no center and contribute nothing.")
 
     banner("center update fixed point")
-    on_center = np.tile(bank.center(1), (T, 1))
-    stepped = losses.update_centers_tmf(bank, on_center, gamma_n, tables.zp)
+    on_center = np.tile(bank.centers[0], (T, 1))
+    stepped = center_step(bank, on_center, gamma_n, tables.zp)
     print("features placed exactly on center 1:")
     print("  center 1 movement = %.3e (a fixed point)"
           % np.abs(stepped.centers[0] - bank.centers[0]).max())
@@ -65,13 +74,13 @@ def main():
     hi = float(gamma_n.max())
     above = np.nextafter(hi, 2.0)
     gated = losses.CenterBank(K - 1, dim, occupancy_threshold=above)
-    moved = losses.update_centers_tmf(gated, features, gamma_n, tables.zp)
+    moved = center_step(gated, features, gamma_n, tables.zp)
     print("largest weight is %.4f; a threshold just above it gates every"
           % hi)
     print("term, so max movement = %.3e"
           % np.abs(moved.centers - gated.centers).max())
     open_bank = losses.CenterBank(K - 1, dim, occupancy_threshold=0.0)
-    moved = losses.update_centers_tmf(open_bank, features, gamma_n, tables.zp)
+    moved = center_step(open_bank, features, gamma_n, tables.zp)
     print("threshold 0.0 admits them all;   max movement = %.3e"
           % np.abs(moved.centers - open_bank.centers).max())
 

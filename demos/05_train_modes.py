@@ -26,8 +26,7 @@ def build(mode, lam, data, seed=9):
     bank = losses.CenterBank(3, 12)
     settings = model.TrainSettings(
         mode=mode, batch_size=8, max_batches=120, eval_interval=30,
-        seed=seed,
-        fusion=losses.FusionConfig(lam=lam))
+        seed=seed, lam=lam)
     return model.train(state, bank, data[:160], data[160:], settings)
 
 

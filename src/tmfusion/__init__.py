@@ -8,11 +8,9 @@ framewise pairing, with brute-force oracles for every formula."""
 import numpy.random as _numpy_random  # noqa: F401
 
 from .ctc import (AlignmentTables, BLANK, DegenerateFrame, InfeasibleLabeling,
-                  ctc_grad_logits, extend_with_blanks, forward_backward,
-                  min_frames, occupancy)
-from .losses import (CenterBank, FusionConfig, UnknownClass, center_stats,
-                     cross_entropy, ecl, ecl_grad_features, fuse_feature_grad,
-                     update_centers_tmf)
+                  ctc_grad_logits, forward_backward, min_frames, occupancy)
+from .losses import (CenterBank, UnknownClass, center_stats, cross_entropy, ecl,
+                     ecl_grad_features, fuse_feature_grad)
 from .model import (ModelState, NetworkSpec, NonFiniteGradient, ScheduleState,
                     TrainSettings, adam_step, backward, backward_batch, forward,
                     forward_batch, forward_stacks, schedule_tick, train,

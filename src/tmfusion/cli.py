@@ -188,7 +188,6 @@ def cmd_train(args):
                                         cfg.settings(), eval_hook=hook)
     except (model.NonFiniteGradient, ctc.NonPositivePosterior,
             ctc.DegenerateFrame) as exc:
-        fh.close()
         return _fail(EXIT_DIVERGED,
                      "training diverged (%s); last good checkpoint kept at %s"
                      % (exc, cfg.checkpoint_path))

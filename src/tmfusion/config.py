@@ -6,9 +6,9 @@ same seed produce byte-identical files.
 
 A run config is read by the dataclasses' own field types: a field typed
 by a dataclass is read from a nested object, a list or tuple field from
-an array.  The training settings, the fusion settings and the center
-bank check their own fields (the mode against model.MODES, lam,
-occupancy_mode, occupancy_threshold), and RunConfig reports their
+an array.  The training settings and the center bank check their own
+fields (the mode against model.MODES, lam, occupancy_mode against
+ctc.OCCUPANCY_MODES, occupancy_threshold), and RunConfig reports their
 errors as ConfigError.
 """
 
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .losses import CenterBank, FusionConfig
+from .losses import CenterBank
 from .model import (MODES, TEMPORAL_MODES, ModelState, NetworkSpec, ScheduleState,
                     TrainSettings, output_units)
 from .synth import CONDITIONS, GeneratorConfig
@@ -91,15 +91,12 @@ class RunConfig:
     def temporal(self):
         return self.mode in TEMPORAL_MODES
 
-    def fusion(self):
-        return FusionConfig(lam=self.lam, occupancy_mode=self.occupancy_mode)
-
     def settings(self):
         return TrainSettings(
             mode=self.mode, batch_size=self.batch_size,
             max_batches=self.max_batches, eval_interval=self.eval_interval,
             halve_after=self.halve_after, stop_after=self.stop_after,
-            seed=self.seed, fusion=self.fusion())
+            seed=self.seed, lam=self.lam, occupancy_mode=self.occupancy_mode)
 
     def new_state(self):
         return ModelState(self.network, seed=self.seed, lr=self.learning_rate,

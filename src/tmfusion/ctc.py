@@ -60,21 +60,9 @@ class NonPositivePosterior(ValueError):
     """A posterior entry is zero or negative, so its log is not finite."""
 
 
-def extend_with_blanks(labels):
-    """Interleave blanks around and between the labels.
-
-    ``[a, b]`` becomes ``[0, a, 0, b, 0]``; the empty sequence becomes
-    ``[0]``.
-    """
-    labels = np.asarray(labels, dtype=np.intp)
-    zp = _interleave(labels)
-    if (labels == BLANK).any():
-        raise ValueError("labels must not contain the blank index 0")
-    return zp
-
-
 def _interleave(labels):
-    """extend_with_blanks without the blank check, for an intp array."""
+    """Blanks around and between the labels: ``[a, b]`` becomes
+    ``[0, a, 0, b, 0]`` and the empty sequence ``[0]``."""
     if labels.ndim != 1:
         raise ValueError("labels must be one-dimensional")
     zp = np.full(2 * len(labels) + 1, BLANK, dtype=np.intp)
@@ -209,8 +197,12 @@ def forward_backward_batch(ys, labels_list):
     return out
 
 
-def occupancy(tables, y, mode="paper_literal"):
-    """Per-(frame, position) alignment weights from the DP tables.
+OCCUPANCY_MODES = ("paper_literal", "frame_normalized")
+
+
+def occupancy(tables, mode="paper_literal"):
+    """Per-(frame, position) alignment weights from the DP tables, by
+    one of OCCUPANCY_MODES.
 
     mode="paper_literal" returns the raw product alpha_t(s) * beta_t(s);
     mode="frame_normalized" divides each frame's row by its sum so rows

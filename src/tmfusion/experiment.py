@@ -145,10 +145,9 @@ def make_datasets(spec, seed):
     return train, val, tests
 
 
-def run_single(spec, mode, seed, data=None):
-    """Train one mode on one seed; returns {condition: EvalReport}."""
-    if data is None:
-        data = make_datasets(spec, seed)
+def run_single(spec, mode, seed, data):
+    """Train one mode on one seed's corpus, data = make_datasets(spec,
+    seed); returns {condition: EvalReport}."""
     train_set, val_set, tests = data
     cfg = run_config_for(spec, mode, seed)
     state = cfg.new_state()

@@ -25,28 +25,11 @@ balancing factor lambda absorbs it.  Tests pin the relationship: twice
 the returned signal equals the true gradient.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-OCCUPANCY_MODES = ("paper_literal", "frame_normalized")
 
 
 class UnknownClass(Exception):
     """A label refers to a class the center bank does not track."""
-
-
-@dataclass
-class FusionConfig:
-    lam: float = 1e-3
-    occupancy_mode: str = "paper_literal"
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam: must be nonnegative")
-        if self.occupancy_mode not in OCCUPANCY_MODES:
-            raise ValueError("occupancy_mode: expected one of %s, got %r"
-                             % (OCCUPANCY_MODES, self.occupancy_mode))
 
 
 class CenterBank:
@@ -67,11 +50,6 @@ class CenterBank:
         self.momentum = momentum
         self.occupancy_threshold = occupancy_threshold
         self.centers = np.zeros((num_classes, dim))
-
-    def center(self, label):
-        if not 1 <= label <= self.num_classes:
-            raise UnknownClass("no center for class %r" % (label,))
-        return self.centers[label - 1]
 
     def gather(self, labels):
         """Stack the centers for a sequence of non-blank labels."""
@@ -146,14 +124,14 @@ def ecl_grad_features(u, w, centers, product=np.matmul):
     return w.sum(axis=-1)[..., None] * u - product(w, centers)
 
 
-def fuse_feature_grad(delta_ml, W, delta_ecl, cfg, product=np.matmul):
+def fuse_feature_grad(delta_ml, W, delta_ecl, lam, product=np.matmul):
     """Fused error signal entering the second-last layer,
-    delta = product(delta_ml, W) + lambda * delta_ecl: per frame,
+    delta = product(delta_ml, W) + lam * delta_ecl: per frame,
     W^T delta_ml(t) plus the weighted center signal."""
     base = product(np.asarray(delta_ml, dtype=float), np.asarray(W, dtype=float))
-    if cfg.lam == 0.0:
+    if lam == 0.0:
         return base
-    return base + cfg.lam * np.asarray(delta_ecl, dtype=float)
+    return base + lam * np.asarray(delta_ecl, dtype=float)
 
 
 def center_stats(bank, u, w, labels, centers):
@@ -181,10 +159,3 @@ def center_stats(bank, u, w, labels, centers):
         sums[label - 1] += n * c - wl @ u[live]
     return weights, sums
 
-
-def update_centers_tmf(bank, u, gamma, zp):
-    """Apply the occupancy-weighted center update for one sequence, from
-    its (T, 2r+1) occupancy gamma over the blank-extended labeling zp."""
-    labels = zp[1::2]
-    _, sums = center_stats(bank, u, gamma[:, 1::2], labels, bank.gather(labels))
-    return bank.step(sums)

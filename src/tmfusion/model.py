@@ -49,11 +49,11 @@ tests in tests/test_model.py:
   views of a (B, n) array of flat vectors): weights enter as
   ``W.swapaxes(-1, -2)``, biases get an axis for the frames, and the
   recurrence multiplies by a stack of R[b].T, each the product that the
-  network runs after ``set_flat_params`` of point b.  backward_batch
-  takes shared parameters only.
+  network runs with the parameters [b] alone.  backward_batch takes
+  shared parameters only.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -135,9 +135,6 @@ class ModelState:
 
     def flat_params(self):
         return np.concatenate([self.params[k].ravel() for k in self.param_names()])
-
-    def set_flat_params(self, flat):
-        self.params.update({k: v.copy() for k, v in self.unflatten(flat).items()})
 
     def unflatten(self, flat):
         """Parameter views of a (..., n) array of flat parameter vectors:
@@ -364,13 +361,14 @@ def schedule_tick(sched, validation_score):
     return "continue"
 
 
-def _batch_signals(state, batch, Ts, u, y, mode, cfg, bank):
+def _batch_signals(state, batch, Ts, u, y, settings, bank):
     """Each sequence's loss, the signal stacks delta_ml and delta_fused,
     and each sequence's center statistics, from the feature and posterior
     stacks.  tmf weighs the label positions of each lattice by their
     occupancy, fmf the classes 1..C by the one-hot frame targets.  The
     lattice gradient, the occupancy and center_stats run per sequence
     (their reductions would regroup on a padded stack)."""
+    mode, lam = settings.mode, settings.lam
     W, rows, stats = state.params["W"], partial(_rows_product, Ts=Ts), []
     if mode in TEMPORAL_MODES:
         lattices = ctc.forward_backward_batch([y[b, :Tb] for b, Tb in enumerate(Ts)],
@@ -381,10 +379,10 @@ def _batch_signals(state, batch, Ts, u, y, mode, cfg, bank):
             ub, yb = u[b, :Tb], y[b, :Tb]
             delta_ml[b, :Tb] = ctc.ctc_grad_logits(tables, yb)
             if mode == "tmf":
-                w = ctc.occupancy(tables, yb, cfg.occupancy_mode)[:, 1::2]
+                w = ctc.occupancy(tables, settings.occupancy_mode)[:, 1::2]
                 labels = tables.zp[1::2]
                 centers = bank.gather(labels)
-                seq_losses[b] += cfg.lam * losses.ecl(ub, w, centers)
+                seq_losses[b] += lam * losses.ecl(ub, w, centers)
                 delta_ecl[b, :Tb] = losses.ecl_grad_features(ub, w, centers)
                 stats.append(losses.center_stats(bank, ub, w, labels, centers))
     else:
@@ -397,17 +395,17 @@ def _batch_signals(state, batch, Ts, u, y, mode, cfg, bank):
             # the one-hot columns are the classes 1..C, in the bank's order
             labels, centers = range(1, bank.num_classes + 1), bank.centers
             terms = losses.ecl_terms(u, w, centers)
-            seq_losses = [loss + cfg.lam * float(terms[b, :Tb].sum())
+            seq_losses = [loss + lam * float(terms[b, :Tb].sum())
                           for b, (Tb, loss) in enumerate(zip(Ts, seq_losses))]
             delta_ecl = losses.ecl_grad_features(u, w, centers, rows)
             stats = [losses.center_stats(bank, u[b, :Tb], w[b, :Tb], labels, centers)
                      for b, Tb in enumerate(Ts)]
-    delta_fused = (losses.fuse_feature_grad(delta_ml, W, delta_ecl, cfg, rows)
+    delta_fused = (losses.fuse_feature_grad(delta_ml, W, delta_ecl, lam, rows)
                    if mode in FUSION_MODES else rows(delta_ml, W))
     return seq_losses, delta_ml, delta_fused, stats
 
 
-def _batch_step(state, batch, mode, cfg, bank):
+def _batch_step(state, batch, settings, bank):
     """Each sequence's loss, the gradients summed over the batch, and
     each sequence's center statistics (fusion modes), from one
     forward_stacks, one lattice call (sequence modes) and one
@@ -415,7 +413,7 @@ def _batch_step(state, batch, mode, cfg, bank):
     batch, so this equals taking the sequences one at a time."""
     Ts, u, _, y = forward_stacks(state, [sample.x for sample in batch])
     seq_losses, delta_ml, delta_fused, stats = _batch_signals(
-        state, batch, Ts, u, y, mode, cfg, bank)
+        state, batch, Ts, u, y, settings, bank)
     grads = backward_batch(state, delta_ml, delta_fused)
     # in sequence order: a sum(axis=0) of (B, 1) stacks runs pairwise
     grads = {k: np.add.accumulate(g, axis=0)[-1] for k, g in grads.items()}
@@ -474,11 +472,17 @@ class TrainSettings:
     halve_after: int = 3
     stop_after: int = 8
     seed: int = 0
-    fusion: losses.FusionConfig = field(default_factory=losses.FusionConfig)
+    lam: float = 1e-3                       # weight of the center-loss term
+    occupancy_mode: str = "paper_literal"   # one of ctc.OCCUPANCY_MODES
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError("mode: expected one of %s, got %r" % (MODES, self.mode))
+        if self.lam < 0:
+            raise ValueError("lam: must be nonnegative")
+        if self.occupancy_mode not in ctc.OCCUPANCY_MODES:
+            raise ValueError("occupancy_mode: expected one of %s, got %r"
+                             % (ctc.OCCUPANCY_MODES, self.occupancy_mode))
 
 
 def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
@@ -493,7 +497,6 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
     the evaluation with the best validation score.
     """
     mode = settings.mode
-    cfg = settings.fusion
     sched = ScheduleState(halve_after=settings.halve_after,
                           stop_after=settings.stop_after)
     rng = np.random.default_rng(settings.seed)
@@ -506,7 +509,7 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
         order = rng.permutation(len(train_samples))
         for start in range(0, len(order), settings.batch_size):
             batch = [train_samples[i] for i in order[start:start + settings.batch_size]]
-            seq_losses, grads, stats = _batch_step(state, batch, mode, cfg, bank)
+            seq_losses, grads, stats = _batch_step(state, batch, settings, bank)
             for loss in seq_losses:
                 running_loss += loss
             if not np.isfinite(running_loss):

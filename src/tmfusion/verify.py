@@ -65,7 +65,7 @@ def occupancy_suite(n=100, seed=1):
         y = _random_posteriors(rng, T, K)
         z = _random_labels(rng, K, T, 2)
         tables = ctc.forward_backward(y, z)
-        gamma = ctc.occupancy(tables, y, "paper_literal")
+        gamma = ctc.occupancy(tables, "paper_literal")
         occ = oracle.brute_force_occupancy(y, z)
         worst = max(worst, float(np.abs(gamma - occ).max()))
 
@@ -75,7 +75,7 @@ def occupancy_suite(n=100, seed=1):
         bank.centers = rng.normal(size=bank.centers.shape)
         dp_ecl = losses.ecl(u, gamma[:, 1::2], bank.gather(tables.zp[1::2]))
         bf_ecl = oracle.brute_force_ecl(
-            y, z, u, {j: bank.center(j) for j in range(1, K)})
+            y, z, u, dict(enumerate(bank.centers, start=1)))
         worst = max(worst, abs(dp_ecl - bf_ecl))
     return worst, n
 
@@ -149,7 +149,7 @@ def grad_ecl_suite(n=50, seed=5):
         y = _random_posteriors(rng, T, K)
         z = _random_labels(rng, K, T, 2)
         tables = ctc.forward_backward(y, z)
-        gamma = ctc.occupancy(tables, y, "paper_literal")
+        gamma = ctc.occupancy(tables, "paper_literal")
         bank = losses.CenterBank(K - 1, D)
         bank.centers = rng.normal(size=bank.centers.shape)
         u = rng.normal(size=(T, D))
@@ -200,12 +200,11 @@ def grad_full_suite(n=50, seed=6, lam=0.05):
 
         u, _, y = model.forward(state, x)
         tables = ctc.forward_backward(y, z)
-        w = ctc.occupancy(tables, y, "paper_literal")[:, 1::2]
+        w = ctc.occupancy(tables, "paper_literal")[:, 1::2]
         centers = bank.gather(tables.zp[1::2])
         delta_ml = ctc.ctc_grad_logits(tables, y)
         delta_ecl = losses.ecl_grad_features(u, w, centers)
-        cfg2 = losses.FusionConfig(lam=2.0 * lam)
-        fused = losses.fuse_feature_grad(delta_ml, state.params["W"], delta_ecl, cfg2)
+        fused = losses.fuse_feature_grad(delta_ml, state.params["W"], delta_ecl, 2.0 * lam)
         grads = model.backward(state, delta_ml, fused)
         analytic = np.concatenate([grads[k].ravel() for k in state.param_names()])
 

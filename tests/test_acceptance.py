@@ -71,29 +71,37 @@ def test_criterion_04_gradient_exactness():
 
 # ------------------------------------------------------- 5 center-rule exact
 
+def _tmf_center_step(bank, u, gamma, zp):
+    """The occupancy-weighted center update of one sequence: the center
+    statistics of its label positions, then one bank step."""
+    labels = zp[1::2]
+    _, sums = losses.center_stats(bank, u, gamma[:, 1::2], labels,
+                                  bank.gather(labels))
+    return bank.step(sums)
+
+
 def test_criterion_05_center_fixed_points_gating_and_blank():
     y = np.array([[0.2, 0.5, 0.3]])
     tables = ctc.forward_backward(y, [1])
-    gamma = ctc.occupancy(tables, y, "paper_literal")
+    gamma = ctc.occupancy(tables, "paper_literal")
 
     bank = losses.CenterBank(2, 2)
     bank.centers[0] = [1.5, -2.0]
-    at_center = np.tile(bank.center(1), (1, 1))
-    fixed = losses.update_centers_tmf(bank, at_center, gamma, tables.zp)
+    at_center = np.tile(bank.centers[0], (1, 1))
+    fixed = _tmf_center_step(bank, at_center, gamma, tables.zp)
     fixed_ok = np.array_equal(fixed.centers, bank.centers)
 
     gated = losses.CenterBank(2, 2, occupancy_threshold=0.5)
-    moved = losses.update_centers_tmf(gated, np.ones((1, 2)), gamma, tables.zp)
+    moved = _tmf_center_step(gated, np.ones((1, 2)), gamma, tables.zp)
     gated_ok = np.array_equal(moved.centers, gated.centers)
 
     try:
-        bank.center(0)
+        bank.gather([0])
         blank_ok = False
     except losses.UnknownClass:
         blank_ok = True
     blank_heavy = np.array([[0.9, 0.0, 0.9]])
-    after = losses.update_centers_tmf(bank, np.ones((1, 2)), blank_heavy,
-                                      tables.zp)
+    after = _tmf_center_step(bank, np.ones((1, 2)), blank_heavy, tables.zp)
     blank_ok = blank_ok and np.array_equal(after.centers, bank.centers)
 
     ok = fixed_ok and gated_ok and blank_ok
@@ -113,9 +121,8 @@ def _toy_run(mode, lam):
     state = model.ModelState(model.NetworkSpec(4, [8], K, recurrent=True),
                              seed=5, lr=1e-2)
     bank = losses.CenterBank(2, 8)
-    fusion = losses.FusionConfig(lam=lam)
     settings = model.TrainSettings(mode=mode, batch_size=8, max_batches=40,
-                                   eval_interval=10, seed=5, fusion=fusion)
+                                   eval_interval=10, seed=5, lam=lam)
     return model.train(state, bank, data[:48], data[48:], settings)
 
 

@@ -601,8 +601,8 @@ def test_check_catches_a_planted_table_error(monkeypatch, capsys):
     from tmfusion import ctc as ctc_mod
     real = ctc_mod.occupancy
 
-    def biased(tables, y, mode="paper_literal"):
-        return real(tables, y, mode) * 1.01
+    def biased(tables, mode="paper_literal"):
+        return real(tables, mode) * 1.01
 
     monkeypatch.setattr("tmfusion.ctc.occupancy", biased)
     assert cli.main(["check", "--scope", "ctc"]) == cli.EXIT_CHECK
@@ -610,7 +610,7 @@ def test_check_catches_a_planted_table_error(monkeypatch, capsys):
 
 
 def test_check_reports_a_suite_that_raises_and_runs_the_rest(monkeypatch, capsys):
-    def vanished(tables, y, mode="paper_literal"):
+    def vanished(tables, mode="paper_literal"):
         raise ctc.DegenerateFrame("alignment mass vanished at frame 0")
 
     monkeypatch.setattr("tmfusion.ctc.occupancy", vanished)

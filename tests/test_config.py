@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmfusion import config, losses, model, synth
+from tmfusion import config, ctc, losses, model, synth
 
 
 def small_config(**kw):
@@ -63,6 +63,14 @@ def test_negative_rates_rejected():
         small_config(learning_rate=-1.0)
 
 
+def test_occupancy_modes_are_the_ones_ctc_implements():
+    for mode in ctc.OCCUPANCY_MODES:
+        assert small_config(occupancy_mode=mode).settings().occupancy_mode == mode
+    with pytest.raises(config.ConfigError,
+                       match="occupancy_mode: expected one of .*'normalised'"):
+        small_config(occupancy_mode="normalised")
+
+
 def test_unknown_top_level_field_is_named():
     with pytest.raises(config.ConfigError, match="learning_rte"):
         config.config_from_dict({"learning_rte": 1e-3})
@@ -84,8 +92,9 @@ def test_nested_field_that_is_not_an_object_is_named():
 def test_factories_are_consistent():
     cfg = small_config()
     assert cfg.temporal
-    assert cfg.fusion().occupancy_mode == cfg.occupancy_mode
-    assert cfg.settings().mode == "tmf"
+    settings = cfg.settings()
+    assert (settings.mode, settings.lam, settings.occupancy_mode) == (
+        "tmf", cfg.lam, cfg.occupancy_mode)
     state = cfg.new_state()
     assert state.spec.num_classes == 3
     bank = cfg.new_bank()

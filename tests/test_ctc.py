@@ -17,23 +17,27 @@ def rand_posteriors(rng, T, K):
 
 # ---------------------------------------------------------------- expansion
 
+def blank_extended(labels, T=5, K=4):
+    """The z' of the lattice over labels, from a (T, K) posterior."""
+    return ctc.forward_backward(np.full((T, K), 1.0 / K), labels).zp
+
+
 def test_extend_with_blanks_two_labels():
-    np.testing.assert_array_equal(ctc.extend_with_blanks([1, 2]),
-                                  [0, 1, 0, 2, 0])
+    np.testing.assert_array_equal(blank_extended([1, 2]), [0, 1, 0, 2, 0])
 
 
 def test_extend_with_blanks_empty():
-    np.testing.assert_array_equal(ctc.extend_with_blanks([]), [0])
+    np.testing.assert_array_equal(blank_extended([]), [0])
 
 
 def test_extend_with_blanks_repeat():
-    np.testing.assert_array_equal(ctc.extend_with_blanks([1, 1]),
-                                  [0, 1, 0, 1, 0])
+    np.testing.assert_array_equal(blank_extended([1, 1]), [0, 1, 0, 1, 0])
 
 
 def test_extend_with_blanks_rejects_blank_label():
-    with pytest.raises(ValueError):
-        ctc.extend_with_blanks([1, 0, 2])
+    # the lattice's label range check rejects the blank index
+    with pytest.raises(ValueError, match="out of range"):
+        blank_extended([1, 0, 2])
 
 
 def test_min_frames_counts_repeat_separators():
@@ -270,9 +274,9 @@ def test_lattice_matches_two_table_reference_bitwise(data):
         assert np.array_equal(ctc.ctc_grad_logits(got, y),
                               _loop_grad_logits(alpha, beta, zp, y))
         prod = alpha + beta
-        assert np.array_equal(ctc.occupancy(got, y, "paper_literal"), np.exp(prod))
+        assert np.array_equal(ctc.occupancy(got, "paper_literal"), np.exp(prod))
         scaled = np.exp(prod - prod.max(axis=1, keepdims=True))
-        assert np.array_equal(ctc.occupancy(got, y, "frame_normalized"),
+        assert np.array_equal(ctc.occupancy(got, "frame_normalized"),
                               scaled / scaled.sum(axis=1, keepdims=True))
 
 
@@ -283,7 +287,7 @@ def test_occupancy_single_path_literal_value():
     # literal product at the label position is 0.5 * 0.5
     y = np.array([[0.2, 0.5, 0.3]])
     tables = ctc.forward_backward(y, [1])
-    gamma = ctc.occupancy(tables, y, "paper_literal")
+    gamma = ctc.occupancy(tables, "paper_literal")
     assert gamma[0, 1] == pytest.approx(0.25, abs=1e-15)
     assert gamma[0, 0] == 0.0
     assert gamma[0, 2] == 0.0
@@ -293,7 +297,7 @@ def test_occupancy_frame_normalized_rows_sum_to_one():
     rng = np.random.default_rng(3)
     y = rand_posteriors(rng, 6, 4)
     tables = ctc.forward_backward(y, [1, 3, 2])
-    gamma = ctc.occupancy(tables, y, "frame_normalized")
+    gamma = ctc.occupancy(tables, "frame_normalized")
     np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -301,7 +305,7 @@ def test_occupancy_infeasible_cells_are_zero():
     rng = np.random.default_rng(4)
     y = rand_posteriors(rng, 3, 3)
     tables = ctc.forward_backward(y, [1, 2])
-    gamma = ctc.occupancy(tables, y, "paper_literal")
+    gamma = ctc.occupancy(tables, "paper_literal")
     # frame 0 cannot be past position 1, frame T-1 must be near the end
     assert gamma[0, 2] == 0.0
     assert gamma[0, 3] == 0.0
@@ -313,8 +317,10 @@ def test_occupancy_infeasible_cells_are_zero():
 def test_occupancy_rejects_unknown_mode():
     y = np.array([[0.2, 0.5, 0.3]])
     tables = ctc.forward_backward(y, [1])
-    with pytest.raises(ValueError):
-        ctc.occupancy(tables, y, "normalised")
+    for mode in ctc.OCCUPANCY_MODES:
+        assert ctc.occupancy(tables, mode).shape == (1, 3)
+    with pytest.raises(ValueError, match="normalised"):
+        ctc.occupancy(tables, "normalised")
 
 
 # ------------------------------------------------------------------- ml loss

@@ -1,6 +1,7 @@
-"""The demos run end to end against the library in src/: each one is a
-subprocess that must exit 0.  They call the public API by name, so a
-rename that misses a demo fails here."""
+"""The demos, and the README's quick tour, run end to end against the
+library in src/: each one is a subprocess that must exit 0.  They call
+the public API by name, so a rename that misses one of them fails
+here."""
 
 import os
 import subprocess
@@ -12,13 +13,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = os.path.join(ROOT, "demos")
 
 
-def run_demo(name, *args):
+def run_python(*args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, os.path.join(DEMOS, name), *args],
-                          cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=600)
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout
+    return proc.stdout
+
+
+def run_demo(name, *args):
+    assert run_python(os.path.join(DEMOS, name), *args)
 
 
 @pytest.mark.parametrize("name", [
@@ -31,3 +35,12 @@ def test_demo_runs(name):
 @pytest.mark.slow
 def test_robustness_demo_quick_runs():
     run_demo("06_robustness_experiment.py", "--quick")
+
+
+def test_readme_quick_tour_runs():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    tour = readme.split("## Quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "import tmfusion" in code or "from tmfusion import" in code
+    run_python("-c", code)

@@ -23,7 +23,7 @@ def single_frame_case():
     one label, occupancy 0.25 at the label position."""
     y = np.array([[0.2, 0.5, 0.3]])
     tables = ctc.forward_backward(y, [1])
-    gamma = ctc.occupancy(tables, y, "paper_literal")
+    gamma = ctc.occupancy(tables, "paper_literal")
     return tables, gamma
 
 
@@ -70,16 +70,23 @@ def update_centers_framewise(bank, u, k):
     return bank.step(sums, weights)
 
 
-# -------------------------------------------------------------- fusion config
+def update_centers_lattice(bank, u, gamma, zp):
+    """The tmf center step of one sequence: the statistics of the label
+    positions of its occupancy gamma over zp, not normalized."""
+    _, sums = losses.center_stats(bank, u, *lattice_weights(gamma, zp, bank))
+    return bank.step(sums)
+
+
+# ------------------------------------------------ fusion settings (lam, mode)
 
 def test_fusion_config_rejects_negative_lambda():
-    with pytest.raises(ValueError):
-        losses.FusionConfig(lam=-0.1)
+    with pytest.raises(ValueError, match="lam:"):
+        model.TrainSettings(lam=-0.1)
 
 
 def test_fusion_config_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        losses.FusionConfig(occupancy_mode="literal")
+    with pytest.raises(ValueError, match="occupancy_mode:"):
+        model.TrainSettings(occupancy_mode="literal")
 
 
 # --------------------------------------------------------------- center bank
@@ -87,9 +94,9 @@ def test_fusion_config_rejects_unknown_mode():
 def test_bank_has_no_blank_center():
     bank = losses.CenterBank(3, 2)
     with pytest.raises(losses.UnknownClass):
-        bank.center(0)
+        bank.gather([0])
     with pytest.raises(losses.UnknownClass):
-        bank.center(4)
+        bank.gather([4])
 
 
 @pytest.mark.parametrize("threshold", [-0.5, 2.0])
@@ -115,9 +122,9 @@ def test_bank_gather_orders_by_label():
     rng = np.random.default_rng(0)
     bank = make_bank(3, 2, rng)
     got = bank.gather([2, 1, 2])
-    np.testing.assert_array_equal(got[0], bank.center(2))
-    np.testing.assert_array_equal(got[1], bank.center(1))
-    np.testing.assert_array_equal(got[2], bank.center(2))
+    np.testing.assert_array_equal(got[0], bank.centers[1])
+    np.testing.assert_array_equal(got[1], bank.centers[0])
+    np.testing.assert_array_equal(got[2], bank.centers[1])
 
 
 def test_bank_gather_rejects_blank():
@@ -206,9 +213,8 @@ def sequence_loss(mode, lam, u, y, bank, framewise=None, tables=None):
     state = SimpleNamespace(params={"W": np.zeros((y.shape[1], u.shape[1]))})
     sample = SimpleNamespace(framewise=np.asarray(framewise),
                              collapsed=None if tables is None else tables.zp[1::2])
-    cfg = losses.FusionConfig(lam=lam)
     return model._batch_signals(state, [sample], [len(y)], u[None], y[None],
-                                mode, cfg, bank)[0][0]
+                                model.TrainSettings(mode=mode, lam=lam), bank)[0][0]
 
 
 def test_fmf_equals_cross_entropy_at_lambda_zero():
@@ -234,7 +240,7 @@ def test_ecl_zero_when_features_match_centers():
     rng = np.random.default_rng(4)
     tables, gamma = single_frame_case()
     bank = make_bank(2, 2, rng)
-    u = bank.center(1)[None, :]
+    u = bank.centers[0][None, :]
     assert lattice_ecl(u, gamma, tables.zp, bank) == pytest.approx(0.0)
 
 
@@ -250,7 +256,7 @@ def test_ecl_linear_in_occupancy():
     y = rng.uniform(0.1, 1.0, (4, 3))
     y /= y.sum(axis=1, keepdims=True)
     tables = ctc.forward_backward(y, [1, 2])
-    gamma = ctc.occupancy(tables, y, "paper_literal")
+    gamma = ctc.occupancy(tables, "paper_literal")
     bank = make_bank(2, 3, rng)
     u = rng.normal(size=(4, 3))
     one = lattice_ecl(u, gamma, tables.zp, bank)
@@ -271,7 +277,7 @@ def test_ecl_ignores_blank_occupancy():
 def test_ecl_empty_labeling_is_zero():
     y = np.array([[0.9, 0.1]])
     tables = ctc.forward_backward(y, [])
-    gamma = ctc.occupancy(tables, y, "paper_literal")
+    gamma = ctc.occupancy(tables, "paper_literal")
     bank = losses.CenterBank(1, 2)
     assert lattice_ecl(np.ones((1, 2)), gamma, tables.zp, bank) == 0.0
 
@@ -303,7 +309,7 @@ def test_ecl_grad_zero_at_centers():
     rng = np.random.default_rng(6)
     tables, gamma = single_frame_case()
     bank = make_bank(2, 2, rng)
-    u = bank.center(1)[None, :]
+    u = bank.centers[0][None, :]
     np.testing.assert_allclose(
         lattice_ecl_grad(u, gamma, tables.zp, bank),
         np.zeros((1, 2)), atol=1e-15)
@@ -322,7 +328,7 @@ def test_ecl_grad_factor_two_versus_finite_differences():
     y = rng.uniform(0.1, 1.0, (5, 4))
     y /= y.sum(axis=1, keepdims=True)
     tables = ctc.forward_backward(y, [2, 1, 3])
-    gamma = ctc.occupancy(tables, y, "paper_literal")
+    gamma = ctc.occupancy(tables, "paper_literal")
     bank = make_bank(3, 3, rng)
     u = rng.normal(size=(5, 3))
 
@@ -340,16 +346,14 @@ def test_fuse_lambda_zero_is_pure_backprop():
     delta_ml = rng.normal(size=(4, 3))
     W = rng.normal(size=(3, 5))
     delta_ecl = rng.normal(size=(4, 5))
-    cfg = losses.FusionConfig(lam=0.0)
-    got = losses.fuse_feature_grad(delta_ml, W, delta_ecl, cfg)
+    got = losses.fuse_feature_grad(delta_ml, W, delta_ecl, 0.0)
     np.testing.assert_array_equal(got, delta_ml @ W)
 
 
 def test_fuse_passes_center_signal_through():
     delta_ecl = np.array([[1.0, -2.0]])
-    cfg = losses.FusionConfig(lam=1.0)
     got = losses.fuse_feature_grad(np.zeros((1, 3)), np.zeros((3, 2)),
-                                   delta_ecl, cfg)
+                                   delta_ecl, 1.0)
     np.testing.assert_array_equal(got, delta_ecl)
 
 
@@ -358,10 +362,8 @@ def test_fuse_linear_in_lambda():
     delta_ml = rng.normal(size=(4, 3))
     W = rng.normal(size=(3, 5))
     delta_ecl = rng.normal(size=(4, 5))
-    one = losses.fuse_feature_grad(
-        delta_ml, W, delta_ecl, losses.FusionConfig(lam=0.3))
-    two = losses.fuse_feature_grad(
-        delta_ml, W, delta_ecl, losses.FusionConfig(lam=0.6))
+    one = losses.fuse_feature_grad(delta_ml, W, delta_ecl, 0.3)
+    two = losses.fuse_feature_grad(delta_ml, W, delta_ecl, 0.6)
     base = delta_ml @ W
     np.testing.assert_allclose(two - base, 2.0 * (one - base), rtol=1e-12)
 
@@ -372,8 +374,8 @@ def test_center_update_fixed_point():
     tables, gamma = single_frame_case()
     bank = losses.CenterBank(2, 2)
     bank.centers[0] = [3.0, -1.0]
-    u = np.tile(bank.center(1), (1, 1))
-    updated = losses.update_centers_tmf(bank, u, gamma, tables.zp)
+    u = np.tile(bank.centers[0], (1, 1))
+    updated = update_centers_lattice(bank, u, gamma, tables.zp)
     np.testing.assert_array_equal(updated.centers, bank.centers)
 
 
@@ -382,7 +384,7 @@ def test_center_update_gated_off_below_threshold():
     bank = losses.CenterBank(2, 2, occupancy_threshold=0.5)
     u = np.array([[1.0, 0.0]])
     # the only weight is 0.25 < 0.5, so nothing moves
-    updated = losses.update_centers_tmf(bank, u, gamma, tables.zp)
+    updated = update_centers_lattice(bank, u, gamma, tables.zp)
     np.testing.assert_array_equal(updated.centers, bank.centers)
 
 
@@ -390,10 +392,10 @@ def test_center_update_single_frame_hand_value():
     tables, gamma = single_frame_case()
     bank = losses.CenterBank(2, 2, momentum=1e-3)
     u = np.array([[1.0, 0.0]])
-    updated = losses.update_centers_tmf(bank, u, gamma, tables.zp)
+    updated = update_centers_lattice(bank, u, gamma, tables.zp)
     # step = momentum * gamma * (c - u) = 1e-3 * 0.25 * (-1, 0)
-    np.testing.assert_allclose(updated.center(1), [0.00025, 0.0], atol=1e-18)
-    np.testing.assert_array_equal(updated.center(2), [0.0, 0.0])
+    np.testing.assert_allclose(updated.centers[0], [0.00025, 0.0], atol=1e-18)
+    np.testing.assert_array_equal(updated.centers[1], [0.0, 0.0])
 
 
 def test_center_update_gates_each_term_separately():
@@ -404,17 +406,17 @@ def test_center_update_gates_each_term_separately():
                       [0.0, 0.001, 0.0]])
     bank = losses.CenterBank(1, 1, momentum=1.0, occupancy_threshold=0.01)
     u = np.array([[2.0], [100.0]])
-    updated = losses.update_centers_tmf(bank, u, gamma, zp)
-    np.testing.assert_allclose(updated.center(1), [0.5 * 2.0], atol=1e-15)
+    updated = update_centers_lattice(bank, u, gamma, zp)
+    np.testing.assert_allclose(updated.centers[0], [0.5 * 2.0], atol=1e-15)
 
 
 def test_center_update_never_touches_blank():
     tables, gamma = single_frame_case()
     bank = losses.CenterBank(2, 2)
-    updated = losses.update_centers_tmf(bank, np.ones((1, 2)), gamma, tables.zp)
+    updated = update_centers_lattice(bank, np.ones((1, 2)), gamma, tables.zp)
     assert updated.centers.shape == (2, 2)
     with pytest.raises(losses.UnknownClass):
-        updated.center(0)
+        updated.gather([0])
 
 
 def test_center_step_descends_on_ecl():
@@ -425,11 +427,11 @@ def test_center_step_descends_on_ecl():
         y = rng.uniform(0.1, 1.0, (5, 4))
         y /= y.sum(axis=1, keepdims=True)
         tables = ctc.forward_backward(y, [1, 3])
-        gamma = ctc.occupancy(tables, y, "paper_literal")
+        gamma = ctc.occupancy(tables, "paper_literal")
         bank = make_bank(3, 3, rng, momentum=0.05, occupancy_threshold=0.0)
         u = rng.normal(size=(5, 3))
         before = lattice_ecl(u, gamma, tables.zp, bank)
-        updated = losses.update_centers_tmf(bank, u, gamma, tables.zp)
+        updated = update_centers_lattice(bank, u, gamma, tables.zp)
         after = lattice_ecl(u, gamma, tables.zp, updated)
         assert after <= before + 1e-12
 
@@ -441,8 +443,8 @@ def test_framewise_update_skips_absent_classes():
     bank = make_bank(3, 2, rng)
     u = rng.normal(size=(4, 2))
     updated = update_centers_framewise(bank, u, [1, 1, 2, 1])
-    np.testing.assert_array_equal(updated.center(3), bank.center(3))
-    assert not np.array_equal(updated.center(1), bank.center(1))
+    np.testing.assert_array_equal(updated.centers[2], bank.centers[2])
+    assert not np.array_equal(updated.centers[0], bank.centers[0])
 
 
 def test_framewise_update_fixed_point():
@@ -457,7 +459,7 @@ def test_framewise_update_single_frame_hand_value():
     bank = losses.CenterBank(1, 2, momentum=0.5)
     updated = update_centers_framewise(bank, np.array([[2.0, 0.0]]), [1])
     # (c - u) summed is (-2, 0); divided by 1 + count = 2; scaled by 0.5
-    np.testing.assert_allclose(updated.center(1), [0.5, 0.0], atol=1e-15)
+    np.testing.assert_allclose(updated.centers[0], [0.5, 0.0], atol=1e-15)
 
 
 def test_framewise_update_count_normalization():
@@ -465,7 +467,7 @@ def test_framewise_update_count_normalization():
     u = np.array([[3.0], [3.0], [3.0]])
     updated = update_centers_framewise(bank, u, [1, 1, 1])
     # sum of (c - u) is -9, divided by 1 + 3
-    np.testing.assert_allclose(updated.center(1), [2.25], atol=1e-15)
+    np.testing.assert_allclose(updated.centers[0], [2.25], atol=1e-15)
 
 
 def test_framewise_update_rejects_unknown_class():
@@ -536,7 +538,7 @@ class parent:
             if not live.any():
                 continue
             wl = w[live]
-            d = wl.sum() * bank.center(label) - wl @ u[live]
+            d = wl.sum() * bank.centers[label - 1] - wl @ u[live]
             deltas[label] = deltas.get(label, 0.0) + d
         return deltas
 
@@ -556,7 +558,7 @@ class parent:
             label = int(label)
             mask = k == label
             n = int(mask.sum())
-            sums[label] = n * bank.center(label) - u[mask].sum(axis=0)
+            sums[label] = n * bank.centers[label - 1] - u[mask].sum(axis=0)
             counts[label] = n
         return sums, counts
 
@@ -612,7 +614,8 @@ def test_lattice_path_matches_the_ecl_stack_bitwise(data):
         T = data.draw(st.integers(1, 7))
         z = np.array(data.draw(st.lists(st.integers(1, C), max_size=4)),
                      dtype=np.intp)
-        zp = ctc.extend_with_blanks(z)
+        zp = np.zeros(2 * len(z) + 1, dtype=np.intp)   # z' = (0, z1, 0, ..., 0)
+        zp[1::2] = z
         gamma = rng.uniform(0.0, 1.0, (T, len(zp)))
         kind = rng.integers(0, 4, gamma.shape)
         gamma[kind == 0] = bank.occupancy_threshold
@@ -632,8 +635,7 @@ def test_lattice_path_matches_the_ecl_stack_bitwise(data):
             col = gamma[:, 2 * i + 1]
             mass[label - 1] += col[col >= bank.occupancy_threshold].sum()
         assert np.array_equal(weights, mass)
-        assert np.array_equal(losses.update_centers_tmf(bank, u, gamma, zp).centers,
-                              parent.step(bank, piece).centers)
+        assert np.array_equal(bank.step(sums).centers, parent.step(bank, piece).centers)
         pieces.append(piece)
         stats.append((weights, sums))
     assert np.array_equal(model._apply_center_updates(bank, stats, "tmf").centers,

@@ -41,7 +41,7 @@ def test_flat_params_round_trip():
     flat = state.flat_params()
     other = model.ModelState(model.NetworkSpec(3, [4], 3, recurrent=True),
                              seed=99)
-    other.set_flat_params(flat)
+    other.params = {k: v.copy() for k, v in other.unflatten(flat).items()}
     for k in state.param_names():
         np.testing.assert_array_equal(state.params[k], other.params[k])
 
@@ -217,11 +217,11 @@ def test_batch_matches_per_sequence_bitwise(hidden, recurrent, K, Ts, seed):
 @given(hidden=WIDTHS, recurrent=st.booleans(), K=st.integers(2, 6),
        Ts=lengths(16, 12, 2), seed=SEEDS)
 @example(hidden=[32, 16], recurrent=True, K=4, Ts=[12, 1, 12, 5], seed=3)
-def test_forward_batch_per_input_parameters_match_set_flat_params_bitwise(
+def test_forward_batch_per_input_parameters_match_each_loaded_point_bitwise(
         hidden, recurrent, K, Ts, seed):
     # P parameter vectors as the rows of one (P, n) array, each input run
-    # with its own row; equal to loading each row with set_flat_params
-    # and running forward, bit for bit
+    # with its own row; equal to loading a copy of each row as the
+    # parameters and running forward, bit for bit
     P = len(Ts)
     rng = np.random.default_rng(seed)
     spec = model.NetworkSpec(4, hidden, K, recurrent=recurrent)
@@ -239,7 +239,7 @@ def test_forward_batch_per_input_parameters_match_set_flat_params_bitwise(
     assert len(outputs) == P
     reference = model.ModelState(spec)
     for flat, x, out in zip(points, xs, outputs):
-        reference.set_flat_params(flat)
+        reference.params = {k: v.copy() for k, v in reference.unflatten(flat).items()}
         for a, b in zip(out, model.forward(reference, x)):
             assert a.shape == b.shape and np.array_equal(a, b)
 
@@ -492,9 +492,8 @@ def test_schedule_equal_score_is_not_improvement():
 # ------------------------------------------------------------------- training
 
 def settings_for(mode, lam=0.0, **kw):
-    fusion = losses.FusionConfig(lam=lam)
     defaults = dict(mode=mode, batch_size=4, max_batches=60, eval_interval=20,
-                    seed=0, fusion=fusion)
+                    seed=0, lam=lam)
     defaults.update(kw)
     return model.TrainSettings(**defaults)
 
@@ -552,8 +551,7 @@ def test_train_batched_lattice_matches_per_sequence_bitwise(mode, monkeypatch):
 
     def run():
         return fresh_run(mode, lam=1e-2, batch_size=6, max_batches=40,
-                         fusion=losses.FusionConfig(
-                             lam=1e-2, occupancy_mode="frame_normalized"))
+                         occupancy_mode="frame_normalized")
 
     batched = run()
     one_at_a_time = ctc.forward_backward_batch
@@ -576,15 +574,16 @@ def test_train_batched_lattice_matches_per_sequence_bitwise(mode, monkeypatch):
 
 
 
-def parent_sequence_signals(state, sample, u, y, tables, mode, cfg, bank):
+def parent_sequence_signals(state, sample, u, y, tables, settings, bank):
     """The per-sequence signal step that the batch's stacks replaced, as
     it was: the loss, delta_ml, delta_fused and center statistics of one
     sequence from its features u, posteriors y and lattice tables."""
+    mode, lam = settings.mode, settings.lam
     if mode in model.TEMPORAL_MODES:
         delta_ml = ctc.ctc_grad_logits(tables, y)
         loss = -tables.log_seq_prob
         if mode == "tmf":
-            w = ctc.occupancy(tables, y, cfg.occupancy_mode)[:, 1::2]
+            w = ctc.occupancy(tables, settings.occupancy_mode)[:, 1::2]
             labels = tables.zp[1::2]
             centers = bank.gather(labels)
     else:
@@ -597,9 +596,9 @@ def parent_sequence_signals(state, sample, u, y, tables, mode, cfg, bank):
     W = state.params["W"]
     if mode not in model.FUSION_MODES:
         return loss, delta_ml, delta_ml @ W, None
-    loss = loss + cfg.lam * losses.ecl(u, w, centers)
+    loss = loss + lam * losses.ecl(u, w, centers)
     delta_ecl = losses.ecl_grad_features(u, w, centers)
-    delta_fused = losses.fuse_feature_grad(delta_ml, W, delta_ecl, cfg)
+    delta_fused = losses.fuse_feature_grad(delta_ml, W, delta_ecl, lam)
     return loss, delta_ml, delta_fused, losses.center_stats(bank, u, w, labels, centers)
 
 
@@ -611,16 +610,16 @@ def train_one_at_a_time(run, monkeypatch):
     sizes that the steps and the validation groups were handed."""
     forward_stacks, sizes = model.forward_stacks, []
 
-    def step(state, batch, mode, cfg, bank):
+    def step(state, batch, settings, bank):
         sizes.append(len(batch))
         seq_losses, total, stats = [], None, []
         for sample in batch:
             _, u, _, y = forward_stacks(state, [sample.x])
             u, y = u[0], y[0]
             tables = (ctc.forward_backward(y, sample.collapsed)
-                      if mode in model.TEMPORAL_MODES else None)
+                      if settings.mode in model.TEMPORAL_MODES else None)
             loss, d1, d2, st = parent_sequence_signals(state, sample, u, y, tables,
-                                                       mode, cfg, bank)
+                                                       settings, bank)
             grads = model.backward(state, d1, d2)
             if total is None:
                 total = grads
@@ -656,8 +655,7 @@ def test_train_batched_network_matches_per_sequence_bitwise(mode, monkeypatch):
 
     def run():
         return fresh_run(mode, lam=lam, batch_size=6, max_batches=40,
-                         fusion=losses.FusionConfig(
-                             lam=lam, occupancy_mode="frame_normalized"))
+                         occupancy_mode="frame_normalized")
 
     monkeypatch.setattr(model, "SCORE_GROUP", 5)     # 12 validation sequences
     batched = run()
@@ -684,8 +682,7 @@ def test_train_at_width_one_matches_one_at_a_time_bitwise(mode, monkeypatch):
 
     def run():
         return fresh_run(mode, lam=lam, hidden=(1,), batch_size=8, max_batches=30,
-                         eval_interval=15, fusion=losses.FusionConfig(
-                             lam=lam, occupancy_mode="frame_normalized"))
+                         eval_interval=15, occupancy_mode="frame_normalized")
 
     batched = run()
     (s2, b2, r2), sizes = train_one_at_a_time(run, monkeypatch)

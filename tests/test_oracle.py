@@ -243,19 +243,18 @@ def per_point_grad_full_suite(n=50, seed=6, lam=0.05):
 
         u, _, y = model.forward(state, x)
         tables = ctc.forward_backward(y, z)
-        gamma = ctc.occupancy(tables, y, "paper_literal")
+        gamma = ctc.occupancy(tables, "paper_literal")
         delta_ml = ctc.ctc_grad_logits(tables, y)
         delta_ecl = losses.ecl_grad_features(u, gamma[:, 1::2],
                                              bank.gather(tables.zp[1::2]))
-        cfg2 = losses.FusionConfig(lam=2.0 * lam)
-        fused = losses.fuse_feature_grad(delta_ml, state.params["W"], delta_ecl, cfg2)
+        fused = losses.fuse_feature_grad(delta_ml, state.params["W"], delta_ecl, 2.0 * lam)
         grads = model.backward(state, delta_ml, fused)
         analytic = np.concatenate([grads[k].ravel() for k in state.param_names()])
 
         base = state.flat_params()
 
         def loss_of(flat):
-            state.set_flat_params(flat)
+            state.params = {k: v.copy() for k, v in state.unflatten(flat).items()}
             try:
                 u, _, y = model.forward(state, x)
                 tables = ctc.forward_backward(y, z)
@@ -263,7 +262,7 @@ def per_point_grad_full_suite(n=50, seed=6, lam=0.05):
                 return (-tables.log_seq_prob
                         + lam * losses.ecl(u, gamma[:, 1::2], centers))
             finally:
-                state.set_flat_params(base)
+                state.params = {k: v.copy() for k, v in state.unflatten(base).items()}
 
         fd = per_coordinate_finite_diff(loss_of, base)
         worst = max(worst, verify._rel_err(analytic, fd))
