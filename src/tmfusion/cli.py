@@ -19,7 +19,7 @@ from .config import (ConfigError, _fmt, append_metrics, load_checkpoint,
                      load_config, open_metrics, save_checkpoint)
 from .experiment import corpus_part, evaluate_model
 from .model import TEMPORAL_MODES
-from .synth import CONDITIONS, ConfigInvalid, MalformedDataset
+from .synth import CONDITIONS, MalformedDataset
 
 EXIT_CHECK = 1
 EXIT_CONFIG = 2
@@ -59,8 +59,6 @@ def dataset_path(data_dir, condition, part):
 def cmd_gen_data(args):
     try:
         cfg = _config_for(args)
-    except ConfigInvalid as exc:
-        return _fail(EXIT_CONFIG, "generator config: %s" % exc)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config: %s" % exc)
     out_dir = args.out or cfg.data_dir
@@ -125,12 +123,6 @@ def _load_test_sets(data_dir, spec, temporal):
     return tests
 
 
-def _atomic_checkpoint(path, state, bank, sched, mode, seed, steps):
-    tmp = path + ".tmp"
-    save_checkpoint(tmp, state, bank, sched, mode, seed, steps)
-    os.replace(tmp, path)
-
-
 def _selected_row(rows):
     """The evaluation whose state model.train returns: the first with
     the best validation score (the last if none beats -inf, when
@@ -147,8 +139,6 @@ def cmd_train(args):
         cfg = _config_for(args)
         pool = _load_train_pool(cfg)
         tests = _load_test_sets(cfg.data_dir, cfg.network, cfg.temporal)
-    except ConfigInvalid as exc:
-        return _fail(EXIT_CONFIG, "generator config: %s" % exc)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config: %s" % exc)
     except MalformedDataset as exc:
@@ -165,10 +155,10 @@ def cmd_train(args):
     bank = cfg.new_bank()
 
     fh, writer = open_metrics(cfg.metrics_path)
-    _atomic_checkpoint(cfg.checkpoint_path, state, bank,
-                       model.ScheduleState(halve_after=cfg.halve_after,
-                                           stop_after=cfg.stop_after),
-                       cfg.mode, cfg.seed, 0)
+    save_checkpoint(cfg.checkpoint_path, state, bank,
+                    model.ScheduleState(halve_after=cfg.halve_after,
+                                        stop_after=cfg.stop_after),
+                    cfg.mode, cfg.seed, 0)
 
     final_sched = None
 
@@ -179,8 +169,8 @@ def cmd_train(args):
             row["ter_%s" % condition] = report.token_error_rate
             row["acc_%s" % condition] = report.frame_accuracy
         append_metrics(writer, fh, row)
-        _atomic_checkpoint(cfg.checkpoint_path, hstate, hbank, sched,
-                           cfg.mode, cfg.seed, row["batches"])
+        save_checkpoint(cfg.checkpoint_path, hstate, hbank, sched,
+                        cfg.mode, cfg.seed, row["batches"])
         final_sched = sched
 
     try:
@@ -196,8 +186,8 @@ def cmd_train(args):
     if rows:
         # the model training returned, which may be rolled back to an
         # earlier evaluation than the last one checkpointed
-        _atomic_checkpoint(cfg.checkpoint_path, state, bank, final_sched,
-                           cfg.mode, cfg.seed, _selected_row(rows)["batches"])
+        save_checkpoint(cfg.checkpoint_path, state, bank, final_sched,
+                        cfg.mode, cfg.seed, _selected_row(rows)["batches"])
     print("trained %s for %d evals; checkpoint %s, metrics %s"
           % (cfg.mode, len(rows), cfg.checkpoint_path, cfg.metrics_path))
     return 0

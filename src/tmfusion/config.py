@@ -4,18 +4,21 @@ All three formats are JSON or CSV with floats rendered by repr(), so a
 parse -> serialize -> parse cycle is bit-exact and two runs with the
 same seed produce byte-identical files.
 
-A run config is read by the dataclasses' own field types: a field typed
-by a dataclass is read from a nested object, a list or tuple field from
-an array.  The training settings and the center bank check their own
-fields (the mode against model.MODES, lam, occupancy_mode against
-ctc.OCCUPANCY_MODES, occupancy_threshold), and RunConfig reports their
-errors as ConfigError.
+RunConfig is model.TrainSettings plus the run's own settings (network,
+generator, optimizer, center bank, data and files), read by the
+dataclasses' own field types: a field typed by a dataclass is read from
+a nested object, a list or tuple field from an array.  Each dataclass
+checks its own fields (the mode against model.MODES, lam,
+occupancy_mode, the batch and schedule counts, the generator's ranges,
+occupancy_threshold), and every error arrives as a ConfigError that
+names the field by its dotted path ("generator: segment_length: ...").
 """
 
 import csv
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 
@@ -36,27 +39,18 @@ class ConfigError(ValueError):
 
 
 @dataclasses.dataclass
-class RunConfig:
+class RunConfig(TrainSettings):
     """Everything one training run needs, with defaults materialized."""
 
-    mode: str = "tmf"
-    seed: int = 0
     network: NetworkSpec = dataclasses.field(
         default_factory=lambda: NetworkSpec(8, [32, 16], 6))
     generator: GeneratorConfig = dataclasses.field(default_factory=GeneratorConfig)
-    lam: float = 1e-3
-    occupancy_mode: str = "paper_literal"
     learning_rate: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     center_momentum: float = 1e-3
     occupancy_threshold: float = 0.01
-    batch_size: int = 8
-    max_batches: int = 2000
-    eval_interval: int = 200
-    halve_after: int = 3
-    stop_after: int = 8
     train_conditions: tuple = ("clean", "seen")
     validation_fraction: float = 0.1
     num_train_sequences: int = 1000     # per condition, train files
@@ -68,7 +62,7 @@ class RunConfig:
     def __post_init__(self):
         # first, so that output_units below sees a known mode
         try:
-            self.settings()
+            super().__post_init__()
             self.new_bank()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -86,17 +80,18 @@ class RunConfig:
         for field in ("learning_rate", "center_momentum"):
             if getattr(self, field) < 0:
                 raise ConfigError(f"{field}: must be nonnegative")
+        for field in ("num_train_sequences", "num_test_sequences"):
+            if getattr(self, field) < 1:
+                raise ConfigError(f"{field}: must be at least 1")
 
     @property
     def temporal(self):
         return self.mode in TEMPORAL_MODES
 
     def settings(self):
-        return TrainSettings(
-            mode=self.mode, batch_size=self.batch_size,
-            max_batches=self.max_batches, eval_interval=self.eval_interval,
-            halve_after=self.halve_after, stop_after=self.stop_after,
-            seed=self.seed, lam=self.lam, occupancy_mode=self.occupancy_mode)
+        """The inherited training settings, as a plain TrainSettings."""
+        return TrainSettings(**{f.name: getattr(self, f.name)
+                                for f in dataclasses.fields(TrainSettings)})
 
     def new_state(self):
         return ModelState(self.network, seed=self.seed, lr=self.learning_rate,
@@ -165,7 +160,8 @@ def _array_in(rows, shape):
 
 
 def save_checkpoint(path, state, bank, sched, mode, seed, step_count):
-    """Write model, centers, optimizer, and schedule state as JSON."""
+    """Write model, centers, optimizer, and schedule state as JSON,
+    atomically: through path + ".tmp", then os.replace."""
     shapes = {k: list(v.shape) for k, v in state.params.items()}
     data = {
         "format": "tmfusion-checkpoint-v1",
@@ -201,9 +197,11 @@ def save_checkpoint(path, state, bank, sched, mode, seed, step_count):
             "stop_after": sched.stop_after,
         },
     }
-    with open(path, "w") as fh:
+    tmp = os.fspath(path) + ".tmp"      # a killed write leaves path as it was
+    with open(tmp, "w") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path):

@@ -483,6 +483,10 @@ class TrainSettings:
         if self.occupancy_mode not in ctc.OCCUPANCY_MODES:
             raise ValueError("occupancy_mode: expected one of %s, got %r"
                              % (ctc.OCCUPANCY_MODES, self.occupancy_mode))
+        for name in ("batch_size", "max_batches", "eval_interval",
+                     "halve_after", "stop_after"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s: must be at least 1" % name)
 
 
 def train(state, bank, train_samples, val_samples, settings, eval_hook=None):

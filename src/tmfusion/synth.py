@@ -17,8 +17,8 @@ import numpy as np
 CONDITIONS = ("clean", "seen", "unseen")
 
 
-class ConfigInvalid(Exception):
-    pass
+class ConfigInvalid(ValueError):
+    """A generator or split setting outside its range, named by field."""
 
 
 class MalformedDataset(ValueError):

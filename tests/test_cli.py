@@ -78,15 +78,27 @@ def test_gen_data_seed_override_changes_content(tmp_path):
                            shallow=False)
 
 
-def test_gen_data_invalid_config_exits_2_naming_field(tmp_path, capsys):
-    cfg_path, _ = write_config(tmp_path)
+@pytest.mark.parametrize("keys,value,named", [
+    (("generator", "segment_length"), [4, 2], "config: generator: segment_length"),
+    (("generator", "unseen", "family"), "gauss", "config: generator.unseen: "),
+    (("num_train_sequences",), 0, "config: num_train_sequences"),
+    (("num_test_sequences",), 0, "config: num_test_sequences"),
+], ids=["segment_length", "unseen_family", "num_train_sequences",
+        "num_test_sequences"])
+def test_gen_data_invalid_config_exits_2_naming_field(tmp_path, capsys,
+                                                      keys, value, named):
+    cfg_path, cfg = write_config(tmp_path)
     data = json.loads(cfg_path.read_text())
-    data["generator"]["segment_length"] = [4, 2]
+    parent = data
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(data))
     assert cli.main(["gen-data", "--config", str(broken)]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "segment_length" in err
+    assert named in capsys.readouterr().err
+    assert not any(os.path.exists(os.path.join(cfg.data_dir, name))
+                   for name in ALL_FILES)
 
 
 def test_gen_data_unknown_field_exits_2_naming_field(tmp_path, capsys):
@@ -100,7 +112,14 @@ def test_gen_data_unknown_field_exits_2_naming_field(tmp_path, capsys):
     ("occupancy_threshold", -0.5),
     ("occupancy_threshold", 2.0),       # would gate off every center update
     ("occupancy_mode", "literal"),
-], ids=["threshold_below_0", "threshold_above_1", "unknown_mode"])
+    ("batch_size", 0),
+    ("max_batches", 0),
+    ("eval_interval", 0),
+    ("halve_after", 0),
+    ("stop_after", 0),
+], ids=["threshold_below_0", "threshold_above_1", "unknown_mode",
+        "batch_size_0", "max_batches_0", "eval_interval_0", "halve_after_0",
+        "stop_after_0"])
 def test_train_invalid_occupancy_setting_exits_2_naming_field(tmp_path, capsys,
                                                              field, value):
     cfg_path, cfg = write_config(tmp_path)

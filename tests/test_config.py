@@ -71,6 +71,23 @@ def test_occupancy_modes_are_the_ones_ctc_implements():
         small_config(occupancy_mode="normalised")
 
 
+SCHEDULE_COUNTS = ("batch_size", "max_batches", "eval_interval",
+                   "halve_after", "stop_after")
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("field", SCHEDULE_COUNTS + ("num_train_sequences",
+                                                     "num_test_sequences"))
+def test_counts_below_one_are_rejected_naming_field(field, value):
+    # training divides by these counts, and a negative batch size would
+    # loop forever over empty epochs
+    with pytest.raises(config.ConfigError, match=f"^{field}: must be at least 1"):
+        small_config(**{field: value})
+    if field in SCHEDULE_COUNTS:
+        with pytest.raises(ValueError, match=f"^{field}: must be at least 1"):
+            model.TrainSettings(**{field: value})
+
+
 def test_unknown_top_level_field_is_named():
     with pytest.raises(config.ConfigError, match="learning_rte"):
         config.config_from_dict({"learning_rte": 1e-3})
@@ -90,11 +107,15 @@ def test_nested_field_that_is_not_an_object_is_named():
 
 
 def test_factories_are_consistent():
-    cfg = small_config()
+    cfg = small_config(batch_size=3, max_batches=17, eval_interval=5,
+                       halve_after=2, stop_after=4, lam=0.02,
+                       occupancy_mode="frame_normalized")
     assert cfg.temporal
     settings = cfg.settings()
-    assert (settings.mode, settings.lam, settings.occupancy_mode) == (
-        "tmf", cfg.lam, cfg.occupancy_mode)
+    assert type(settings) is model.TrainSettings
+    for field in dataclasses.fields(model.TrainSettings):
+        assert getattr(settings, field.name) == getattr(cfg, field.name)
+    assert settings != model.TrainSettings()
     state = cfg.new_state()
     assert state.spec.num_classes == 3
     bank = cfg.new_bank()
@@ -150,9 +171,28 @@ def test_config_json_is_complete(tmp_path):
     path = tmp_path / "run.json"
     config.save_config(small_config(), path)
     data = json.loads(path.read_text())
-    for name in ("mode", "seed", "lam", "learning_rate", "network",
-                 "generator", "halve_after", "stop_after"):
-        assert name in data
+    assert list(data) == [f.name for f in dataclasses.fields(config.RunConfig)]
+    inherited = [f.name for f in dataclasses.fields(model.TrainSettings)]
+    assert list(data)[:len(inherited)] == inherited     # written first
+
+
+# the key order of run.json files written before RunConfig extended TrainSettings
+EARLIER_KEY_ORDER = (
+    "mode", "seed", "network", "generator", "lam", "occupancy_mode",
+    "learning_rate", "beta1", "beta2", "epsilon", "center_momentum",
+    "occupancy_threshold", "batch_size", "max_batches", "eval_interval",
+    "halve_after", "stop_after", "train_conditions", "validation_fraction",
+    "num_train_sequences", "num_test_sequences", "data_dir",
+    "checkpoint_path", "metrics_path")
+
+
+def test_config_in_the_earlier_key_order_loads_equal(tmp_path):
+    cfg = small_config(lam=0.02, batch_size=4, stop_after=5)
+    data = dataclasses.asdict(cfg)
+    assert sorted(data) == sorted(EARLIER_KEY_ORDER)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({k: data[k] for k in EARLIER_KEY_ORDER}, indent=2))
+    assert config.load_config(path) == cfg
 
 
 def test_config_rejects_invalid_json(tmp_path):
@@ -258,6 +298,26 @@ def test_checkpoint_ignores_an_old_eval_interval(tmp_path):
     old = tmp_path / "old.json"
     old.write_text(json.dumps(data, indent=1) + "\n")
     assert config.load_checkpoint(old)[2] == sched
+
+
+def test_checkpoint_write_that_fails_keeps_the_previous_file(tmp_path,
+                                                             monkeypatch):
+    state, bank, sched = trained_state()
+    path = tmp_path / "ckpt.json"
+    config.save_checkpoint(path, state, bank, sched, "tmf", 8, 3)
+    before = path.read_bytes()
+
+    def dump_then_fail(data, fh, **kwargs):
+        fh.write('{"format": "tmfusion-checkpoint-v1",')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(config.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="no space left"):
+        config.save_checkpoint(path, state, bank, model.ScheduleState(),
+                               "tmf", 8, 4)
+    assert path.read_bytes() == before
+    monkeypatch.undo()
+    assert config.load_checkpoint(path)[2] == sched
 
 
 def test_checkpoint_rejects_foreign_format(tmp_path):
