@@ -7,7 +7,10 @@ under test is directional: the fused temporal objective should beat its
 sequence-only baseline on unseen-noise token error rate for most seeds,
 and the fused features should be tighter around their class centers.
 
-The full five-seed sweep takes a few minutes.  Pass --quick for a
+The twenty models train on worker processes, as many as the CPUs this
+process may use; the progress lines and every number are those of a
+one-process run, in its order.  The full five-seed sweep takes about
+two minutes on two CPUs and about three on one.  Pass --quick for a
 single-seed pass with a reduced batch budget.
 """
 

@@ -14,6 +14,7 @@ occupancy_threshold), and every error arrives as a ConfigError that
 names the field by its dotted path ("generator: segment_length: ...").
 """
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -161,7 +162,8 @@ def _array_in(rows, shape):
 
 def save_checkpoint(path, state, bank, sched, mode, seed, step_count):
     """Write model, centers, optimizer, and schedule state as JSON,
-    atomically: through path + ".tmp", then os.replace."""
+    atomically: through path + ".tmp", then os.replace.  A write that
+    fails removes the ".tmp" file and re-raises."""
     shapes = {k: list(v.shape) for k, v in state.params.items()}
     data = {
         "format": "tmfusion-checkpoint-v1",
@@ -198,10 +200,16 @@ def save_checkpoint(path, state, bank, sched, mode, seed, step_count):
         },
     }
     tmp = os.fspath(path) + ".tmp"      # a killed write leaves path as it was
-    with open(tmp, "w") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(data, fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write leaves no partial file behind either
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

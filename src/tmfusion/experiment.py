@@ -14,11 +14,12 @@ writes alike.  The modes and the blank-output rule come from the mode
 table in ``model`` (MODES, TEMPORAL_MODES, FUSION_MODES, output_units).
 """
 
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import metrics, model, synth
+from . import metrics, model, synth, workers
 from .config import RunConfig
 from .model import NetworkSpec
 
@@ -145,10 +146,10 @@ def make_datasets(spec, seed):
     return train, val, tests
 
 
-def run_single(spec, mode, seed, data):
-    """Train one mode on one seed's corpus, data = make_datasets(spec,
-    seed); returns {condition: EvalReport}."""
-    train_set, val_set, tests = data
+def run_single(spec, mode, seed):
+    """Train one mode on its own copy of the seed's corpus
+    (make_datasets(spec, seed)); returns {condition: EvalReport}."""
+    train_set, val_set, tests = make_datasets(spec, seed)
     cfg = run_config_for(spec, mode, seed)
     state = cfg.new_state()
     bank = cfg.new_bank()
@@ -159,17 +160,26 @@ def run_single(spec, mode, seed, data):
 
 
 def run_experiment(spec=None, progress=None):
-    """Full sweep; returns results[mode][seed] = {condition: EvalReport}."""
+    """Full sweep; returns results[mode][seed] = {condition: EvalReport}.
+
+    Every (mode, seed) RunConfig is built first, so a bad spec raises
+    its ConfigError before any data or model.  The models then train on
+    worker processes (workers.in_order), each from its own copy of its
+    seed's corpus; results and progress(mode, seed, unseen report)
+    calls come in the serial order, seed by seed, bit for bit as one
+    process would compute them.
+    """
     if spec is None:
         spec = ExperimentSpec()
+    jobs = [(spec, mode, seed) for seed in spec.seeds for mode in spec.modes]
+    for _, mode, seed in jobs:
+        run_config_for(spec, mode, seed)
     results = {mode: {} for mode in spec.modes}
-    for seed in spec.seeds:
-        data = make_datasets(spec, seed)
-        for mode in spec.modes:
-            results[mode][seed] = run_single(spec, mode, seed, data)
+    with closing(workers.in_order(run_single, jobs)) as reports:
+        for (_, mode, seed), report in zip(jobs, reports):
+            results[mode][seed] = report
             if progress is not None:
-                rep = results[mode][seed]["unseen"]
-                progress(mode, seed, rep)
+                progress(mode, seed, report["unseen"])
     return results
 
 

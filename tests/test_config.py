@@ -3,6 +3,7 @@
 import dataclasses
 import filecmp
 import json
+import os
 
 import numpy as np
 import pytest
@@ -316,6 +317,7 @@ def test_checkpoint_write_that_fails_keeps_the_previous_file(tmp_path,
         config.save_checkpoint(path, state, bank, model.ScheduleState(),
                                "tmf", 8, 4)
     assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["ckpt.json"]     # no ckpt.json.tmp left
     monkeypatch.undo()
     assert config.load_checkpoint(path)[2] == sched
 
