@@ -55,8 +55,10 @@ def main():
     err, n = verify.grad_full_suite(n=10)
     print("  full-network gradient    %3d instances  max err %.3e" % (n, err))
     print()
-    print("the full-network check runs both fused objectives through the")
-    print("network parameters, so it exercises every backward rule at once.")
+    print("the full-network check takes a training step's summed gradient")
+    print("over a batch of two sequences in each mode (ctc, tmf, ce, fmf) and")
+    print("differences the batch loss over every network parameter, so it")
+    print("exercises every backward rule and both fused objectives at once.")
 
 
 if __name__ == "__main__":

@@ -12,9 +12,8 @@ from .ctc import (AlignmentTables, BLANK, DegenerateFrame, InfeasibleLabeling,
 from .losses import (CenterBank, UnknownClass, center_stats, cross_entropy, ecl,
                      ecl_grad_features, fuse_feature_grad)
 from .model import (ModelState, NetworkSpec, NonFiniteGradient, ScheduleState,
-                    TrainSettings, adam_step, backward, backward_batch, forward,
-                    forward_batch, forward_stacks, schedule_tick, train,
-                    validation_score)
+                    TrainSettings, adam_step, backward_batch, forward_stacks,
+                    schedule_tick, train, validation_score)
 from .synth import (CONDITIONS, ConfigInvalid, GeneratorConfig, MalformedDataset,
                     SequenceSample, UnseenNoise, class_means, generate, load_jsonl,
                     save_jsonl, split)

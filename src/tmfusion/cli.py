@@ -114,6 +114,24 @@ def _load_checked(path, spec, temporal):
     return samples
 
 
+def _load_test_file(path, spec, temporal):
+    """_load_checked for a file to score: the token error rate divides by
+    the reference tokens of each condition, so a file without samples,
+    or with a condition whose samples hold no token, raises
+    MalformedDataset naming the file."""
+    samples = _load_checked(path, spec, temporal)
+    if not samples:
+        raise MalformedDataset("%s: no sample to score" % path)
+    tokens = {}
+    for sample in samples:
+        tokens[sample.condition] = tokens.get(sample.condition, 0) + len(sample.collapsed)
+    for condition, count in tokens.items():
+        if not count:
+            raise MalformedDataset("%s: the %s samples hold no reference token to "
+                                   "score" % (path, condition))
+    return samples
+
+
 def _load_train_pool(cfg):
     pool = []
     for condition in cfg.train_conditions:
@@ -129,7 +147,7 @@ def _load_test_sets(data_dir, spec, temporal):
     for condition in CONDITIONS:
         path = dataset_path(data_dir, condition, "test")
         if os.path.exists(path):
-            tests[condition] = _load_checked(path, spec, temporal)
+            tests[condition] = _load_test_file(path, spec, temporal)
     return tests
 
 
@@ -211,8 +229,11 @@ def cmd_eval(args):
             samples = [sample for part in
                        _load_test_sets(args.data, state.spec, temporal).values()
                        for sample in part]
+            if not samples:
+                raise ConfigError("data: %s holds no <condition>_test.jsonl file"
+                                  % args.data)
         else:
-            samples = _load_checked(args.data, state.spec, temporal)
+            samples = _load_test_file(args.data, state.spec, temporal)
     except (OSError, ConfigError, MalformedDataset) as exc:
         return _fail(EXIT_CONFIG, str(exc))
     except ShapeMismatch as exc:

@@ -37,9 +37,9 @@ def evaluate_model(state, bank, samples, mode, condition):
     assigns = [None] * len(samples)
     correct = 0
     for group in model.score_groups(samples):
-        outputs = model.forward_batch(state, [samples[i].x for i in group])
-        for i, (u, _, y) in zip(group, outputs):
-            sample = samples[i]
+        Ts, us, _, ys = model.forward_stacks(state, [samples[i].x for i in group])
+        for i, Tb, u, y in zip(group, Ts, us, ys):
+            u, y, sample = u[:Tb], y[:Tb], samples[i]
             if temporal:
                 hyps[i] = metrics.greedy_decode(y)
                 steps, keep = metrics.temporal_assignments(y)
@@ -52,7 +52,7 @@ def evaluate_model(state, bank, samples, mode, condition):
                 feats[i] = u
                 assigns[i] = pred
                 correct += int((pred == sample.framewise).sum())
-        del outputs
+        del us, ys
     frames = sum(len(sample.framewise) for sample in samples)
     ter = metrics.token_error_rate(
         [(hyp, sample.collapsed) for hyp, sample in zip(hyps, samples)])

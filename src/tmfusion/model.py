@@ -9,12 +9,12 @@ their own momentum rule.  Centers are never differentiated through.
 
 Batched layout.  ``forward_stacks`` runs B sequences at once on padded
 (B, T_max, .) stacks, each sequence left-aligned in its slice, and
-``forward_batch`` hands out (T_b, .) views of them.  ``backward_batch``
-takes the error signals as stacks of that layout, zeroes their padding
-frames, and returns (B, ...) gradient stacks; ``forward``/``backward``
-are the B=1 cases.  Training builds its signals on the stacks too and
-sums each gradient stack once.  Only the tanh recurrence and its
-reverse step frame by frame.  Each sequence's outputs and gradients are
+``backward_batch`` takes the error signals as stacks of that layout,
+zeroes their padding frames, and returns (B, ...) gradient stacks; one
+sequence is the batch B = 1.  Training builds its signals on the stacks
+too and sums each gradient stack once (``_batch_step``, the gradient
+that ``verify.grad_full_suite`` checks).  Only the tanh recurrence and
+its reverse step frame by frame.  Each sequence's outputs and gradients are
 bit for bit those of a network that sees it alone, by these facts,
 measured with numpy 2.4 and OpenBLAS 0.3.31 on x86-64 and kept as canary
 tests in tests/test_model.py:
@@ -73,7 +73,7 @@ def output_units(mode, num_classes):
 
 
 class MissingForwardCache(Exception):
-    """backward() called without a preceding forward()."""
+    """backward_batch() called without a preceding forward_stacks()."""
 
 
 class NonFiniteGradient(Exception):
@@ -100,7 +100,7 @@ class NetworkSpec:
 
 class ModelState:
     """Network parameters plus Adam moments, learning rate, and the
-    forward cache used by backward().
+    forward cache used by backward_batch().
 
     ``cache`` is (Ts, stacks) from the last forward_stacks call: the B
     input lengths, and the padded (B, T_max, .) stacks of the inputs
@@ -139,7 +139,7 @@ class ModelState:
     def unflatten(self, flat):
         """Parameter views of a (..., n) array of flat parameter vectors:
         each array keeps the leading axes, so the rows of a (P, n) array
-        become per-input parameters for forward_batch, without copies."""
+        become per-input parameters for forward_stacks, without copies."""
         views, pos = {}, 0
         for k in self.param_names():
             p = self.params[k]
@@ -152,21 +152,6 @@ def softmax(a):
     """Row softmax over the last axis of a (..., K) array."""
     e = np.exp(a - a.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def forward(state, x):
-    """Run the network on a (T, F) input: (u, a, y), the feature
-    sequence, the logits and the softmax posteriors, with the activations
-    cached for backward().  The B=1 case of forward_batch."""
-    return forward_batch(state, [x])[0]
-
-
-def forward_batch(state, xs):
-    """forward over B inputs of shapes (T_b, F) at once: a list of B
-    (u, a, y) triples, (T_b, .) views into the stacks of forward_stacks,
-    equal bit for bit to forward on each input; B = 0 gives []."""
-    Ts, u, a, y = forward_stacks(state, xs)
-    return [(u[b, :Tb], a[b, :Tb], y[b, :Tb]) for b, Tb in enumerate(Ts)]
 
 
 def forward_stacks(state, xs):
@@ -277,23 +262,15 @@ def _recurrence_backward(R, hs, gs, Ts):
     return out
 
 
-def backward(state, delta_ml, delta_fused):
-    """Chain the two error signals into parameter gradients: delta_ml
-    (T, K), the gradient at the logits, gives the last layer's directly;
-    delta_fused (T, D), the full signal at the feature layer, goes back
-    through the hidden stack.  The B=1 case of backward_batch."""
-    grads = backward_batch(state, np.asarray(delta_ml)[None], np.asarray(delta_fused)[None])
-    return {k: g[0] for k, g in grads.items()}
-
-
 def backward_batch(state, delta_ml, delta_fused):
-    """backward for the B sequences of the last forward_stacks call, from
-    the (B, T_max, K) and (B, T_max, D) signal stacks, laid out as the
-    forward stacks; what their padding frames hold is ignored.  Returns a
-    dict of (B, ...) gradient stacks, slice b bit for bit backward on
-    sequence b."""
+    """Parameter gradients of the B sequences of the last forward_stacks
+    call from the (B, T_max, K) stack delta_ml, the signal at the logits,
+    and the (B, T_max, D) stack delta_fused, the full signal at the
+    feature layer, laid out as the forward stacks; what their padding
+    frames hold is ignored.  Returns a dict of (B, ...) gradient stacks,
+    slice b bit for bit that of sequence b run alone."""
     if state.cache is None:
-        raise MissingForwardCache("run forward() before backward()")
+        raise MissingForwardCache("run forward_stacks() before backward_batch()")
     spec, params = state.spec, state.params
     Ts, stacks = state.cache
     B, T = stacks[0].shape[:2]

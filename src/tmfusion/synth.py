@@ -22,7 +22,8 @@ class ConfigInvalid(ValueError):
 
 
 class MalformedDataset(ValueError):
-    """A dataset file line that is not a sample record."""
+    """A dataset file line that is not a sample record, or a test file
+    with nothing to score."""
 
 
 @dataclass
@@ -188,6 +189,8 @@ def _sample_from_record(rec):
     if x.ndim != 2 or framewise.shape != (len(x),) or collapsed.ndim != 1:
         raise ValueError("features must be T rows with one framewise label "
                          "each, and collapsed a list of labels")
+    if rec["condition"] not in CONDITIONS:
+        raise ValueError("unknown condition %r" % (rec["condition"],))
     return SequenceSample(x=x, framewise=framewise, collapsed=collapsed,
                           condition=rec["condition"])
 

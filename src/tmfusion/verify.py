@@ -5,26 +5,25 @@ Each suite returns (max_error, instance_count); the CLI `check`
 subcommand wraps them with tolerances and exit codes, and the test suite
 calls them directly.
 
-Three suites run many lattices for one instance, and put them in one
+Three suites run many lattices for one instance in one
 ``ctc.forward_backward_batch`` call: ``partition`` every feasible
 labeling of one posterior, ``grad_ml`` and ``grad_full`` the 2n points
 of one finite difference (``oracle.finite_diff`` hands them over
 stacked).  ``grad_ml`` takes the softmax of all its points in one call,
-``grad_full`` runs the network once for all of them, each point's
-parameters a view of its row, and ``grad_ecl`` and ``grad_full`` take
-one ECL table for all their points.  Their errors keep every bit of a
-per-point loop: the batched lattice and network equal
-``forward_backward`` and ``forward`` on each point bit for bit, each
-point sums its own contiguous slice of the ECL table, the points are
-built by the same elementwise additions, and the partition sums its
-probabilities in enumeration order.
+``grad_full`` runs the network once for all of them, and ``grad_ecl``
+and ``grad_full`` take one ECL table per sequence for all their points.
+Their errors keep every bit of a per-point loop: the batched lattice
+and network equal a call per point bit for bit, each point sums its own
+contiguous slice of an ECL table, the points are built by the same
+elementwise additions, and the partition sums its probabilities in
+enumeration order.
 """
 
 import copy
 
 import numpy as np
 
-from . import ctc, losses, model, oracle
+from . import ctc, losses, model, oracle, synth
 
 
 def _random_posteriors(rng, T, K):
@@ -165,51 +164,74 @@ def grad_ecl_suite(n=50, seed=5):
     return worst, n
 
 
-def tmf_network_loss(state, points, x, z, lam, w, centers):
-    """Fused sequence loss of one input at each flat parameter vector in
-    ``points``, with the label occupancy weights ``w`` and the gathered
-    ``centers`` held fixed (how the learning rule treats them).  One
-    ``forward_stacks`` call runs the input at every point, each point's
-    parameters a view of its row; the lattices run as one batch and the
-    ECL terms as one table.  The state is left as it was."""
-    points_state = copy.copy(state)
-    points_state.params = state.unflatten(points)
-    _, u, _, y = model.forward_stacks(points_state, [x] * len(points))
-    batch = ctc.forward_backward_batch(list(y), [z] * len(points))
-    return [-tables.log_seq_prob + lam * float(terms.sum())
-            for tables, terms in zip(batch, losses.ecl_terms(u, w, centers))]
+def network_loss(state, points, batch, settings, bank):
+    """The loss whose gradient a training step sums, at each flat
+    parameter vector in ``points``: over the sequences of ``batch``, CTC
+    (ctc, tmf) or the framewise CE (ce, fmf), plus in the fusion modes
+    (lam/2) * ECL, its weights and centers frozen at the state's own
+    parameters (tmf's occupancy, fmf's one-hot targets).  One
+    ``forward_stacks`` call runs every sequence at the state's parameters
+    and at every point.  The state is left as it was."""
+    B, mode, rows = len(batch), settings.mode, np.vstack([state.flat_params(), points])
+    runs = copy.copy(state)
+    runs.params = state.unflatten(np.repeat(rows, B, axis=0))
+    Ts, u, _, y = model.forward_stacks(runs, [s.x for s in batch] * len(rows))
+    if mode in model.TEMPORAL_MODES:
+        lattices = ctc.forward_backward_batch([y[k, :Tb] for k, Tb in enumerate(Ts)],
+                                              [s.collapsed for s in batch] * len(rows))
+        seq_losses = [-tables.log_seq_prob for tables in lattices]
+        frozen = [(ctc.occupancy(tables, settings.occupancy_mode)[:, 1::2],
+                   bank.gather(tables.zp[1::2])) for tables in lattices[:B] if mode == "tmf"]
+    else:
+        cols = np.concatenate([s.framewise for s in batch] * len(rows)) - 1
+        seq_losses = losses.cross_entropy(y, cols, Ts)
+        frozen = [(np.eye(bank.num_classes)[s.framewise - 1], bank.centers)
+                  for s in batch if mode == "fmf"]
+    seq_losses = np.reshape(seq_losses, (len(rows), B))
+    for b, (w, centers) in enumerate(frozen):
+        terms = losses.ecl_terms(u[b::B, :len(w)], w, centers)
+        seq_losses[:, b] += [0.5 * settings.lam * float(t.sum()) for t in terms]
+    return seq_losses[1:].sum(axis=1)
 
 
-def grad_full_suite(n=50, seed=6, lam=0.05):
-    """Whole-network chain: the fused error signal pushed through
-    backward() vs. finite differences of the fused loss over every
-    parameter.  Occupancy weights and centers are frozen at the base
-    point (they are updated by their own rules, not differentiated), and
-    the feature-space signal is doubled to undo the absorbed factor."""
+def _random_batch(rng, mode, C, F):
+    """Two sequences of different lengths in random order, the shorter
+    one frame (ce, fmf) or the minimum frames of its labeling (ctc, tmf)."""
+    zs = [rng.integers(1, C + 1, int(rng.integers(1, 3))) for _ in range(2)]
+    need = [ctc.min_frames(z) if mode in model.TEMPORAL_MODES else 1 for z in zs]
+    Ts = [need[0], max(need) + int(rng.integers(1, 3))]
+    batch = [synth.SequenceSample(rng.normal(size=(T, F)), rng.integers(1, C + 1, T),
+                                  z, "clean") for T, z in zip(Ts, zs)]
+    return batch[::-1] if rng.integers(2) else batch
+
+
+def grad_full_suite(n=50, seed=6, lam=0.1):
+    """The summed gradient of ``model._batch_step`` vs. finite differences
+    of ``network_loss`` over every parameter.  Instance i trains mode
+    MODES[i % 4] on a ``_random_batch`` through one or two hidden layers
+    of widths 1 to 3; the recurrence switches every 4 instances, tmf's
+    occupancy mode every 8.  The objective per sequence is CTC or CE +
+    (lam/2) * ECL, lam the training weight: the ECL signal omits its
+    factor 2.  ECL weights and centers stay frozen at the base point
+    (they move by their own rules, not by the gradient)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst, C, F = 0.0, 2, 2
     for i in range(n):
-        spec = model.NetworkSpec(input_dim=4, hidden=[5], num_classes=4,
-                                 recurrent=bool(i % 2))
+        mode = model.MODES[i % 4]
+        settings = model.TrainSettings(mode=mode, lam=lam,
+                                       occupancy_mode=ctc.OCCUPANCY_MODES[i // 8 % 2])
+        hidden = [int(h) for h in rng.integers(1, 4, int(rng.integers(1, 3)))]
+        spec = model.NetworkSpec(F, hidden, model.output_units(mode, C),
+                                 recurrent=bool(i // 4 % 2))
         state = model.ModelState(spec, seed=int(rng.integers(1 << 30)))
-        T = 5
-        x = rng.normal(size=(T, spec.input_dim))
-        z = _random_labels(rng, spec.num_classes, T, 2)
-        bank = losses.CenterBank(spec.num_classes - 1, spec.feature_dim)
+        bank = losses.CenterBank(C, spec.feature_dim)
         bank.centers = rng.normal(size=bank.centers.shape)
-
-        u, _, y = model.forward(state, x)
-        tables = ctc.forward_backward(y, z)
-        w = ctc.occupancy(tables, "paper_literal")[:, 1::2]
-        centers = bank.gather(tables.zp[1::2])
-        delta_ml = ctc.ctc_grad_logits(tables, y)
-        delta_ecl = losses.ecl_grad_features(u, w, centers)
-        fused = losses.fuse_feature_grad(delta_ml, state.params["W"], delta_ecl, 2.0 * lam)
-        grads = model.backward(state, delta_ml, fused)
+        batch = _random_batch(rng, mode, C, F)
+        _, grads, _ = model._batch_step(state, batch, settings, bank)
         analytic = np.concatenate([grads[k].ravel() for k in state.param_names()])
 
         def loss_of(points):
-            return tmf_network_loss(state, points, x, z, lam, w, centers)
+            return network_loss(state, points, batch, settings, bank)
 
         fd = oracle.finite_diff(loss_of, state.flat_params())
         worst = max(worst, _rel_err(analytic, fd))

@@ -4,6 +4,7 @@ evaluation, checkpoint resume, and the verification suites."""
 import filecmp
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -437,6 +438,9 @@ def test_train_checkpoint_is_the_model_training_selected(tmp_path):
 MALFORMED = {
     "truncated": (lambda good: good[:len(good) // 2], "Expecting"),
     "empty_record": (lambda good: "{}", "missing field 'features'"),
+    "unknown_condition": (lambda good: re.sub(r'"condition": "\w+"',
+                                              '"condition": "noisy"', good),
+                          "unknown condition 'noisy'"),
 }
 
 
@@ -584,6 +588,47 @@ def test_eval_malformed_dataset_exits_2_naming_file_and_line(tmp_path, capsys, c
     assert "%s line 2" % path in err and reason in err
 
 
+def test_eval_directory_without_test_files_exits_2_naming_it(tmp_path, capsys):
+    cfg = trained_checkpoint(tmp_path)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", cfg.checkpoint_path,
+                     "--data", str(elsewhere)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert str(elsewhere) in captured.err and captured.out == ""
+
+
+def _drop_references(samples):
+    for sample in samples:
+        sample.collapsed = sample.collapsed[:0]
+
+
+def test_eval_test_set_without_reference_tokens_exits_2_naming_file(tmp_path, capsys):
+    # the token error rate of a condition divides by its reference tokens
+    cfg = trained_checkpoint(tmp_path)
+    path = _edit_dataset(cfg, "unseen", "test", _drop_references)
+    capsys.readouterr()
+    for data in (path, cfg.data_dir):
+        assert cli.main(["eval", "--checkpoint", cfg.checkpoint_path,
+                         "--data", data]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert path in captured.err and "no reference token" in captured.err
+        assert captured.out == ""
+
+
+def test_train_test_set_without_reference_tokens_exits_2_before_writing(tmp_path, capsys):
+    cfg_path, cfg = write_config(tmp_path)
+    gen_data(tmp_path, cfg_path)
+    path = _edit_dataset(cfg, "seen", "test", _drop_references)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert path in err and "no reference token" in err
+    assert not os.path.exists(cfg.checkpoint_path)
+    assert not os.path.exists(cfg.metrics_path)
+
+
 # --------------------------------------------------------------------- check
 
 def test_check_all_suites_pass(capsys):
@@ -626,6 +671,25 @@ def test_check_catches_a_planted_table_error(monkeypatch, capsys):
     monkeypatch.setattr("tmfusion.ctc.occupancy", biased)
     assert cli.main(["check", "--scope", "ctc"]) == cli.EXIT_CHECK
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_catches_a_planted_fault_in_the_training_signals(monkeypatch, capsys):
+    # drop fmf's center part from the fused signal that a training step
+    # back-propagates; the full-network suite runs that step
+    real = model._batch_signals
+
+    def without_centers(state, batch, Ts, u, y, settings, bank):
+        seq_losses, delta_ml, delta_fused, stats = real(state, batch, Ts, u, y,
+                                                        settings, bank)
+        if settings.mode == "fmf":
+            delta_fused = model._rows_product(delta_ml, state.params["W"], Ts)
+        return seq_losses, delta_ml, delta_fused, stats
+
+    monkeypatch.setattr(model, "_batch_signals", without_centers)
+    assert cli.main(["check", "--scope", "model"]) == cli.EXIT_CHECK
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1
+    assert out[0].startswith("grad_full ") and out[0].endswith(" FAIL")
 
 
 def test_check_reports_a_suite_that_raises_and_runs_the_rest(monkeypatch, capsys):

@@ -115,7 +115,7 @@ def test_frame_accuracy():
         state = model.ModelState(spec, seed=1)
         right = total = 0
         for s in samples:
-            steps = model.forward(state, s.x)[2].argmax(axis=1)
+            steps = model.forward_stacks(state, [s.x])[3][0].argmax(axis=1)
             pred = steps if mode in model.TEMPORAL_MODES else steps + 1
             right += int((pred == s.framewise).sum())
             total += len(s.framewise)

@@ -54,14 +54,14 @@ def test_forward_identity_last_layer():
     state.params["W"] = np.eye(3)
     state.params["B"] = np.zeros(3)
     x = np.random.default_rng(0).normal(size=(5, 3))
-    u, a, _ = model.forward(state, x)
+    _, (u,), (a,), _ = model.forward_stacks(state, [x])
     np.testing.assert_array_equal(a, u)
 
 
 def test_forward_softmax_rows_sum_to_one():
     state = model.ModelState(model.NetworkSpec(4, [6, 5], 3, recurrent=True))
     x = np.random.default_rng(1).normal(size=(7, 4))
-    _, _, y = model.forward(state, x)
+    *_, (y,) = model.forward_stacks(state, [x])
     np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-12)
     assert (y > 0).all()
 
@@ -71,10 +71,10 @@ def test_forward_uniform_bias_gives_uniform_posteriors():
     state = model.ModelState(spec)
     state.params["W"] = np.zeros((4, 3))
     state.params["B"] = np.full(4, 0.7)
-    _, _, y = model.forward(state, np.zeros((2, 2)))
+    *_, (y,) = model.forward_stacks(state, [np.zeros((2, 2))])
     np.testing.assert_allclose(y, 0.25, atol=1e-15)
     state.params["B"] = np.array([0.0, 1.0, 0.0, 0.0])
-    _, _, y = model.forward(state, np.zeros((2, 2)))
+    *_, (y,) = model.forward_stacks(state, [np.zeros((2, 2))])
     assert y[0, 1] > y[0, 0]
 
 
@@ -197,7 +197,8 @@ def test_batch_matches_per_sequence_bitwise(hidden, recurrent, K, Ts, seed):
     dml = [rng.normal(size=(T, K)) for T in Ts]
     dfused = [rng.normal(size=(T, spec.feature_dim)) for T in Ts]
 
-    outputs = model.forward_batch(state, xs)
+    Ts, u, a, y = model.forward_stacks(state, xs)
+    outputs = [(u[b, :T], a[b, :T], y[b, :T]) for b, T in enumerate(Ts)]
     stacks = model.backward_batch(state, padded(dml, Ts, K),
                                   padded(dfused, Ts, spec.feature_dim))
     grads = [{k: g[b] for k, g in stacks.items()} for b in range(len(Ts))]
@@ -221,7 +222,7 @@ def test_forward_batch_per_input_parameters_match_each_loaded_point_bitwise(
         hidden, recurrent, K, Ts, seed):
     # P parameter vectors as the rows of one (P, n) array, each input run
     # with its own row; equal to loading a copy of each row as the
-    # parameters and running forward, bit for bit
+    # parameters and running that input alone, bit for bit
     P = len(Ts)
     rng = np.random.default_rng(seed)
     spec = model.NetworkSpec(4, hidden, K, recurrent=recurrent)
@@ -235,13 +236,15 @@ def test_forward_batch_per_input_parameters_match_each_loaded_point_bitwise(
     for k, p in per_point.params.items():
         assert p.shape == (P,) + state.params[k].shape
         assert np.shares_memory(p, points) or P == 0
-    outputs = model.forward_batch(per_point, xs)
-    assert len(outputs) == P
+    _, *outputs = model.forward_stacks(per_point, xs)
+    assert all(len(out) == P for out in outputs)
     reference = model.ModelState(spec)
-    for flat, x, out in zip(points, xs, outputs):
+    for p, (flat, x) in enumerate(zip(points, xs)):
         reference.params = {k: v.copy() for k, v in reference.unflatten(flat).items()}
-        for a, b in zip(out, model.forward(reference, x)):
-            assert a.shape == b.shape and np.array_equal(a, b)
+        _, *alone = model.forward_stacks(reference, [x])
+        for out, want in zip(outputs, alone):
+            got = out[p, :len(x)]
+            assert got.shape == want[0].shape and np.array_equal(got, want[0])
 
 
 # (F, H) of every row product the network runs at the widths in use:
@@ -254,7 +257,7 @@ ROW_PRODUCTS = ([(F, H) for F in (4, 8) for H in (5, 16, 32)]
 
 
 def test_blas_rows_inside_a_padded_stack_match_the_unpadded_product():
-    # forward_batch runs each input's (T_b, F) @ (F, H) as the first T_b
+    # forward_stacks runs each input's (T_b, F) @ (F, H) as the first T_b
     # rows of one (T_max, F) slice of a padded stack; this holds for
     # T_b >= 2 with the padding zero or not, shared weights or a stack
     # of them.  A 1-row product runs as a gemv and is not covered: the
@@ -353,9 +356,9 @@ def test_recurrence_first_frame_matches_the_zero_product_bitwise():
 
 def test_backward_batch_needs_one_signal_per_cached_sequence():
     state = model.ModelState(model.NetworkSpec(3, [4], 2, recurrent=True))
-    model.forward_batch(state, [np.ones((2, 3)), np.ones((3, 3))])
+    model.forward_stacks(state, [np.ones((2, 3)), np.ones((3, 3))])
     with pytest.raises(ValueError):
-        model.backward(state, np.zeros((2, 2)), np.zeros((2, 4)))
+        model.backward_batch(state, np.zeros((1, 3, 2)), np.zeros((1, 3, 4)))
 
 
 def test_batch_rejects_a_wrong_shape_instead_of_broadcasting():
@@ -363,12 +366,12 @@ def test_batch_rejects_a_wrong_shape_instead_of_broadcasting():
     # one-row signal over every frame
     state = model.ModelState(model.NetworkSpec(3, [4], 2, recurrent=True))
     with pytest.raises(ValueError, match="expected a"):
-        model.forward(state, np.ones((5, 1)))
-    model.forward(state, np.ones((3, 3)))
+        model.forward_stacks(state, [np.ones((5, 1))])
+    model.forward_stacks(state, [np.ones((3, 3))])
     with pytest.raises(ValueError, match="expected a"):
-        model.backward(state, np.ones((1, 2)), np.ones((3, 4)))
+        model.backward_batch(state, np.ones((1, 1, 2)), np.ones((1, 3, 4)))
     with pytest.raises(ValueError, match="expected a"):
-        model.backward(state, np.ones((3, 3)), np.ones((3, 4)))
+        model.backward_batch(state, np.ones((1, 3, 3)), np.ones((1, 3, 4)))
 
 
 # ------------------------------------------------------------------- backward
@@ -376,14 +379,14 @@ def test_batch_rejects_a_wrong_shape_instead_of_broadcasting():
 def test_backward_requires_forward_cache():
     state = model.ModelState(model.NetworkSpec(2, [3], 2))
     with pytest.raises(model.MissingForwardCache):
-        model.backward(state, np.zeros((1, 2)), np.zeros((1, 3)))
+        model.backward_batch(state, np.zeros((1, 1, 2)), np.zeros((1, 1, 3)))
 
 
 def test_backward_zero_signals_zero_gradients():
     state = model.ModelState(model.NetworkSpec(2, [3], 2, recurrent=True))
     x = np.random.default_rng(2).normal(size=(4, 2))
-    model.forward(state, x)
-    grads = model.backward(state, np.zeros((4, 2)), np.zeros((4, 3)))
+    model.forward_stacks(state, [x])
+    grads = model.backward_batch(state, np.zeros((1, 4, 2)), np.zeros((1, 4, 3)))
     for g in grads.values():
         np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -391,11 +394,11 @@ def test_backward_zero_signals_zero_gradients():
 def test_backward_last_layer_is_outer_product():
     state = model.ModelState(model.NetworkSpec(2, [3], 2))
     x = np.random.default_rng(3).normal(size=(4, 2))
-    u, _, _ = model.forward(state, x)
+    _, (u,), _, _ = model.forward_stacks(state, [x])
     delta = np.random.default_rng(4).normal(size=(4, 2))
-    grads = model.backward(state, delta, np.zeros((4, 3)))
-    np.testing.assert_allclose(grads["W"], delta.T @ u, atol=1e-12)
-    np.testing.assert_allclose(grads["B"], delta.sum(axis=0), atol=1e-12)
+    grads = model.backward_batch(state, delta[None], np.zeros((1, 4, 3)))
+    np.testing.assert_allclose(grads["W"][0], delta.T @ u, atol=1e-12)
+    np.testing.assert_allclose(grads["B"][0], delta.sum(axis=0), atol=1e-12)
 
 
 # ----------------------------------------------------------------------- adam
@@ -520,7 +523,7 @@ def test_train_ce_reaches_high_frame_accuracy():
         settings_for("ce", max_batches=300, eval_interval=50))
     correct = total = 0
     for s in val_set:
-        _, _, y = model.forward(state, s.x)
+        *_, (y,) = model.forward_stacks(state, [s.x])
         correct += int((y.argmax(axis=1) + 1 == s.framewise).sum())
         total += len(s.framewise)
     assert correct / total >= 0.99
@@ -620,7 +623,8 @@ def train_one_at_a_time(run, monkeypatch):
                       if settings.mode in model.TEMPORAL_MODES else None)
             loss, d1, d2, st = parent_sequence_signals(state, sample, u, y, tables,
                                                        settings, bank)
-            grads = model.backward(state, d1, d2)
+            grads = {k: g[0] for k, g in
+                     model.backward_batch(state, d1[None], d2[None]).items()}
             if total is None:
                 total = grads
             else:
@@ -810,7 +814,7 @@ def test_validation_score_temporal_is_mean_sequence_likelihood():
     spec = model.NetworkSpec(4, [8], 3)
     state = model.ModelState(spec, seed=3)
     from tmfusion import ctc
-    expected = np.mean([ctc.forward_backward(model.forward(state, s.x)[2],
+    expected = np.mean([ctc.forward_backward(model.forward_stacks(state, [s.x])[3][0],
                                              s.collapsed).log_seq_prob
                         for s in data])
     got = model.validation_score(state, data, "ctc")
@@ -823,7 +827,7 @@ def test_validation_score_framewise_is_mean_frame_log_probability():
     state = model.ModelState(spec, seed=3)
     num, den = 0.0, 0
     for s in data:
-        _, _, y = model.forward(state, s.x)
+        *_, (y,) = model.forward_stacks(state, [s.x])
         cols = s.framewise - 1
         num += float(np.log(y[np.arange(len(cols)), cols]).sum())
         den += len(cols)
@@ -842,7 +846,7 @@ def test_validation_score_sums_in_sample_order(mode, monkeypatch):
     state = model.ModelState(spec, seed=3)
     total, frames = 0.0, 0
     for s in data:
-        _, _, y = model.forward(state, s.x)
+        *_, (y,) = model.forward_stacks(state, [s.x])
         if mode == "ctc":
             total += ctc.forward_backward(y, s.collapsed).log_seq_prob
         else:

@@ -228,39 +228,52 @@ def per_point_grad_ml_suite(n=50, seed=4):
     return worst, n
 
 
-def per_point_grad_full_suite(n=50, seed=6, lam=0.05):
+def per_point_grad_full_suite(n=50, seed=6, lam=0.1):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst, C, F = 0.0, 2, 2
     for i in range(n):
-        spec = model.NetworkSpec(input_dim=4, hidden=[5], num_classes=4,
-                                 recurrent=bool(i % 2))
+        mode = model.MODES[i % 4]
+        settings = model.TrainSettings(mode=mode, lam=lam,
+                                       occupancy_mode=ctc.OCCUPANCY_MODES[i // 8 % 2])
+        hidden = [int(h) for h in rng.integers(1, 4, int(rng.integers(1, 3)))]
+        spec = model.NetworkSpec(F, hidden, model.output_units(mode, C),
+                                 recurrent=bool(i // 4 % 2))
         state = model.ModelState(spec, seed=int(rng.integers(1 << 30)))
-        T = 5
-        x = rng.normal(size=(T, spec.input_dim))
-        z = verify._random_labels(rng, spec.num_classes, T, 2)
-        bank = losses.CenterBank(spec.num_classes - 1, spec.feature_dim)
+        bank = losses.CenterBank(C, spec.feature_dim)
         bank.centers = rng.normal(size=bank.centers.shape)
-
-        u, _, y = model.forward(state, x)
-        tables = ctc.forward_backward(y, z)
-        gamma = ctc.occupancy(tables, "paper_literal")
-        delta_ml = ctc.ctc_grad_logits(tables, y)
-        delta_ecl = losses.ecl_grad_features(u, gamma[:, 1::2],
-                                             bank.gather(tables.zp[1::2]))
-        fused = losses.fuse_feature_grad(delta_ml, state.params["W"], delta_ecl, 2.0 * lam)
-        grads = model.backward(state, delta_ml, fused)
+        batch = verify._random_batch(rng, mode, C, F)
+        _, grads, _ = model._batch_step(state, batch, settings, bank)
         analytic = np.concatenate([grads[k].ravel() for k in state.param_names()])
 
+        def alone(sample):
+            # one sequence through the network at the loaded parameters:
+            # its loss, features and lattice (temporal modes)
+            _, (u,), _, (y,) = model.forward_stacks(state, [sample.x])
+            if mode in model.TEMPORAL_MODES:
+                tables = ctc.forward_backward(y, sample.collapsed)
+                return -tables.log_seq_prob, u, tables
+            return losses.cross_entropy(y, sample.framewise - 1), u, None
+
+        frozen = []
+        for sample in batch:
+            tables = alone(sample)[2]
+            if mode == "tmf":
+                frozen.append((ctc.occupancy(tables, settings.occupancy_mode)[:, 1::2],
+                               bank.gather(tables.zp[1::2])))
+            elif mode == "fmf":
+                frozen.append((np.eye(C)[sample.framewise - 1], bank.centers))
         base = state.flat_params()
 
         def loss_of(flat):
             state.params = {k: v.copy() for k, v in state.unflatten(flat).items()}
             try:
-                u, _, y = model.forward(state, x)
-                tables = ctc.forward_backward(y, z)
-                centers = bank.gather(tables.zp[1::2])
-                return (-tables.log_seq_prob
-                        + lam * losses.ecl(u, gamma[:, 1::2], centers))
+                total = []
+                for b, sample in enumerate(batch):
+                    loss, u, _ = alone(sample)
+                    if frozen:
+                        loss += 0.5 * lam * losses.ecl(u, *frozen[b])
+                    total.append(loss)
+                return total[0] + total[1]
             finally:
                 state.params = {k: v.copy() for k, v in state.unflatten(base).items()}
 
@@ -273,29 +286,31 @@ def test_tmf_network_loss_leaves_the_state_alone():
     # the points run on a shallow copy; the caller's parameter dict, its
     # arrays, their values and the forward cache stay as they were
     rng = np.random.default_rng(11)
-    spec = model.NetworkSpec(input_dim=4, hidden=[5], num_classes=4, recurrent=True)
-    state = model.ModelState(spec, seed=3)
-    x = rng.normal(size=(5, 4))
-    model.forward(state, x)
-    params, cache = state.params, state.cache
-    arrays = dict(params)
-    values = {k: v.copy() for k, v in params.items()}
-    base = state.flat_params()
-    points = base + rng.normal(0.0, 0.1, (6, base.size))
-    w = rng.uniform(size=(5, 2))
-    centers = rng.normal(size=(2, spec.feature_dim))
-    losses_at = verify.tmf_network_loss(state, points, x, [1, 2], 0.05, w, centers)
-    assert len(losses_at) == 6 and np.all(np.isfinite(losses_at))
-    assert state.params is params and state.cache is cache
-    assert state.params.keys() == values.keys()
-    for k, v in values.items():
-        assert state.params[k] is arrays[k] and np.array_equal(state.params[k], v)
+    for mode in model.MODES:
+        spec = model.NetworkSpec(2, [3], model.output_units(mode, 2), recurrent=True)
+        state = model.ModelState(spec, seed=3)
+        bank = losses.CenterBank(2, spec.feature_dim)
+        bank.centers = rng.normal(size=bank.centers.shape)
+        batch = verify._random_batch(rng, mode, 2, 2)
+        model.forward_stacks(state, [s.x for s in batch])
+        params, cache = state.params, state.cache
+        arrays = dict(params)
+        values = {k: v.copy() for k, v in params.items()}
+        base = state.flat_params()
+        points = base + rng.normal(0.0, 0.1, (6, base.size))
+        losses_at = verify.network_loss(state, points, batch,
+                                        model.TrainSettings(mode=mode, lam=0.1), bank)
+        assert len(losses_at) == 6 and np.all(np.isfinite(losses_at))
+        assert state.params is params and state.cache is cache
+        assert state.params.keys() == values.keys()
+        for k, v in values.items():
+            assert state.params[k] is arrays[k] and np.array_equal(state.params[k], v)
 
 
 @pytest.mark.parametrize("batched, per_point, n", [
     (verify.partition_suite, per_point_partition_suite, 20),
     (verify.grad_ml_suite, per_point_grad_ml_suite, 30),
-    (verify.grad_full_suite, per_point_grad_full_suite, 6),
+    (verify.grad_full_suite, per_point_grad_full_suite, 16),
 ], ids=["partition", "grad_ml", "grad_full"])
 @pytest.mark.parametrize("seed", [0, 7, 41])
 def test_batched_suite_equals_per_point_loop(batched, per_point, n, seed):

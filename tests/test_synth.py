@@ -338,6 +338,8 @@ def test_jsonl_round_trip_is_exact(tmp_path):
      '"condition": "clean"}', "one framewise label"),
     ('{"features": [[1.0], [2.0, 3.0]], "framewise": [1, 1], "collapsed": [1], '
      '"condition": "clean"}', "array element"),
+    ('{"features": [[1.0]], "framewise": [1], "collapsed": [1], '
+     '"condition": "noisy"}', "unknown condition 'noisy'"),
 ])
 def test_load_jsonl_names_the_line_that_is_not_a_sample(tmp_path, record, reason):
     path = tmp_path / "data.jsonl"
