@@ -15,8 +15,10 @@ Conventions used throughout:
   in its literal mode.
 
 Batched layout.  ``forward_backward_batch`` runs both recursions for B
-sequences at once, four numpy calls per frame for the whole batch, and
-``forward_backward`` is its B=1 case:
+sequences at once, on their padded (B, T_max, K) posterior stack, with
+four numpy calls per frame for the whole batch; ``forward_backward`` is
+its B=1 case with the batch axis dropped, and ``log_seq_probs`` runs the
+forward rows alone:
 
 * One (T_max, 2B, S_max + 2) log-space table.  Rows 0..B-1 hold each
   sequence's emissions log(y_t[z'_s]) and become alpha.  Rows B..2B-1
@@ -31,16 +33,16 @@ sequences at once, four numpy calls per frame for the whole batch, and
   takes the mask of the reversed labels, which is the forward mask of
   labels[1:] != labels[:-1] read backwards.  Since ``logaddexp(x, -inf)``
   is exactly x, padding never changes a real cell, and each sequence's
-  tables come out bit for bit as a recursion over that sequence alone
-  computes them.
-* Each AlignmentTables holds (T_b, S_b) views into the shared table
-  (``log_beta`` a view with negative strides) and the emission
-  log-probs it was built from, which ``ctc_grad_logits`` divides back
-  out instead of taking the log of y again.
-* Everything after the lattice (occupancy, the gradient, the expected
-  center loss) stays per-sequence.  Those reduce over positions, and a
-  row sum over a padded (B, S_max) block regroups numpy's pairwise sum,
-  which can change the last bit.
+  tables and log p(z|x) come out bit for bit as a recursion over that
+  sequence alone computes them.  The log is taken once, elementwise,
+  over the stack's emissions, and the padding frames of y never reach
+  it (nor the positivity check): they may hold anything.
+* ``occupancy`` and ``ctc_grad_logits`` take such stacks too, with the
+  tables' mask of live frames.  Elementwise they keep each sequence's
+  bits; their row sums over S_max positions (of the normalized
+  occupancy and of the CTC posterior) add zeros for the padding, which
+  keeps the bits below 8 positions, where numpy sums in order, and can
+  move the last bit above, where its pairwise sum regroups.
 """
 
 import numpy as np
@@ -60,16 +62,6 @@ class NonPositivePosterior(ValueError):
     """A posterior entry is zero or negative, so its log is not finite."""
 
 
-def _interleave(labels):
-    """Blanks around and between the labels: ``[a, b]`` becomes
-    ``[0, a, 0, b, 0]`` and the empty sequence ``[0]``."""
-    if labels.ndim != 1:
-        raise ValueError("labels must be one-dimensional")
-    zp = np.full(2 * len(labels) + 1, BLANK, dtype=np.intp)
-    zp[1::2] = labels
-    return zp
-
-
 def min_frames(labels):
     """Minimum number of frames an alignment for ``labels`` needs.
 
@@ -77,53 +69,102 @@ def min_frames(labels):
     every adjacent repeated pair.
     """
     labels = np.asarray(labels)
-    return _min_frames(labels, labels[1:] != labels[:-1])
-
-
-def _min_frames(labels, changes):
-    """min_frames, given ``changes = labels[1:] != labels[:-1]``: of the
-    r - 1 adjacent pairs, each one that repeats needs a blank frame."""
     if len(labels) == 0:
         return 1
-    return 2 * len(labels) - 1 - np.count_nonzero(changes)
+    return 2 * len(labels) - 1 - np.count_nonzero(labels[1:] != labels[:-1])
 
 
 class AlignmentTables:
-    """Forward/backward tables for one (posterior, label-sequence) pair,
-    with the (T, S) emission log-probs ``log(y)[:, zp]`` they were built
-    from."""
+    """Forward/backward tables of one (posterior, label-sequence) pair, or
+    of a batch of them stacked on a leading axis: the (..., T, S) log
+    alpha and log beta, log p(z|x), z', the emission log-probs
+    ``log(y)[..., zp]`` they were built from, and the (..., T) mask of
+    the frames that belong to a sequence."""
 
-    def __init__(self, log_alpha, log_beta, log_seq_prob, zp, log_emissions):
+    def __init__(self, log_alpha, log_beta, log_seq_prob, zp, log_emissions, live):
         self.log_alpha = log_alpha
         self.log_beta = log_beta
         self.log_seq_prob = log_seq_prob
         self.zp = zp
         self.log_emissions = log_emissions
+        self.live = live
 
 
-def _emissions(y, labels):
-    """Validate one pair; return its (T, S) emission log-probs, z', and
-    ``labels[1:] != labels[:-1]``.
+def _lattice_inputs(y, Ts, labels_list):
+    """Validate a batch; return its (B, T_max, S_max) emission log-probs
+    (0 on padding frames), the cells of each sequence's lattice, z', the
+    skip masks, the lengths T_b and S_b, and the live frames.
 
-    That one comparison gives both the frames the labels need and the
-    skip rule: the s-2 -> s transition into odd s = 2i+1 >= 3 is legal
-    exactly when z[i] differs from z[i-1].  Blanks and repeated labels
-    must pass through the intermediate position.
+    The s-2 -> s transition into odd s = 2i+1 >= 3 is legal exactly
+    when z[i] differs from z[i-1]: blanks and repeated labels must pass
+    through the intermediate position.  The first bad pair raises what
+    forward_backward raises for it alone.
     """
     y = np.asarray(y, dtype=float)
-    T, K = y.shape
+    B, T, K = y.shape
+    Ts = np.asarray(Ts, dtype=np.intp)
+    labels_list = [np.asarray(z, dtype=np.intp) for z in labels_list]
+    if (Ts.shape != (B,) or len(labels_list) != B or np.any(Ts > T)
+            or any(z.ndim != 1 for z in labels_list)):
+        raise ValueError("expected %d lengths up to %d and %d one-dimensional labelings"
+                         % (B, T, B))
+    rs = np.array([len(z) for z in labels_list], dtype=np.intp)
+    zp = np.full((B, 2 * int(rs.max(initial=0)) + 1), BLANK, dtype=np.intp)
+    labels, has = zp[:, 1::2], np.arange(zp.shape[1] // 2) < rs[:, None]
+    if B:
+        labels[has] = np.concatenate(labels_list)
+    changes = labels[:, 1:] != labels[:, :-1]
+    need = np.maximum(2 * rs - 1 - (changes & has[:, 1:]).sum(axis=1), 1)
+    live = np.arange(T) < Ts[:, None]
+    bad = (need > Ts) | (labels >= K).any(axis=1) | (labels < has).any(axis=1)
     if (y <= 0.0).any():
-        raise NonPositivePosterior("posterior entries must be strictly positive")
-    labels = np.asarray(labels, dtype=np.intp)
-    if len(labels) and (labels.min() < 1 or labels.max() >= K):
-        raise ValueError("labels out of range for %d classes" % K)
-    changes = labels[1:] != labels[:-1]
-    need = _min_frames(labels, changes)
-    if need > T:
-        raise InfeasibleLabeling(
-            "need at least %d frames for %d labels, got %d" % (need, len(labels), T))
-    zp = _interleave(labels)
-    return np.log(y)[:, zp], zp, changes
+        bad |= ((y <= 0.0) & live[..., None]).any(axis=(1, 2))
+    if bad.any():
+        b = int(np.argmax(bad))
+        if (y[b, :Ts[b]] <= 0.0).any():
+            raise NonPositivePosterior("posterior entries must be strictly positive")
+        if (labels[b] >= K).any() or (labels[b] < has[b]).any():
+            raise ValueError("labels out of range for %d classes" % K)
+        raise InfeasibleLabeling("need at least %d frames for %d labels, got %d"
+                                 % (need[b], rs[b], Ts[b]))
+    # past a labeling the skip mask may hold anything: those cells are -inf
+    skip = np.full(zp.shape, -np.inf)
+    skip[:, 3::2][changes] = 0.0
+    Ss = 2 * rs + 1
+    cells = live[:, :, None] & (np.arange(zp.shape[1]) < Ss[:, None])[:, None, :]
+    y_z = y[np.arange(B)[:, None, None], np.arange(T)[:, None], zp[:, None, :]]
+    y_z[~live] = 1.0
+    return np.log(y_z), cells, zp, skip, Ts, Ss, live
+
+
+def _recursion(rows, skip):
+    """The forward recursion over (R, T, S) rows of emission log-probs,
+    -inf off each lattice, with their (R, S) additive skip masks.
+    Returns the (T, R, S + 2) table of log alpha, position s at column
+    s + 2 behind two -inf pad columns."""
+    R, T, S = rows.shape
+    table = np.full((T, R, S + 2), -np.inf)
+    table[:, :, 2:] = rows.swapaxes(0, 1)
+    acc, tmp = np.empty((R, S)), np.empty((R, S))
+    # frame 0 can only be at the first blank or the first label (read
+    # backwards: frame T_b - 1 at the last label or the last blank)
+    table[:1, :, 4:] = -np.inf
+    cur, back1, back2 = table[:, :, 2:], table[:, :, 1:-1], table[:, :, :-2]
+    for c, p, p1, p2 in zip(cur[1:], cur[:-1], back1[:-1], back2[:-1]):
+        np.logaddexp(p, p1, out=acc)
+        np.logaddexp(acc, np.add(p2, skip, out=tmp), out=acc)
+        c += acc
+    return table
+
+
+def _last_cells(table, Ts, Ss):
+    """log p(z|x) of each sequence from its alpha row: the sum of its
+    last two positions at its last frame.  Storage column S_b + 1 holds
+    position S_b - 1; for S_b = 1, column S_b is a pad column and
+    logaddexp(x, -inf) is exactly x."""
+    b = np.arange(len(Ts))
+    last = table[Ts - 1, b]
+    return np.logaddexp(last[b, Ss + 1], last[b, Ss])
 
 
 def forward_backward(y, labels):
@@ -132,69 +173,57 @@ def forward_backward(y, labels):
     y : (T, K) array of per-frame class probabilities, all entries > 0.
     labels : label sequence without blanks.
 
-    Returns AlignmentTables; raises InfeasibleLabeling when the labels
-    cannot fit into T frames and NonPositivePosterior (a ValueError) when
-    an entry of y is not positive.  The B=1 case of forward_backward_batch.
+    Returns AlignmentTables of (T, S) arrays; raises InfeasibleLabeling
+    when the labels cannot fit into T frames and NonPositivePosterior (a
+    ValueError) when an entry of y is not positive.  The B=1 case of
+    forward_backward_batch.
     """
-    return forward_backward_batch([y], [labels])[0]
+    y = np.asarray(y, dtype=float)
+    t = forward_backward_batch(y[None], [len(y)], [labels])
+    return AlignmentTables(t.log_alpha[0], t.log_beta[0], float(t.log_seq_prob[0]),
+                           t.zp[0], t.log_emissions[0], t.live[0])
 
 
-def forward_backward_batch(ys, labels_list):
-    """forward_backward over B (posterior, labels) pairs at once.
+def forward_backward_batch(y, Ts, labels_list):
+    """forward_backward over B sequences at once.
 
-    ys : B arrays of shape (T_b, K), all entries > 0.
+    y : (B, T_max, K) stack of posteriors, sequence b on its first T_b
+        frames, all of which are > 0; the padding frames are not read.
+    Ts : the B lengths T_b.
     labels_list : B label sequences without blanks.
 
-    Returns a list of B AlignmentTables, in order, equal bit for bit to
-    forward_backward on each pair; B = 0 gives [].  The pairs are
-    validated in order before any recursion runs, so a bad pair raises
-    what forward_backward raises for it alone: NonPositivePosterior,
-    ValueError for out-of-range labels, or InfeasibleLabeling.
+    Returns one AlignmentTables of (B, T_max, S_max) stacks, -inf off
+    each sequence, whose sequence b is bit for bit what forward_backward
+    gives for its pair alone.  A bad pair raises what forward_backward
+    raises for it alone: NonPositivePosterior, ValueError for
+    out-of-range labels, or InfeasibleLabeling.
     """
-    pairs = [_emissions(y, labels) for y, labels in zip(ys, labels_list, strict=True)]
-    if not pairs:
-        return []
-    B = len(pairs)
-    T = max(len(lyz) for lyz, _, _ in pairs)
-    S = max(len(zp) for _, zp, _ in pairs)
-    neg = -np.inf
-    # Row b holds sequence b's emissions, row B + b the same emissions
-    # reversed in time and position; the recursion turns them into alpha
-    # and into beta read backwards, in place (emission + acc is acc +
-    # emission bit for bit: addition commutes).  Position s sits at
-    # column s + 2 behind two -inf columns for positions -2 and -1.
-    table = np.full((T, 2 * B, S + 2), neg)
-    skip = np.full((2 * B, S), neg)
-    for b, (lyz, _, changes) in enumerate(pairs):
-        Tb, Sb = lyz.shape
-        table[:Tb, b, 2:Sb + 2] = lyz
-        table[:Tb, B + b, 2:Sb + 2] = lyz[::-1, ::-1]
-        # the skip into odd s >= 3 is legal where the label changes
-        skip[b, 3:Sb:2][changes] = 0.0
-        skip[B + b, 3:Sb:2][changes[::-1]] = 0.0
-    acc = np.empty((2 * B, S))
-    tmp = np.empty((2 * B, S))
+    lyz, cells, zp, skip, Ts, Ss, live = _lattice_inputs(y, Ts, labels_list)
+    B, T, S = lyz.shape
+    lattice = np.where(cells, lyz, -np.inf)
+    # each sequence reversed in time and position; index -k reads a
+    # padding cell, which the mask sets back to -inf
+    b, back_t, back_s = (np.arange(B)[:, None, None], (Ts[:, None] - 1 - np.arange(T))[..., None],
+                         (Ss[:, None] - 1 - np.arange(S))[:, None, :])
+    reverse = np.where(cells, lattice[b, back_t, back_s], -np.inf)
+    # the reversed mask reads the forward one backwards: position s' of
+    # a reversed row takes column S_b + 1 - s' of the forward row
+    ahead = np.concatenate([skip, np.full((B, 2), -np.inf)], axis=1)
+    skip_back = ahead[np.arange(B)[:, None], Ss[:, None] + 1 - np.arange(S)]
+    table = _recursion(np.concatenate([lattice, reverse]), np.concatenate([skip, skip_back]))
+    log_alpha = table[:, :B, 2:].swapaxes(0, 1)
+    # storage column S_b + 1 - s of a reversed row holds position s
+    log_beta = np.where(cells, table[back_t, B + b, back_s + 2], -np.inf)
+    return AlignmentTables(log_alpha, log_beta, _last_cells(table, Ts, Ss), zp,
+                           lyz, live)
 
-    # frame 0 can only be at the first blank or the first label (read
-    # backwards: frame T_b - 1 at the last label or the last blank)
-    table[0, :, 4:] = neg
-    cur, back1, back2 = table[:, :, 2:], table[:, :, 1:-1], table[:, :, :-2]
-    for c, p, p1, p2 in zip(cur[1:], cur[:-1], back1[:-1], back2[:-1]):
-        np.logaddexp(p, p1, out=acc)
-        np.logaddexp(acc, np.add(p2, skip, out=tmp), out=acc)
-        c += acc
 
-    out = []
-    for b, (lyz, zp, _) in enumerate(pairs):
-        Tb, Sb = lyz.shape
-        # storage column Sb + 1 holds position S_b - 1; for S_b = 1,
-        # column Sb is a pad column and logaddexp(x, -inf) is exactly x
-        last = table[Tb - 1, b]
-        log_seq_prob = float(np.logaddexp(last[Sb + 1], last[Sb]))
-        out.append(AlignmentTables(table[:Tb, b, 2:Sb + 2],
-                                   table[Tb - 1::-1, B + b, Sb + 1:1:-1],
-                                   log_seq_prob, zp, lyz))
-    return out
+def log_seq_probs(y, Ts, labels_list):
+    """The (B,) log p(z_b|x_b) of forward_backward_batch, bit for bit,
+    from the forward rows alone: the beta rows are never filled."""
+    lyz, cells, zp, skip, Ts, Ss, _ = _lattice_inputs(y, Ts, labels_list)
+    table = _recursion(np.where(cells, lyz, -np.inf), skip)
+    return _last_cells(table, Ts, Ss)
 
 
 OCCUPANCY_MODES = ("paper_literal", "frame_normalized")
@@ -202,26 +231,28 @@ OCCUPANCY_MODES = ("paper_literal", "frame_normalized")
 
 def occupancy(tables, mode="paper_literal"):
     """Per-(frame, position) alignment weights from the DP tables, by
-    one of OCCUPANCY_MODES.
+    one of OCCUPANCY_MODES, with the tables' leading batch axes.
 
     mode="paper_literal" returns the raw product alpha_t(s) * beta_t(s);
     mode="frame_normalized" divides each frame's row by its sum so rows
-    sum to one.  Cells outside the feasible band are zero either way.
+    sum to one.  Cells outside the feasible band, and padding, are zero
+    either way.
     """
-    la, lb = tables.log_alpha, tables.log_beta
-    prod = la + lb
+    prod = tables.log_alpha + tables.log_beta
     if mode == "paper_literal":
         return np.exp(prod)
     if mode == "frame_normalized":
-        m = prod.max(axis=1, keepdims=True)
-        scaled = np.exp(prod - m)
-        return scaled / scaled.sum(axis=1, keepdims=True)
+        # a padding frame is -inf throughout: its peak 0 and sum 1 keep it 0
+        live = tables.live[..., None]
+        scaled = np.exp(prod - np.where(live, prod.max(axis=-1, keepdims=True), 0.0))
+        return scaled / np.where(live, scaled.sum(axis=-1, keepdims=True), 1.0)
     raise ValueError("unknown occupancy mode %r" % (mode,))
 
 
 def ctc_grad_logits(tables, y):
     """Error signal at the pre-softmax layer: y_t^k minus the posterior
-    occupancy of class k at frame t.
+    occupancy of class k at frame t, for (..., T, K) posteriors y and
+    their tables; on padding frames it is y itself.
 
     The occupancy ratio divides the emission factor back out of the
     stored alpha*beta products, so each frame's ratio row is the exact
@@ -229,16 +260,18 @@ def ctc_grad_logits(tables, y):
     is the exact gradient of the negative log likelihood w.r.t. logits.
     """
     y = np.asarray(y, dtype=float)
+    live = tables.live
     log_mass = tables.log_alpha + tables.log_beta - tables.log_emissions
-    peak = log_mass.max(axis=1)
-    if np.any(~np.isfinite(peak)):
-        t_bad = int(np.flatnonzero(~np.isfinite(peak))[0])
-        raise DegenerateFrame("alignment mass vanished at frame %d" % t_bad)
-    mass = np.exp(log_mass - peak[:, None])
-    denom = mass.sum(axis=1)
+    peak = log_mass.max(axis=-1)
+    dead = live & ~np.isfinite(peak)
+    if dead.any():
+        raise DegenerateFrame("alignment mass vanished at frame %d" % np.argwhere(dead)[0][-1])
+    mass = np.exp(log_mass - np.where(live, peak, 0.0)[..., None])
+    denom = np.where(live, mass.sum(axis=-1), 1.0)
     ratio = np.zeros(y.shape)
     # adds each position's column into its class in position order, as
     # a loop over positions would
-    np.add.at(ratio.T, tables.zp, mass.T)
-    ratio /= denom[:, None]
+    lead = tuple(i[..., None] for i in np.indices(tables.zp.shape[:-1], sparse=True))
+    np.add.at(ratio.swapaxes(-1, -2), lead + (tables.zp,), mass.swapaxes(-1, -2))
+    ratio /= denom[..., None]
     return y - ratio

@@ -11,11 +11,14 @@ to the center of each label position i by a weight w(t, i):
   over the classes 1..C, which makes the ECL the classic center loss
   (Wen et al., ECCV 2016).
 
-``ecl``, ``ecl_grad_features`` and ``center_stats`` take the weights
-w (T, r), the centers of their r positions, gathered once per sequence,
-and (``center_stats``) the positions' class labels; ``ecl_terms`` and
-``ecl_grad_features`` also take a batch's padded (B, T_max, .) stacks.
-The center update differs between the modes only in its normalization:
+``ecl_terms``, ``ecl``, ``ecl_grad_features`` and ``center_stats`` take
+the weights w (..., T, r), the centers (..., r, D) of their r positions
+and (``center_stats``) the positions' class labels, for one sequence or
+with leading batch axes: a batch's padded (B, T_max, .) stacks, with
+zero weight on the padding.  The terms keep each sequence's bits; the
+ECL total, summed over a padded (T_max, r_max) block, and w @ c over
+padded positions can move the last bit.  The center update differs
+between the modes only in its normalization:
 the framewise rule divides each class's sum by 1 + its weight, the
 occupancy rule does not (``CenterBank.step``).
 
@@ -24,6 +27,8 @@ omits the factor 2 that differentiating a squared norm produces; the
 balancing factor lambda absorbs it.  Tests pin the relationship: twice
 the returned signal equals the true gradient.
 """
+
+import math
 
 import numpy as np
 
@@ -80,18 +85,16 @@ class CenterBank:
         return out
 
 
-def cross_entropy(y, cols, Ts=None):
-    """Negative log probability of the labeled column, summed over frames,
-    for posteriors y (T, K) and 0-based columns cols (an UnknownClass
-    outside the K classes).  For a padded (B, T_max, K) stack y, with the
-    columns of its sequences back to back and their lengths Ts, returns
+def cross_entropy(y, cols, Ts):
+    """Negative log probability of the labeled column, summed over each
+    sequence's frames, for a padded (B, T_max, K) stack of posteriors y,
+    the 0-based columns cols of its sequences back to back (an
+    UnknownClass outside the K classes) and their lengths Ts.  Returns
     the B sums, each over its own contiguous slice of one gathered NLL,
-    so each keeps the bits of its (T_b, K) case."""
+    so each keeps the bits of its sequence alone."""
     y, cols = np.asarray(y, dtype=float), np.asarray(cols, dtype=np.intp)
     if len(cols) and (cols.min() < 0 or cols.max() >= y.shape[-1]):
         raise UnknownClass("frame label outside 1..%d" % y.shape[-1])
-    if Ts is None:
-        return cross_entropy(y[None], cols, [len(cols)])[0]
     b, t = np.nonzero(np.arange(y.shape[1]) < np.asarray(Ts)[:, None])
     nll = -np.log(y[b, t, cols])
     ends = np.cumsum(Ts, dtype=int)
@@ -101,25 +104,26 @@ def cross_entropy(y, cols, Ts=None):
 def ecl_terms(u, w, centers):
     """The terms w(t, i) * |u_t - c_i|^2 of the expected center loss as a
     (..., T, r) table, for features u (..., T, D), weights w (..., T, r)
-    and position centers c (r, D).  A batch's sequences each sum their
-    own (T_b, r) slice of it."""
+    and position centers c (..., r, D)."""
     d = u[..., :, None, :] - centers[..., None, :, :]
     return w * (d * d).sum(axis=-1)
 
 
 def ecl(u, w, centers):
-    """Expected center loss of one sequence, the sum of its ``ecl_terms``:
-    sum_t sum_i w(t, i) * |u_t - c_i|^2."""
-    return float(ecl_terms(np.asarray(u, dtype=float), w, centers).sum())
+    """Expected center loss of each sequence, the sum of its
+    ``ecl_terms``: sum_t sum_i w(t, i) * |u_t - c_i|^2, a number for one
+    sequence, or one per sequence of a padded stack (zero weights on its
+    padding)."""
+    return ecl_terms(np.asarray(u, dtype=float), w, centers).sum(axis=(-2, -1))
 
 
 def ecl_grad_features(u, w, centers, product=np.matmul):
     """Per-frame feature error signal of the ECL (without the factor 2),
     delta(t) = sum_i w(t, i) * (u_t - c_i), with arguments shaped as for
     ``ecl_terms``.  ``product(w, centers)`` is w @ centers; a padded
-    batch passes one that keeps each sequence's bits."""
+    batch may pass one that keeps each sequence's bits."""
     u = np.asarray(u, dtype=float)
-    if len(centers) == 0:
+    if centers.shape[-2] == 0:
         return np.zeros_like(u)
     return w.sum(axis=-1)[..., None] * u - product(w, centers)
 
@@ -134,8 +138,14 @@ def fuse_feature_grad(delta_ml, W, delta_ecl, lam, product=np.matmul):
     return base + lam * np.asarray(delta_ecl, dtype=float)
 
 
-def center_stats(bank, u, w, labels, centers):
-    """Center-update statistics of one sequence, threshold-gated per term.
+def _over_frames(g, u):
+    """g^T u and g summed over the frames, per sequence."""
+    return g.swapaxes(-1, -2) @ u, g.sum(axis=-2)
+
+
+def center_stats(bank, u, w, labels, centers, over_frames=_over_frames):
+    """Center-update statistics, threshold-gated per term, summed over
+    the sequences of the leading batch axes, if any.
 
     For class j, over the positions i with labels[i] = j and the frames t
     with w(t, i) >= the bank's threshold:
@@ -143,19 +153,25 @@ def center_stats(bank, u, w, labels, centers):
         weights[j - 1] = sum of w(t, i)
         sums[j - 1]    = sum of w(t, i) * (c_j - u_t)
 
-    Returns the (C,) weights and (C, D) sums, which a batch adds up
-    before a single ``CenterBank.step``.
+    u, w and centers are shaped as for ``ecl_terms``, labels (..., r);
+    label 0 pads a shorter labeling and adds nothing.  Each (sequence,
+    position) takes one gated w^T u product and weight sum over the
+    frames, ``over_frames(gated w, u)`` (a padded batch may pass one
+    that keeps each sequence's bits); then each sequence's positions add
+    into its classes in position order, and the sequences into the
+    totals in sequence order.
+
+    Returns the (C,) weights and (C, D) sums for one ``CenterBank.step``.
     """
     u = np.asarray(u, dtype=float)
-    weights = np.zeros(bank.num_classes)
-    sums = np.zeros((bank.num_classes, bank.dim))
-    gate = w >= bank.occupancy_threshold
-    for label, wi, live, any_live, c in zip(labels, w.T, gate.T, gate.any(axis=0), centers):
-        if not any_live:
-            continue
-        wl = wi[live]
-        n = wl.sum()
-        weights[label - 1] += n
-        sums[label - 1] += n * c - wl @ u[live]
-    return weights, sums
-
+    gated = np.where(w >= bank.occupancy_threshold, w, 0.0)
+    prod, n = over_frames(gated, u)
+    s = n[..., None] * centers - prod
+    labels = np.broadcast_to(labels, n.shape)
+    N, r, C, D = math.prod(n.shape[:-1]), n.shape[-1], bank.num_classes, bank.dim
+    weights, sums = np.zeros((N, C + 1)), np.zeros((N, C + 1, D))
+    at = (np.arange(N)[:, None], labels.reshape(N, r))
+    np.add.at(weights, at, n.reshape(N, r))
+    np.add.at(sums, at, s.reshape(N, r, D))
+    return (np.add.accumulate(weights[:, 1:], axis=0)[-1],
+            np.add.accumulate(sums[:, 1:], axis=0)[-1])

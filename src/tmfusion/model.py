@@ -11,13 +11,16 @@ Batched layout.  ``forward_stacks`` runs B sequences at once on padded
 (B, T_max, .) stacks, each sequence left-aligned in its slice, and
 ``backward_batch`` takes the error signals as stacks of that layout,
 zeroes their padding frames, and returns (B, ...) gradient stacks; one
-sequence is the batch B = 1.  Training builds its signals on the stacks
-too and sums each gradient stack once (``_batch_step``, the gradient
-that ``verify.grad_full_suite`` checks).  Only the tanh recurrence and
-its reverse step frame by frame.  Each sequence's outputs and gradients are
-bit for bit those of a network that sees it alone, by these facts,
-measured with numpy 2.4 and OpenBLAS 0.3.31 on x86-64 and kept as canary
-tests in tests/test_model.py:
+sequence is the batch B = 1.  The signal step between them runs on the
+stacks too, one call per step for the whole batch: one lattice, the CTC
+gradient, the occupancy, the ECL and its signal, and one center_stats
+(``_batch_signals``).  Training sums each gradient stack once
+(``_batch_step``, the gradient that ``verify.grad_full_suite`` checks).
+Only the tanh recurrence and its reverse step frame by frame.  Each
+sequence's outputs and gradients are bit for bit those of a network
+that sees it alone, by these facts, measured with numpy 2.4 and
+OpenBLAS 0.3.31 on x86-64 and kept as canary tests in
+tests/test_model.py:
 
 * Rows.  numpy runs a stacked (B, T_max, K) @ (K, D) product as one
   gemm per slice, and the first T_b rows of a slice equal the (T_b, K)
@@ -51,6 +54,18 @@ tests in tests/test_model.py:
   recurrence multiplies by a stack of R[b].T, each the product that the
   network runs with the parameters [b] alone.  backward_batch takes
   shared parameters only.
+
+The signals keep each sequence's bits wherever they are elementwise,
+gathered, or a product over frames (``center_stats`` takes its w^T u
+products and weight sums from ``_weight_grads``), and the center
+statistics add up sequence by sequence.  What regroups are the sums
+over positions and classes of a padded stack: the ECL total, the row
+sums of the CTC posterior and the normalized occupancy above 8
+positions, and tmf's w @ c over the padded positions.  They move the
+last bit.  In tests/test_model.py's training runs, each batch's
+signals were within 2.2e-16 relative of the sequences taken one at a
+time; ce and ctc equal them bit for bit, and so do the fmf runs' end
+points.
 """
 
 from dataclasses import dataclass
@@ -340,54 +355,44 @@ def schedule_tick(sched, validation_score):
 
 def _batch_signals(state, batch, Ts, u, y, settings, bank):
     """Each sequence's loss, the signal stacks delta_ml and delta_fused,
-    and each sequence's center statistics, from the feature and posterior
-    stacks.  tmf weighs the label positions of each lattice by their
-    occupancy, fmf the classes 1..C by the one-hot frame targets.  The
-    lattice gradient, the occupancy and center_stats run per sequence
-    (their reductions would regroup on a padded stack)."""
+    and the batch's summed center statistics (fusion modes, else None),
+    from the feature and posterior stacks, with one call per step for
+    the whole batch.  tmf weighs the label positions of each lattice by
+    their occupancy, fmf the classes 1..C by the one-hot frame targets."""
     mode, lam = settings.mode, settings.lam
-    W, rows, stats = state.params["W"], partial(_rows_product, Ts=Ts), []
+    W, rows = state.params["W"], partial(_rows_product, Ts=Ts)
     if mode in TEMPORAL_MODES:
-        lattices = ctc.forward_backward_batch([y[b, :Tb] for b, Tb in enumerate(Ts)],
-                                              [s.collapsed for s in batch])
-        delta_ml, delta_ecl = np.zeros(y.shape), np.zeros(u.shape)
-        seq_losses = [-tables.log_seq_prob for tables in lattices]
-        for b, (Tb, tables) in enumerate(zip(Ts, lattices)):
-            ub, yb = u[b, :Tb], y[b, :Tb]
-            delta_ml[b, :Tb] = ctc.ctc_grad_logits(tables, yb)
-            if mode == "tmf":
-                w = ctc.occupancy(tables, settings.occupancy_mode)[:, 1::2]
-                labels = tables.zp[1::2]
-                centers = bank.gather(labels)
-                seq_losses[b] += lam * losses.ecl(ub, w, centers)
-                delta_ecl[b, :Tb] = losses.ecl_grad_features(ub, w, centers)
-                stats.append(losses.center_stats(bank, ub, w, labels, centers))
+        tables = ctc.forward_backward_batch(y, Ts, [s.collapsed for s in batch])
+        seq_losses = -tables.log_seq_prob
+        delta_ml = ctc.ctc_grad_logits(tables, y)
+        if mode == "tmf":
+            w = ctc.occupancy(tables, settings.occupancy_mode)[..., 1::2]
+            # label 0 pads the shorter labelings: weight 0, any center
+            labels = tables.zp[:, 1::2]
+            centers, product = bank.centers[labels - 1], np.matmul
     else:
         cols = np.concatenate([s.framewise for s in batch]).astype(np.intp) - 1
-        seq_losses = losses.cross_entropy(y, cols, Ts)
+        seq_losses = np.array(losses.cross_entropy(y, cols, Ts))
         w = np.zeros(y.shape)
         w[(*np.nonzero(np.arange(y.shape[1]) < np.asarray(Ts)[:, None]), cols)] = 1.0
         delta_ml = y - w
-        if mode == "fmf":
-            # the one-hot columns are the classes 1..C, in the bank's order
-            labels, centers = range(1, bank.num_classes + 1), bank.centers
-            terms = losses.ecl_terms(u, w, centers)
-            seq_losses = [loss + lam * float(terms[b, :Tb].sum())
-                          for b, (Tb, loss) in enumerate(zip(Ts, seq_losses))]
-            delta_ecl = losses.ecl_grad_features(u, w, centers, rows)
-            stats = [losses.center_stats(bank, u[b, :Tb], w[b, :Tb], labels, centers)
-                     for b, Tb in enumerate(Ts)]
-    delta_fused = (losses.fuse_feature_grad(delta_ml, W, delta_ecl, lam, rows)
-                   if mode in FUSION_MODES else rows(delta_ml, W))
-    return seq_losses, delta_ml, delta_fused, stats
+        # the one-hot columns are the classes 1..C, in the bank's order
+        labels, centers, product = np.arange(1, bank.num_classes + 1), bank.centers, rows
+    if mode not in FUSION_MODES:
+        return seq_losses.tolist(), delta_ml, rows(delta_ml, W), None
+    seq_losses = seq_losses + lam * losses.ecl(u, w, centers)
+    delta_ecl = losses.ecl_grad_features(u, w, centers, product)
+    stats = losses.center_stats(bank, u, w, labels, centers,
+                                partial(_weight_grads, Ts=Ts))
+    return (seq_losses.tolist(), delta_ml,
+            losses.fuse_feature_grad(delta_ml, W, delta_ecl, lam, rows), stats)
 
 
 def _batch_step(state, batch, settings, bank):
     """Each sequence's loss, the gradients summed over the batch, and
-    each sequence's center statistics (fusion modes), from one
-    forward_stacks, one lattice call (sequence modes) and one
-    backward_batch.  Parameters and centers stay fixed within a
-    batch, so this equals taking the sequences one at a time."""
+    the batch's center statistics (fusion modes), from one
+    forward_stacks, one signal step and one backward_batch.  Parameters
+    and centers stay fixed within a batch."""
     Ts, u, _, y = forward_stacks(state, [sample.x for sample in batch])
     seq_losses, delta_ml, delta_fused, stats = _batch_signals(
         state, batch, Ts, u, y, settings, bank)
@@ -395,13 +400,6 @@ def _batch_step(state, batch, settings, bank):
     # in sequence order: a sum(axis=0) of (B, 1) stacks runs pairwise
     grads = {k: np.add.accumulate(g, axis=0)[-1] for k, g in grads.items()}
     return seq_losses, grads, stats
-
-
-def _apply_center_updates(bank, stats, mode):
-    """One momentum step from the summed per-sequence center statistics;
-    the framewise rule divides each class's sum by 1 + its weight."""
-    weights, sums = sum(w for w, _ in stats), sum(s for _, s in stats)
-    return bank.step(sums, weights if mode == "fmf" else None)
 
 
 SCORE_GROUP = 32        # sequences per forward_stacks call when scoring
@@ -425,9 +423,7 @@ def validation_score(state, samples, mode):
         members = [samples[i] for i in group]
         Ts, _, _, y = forward_stacks(state, [s.x for s in members])
         if temporal:
-            lattices = ctc.forward_backward_batch([y[b, :Tb] for b, Tb in enumerate(Ts)],
-                                                  [s.collapsed for s in members])
-            group_terms = [tables.log_seq_prob for tables in lattices]
+            group_terms = ctc.log_seq_probs(y, Ts, [s.collapsed for s in members]).tolist()
         else:
             cols = np.concatenate([s.framewise for s in members]).astype(np.intp) - 1
             group_terms = [-nll for nll in losses.cross_entropy(y, cols, Ts)]
@@ -471,7 +467,7 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
 
     Per batch: gradients are summed over the sequences, Adam steps the
     weights once, and the center bank takes one momentum step from the
-    accumulated per-sequence sums (fusion modes only).  Every
+    batch's center statistics (fusion modes only).  Every
     eval_interval batches the validation score drives the plateau
     schedule.  Returns (state, bank, rows) where rows hold one metrics
     dict per evaluation; the returned state and bank are rolled back to
@@ -497,7 +493,9 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
                 raise NonFiniteGradient("training loss is not finite")
             adam_step(state, grads)
             if mode in FUSION_MODES:
-                bank = _apply_center_updates(bank, stats, mode)
+                # the framewise rule divides each class's sum by 1 + its weight
+                weights, sums = stats
+                bank = bank.step(sums, weights if mode == "fmf" else None)
             running_n += len(batch)
             batches_seen += 1
             if batches_seen % settings.eval_interval == 0 or batches_seen >= settings.max_batches:

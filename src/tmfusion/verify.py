@@ -5,18 +5,19 @@ Each suite returns (max_error, instance_count); the CLI `check`
 subcommand wraps them with tolerances and exit codes, and the test suite
 calls them directly.
 
-Three suites run many lattices for one instance in one
-``ctc.forward_backward_batch`` call: ``partition`` every feasible
-labeling of one posterior, ``grad_ml`` and ``grad_full`` the 2n points
-of one finite difference (``oracle.finite_diff`` hands them over
-stacked).  ``grad_ml`` takes the softmax of all its points in one call,
-``grad_full`` runs the network once for all of them, and ``grad_ecl``
-and ``grad_full`` take one ECL table per sequence for all their points.
-Their errors keep every bit of a per-point loop: the batched lattice
-and network equal a call per point bit for bit, each point sums its own
-contiguous slice of an ECL table, the points are built by the same
-elementwise additions, and the partition sums its probabilities in
-enumeration order.
+Three suites run many lattices for one instance in one lattice call:
+``partition`` every feasible labeling of one posterior, ``grad_ml`` and
+``grad_full`` the 2n points of one finite difference
+(``oracle.finite_diff`` hands them over stacked).  ``partition`` and
+``grad_ml`` need only log p(z|x) and run the forward rows alone
+(``ctc.log_seq_probs``).  ``grad_ml`` takes the softmax of all its
+points in one call, ``grad_full`` runs the network once for all of
+them and takes the ECL of all of them in one table, and ``grad_ecl``
+takes one ECL table for all its points.  Their errors keep every bit of
+a per-point loop: the batched lattice and network equal a call per
+point bit for bit, each point sums its own contiguous block of an ECL
+table, the points are built by the same elementwise additions, and the
+partition sums its probabilities in enumeration order.
 """
 
 import copy
@@ -88,8 +89,9 @@ def partition_suite(n=20, K=3, T=5, seed=2):
     for _ in range(n):
         y = _random_posteriors(rng, T, K)
         total = 0.0
-        for tables in ctc.forward_backward_batch([y] * len(labelings), labelings):
-            total += np.exp(tables.log_seq_prob)
+        for log_p in ctc.log_seq_probs(np.broadcast_to(y, (len(labelings), T, K)),
+                                       [T] * len(labelings), labelings):
+            total += np.exp(log_p)
         worst = max(worst, abs(total - 1.0))
     return worst, n
 
@@ -124,9 +126,8 @@ def grad_ml_suite(n=50, seed=4):
         logits = rng.normal(size=(T, K))
 
         def loss_of(points):
-            ys = list(model.softmax(points.reshape(len(points), T, K)))
-            return [-tables.log_seq_prob
-                    for tables in ctc.forward_backward_batch(ys, [z] * len(ys))]
+            ys = model.softmax(points.reshape(len(points), T, K))
+            return -ctc.log_seq_probs(ys, [T] * len(ys), [z] * len(ys))
 
         y = model.softmax(logits)
         tables = ctc.forward_backward(y, z)
@@ -171,26 +172,34 @@ def network_loss(state, points, batch, settings, bank):
     (lam/2) * ECL, its weights and centers frozen at the state's own
     parameters (tmf's occupancy, fmf's one-hot targets).  One
     ``forward_stacks`` call runs every sequence at the state's parameters
-    and at every point.  The state is left as it was."""
+    and at every point, one lattice call scores them all, and one
+    ``ecl_terms`` table holds every point's ECL, of which each sequence
+    sums its own (T_b, r_b) block.  The state is left as it was."""
     B, mode, rows = len(batch), settings.mode, np.vstack([state.flat_params(), points])
     runs = copy.copy(state)
     runs.params = state.unflatten(np.repeat(rows, B, axis=0))
     Ts, u, _, y = model.forward_stacks(runs, [s.x for s in batch] * len(rows))
     if mode in model.TEMPORAL_MODES:
-        lattices = ctc.forward_backward_batch([y[k, :Tb] for k, Tb in enumerate(Ts)],
-                                              [s.collapsed for s in batch] * len(rows))
-        seq_losses = [-tables.log_seq_prob for tables in lattices]
-        frozen = [(ctc.occupancy(tables, settings.occupancy_mode)[:, 1::2],
-                   bank.gather(tables.zp[1::2])) for tables in lattices[:B] if mode == "tmf"]
+        tables = ctc.forward_backward_batch(y, Ts, [s.collapsed for s in batch] * len(rows))
+        seq_losses = -tables.log_seq_prob
+        if mode == "tmf":
+            # the base point's label positions; label 0 pads, with weight 0
+            w = ctc.occupancy(tables, settings.occupancy_mode)[:B, :, 1::2]
+            labels = tables.zp[:B, 1::2]
+            centers, widths = bank.centers[labels - 1], [len(s.collapsed) for s in batch]
     else:
         cols = np.concatenate([s.framewise for s in batch] * len(rows)) - 1
-        seq_losses = losses.cross_entropy(y, cols, Ts)
-        frozen = [(np.eye(bank.num_classes)[s.framewise - 1], bank.centers)
-                  for s in batch if mode == "fmf"]
-    seq_losses = np.reshape(seq_losses, (len(rows), B))
-    for b, (w, centers) in enumerate(frozen):
-        terms = losses.ecl_terms(u[b::B, :len(w)], w, centers)
-        seq_losses[:, b] += [0.5 * settings.lam * float(t.sum()) for t in terms]
+        seq_losses = np.array(losses.cross_entropy(y, cols, Ts))
+        w = np.zeros((B,) + y.shape[1:])
+        for wb, s in zip(w, batch):
+            wb[np.arange(len(s.framewise)), s.framewise - 1] = 1.0
+        centers, widths = bank.centers, [bank.num_classes] * B
+    seq_losses = seq_losses.reshape(len(rows), B)
+    if mode in model.FUSION_MODES:
+        terms = losses.ecl_terms(u.reshape((len(rows), B) + u.shape[1:]), w, centers)
+        for b, (Tb, rb) in enumerate(zip(Ts, widths)):
+            block = np.ascontiguousarray(terms[:, b, :Tb, :rb]).reshape(len(rows), -1)
+            seq_losses[:, b] += 0.5 * settings.lam * block.sum(axis=1)
     return seq_losses[1:].sum(axis=1)
 
 

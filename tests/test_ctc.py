@@ -149,11 +149,22 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def stacked(ys, fill=np.nan):
+    """The (T_b, K) posteriors as one left-aligned (B, T_max, K) stack
+    whose padding frames hold fill, and their lengths."""
+    Ts = [len(y) for y in ys]
+    out = np.full((len(ys), max(Ts), ys[0].shape[1]), fill)
+    for o, y in zip(out, ys):
+        o[:len(y)] = y
+    return out, Ts
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_batch_matches_per_sequence_bitwise(data):
     # ragged T (T=1 included), empty labels (S=1), repeated labels and
-    # B=1 all occur; padding must leave every real cell bit for bit alone
+    # B=1 all occur; padding frames that hold 0, a negative value or NaN
+    # raise nothing and leave every real cell bit for bit alone
     K = data.draw(st.integers(2, 4))
     B = data.draw(st.integers(1, 6))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
@@ -164,17 +175,27 @@ def test_batch_matches_per_sequence_bitwise(data):
         T = data.draw(st.integers(ctc.min_frames(z), 9))
         ys.append(rand_posteriors(rng, T, K))
         zs.append(z)
-    batch = ctc.forward_backward_batch(ys, zs)
-    assert len(batch) == B
-    for y, z, got in zip(ys, zs, batch):
-        ref = ctc.forward_backward(y, z)
-        assert got.log_alpha.shape == ref.log_alpha.shape == (len(y), 2 * len(z) + 1)
-        assert np.array_equal(got.log_alpha, ref.log_alpha)
-        assert np.array_equal(got.log_beta, ref.log_beta)
-        assert got.log_seq_prob == ref.log_seq_prob
-        np.testing.assert_array_equal(got.zp, ref.zp)
-
-    assert ctc.forward_backward_batch([], []) == []
+    y, Ts = stacked(ys, data.draw(st.sampled_from([0.0, -1.0, np.nan, 0.5])))
+    with np.errstate(all="raise"):
+        batch = ctc.forward_backward_batch(y, Ts, zs)
+        log_probs = ctc.log_seq_probs(y, Ts, zs)
+    S = 2 * max(len(z) for z in zs) + 1
+    for table in (batch.log_alpha, batch.log_beta, batch.log_emissions):
+        assert table.shape == (B, max(Ts), S)
+    assert batch.zp.shape == (B, S) and batch.log_seq_prob.shape == (B,)
+    for b, (yb, z) in enumerate(zip(ys, zs)):
+        ref = ctc.forward_backward(yb, z)
+        Tb, Sb = ref.log_alpha.shape
+        assert (Tb, Sb) == (len(yb), 2 * len(z) + 1)
+        for got, want in ((batch.log_alpha[b], ref.log_alpha),
+                          (batch.log_beta[b], ref.log_beta)):
+            assert np.array_equal(got[:Tb, :Sb], want)
+            assert np.all(got[Tb:] == -np.inf) and np.all(got[:, Sb:] == -np.inf)
+        assert batch.log_seq_prob[b] == ref.log_seq_prob == log_probs[b]
+        assert np.array_equal(batch.zp[b, :Sb], ref.zp) and not batch.zp[b, Sb:].any()
+        assert np.array_equal(batch.live[b], np.arange(max(Ts)) < Tb)
+    empty = ctc.forward_backward_batch(np.zeros((0, 0, K)), [], [])
+    assert empty.log_alpha.shape == (0, 0, 1) and empty.log_seq_prob.shape == (0,)
 
     # a bad pair at position b raises what the per-sequence call raises
     b = data.draw(st.integers(0, B - 1))
@@ -185,10 +206,25 @@ def test_batch_matches_per_sequence_bitwise(data):
         zs[b] = np.array([K], dtype=np.intp)
     else:
         ys[b] = ys[b].copy()
-        ys[b][0, 0] = 0.0
+        ys[b][data.draw(st.integers(0, len(ys[b]) - 1)), 0] = data.draw(
+            st.sampled_from([0.0, -0.5]))
     expected = _outcome(ctc.forward_backward, ys[b], zs[b])
     assert isinstance(expected, tuple)
-    assert _outcome(ctc.forward_backward_batch, ys, zs) == expected
+    y, Ts = stacked(ys)
+    assert _outcome(ctc.forward_backward_batch, y, Ts, zs) == expected
+    assert _outcome(ctc.log_seq_probs, y, Ts, zs) == expected
+
+
+def test_degenerate_frame_fires_only_on_a_live_frame():
+    # the padding frames of a batch carry no alignment mass and raise
+    # nothing; a live frame without mass names its frame
+    y, Ts = stacked([np.full((4, 3), 1.0 / 3.0), np.full((2, 3), 1.0 / 3.0)])
+    tables = ctc.forward_backward_batch(y, Ts, [[1, 2], [1]])
+    assert np.array_equal(ctc.ctc_grad_logits(tables, y)[1, 2:], y[1, 2:], equal_nan=True)
+    tables.log_alpha = tables.log_alpha.copy()
+    tables.log_alpha[1, 1] = -np.inf
+    with pytest.raises(ctc.DegenerateFrame, match="at frame 1"):
+        ctc.ctc_grad_logits(tables, y)
 
 
 def _two_table_lattice(ys, labels_list):
@@ -265,19 +301,32 @@ def test_lattice_matches_two_table_reference_bitwise(data):
         T = data.draw(st.integers(ctc.min_frames(z), 22))
         ys.append(rand_posteriors(rng, T, K))
         zs.append(z)
-    for y, got, (alpha, beta, log_p, zp) in zip(
-            ys, ctc.forward_backward_batch(ys, zs), _two_table_lattice(ys, zs)):
-        assert np.array_equal(got.log_alpha, alpha)
-        assert np.array_equal(got.log_beta, beta)
-        assert got.log_seq_prob == log_p
-        assert np.array_equal(got.zp, zp)
-        assert np.array_equal(ctc.ctc_grad_logits(got, y),
-                              _loop_grad_logits(alpha, beta, zp, y))
+    stack, Ts = stacked(ys)
+    batch = ctc.forward_backward_batch(stack, Ts, zs)
+    batch_grad = ctc.ctc_grad_logits(batch, stack)
+    batch_occupancy = {mode: ctc.occupancy(batch, mode) for mode in ctc.OCCUPANCY_MODES}
+    for b, (y, z, (alpha, beta, log_p, zp)) in enumerate(
+            zip(ys, zs, _two_table_lattice(ys, zs))):
+        Tb, Sb = alpha.shape
+        assert np.array_equal(batch.log_alpha[b, :Tb, :Sb], alpha)
+        assert np.array_equal(batch.log_beta[b, :Tb, :Sb], beta)
+        assert batch.log_seq_prob[b] == log_p
+        assert np.array_equal(batch.zp[b, :Sb], zp)
+        # one pair alone keeps every bit of the reference; in the batch
+        # the sums over positions run over S_max and may regroup
+        got = ctc.forward_backward(y, z)
+        grad = _loop_grad_logits(alpha, beta, zp, y)
+        assert np.array_equal(ctc.ctc_grad_logits(got, y), grad)
+        np.testing.assert_allclose(batch_grad[b, :Tb], grad, rtol=0, atol=1e-15)
         prod = alpha + beta
-        assert np.array_equal(ctc.occupancy(got, "paper_literal"), np.exp(prod))
         scaled = np.exp(prod - prod.max(axis=1, keepdims=True))
-        assert np.array_equal(ctc.occupancy(got, "frame_normalized"),
-                              scaled / scaled.sum(axis=1, keepdims=True))
+        for mode, want in (("paper_literal", np.exp(prod)),
+                           ("frame_normalized", scaled / scaled.sum(axis=1, keepdims=True))):
+            assert np.array_equal(ctc.occupancy(got, mode), want)
+            np.testing.assert_allclose(batch_occupancy[mode][b, :Tb, :Sb], want,
+                                       rtol=1e-15, atol=0)
+            assert not batch_occupancy[mode][b, Tb:].any()
+            assert not batch_occupancy[mode][b, :, Sb:].any()
 
 
 # ----------------------------------------------------------------- occupancy

@@ -173,18 +173,18 @@ def test_cross_entropy_perfect_prediction():
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
     # guard against log(0) on the unused entries
     y = np.clip(y, 1e-300, 1.0)
-    assert losses.cross_entropy(y, [0, 1]) == pytest.approx(0.0, abs=1e-12)
+    assert losses.cross_entropy(y[None], [0, 1], [2]) == [pytest.approx(0.0, abs=1e-12)]
 
 
 def test_cross_entropy_uniform():
     y = np.full((7, 4), 0.25)
-    assert losses.cross_entropy(y, [0, 1, 2, 3, 0, 1, 2]) == pytest.approx(
-        7 * math.log(4), rel=1e-12)
+    assert losses.cross_entropy(y[None], [0, 1, 2, 3, 0, 1, 2], [7]) == [pytest.approx(
+        7 * math.log(4), rel=1e-12)]
 
 
 def test_cross_entropy_quarter():
     y = np.array([[0.25, 0.75]])
-    assert losses.cross_entropy(y, [0]) == pytest.approx(math.log(4), rel=1e-12)
+    assert losses.cross_entropy(y[None], [0], [1]) == [pytest.approx(math.log(4), rel=1e-12)]
 
 
 def test_cross_entropy_of_a_padded_stack_matches_each_sequence_bitwise():
@@ -201,7 +201,7 @@ def test_cross_entropy_of_a_padded_stack_matches_each_sequence_bitwise():
     assert got == [float(-np.log(y[np.arange(len(c)), c]).sum()) for y, c in zip(ys, cols)]
     for bad in (-1, 5):
         with pytest.raises(losses.UnknownClass):
-            losses.cross_entropy(ys[1], [0] * 8 + [bad])
+            losses.cross_entropy(ys[1][None], [0] * 8 + [bad], [9])
 
 
 # ---------------------------------------------------------------- fmf fusion
@@ -222,8 +222,8 @@ def test_fmf_equals_cross_entropy_at_lambda_zero():
     bank = make_bank(2, 3, rng)
     y = np.array([[0.7, 0.3], [0.4, 0.6]])
     u = rng.normal(size=(2, 3))
-    assert sequence_loss("fmf", 0.0, u, y, bank, framewise=[1, 2]) == \
-        losses.cross_entropy(y, [0, 1])
+    assert [sequence_loss("fmf", 0.0, u, y, bank, framewise=[1, 2])] == \
+        losses.cross_entropy(y[None], [0, 1], [2])
 
 
 def test_fmf_arithmetic():
@@ -592,6 +592,20 @@ def as_arrays(deltas, bank):
     return out
 
 
+def padded_batch(pieces, fill=7.0):
+    """Per-sequence (u, w, labels, centers) as one padded batch: frames
+    past T_b hold fill in u and weight 0, positions past r_b label 0."""
+    Ts = [len(u) for u, *_ in pieces]
+    rs = [w.shape[1] for _, w, *_ in pieces]
+    B, T, r, D = len(pieces), max(Ts), max(rs), pieces[0][0].shape[1]
+    u, w = np.full((B, T, D), fill), np.zeros((B, T, r))
+    labels, centers = np.zeros((B, r), dtype=np.intp), np.zeros((B, r, D))
+    for b, (ub, wb, lb, cb) in enumerate(pieces):
+        u[b, :len(ub)], w[b, :len(ub), :wb.shape[1]] = ub, wb
+        labels[b, :len(lb)], centers[b, :len(cb)] = lb, cb
+    return u, w, labels, centers
+
+
 def draw_bank(data, rng, C, D):
     threshold = data.draw(st.sampled_from([0.0, 0.01, 0.25, 0.5, 1.0]))
     bank = losses.CenterBank(C, D, momentum=data.draw(st.sampled_from([1e-3, 0.5])),
@@ -607,7 +621,7 @@ def test_lattice_path_matches_the_ecl_stack_bitwise(data):
     D = data.draw(st.integers(1, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     bank = draw_bank(data, rng, C, D)
-    pieces, stats = [], []
+    pieces, inputs = [], []
     for _ in range(data.draw(st.integers(1, 4))):
         # ragged T and r, repeated labels, empty labelings, and weights
         # at the threshold, at zero and above one
@@ -627,19 +641,24 @@ def test_lattice_path_matches_the_ecl_stack_bitwise(data):
         assert losses.ecl(u, w, centers) == parent.ecl(u, gamma, zp, bank)
         assert np.array_equal(losses.ecl_grad_features(u, w, centers),
                               parent.ecl_grad_features(u, gamma, zp, bank))
+        # one gated product over all frames replaced a product over the
+        # gated frames, which moves the last bits of the sums
         weights, sums = losses.center_stats(bank, u, w, labels, centers)
         piece = parent.center_delta_tmf(bank, u, gamma, zp)
-        assert np.array_equal(sums, as_arrays(piece, bank))
+        np.testing.assert_allclose(sums, as_arrays(piece, bank), rtol=1e-12, atol=1e-12)
         mass = np.zeros(C)                 # the gated occupancy per class
         for i, label in enumerate(labels):
             col = gamma[:, 2 * i + 1]
             mass[label - 1] += col[col >= bank.occupancy_threshold].sum()
         assert np.array_equal(weights, mass)
-        assert np.array_equal(bank.step(sums).centers, parent.step(bank, piece).centers)
+        np.testing.assert_allclose(bank.step(sums).centers,
+                                   parent.step(bank, piece).centers, rtol=1e-12, atol=1e-12)
         pieces.append(piece)
-        stats.append((weights, sums))
-    assert np.array_equal(model._apply_center_updates(bank, stats, "tmf").centers,
-                          parent.apply_center_updates(bank, pieces, "tmf").centers)
+        inputs.append((u, w, labels, centers))
+    _, sums = losses.center_stats(bank, *padded_batch(inputs))
+    np.testing.assert_allclose(bank.step(sums).centers,
+                               parent.apply_center_updates(bank, pieces, "tmf").centers,
+                               rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -649,7 +668,7 @@ def test_onehot_path_matches_the_framewise_stack(data):
     D = data.draw(st.integers(1, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     bank = draw_bank(data, rng, C, D)
-    pieces, stats = [], []
+    pieces, inputs = [], []
     for _ in range(data.draw(st.integers(1, 4))):
         T = data.draw(st.integers(1, 9))
         k = np.array(data.draw(st.lists(st.integers(1, C), min_size=T, max_size=T)),
@@ -671,8 +690,64 @@ def test_onehot_path_matches_the_framewise_stack(data):
         np.testing.assert_allclose(bank.step(sums, weights).centers, single.centers,
                                    rtol=1e-12, atol=1e-12)
         pieces.append(piece)
-        stats.append((weights, sums))
+        inputs.append((u, w, np.asarray(labels), centers))
+    weights, sums = losses.center_stats(bank, *padded_batch(inputs))
     np.testing.assert_allclose(
-        model._apply_center_updates(bank, stats, "fmf").centers,
+        bank.step(sums, weights).centers,
         parent.apply_center_updates(bank, pieces, "fmf").centers,
         rtol=1e-12, atol=1e-12)
+
+
+# ------------------------------------------ center statistics, brute force
+
+def brute_force_center_stats(bank, pieces):
+    """The statistics of center_stats, term by term: a loop over each
+    sequence's classes, positions and frames."""
+    weights, sums = np.zeros(bank.num_classes), np.zeros((bank.num_classes, bank.dim))
+    for u, w, labels in pieces:
+        for j in range(1, bank.num_classes + 1):
+            for i, label in enumerate(labels):
+                for t in range(len(u)):
+                    if label == j and w[t, i] >= bank.occupancy_threshold:
+                        weights[j - 1] += w[t, i]
+                        sums[j - 1] += w[t, i] * (bank.centers[j - 1] - u[t])
+    return weights, sums
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_center_stats_matches_a_brute_force_loop(data):
+    # both modes, one sequence alone and a padded batch, thresholds at
+    # both ends of [0, 1], repeated labels, classes that get no weight
+    mode = data.draw(st.sampled_from(["tmf", "fmf"]))
+    C, D = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    bank = make_bank(C, D, rng, occupancy_threshold=data.draw(st.sampled_from([0.0, 0.01, 1.0])))
+    pieces = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        T = data.draw(st.integers(1, 7))
+        u = rng.normal(size=(T, D))
+        if mode == "tmf":
+            labels = np.array(data.draw(st.lists(st.integers(1, C), max_size=5)), dtype=np.intp)
+            w = rng.uniform(0.0, 1.0, (T, len(labels)))
+            kind = rng.integers(0, 4, w.shape)
+            w[kind == 0], w[kind == 1], w[kind == 2] = bank.occupancy_threshold, 0.0, 1.0
+        else:
+            w, labels, _ = onehot_weights(rng.integers(1, C + 1, T), bank)
+            labels = np.asarray(labels)
+        pieces.append((u, w, labels))
+    tol = dict(rtol=1e-12, atol=1e-12)
+    for u, w, labels in pieces:
+        got = losses.center_stats(bank, u, w, labels, bank.centers[labels - 1])
+        for g, want in zip(got, brute_force_center_stats(bank, [(u, w, labels)])):
+            np.testing.assert_allclose(g, want, **tol)
+    u, w, labels, centers = padded_batch([(u, w, labels, bank.centers[labels - 1])
+                                          for u, w, labels in pieces])
+    if mode == "fmf":       # the classes 1..C for every sequence, shared
+        labels, centers = labels[0], bank.centers
+    got = losses.center_stats(bank, u, w, labels, centers)
+    want = brute_force_center_stats(bank, pieces)
+    for g, expected in zip(got, want):
+        np.testing.assert_allclose(g, expected, **tol)
+    absent = want[0] == 0.0
+    assert not got[0][absent].any() and not got[1][absent].any()

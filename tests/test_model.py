@@ -547,9 +547,10 @@ def test_train_is_deterministic():
 
 @pytest.mark.parametrize("mode", ["ctc", "tmf"])
 def test_train_batched_lattice_matches_per_sequence_bitwise(mode, monkeypatch):
-    # training makes one lattice call per batch and one per validation;
-    # answering each with a separate per-sequence (B=1) call must give
-    # the same parameters, centers and rows, bit for bit
+    # training makes one lattice call per batch and one forward-only
+    # call per validation group; answering each with separate
+    # per-sequence (B=1) calls, stacked as the batch lays them out, must
+    # give the same parameters, centers and rows, bit for bit
     from tmfusion import ctc
 
     def run():
@@ -560,11 +561,28 @@ def test_train_batched_lattice_matches_per_sequence_bitwise(mode, monkeypatch):
     one_at_a_time = ctc.forward_backward_batch
     calls = []
 
-    def per_sequence(ys, zs):
-        calls.append(len(ys))
-        return [one_at_a_time([y], [z])[0] for y, z in zip(ys, zs)]
+    def alone(y, Ts, zs):
+        return [one_at_a_time(y[b:b + 1, :Tb], [Tb], [z]) for b, (Tb, z) in enumerate(zip(Ts, zs))]
+
+    def per_sequence(y, Ts, zs):
+        calls.append(len(Ts))
+        pairs = alone(y, Ts, zs)
+        S = max(t.zp.shape[1] for t in pairs)
+        alpha, beta = np.full((2, len(Ts), y.shape[1], S), -np.inf)
+        zp, emissions = np.zeros((len(Ts), S), dtype=np.intp), np.zeros(alpha.shape)
+        for b, (Tb, t) in enumerate(zip(Ts, pairs)):
+            Sb = t.zp.shape[1]
+            alpha[b, :Tb, :Sb], beta[b, :Tb, :Sb] = t.log_alpha[0], t.log_beta[0]
+            zp[b, :Sb], emissions[b, :Tb, :Sb] = t.zp[0], t.log_emissions[0]
+        return ctc.AlignmentTables(alpha, beta, np.array([t.log_seq_prob[0] for t in pairs]),
+                                   zp, emissions, np.arange(y.shape[1]) < np.array(Ts)[:, None])
+
+    def scores(y, Ts, zs):
+        calls.append(len(Ts))
+        return np.array([t.log_seq_prob[0] for t in alone(y, Ts, zs)])
 
     monkeypatch.setattr(ctc, "forward_backward_batch", per_sequence)
+    monkeypatch.setattr(ctc, "log_seq_probs", scores)
     looped = run()
     assert calls[0] == 6 and 12 in calls      # a training batch, the validation set
     (s1, b1, r1), (s2, b2, r2) = batched, looped
@@ -574,7 +592,6 @@ def test_train_batched_lattice_matches_per_sequence_bitwise(mode, monkeypatch):
     assert np.array_equal(b1.centers, b2.centers)
     if mode == "tmf":
         assert np.any(b1.centers != 0.0)
-
 
 
 def parent_sequence_signals(state, sample, u, y, tables, settings, bank):
@@ -594,7 +611,7 @@ def parent_sequence_signals(state, sample, u, y, tables, settings, bank):
         w = np.zeros((len(cols), y.shape[1]))
         w[np.arange(len(cols)), cols] = 1.0
         delta_ml = y - w
-        loss = losses.cross_entropy(y, cols)
+        loss = losses.cross_entropy(y[None], cols, [len(cols)])[0]
         labels, centers = range(1, bank.num_classes + 1), bank.centers
     W = state.params["W"]
     if mode not in model.FUSION_MODES:
@@ -615,7 +632,7 @@ def train_one_at_a_time(run, monkeypatch):
 
     def step(state, batch, settings, bank):
         sizes.append(len(batch))
-        seq_losses, total, stats = [], None, []
+        seq_losses, total, pieces = [], None, []
         for sample in batch:
             _, u, _, y = forward_stacks(state, [sample.x])
             u, y = u[0], y[0]
@@ -632,7 +649,8 @@ def train_one_at_a_time(run, monkeypatch):
                     total[k] += grads[k]
             seq_losses.append(loss)
             if st is not None:
-                stats.append(st)
+                pieces.append(st)
+        stats = (sum(w for w, _ in pieces), sum(s for _, s in pieces)) if pieces else None
         return seq_losses, total, stats
 
     def forward_each(state, xs):
@@ -646,6 +664,41 @@ def train_one_at_a_time(run, monkeypatch):
     monkeypatch.setattr(model, "_batch_step", step)
     monkeypatch.setattr(model, "forward_stacks", forward_each)
     return run(), sizes
+
+
+def relative_difference(got, want):
+    """max |got - want| over the largest |want|; got must be exactly 0
+    where want is all zeros."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.abs(got - want).max(initial=0.0) / max(np.abs(want).max(initial=0.0),
+                                                     np.finfo(float).tiny)
+
+
+def signals_against_parent(run, monkeypatch):
+    """run() with each training batch's signal step compared with
+    parent_sequence_signals of its sequences alone, each with its own
+    lattice: the losses, both signal stacks on each sequence's frames,
+    and the center statistics summed over the batch.  Returns run's
+    result and the largest relative difference of each batch."""
+    real, worst = model._batch_signals, []
+
+    def checked(state, batch, Ts, u, y, settings, bank):
+        out = real(state, batch, Ts, u, y, settings, bank)
+        temporal = settings.mode in model.TEMPORAL_MODES
+        parts = [parent_sequence_signals(
+            state, s, u[b, :Tb], y[b, :Tb],
+            ctc.forward_backward(y[b, :Tb], s.collapsed) if temporal else None,
+            settings, bank) for b, (s, Tb) in enumerate(zip(batch, Ts))]
+        pairs = [(out[0], [p[0] for p in parts])]
+        pairs += [(np.concatenate([out[j][b, :Tb] for b, Tb in enumerate(Ts)]),
+                   np.concatenate([p[j] for p in parts])) for j in (1, 2)]
+        if out[3] is not None:
+            pairs += [(out[3][j], sum(p[3][j] for p in parts)) for j in (0, 1)]
+        worst.append(max(relative_difference(got, want) for got, want in pairs))
+        return out
+
+    monkeypatch.setattr(model, "_batch_signals", checked)
+    return run(), worst
 
 
 @pytest.mark.parametrize("mode", ["ce", "fmf", "ctc", "tmf"])
@@ -662,6 +715,14 @@ def test_train_batched_network_matches_per_sequence_bitwise(mode, monkeypatch):
                          occupancy_mode="frame_normalized")
 
     monkeypatch.setattr(model, "SCORE_GROUP", 5)     # 12 validation sequences
+    if mode == "tmf":
+        # tmf's sums over positions and frames (the ECL total, w @ c over
+        # the padded positions) regroup on the padded stacks: each batch's
+        # signals against the per-sequence step, to 1e-12 relative
+        (_, bank, _), worst = signals_against_parent(run, monkeypatch)
+        assert len(worst) == 40 and max(worst) <= 1e-12
+        assert np.any(bank.centers != 0.0)
+        return
     batched = run()
     looped, sizes = train_one_at_a_time(run, monkeypatch)
     assert sizes[0] == 6 and sizes.count(5) >= 2    # a batch, validation groups
@@ -854,6 +915,9 @@ def test_validation_score_sums_in_sample_order(mode, monkeypatch):
             total += float(np.log(y[np.arange(len(cols)), cols]).sum())
             frames += len(cols)
     monkeypatch.setattr(model, "SCORE_GROUP", 8)
+    # the sequence score needs log p alone: no beta rows are filled
+    monkeypatch.setattr(ctc, "forward_backward_batch",
+                        lambda *args: pytest.fail("validation ran the backward rows"))
     assert model.validation_score(state, data, mode) == total / (frames or len(data))
 
 # ------------------------------------------------------- full gradient check

@@ -252,7 +252,7 @@ def per_point_grad_full_suite(n=50, seed=6, lam=0.1):
             if mode in model.TEMPORAL_MODES:
                 tables = ctc.forward_backward(y, sample.collapsed)
                 return -tables.log_seq_prob, u, tables
-            return losses.cross_entropy(y, sample.framewise - 1), u, None
+            return losses.cross_entropy(y[None], sample.framewise - 1, [len(y)])[0], u, None
 
         frozen = []
         for sample in batch:
