@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from tmfusion import cli, config, ctc, experiment, losses, model, synth
+from tmfusion import cli, config, ctc, experiment, losses, model, synth, verify
 
 
 def write_config(tmp_path, name="run.json", **kw):
@@ -707,3 +707,21 @@ def test_check_reports_a_suite_that_raises_and_runs_the_rest(monkeypatch, capsys
     assert failed.endswith("FAIL")
     assert "DegenerateFrame: alignment mass vanished at frame 0" in failed
     assert all(line.endswith("PASS") for i, line in enumerate(lines) if i != 1)
+
+
+def test_check_fails_a_suite_whose_error_is_nan(monkeypatch, capsys):
+    # one NaN lattice value: max(0.0, nan) is 0.0, so a running max over
+    # the instances would pass it; the suite's max_err must be NaN
+    real = ctc.forward_backward_batch
+
+    def one_nan(y, Ts, labels_list):
+        tables = real(y, Ts, labels_list)
+        tables.log_seq_prob[len(Ts) // 2] = np.nan
+        return tables
+
+    monkeypatch.setattr(ctc, "forward_backward_batch", one_nan)
+    assert np.isnan(verify.seq_prob_suite(n=20)[0])
+    assert cli.main(["check", "--scope", "ctc"]) == cli.EXIT_CHECK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:2] == ["seq_prob", "max_err=nan"]
+    assert lines[0].endswith("FAIL")

@@ -13,10 +13,10 @@ TOY_GEN = synth.GeneratorConfig(num_classes=2, feature_dim=4,
                                 labels_per_sequence=(1, 3), seed=42)
 
 
-def toy_data(condition="clean", n=60, seed=42):
+def toy_data(condition="clean", n=60, seed=42, labels=(1, 3)):
     cfg = synth.GeneratorConfig(
         num_classes=2, feature_dim=4, segment_length=(2, 4),
-        labels_per_sequence=(1, 3), noise_condition=condition, seed=seed)
+        labels_per_sequence=labels, noise_condition=condition, seed=seed)
     return synth.generate(cfg, n)
 
 
@@ -501,8 +501,8 @@ def settings_for(mode, lam=0.0, **kw):
     return model.TrainSettings(**defaults)
 
 
-def fresh_run(mode, lam=0.0, seed=42, hidden=(8,), **kw):
-    data = toy_data(seed=seed)
+def fresh_run(mode, lam=0.0, seed=42, hidden=(8,), labels=(1, 3), **kw):
+    data = toy_data(seed=seed, labels=labels)
     train_set, val_set = data[:48], data[48:]
     K = 3 if mode in ("ctc", "tmf") else 2
     spec = model.NetworkSpec(4, list(hidden), K, recurrent=True)
@@ -735,6 +735,24 @@ def test_train_batched_network_matches_per_sequence_bitwise(mode, monkeypatch):
     assert np.array_equal(b1.centers, b2.centers)
     if lam:
         assert np.any(b1.centers != 0.0)
+
+
+@pytest.mark.parametrize("mode", ["ctc", "tmf"])
+def test_train_with_long_labelings_matches_per_sequence_signals(mode, monkeypatch):
+    # 4 or 5 labels give lattices of 9 to 11 positions, where the padded
+    # row sums over positions (the CTC posterior's, the normalized
+    # occupancy's) can regroup numpy's pairwise sum: each batch's signals
+    # against the per-sequence step, to 1e-12 relative
+    lam = 1e-2 if mode == "tmf" else 0.0
+    assert min(len(s.collapsed) for s in toy_data(labels=(4, 5))) == 4
+
+    def run():
+        return fresh_run(mode, lam=lam, labels=(4, 5), batch_size=6, max_batches=20,
+                         occupancy_mode="frame_normalized")
+
+    (_, bank, _), worst = signals_against_parent(run, monkeypatch)
+    assert len(worst) == 20 and max(worst) <= 1e-12
+    assert (mode == "tmf") == bool(np.any(bank.centers != 0.0))
 
 
 @pytest.mark.parametrize("mode", ["ce", "fmf", "ctc", "tmf"])

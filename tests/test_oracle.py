@@ -1,6 +1,7 @@
 """The brute-force references are themselves checked here, on cases small
 enough to verify by hand, before anything else trusts them."""
 
+import itertools
 import math
 
 import numpy as np
@@ -66,6 +67,114 @@ def test_size_guard():
     y = np.full((30, 4), 0.25)
     with pytest.raises(oracle.TooLarge):
         oracle.brute_force_seq_prob(y, (1,))
+
+
+# ------------------------------------------------ array oracles vs path loops
+
+def loop_seq_prob(y, z):
+    """The one-path-at-a-time enumeration the array oracle replaced."""
+    y = np.asarray(y, dtype=float)
+    T, K = y.shape
+    z = tuple(int(c) for c in z)
+    total = 0.0
+    for path in itertools.product(range(K), repeat=T):
+        if oracle.collapse(path) == z:
+            p = 1.0
+            for t, c in enumerate(path):
+                p *= y[t, c]
+            total += p
+    return total
+
+
+def loop_walk_positions(path, target):
+    positions = []
+    cur = 0 if path[0] == 0 else 1
+    positions.append(cur)
+    for t in range(1, len(path)):
+        a, b = path[t - 1], path[t]
+        if b == a:
+            pass
+        elif b == 0:
+            cur += 1
+        elif a == 0:
+            cur += 1
+        else:
+            cur += 2
+        positions.append(cur)
+    ext_len = 2 * len(target) + 1
+    assert cur in (ext_len - 1, max(ext_len - 2, 0))
+    return positions
+
+
+def loop_occupancy(y, z):
+    """The one-path-at-a-time occupancy the array oracle replaced."""
+    y = np.asarray(y, dtype=float)
+    T, K = y.shape
+    z = tuple(int(c) for c in z)
+    ext = [0]
+    for c in z:
+        ext.extend((c, 0))
+    occ = np.zeros((T, 2 * len(z) + 1))
+    for path in itertools.product(range(K), repeat=T):
+        if oracle.collapse(path) != z:
+            continue
+        p = 1.0
+        for t, c in enumerate(path):
+            p *= y[t, c]
+        for t, s in enumerate(loop_walk_positions(path, z)):
+            occ[t, s] += p * y[t, ext[s]]
+    return occ
+
+
+def loop_ecl(y, z, u, centers):
+    """brute_force_ecl on loop_occupancy."""
+    occ = loop_occupancy(y, z)
+    total = 0.0
+    for i, c in enumerate(z):
+        d = u - np.asarray(centers[int(c)], dtype=float)
+        total += float(occ[:, 2 * i + 1] @ (d * d).sum(axis=1))
+    return total
+
+
+def assert_oracles_match_loops(y, z):
+    got = oracle.brute_force_seq_prob(y, z)
+    assert type(got) is float and got == loop_seq_prob(y, z)
+    got = oracle.brute_force_occupancy(y, z)
+    want = loop_occupancy(y, z)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, oracle.BLOCK_PATHS])
+def test_array_oracles_equal_the_path_loop_bitwise(block, monkeypatch):
+    # a block smaller than K**T splits the enumeration; the running sum
+    # and each cell's sum carry across blocks in path order
+    monkeypatch.setattr(oracle, "BLOCK_PATHS", block)
+    rng = np.random.default_rng(block)
+    cases = [(1, 3, ()), (1, 3, (2,)), (1, 2, (1, 1)), (3, 2, ()), (3, 3, (1, 1)),
+             (5, 3, (2, 2, 1)), (4, 3, (3,)), (2, 4, (1, 2, 3))]
+    for _ in range(40):
+        K = int(rng.integers(2, 5))
+        T = int(rng.integers(1, 7 if K < 4 else 6))
+        z = rng.integers(1, K, int(rng.integers(0, 4)))
+        if len(z) > 1 and rng.random() < 0.5:
+            z[1] = z[0]
+        cases.append((T, K, tuple(z)))
+    for T, K, z in cases:
+        assert_oracles_match_loops(rand_posteriors(rng, T, K), z)
+
+
+def test_array_seq_prob_of_no_frames_is_the_empty_path():
+    y = np.ones((0, 3))
+    assert oracle.brute_force_seq_prob(y, ()) == loop_seq_prob(y, ()) == 1.0
+    assert oracle.brute_force_seq_prob(y, (1,)) == loop_seq_prob(y, (1,)) == 0.0
+
+
+def test_array_oracles_span_blocks_at_the_default_size():
+    assert 2 ** 13 > oracle.BLOCK_PATHS
+    rng = np.random.default_rng(5)
+    y = rand_posteriors(rng, 13, 2)
+    for z in [(1,), (1, 1, 1), (1, 1, 1, 1, 1, 1, 1)]:
+        assert_oracles_match_loops(y, z)
 
 
 # ---------------------------------------------------------------- occupancy
@@ -207,6 +316,59 @@ def per_point_partition_suite(n=20, K=3, T=5, seed=2):
     return worst, n
 
 
+def per_point_seq_prob_suite(n=200, seed=0):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        K = int(rng.integers(2, 5))
+        T = int(rng.integers(2, 7))
+        y = verify._random_posteriors(rng, T, K)
+        z = verify._random_labels(rng, K, T, 3)
+        dp = np.exp(ctc.forward_backward(y, z).log_seq_prob)
+        bf = loop_seq_prob(y, z)
+        worst = max(worst, abs(dp - bf))
+    return worst, n
+
+
+def per_point_occupancy_suite(n=100, seed=1):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        K = int(rng.integers(2, 4))
+        T = int(rng.integers(2, 6))
+        y = verify._random_posteriors(rng, T, K)
+        z = verify._random_labels(rng, K, T, 2)
+        tables = ctc.forward_backward(y, z)
+        gamma = ctc.occupancy(tables, "paper_literal")
+        occ = loop_occupancy(y, z)
+        worst = max(worst, float(np.abs(gamma - occ).max()))
+
+        D = 3
+        u = rng.normal(size=(T, D))
+        bank = losses.CenterBank(K - 1, D)
+        bank.centers = rng.normal(size=bank.centers.shape)
+        dp_ecl = losses.ecl(u, gamma[:, 1::2], bank.gather(tables.zp[1::2]))
+        bf_ecl = loop_ecl(y, z, u, dict(enumerate(bank.centers, start=1)))
+        worst = max(worst, abs(dp_ecl - bf_ecl))
+    return worst, n
+
+
+def per_point_consistency_suite(n=100, seed=3):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        K = int(rng.integers(2, 6))
+        T = int(rng.integers(2, 10))
+        y = verify._random_posteriors(rng, T, K)
+        z = verify._random_labels(rng, K, T, 4)
+        tables = ctc.forward_backward(y, z)
+        stack = tables.log_alpha + tables.log_beta - np.log(y)[:, tables.zp]
+        peak = stack.max(axis=1, keepdims=True)
+        lse = (peak[:, 0] + np.log(np.exp(stack - peak).sum(axis=1)))
+        worst = max(worst, float(np.abs(lse - tables.log_seq_prob).max()))
+    return worst, n
+
+
 def per_point_grad_ml_suite(n=50, seed=4):
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -308,10 +470,46 @@ def test_tmf_network_loss_leaves_the_state_alone():
 
 
 @pytest.mark.parametrize("batched, per_point, n", [
+    (verify.seq_prob_suite, per_point_seq_prob_suite, 40),
+    (verify.occupancy_suite, per_point_occupancy_suite, 30),
     (verify.partition_suite, per_point_partition_suite, 20),
+    (verify.consistency_suite, per_point_consistency_suite, 40),
     (verify.grad_ml_suite, per_point_grad_ml_suite, 30),
     (verify.grad_full_suite, per_point_grad_full_suite, 16),
-], ids=["partition", "grad_ml", "grad_full"])
+], ids=["seq_prob", "occupancy_ecl", "partition", "consistency", "grad_ml", "grad_full"])
 @pytest.mark.parametrize("seed", [0, 7, 41])
 def test_batched_suite_equals_per_point_loop(batched, per_point, n, seed):
     assert batched(n=n, seed=seed) == per_point(n=n, seed=seed)
+
+
+def shift_one_instance(monkeypatch, field, which):
+    """Patch forward_backward_batch to move one value of instance
+    ``which`` by 1e-6: its log p(z|x), or the log beta of its live cell
+    of largest alpha*beta."""
+    real = ctc.forward_backward_batch
+
+    def shifted(y, Ts, labels_list):
+        tables = real(y, Ts, labels_list)
+        b = which % len(Ts)
+        if field == "log_seq_prob":
+            tables.log_seq_prob[b] += 1e-6
+        else:
+            prod = tables.log_alpha[b] + tables.log_beta[b]
+            tables.log_beta[b][np.unravel_index(np.argmax(prod), prod.shape)] += 1e-6
+        return tables
+
+    monkeypatch.setattr(ctc, "forward_backward_batch", shifted)
+
+
+@pytest.mark.parametrize("suite, field", [
+    ("seq_prob", "log_seq_prob"), ("consistency", "log_seq_prob"),
+    ("consistency", "log_beta"), ("occupancy_ecl", "log_beta")])
+@pytest.mark.parametrize("which", [0, 57, -1])
+def test_batched_suites_fail_a_fault_in_any_one_instance(suite, field, which, monkeypatch):
+    # each instance reads its own slice of the one lattice call: a fault
+    # planted in the first, a middle or the last instance must fail
+    fn, tol, _ = verify.SUITES[suite]
+    assert fn()[0] <= tol
+    shift_one_instance(monkeypatch, field, which)
+    err, _ = fn()
+    assert err > tol
