@@ -37,7 +37,9 @@ def main():
     print(np.round(y, 4))
     print()
 
-    tables = ctc.forward_backward(y, labels)
+    # the lattice takes log-probabilities
+    log_y = np.log(y)
+    tables = ctc.forward_backward(log_y, labels)
     print("augmented label sequence z' =", list(tables.zp))
     print("log alpha:")
     print(np.round(tables.log_alpha, 4))
@@ -61,7 +63,7 @@ def main():
     print("per-frame consistency of the tables:")
     for t in range(y.shape[0]):
         col = tables.log_alpha[t] + tables.log_beta[t]
-        col = col - np.log(y[t, tables.zp])
+        col = col - log_y[t, tables.zp]
         finite = col[np.isfinite(col)]
         print("  frame %d: sum = %.12f" % (t, np.exp(finite).sum()))
 

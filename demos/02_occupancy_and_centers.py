@@ -37,7 +37,7 @@ def main():
     labels = [1, 2]
     features = rng.normal(size=(T, dim))
 
-    tables = ctc.forward_backward(y, labels)
+    tables = ctc.forward_backward(np.log(y), labels)
 
     banner("occupancy, literal convention (rows are frames)")
     gamma = ctc.occupancy(tables, "paper_literal")

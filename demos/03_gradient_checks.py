@@ -10,12 +10,7 @@ versions and narrates one coordinate by hand first.
 
 import numpy as np
 
-from tmfusion import ctc, oracle, verify
-
-
-def softmax(a):
-    e = np.exp(a - a.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+from tmfusion import ctc, model, oracle, verify
 
 
 def hand_example():
@@ -23,8 +18,9 @@ def hand_example():
     a = rng.normal(size=(4, 3))
     labels = [1, 2]
 
-    y = softmax(a)
-    tables = ctc.forward_backward(y, labels)
+    # the lattice takes the log-probabilities, the gradient the probabilities
+    log_y, y = model.log_softmax(a)
+    tables = ctc.forward_backward(log_y, labels)
     delta = ctc.ctc_grad_logits(tables, y)
 
     t, k = 2, 1
@@ -33,7 +29,7 @@ def hand_example():
         for (v,) in points:
             a2 = a.copy()
             a2[t, k] = v
-            values.append(-ctc.forward_backward(softmax(a2), labels).log_seq_prob)
+            values.append(-ctc.forward_backward(model.log_softmax(a2)[0], labels).log_seq_prob)
         return values
 
     num = oracle.finite_diff(loss_at, a[t, k])

@@ -204,8 +204,7 @@ def cmd_train(args):
     try:
         state, bank, rows = model.train(state, bank, train_set, val_set,
                                         cfg.settings(), eval_hook=hook)
-    except (model.NonFiniteGradient, ctc.NonPositivePosterior,
-            ctc.DegenerateFrame) as exc:
+    except (model.NonFiniteGradient, ctc.DegenerateFrame) as exc:
         return _fail(EXIT_DIVERGED,
                      "training diverged (%s); last good checkpoint kept at %s"
                      % (exc, cfg.checkpoint_path))

@@ -6,19 +6,22 @@ Conventions used throughout:
 * A label sequence ``z`` of length r is expanded to the modified sequence
   ``z' = (blank, z[0], blank, z[1], ..., blank)`` of length 2r+1.  Even
   positions are blanks, odd position 2i+1 holds z[i].
+* The lattice takes log-probabilities log y (the network's
+  ``log_softmax``); a caller that holds probabilities passes np.log(y).
+  A zero probability is -inf, a legal input: its cells carry no path.
 * ``log_alpha[t, s]`` / ``log_beta[t, s]`` follow the classic inclusive
   convention: both include the emission at frame t, so
   ``alpha_t(s) * beta_t(s) = (mass of paths through (s, t)) * y_t[z'_s]``
   and for every frame ``sum_s alpha_t(s) beta_t(s) / y_t[z'_s] = p(z|x)``.
-  The extra emission factor is divided out wherever a true path mass is
-  needed (gradients); the raw product is what the occupancy matrix exposes
-  in its literal mode.
+  The extra emission factor is divided out (its log subtracted) wherever
+  a true path mass is needed (gradients); the raw product is what the
+  occupancy matrix exposes in its literal mode.
 
 Batched layout.  ``forward_backward_batch`` runs both recursions for B
-sequences at once, on their padded (B, T_max, K) posterior stack, with
-four numpy calls per frame for the whole batch; ``forward_backward`` is
-its B=1 case with the batch axis dropped, and ``log_seq_probs`` runs the
-forward rows alone:
+sequences at once, on their padded (B, T_max, K) log-probability stack,
+with four numpy calls per frame for the whole batch; ``forward_backward``
+is its B=1 case with the batch axis dropped (``AlignmentTables.sequence``),
+and ``log_seq_probs`` runs the forward rows alone:
 
 * One (T_max, 2B, S_max + 2) log-space table.  Rows 0..B-1 hold each
   sequence's emissions log(y_t[z'_s]) and become alpha.  Rows B..2B-1
@@ -34,9 +37,9 @@ forward rows alone:
   labels[1:] != labels[:-1] read backwards.  Since ``logaddexp(x, -inf)``
   is exactly x, padding never changes a real cell, and each sequence's
   tables and log p(z|x) come out bit for bit as a recursion over that
-  sequence alone computes them.  The log is taken once, elementwise,
-  over the stack's emissions, and the padding frames of y never reach
-  it (nor the positivity check): they may hold anything.
+  sequence alone computes them.  The emissions are copied into the
+  table's cells only; the padding frames of log y reach neither the
+  table nor the above-0 check: they may hold anything.
 * ``occupancy`` and ``ctc_grad_logits`` take such stacks too, with the
   tables' mask of live frames.  Elementwise they keep each sequence's
   bits; their row sums over S_max positions (of the normalized
@@ -58,10 +61,6 @@ class DegenerateFrame(Exception):
     """Every alignment weight at some frame underflowed to zero."""
 
 
-class NonPositivePosterior(ValueError):
-    """A posterior entry is zero or negative, so its log is not finite."""
-
-
 def min_frames(labels):
     """Minimum number of frames an alignment for ``labels`` needs.
 
@@ -78,7 +77,7 @@ class AlignmentTables:
     """Forward/backward tables of one (posterior, label-sequence) pair, or
     of a batch of them stacked on a leading axis: the (..., T, S) log
     alpha and log beta, log p(z|x), z', the emission log-probs
-    ``log(y)[..., zp]`` they were built from, and the (..., T) mask of
+    ``log_y[..., zp]`` they were built from, and the (..., T) mask of
     the frames that belong to a sequence."""
 
     def __init__(self, log_alpha, log_beta, log_seq_prob, zp, log_emissions, live):
@@ -89,8 +88,17 @@ class AlignmentTables:
         self.log_emissions = log_emissions
         self.live = live
 
+    def sequence(self, b):
+        """Sequence b of a batch's tables, cut to its own T_b frames and
+        S_b positions: bit for bit what forward_backward gives for its
+        pair alone.  Labels are nonzero, so z' pads with blanks only."""
+        T, S = np.count_nonzero(self.live[b]), 2 * np.count_nonzero(self.zp[b, 1::2]) + 1
+        return AlignmentTables(self.log_alpha[b, :T, :S], self.log_beta[b, :T, :S],
+                               float(self.log_seq_prob[b]), self.zp[b, :S],
+                               self.log_emissions[b, :T, :S], self.live[b, :T])
 
-def _lattice_inputs(y, Ts, labels_list):
+
+def _lattice_inputs(log_y, Ts, labels_list):
     """Validate a batch; return its (B, T_max, S_max) emission log-probs
     (0 on padding frames), the cells of each sequence's lattice, z', the
     skip masks, the lengths T_b and S_b, and the live frames.
@@ -100,8 +108,8 @@ def _lattice_inputs(y, Ts, labels_list):
     through the intermediate position.  The first bad pair raises what
     forward_backward raises for it alone.
     """
-    y = np.asarray(y, dtype=float)
-    B, T, K = y.shape
+    log_y = np.asarray(log_y, dtype=float)
+    B, T, K = log_y.shape
     Ts = np.asarray(Ts, dtype=np.intp)
     labels_list = [np.asarray(z, dtype=np.intp) for z in labels_list]
     if (Ts.shape != (B,) or len(labels_list) != B or np.any(Ts > T)
@@ -117,12 +125,13 @@ def _lattice_inputs(y, Ts, labels_list):
     need = np.maximum(2 * rs - 1 - (changes & has[:, 1:]).sum(axis=1), 1)
     live = np.arange(T) < Ts[:, None]
     bad = (need > Ts) | (labels >= K).any(axis=1) | (labels < has).any(axis=1)
-    if (y <= 0.0).any():
-        bad |= ((y <= 0.0) & live[..., None]).any(axis=(1, 2))
+    # probabilities passed by mistake: a live log-probability above 0
+    if (log_y > 0.0).any():
+        bad |= ((log_y > 0.0) & live[..., None]).any(axis=(1, 2))
     if bad.any():
         b = int(np.argmax(bad))
-        if (y[b, :Ts[b]] <= 0.0).any():
-            raise NonPositivePosterior("posterior entries must be strictly positive")
+        if (log_y[b, :Ts[b]] > 0.0).any():
+            raise ValueError("log-probabilities must not exceed 0")
         if (labels[b] >= K).any() or (labels[b] < has[b]).any():
             raise ValueError("labels out of range for %d classes" % K)
         raise InfeasibleLabeling("need at least %d frames for %d labels, got %d"
@@ -132,19 +141,21 @@ def _lattice_inputs(y, Ts, labels_list):
     skip[:, 3::2][changes] = 0.0
     Ss = 2 * rs + 1
     cells = live[:, :, None] & (np.arange(zp.shape[1]) < Ss[:, None])[:, None, :]
-    y_z = y[np.arange(B)[:, None, None], np.arange(T)[:, None], zp[:, None, :]]
-    y_z[~live] = 1.0
-    return np.log(y_z), cells, zp, skip, Ts, Ss, live
+    lyz = log_y[np.arange(B)[:, None, None], np.arange(T)[:, None], zp[:, None, :]]
+    lyz[~live] = 0.0
+    return lyz, cells, zp, skip, Ts, Ss, live
 
 
-def _recursion(rows, skip):
-    """The forward recursion over (R, T, S) rows of emission log-probs,
-    -inf off each lattice, with their (R, S) additive skip masks.
-    Returns the (T, R, S + 2) table of log alpha, position s at column
-    s + 2 behind two -inf pad columns."""
-    R, T, S = rows.shape
+def _recursion(blocks, cells, skip):
+    """The forward recursion over R rows of emission log-probs, given as
+    (B, T, S) blocks read on the (B, T, S) cells of their lattices, with
+    their (R, S) additive skip masks.  Returns the (T, R, S + 2) table
+    of log alpha, position s at column s + 2 behind two pad columns,
+    -inf off each lattice."""
+    (B, T, S), R = cells.shape, len(skip)
     table = np.full((T, R, S + 2), -np.inf)
-    table[:, :, 2:] = rows.swapaxes(0, 1)
+    for k, block in enumerate(blocks):
+        np.copyto(table[:, k * B:(k + 1) * B, 2:].swapaxes(0, 1), block, where=cells)
     acc, tmp = np.empty((R, S)), np.empty((R, S))
     # frame 0 can only be at the first blank or the first label (read
     # backwards: frame T_b - 1 at the last label or the last blank)
@@ -167,50 +178,47 @@ def _last_cells(table, Ts, Ss):
     return np.logaddexp(last[b, Ss + 1], last[b, Ss])
 
 
-def forward_backward(y, labels):
+def forward_backward(log_y, labels):
     """Run the CTC forward and backward recursions in log space.
 
-    y : (T, K) array of per-frame class probabilities, all entries > 0.
+    log_y : (T, K) array of per-frame class log-probabilities, -inf for
+        a zero probability.
     labels : label sequence without blanks.
 
     Returns AlignmentTables of (T, S) arrays; raises InfeasibleLabeling
-    when the labels cannot fit into T frames and NonPositivePosterior (a
-    ValueError) when an entry of y is not positive.  The B=1 case of
-    forward_backward_batch.
+    when the labels cannot fit into T frames and ValueError when an
+    entry of log_y is above 0.  The B=1 case of forward_backward_batch.
     """
-    y = np.asarray(y, dtype=float)
-    t = forward_backward_batch(y[None], [len(y)], [labels])
-    return AlignmentTables(t.log_alpha[0], t.log_beta[0], float(t.log_seq_prob[0]),
-                           t.zp[0], t.log_emissions[0], t.live[0])
+    log_y = np.asarray(log_y, dtype=float)
+    return forward_backward_batch(log_y[None], [len(log_y)], [labels]).sequence(0)
 
 
-def forward_backward_batch(y, Ts, labels_list):
+def forward_backward_batch(log_y, Ts, labels_list):
     """forward_backward over B sequences at once.
 
-    y : (B, T_max, K) stack of posteriors, sequence b on its first T_b
-        frames, all of which are > 0; the padding frames are not read.
+    log_y : (B, T_max, K) stack of log-probabilities, sequence b on its
+        first T_b frames, none of which is above 0; the padding frames
+        are not read.
     Ts : the B lengths T_b.
     labels_list : B label sequences without blanks.
 
     Returns one AlignmentTables of (B, T_max, S_max) stacks, -inf off
     each sequence, whose sequence b is bit for bit what forward_backward
     gives for its pair alone.  A bad pair raises what forward_backward
-    raises for it alone: NonPositivePosterior, ValueError for
+    raises for it alone: ValueError for a log-probability above 0 or
     out-of-range labels, or InfeasibleLabeling.
     """
-    lyz, cells, zp, skip, Ts, Ss, live = _lattice_inputs(y, Ts, labels_list)
+    lyz, cells, zp, skip, Ts, Ss, live = _lattice_inputs(log_y, Ts, labels_list)
     B, T, S = lyz.shape
-    lattice = np.where(cells, lyz, -np.inf)
     # each sequence reversed in time and position; index -k reads a
-    # padding cell, which the mask sets back to -inf
+    # padding cell, which the mask leaves at -inf
     b, back_t, back_s = (np.arange(B)[:, None, None], (Ts[:, None] - 1 - np.arange(T))[..., None],
                          (Ss[:, None] - 1 - np.arange(S))[:, None, :])
-    reverse = np.where(cells, lattice[b, back_t, back_s], -np.inf)
     # the reversed mask reads the forward one backwards: position s' of
     # a reversed row takes column S_b + 1 - s' of the forward row
     ahead = np.concatenate([skip, np.full((B, 2), -np.inf)], axis=1)
     skip_back = ahead[np.arange(B)[:, None], Ss[:, None] + 1 - np.arange(S)]
-    table = _recursion(np.concatenate([lattice, reverse]), np.concatenate([skip, skip_back]))
+    table = _recursion((lyz, lyz[b, back_t, back_s]), cells, np.concatenate([skip, skip_back]))
     log_alpha = table[:, :B, 2:].swapaxes(0, 1)
     # storage column S_b + 1 - s of a reversed row holds position s
     log_beta = np.where(cells, table[back_t, B + b, back_s + 2], -np.inf)
@@ -218,12 +226,11 @@ def forward_backward_batch(y, Ts, labels_list):
                            lyz, live)
 
 
-def log_seq_probs(y, Ts, labels_list):
+def log_seq_probs(log_y, Ts, labels_list):
     """The (B,) log p(z_b|x_b) of forward_backward_batch, bit for bit,
     from the forward rows alone: the beta rows are never filled."""
-    lyz, cells, zp, skip, Ts, Ss, _ = _lattice_inputs(y, Ts, labels_list)
-    table = _recursion(np.where(cells, lyz, -np.inf), skip)
-    return _last_cells(table, Ts, Ss)
+    lyz, cells, zp, skip, Ts, Ss, _ = _lattice_inputs(log_y, Ts, labels_list)
+    return _last_cells(_recursion((lyz,), cells, skip), Ts, Ss)
 
 
 OCCUPANCY_MODES = ("paper_literal", "frame_normalized")
@@ -251,8 +258,9 @@ def occupancy(tables, mode="paper_literal"):
 
 def ctc_grad_logits(tables, y):
     """Error signal at the pre-softmax layer: y_t^k minus the posterior
-    occupancy of class k at frame t, for (..., T, K) posteriors y and
-    their tables; on padding frames it is y itself.
+    occupancy of class k at frame t, for (..., T, K) probabilities y and
+    the tables of their log-probabilities; on padding frames it is y
+    itself.
 
     The occupancy ratio divides the emission factor back out of the
     stored alpha*beta products, so each frame's ratio row is the exact
@@ -260,8 +268,11 @@ def ctc_grad_logits(tables, y):
     is the exact gradient of the negative log likelihood w.r.t. logits.
     """
     y = np.asarray(y, dtype=float)
-    live = tables.live
-    log_mass = tables.log_alpha + tables.log_beta - tables.log_emissions
+    live, emitted = tables.live, tables.log_emissions != -np.inf
+    # a zero emission's cell (alpha = beta = -inf) carries no mass, and
+    # its -inf - -inf is never evaluated
+    log_mass = np.subtract(tables.log_alpha + tables.log_beta, tables.log_emissions,
+                           out=np.full(emitted.shape, -np.inf), where=emitted)
     peak = log_mass.max(axis=-1)
     dead = live & ~np.isfinite(peak)
     if dead.any():

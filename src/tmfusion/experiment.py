@@ -37,8 +37,8 @@ def evaluate_model(state, bank, samples, mode, condition):
     assigns = [None] * len(samples)
     correct = 0
     for group in model.score_groups(samples):
-        Ts, us, _, ys = model.forward_stacks(state, [samples[i].x for i in group])
-        for i, Tb, u, y in zip(group, Ts, us, ys):
+        Ts, stacks, _, ys = model.forward_stacks(state, [samples[i].x for i in group])
+        for i, Tb, u, y in zip(group, Ts, stacks[-1], ys):
             u, y, sample = u[:Tb], y[:Tb], samples[i]
             if temporal:
                 hyps[i] = metrics.greedy_decode(y)
@@ -52,7 +52,7 @@ def evaluate_model(state, bank, samples, mode, condition):
                 feats[i] = u
                 assigns[i] = pred
                 correct += int((pred == sample.framewise).sum())
-        del us, ys
+        del stacks, ys
     frames = sum(len(sample.framewise) for sample in samples)
     ter = metrics.token_error_rate(
         [(hyp, sample.collapsed) for hyp, sample in zip(hyps, samples)])

@@ -85,18 +85,18 @@ class CenterBank:
         return out
 
 
-def cross_entropy(y, cols, Ts):
+def cross_entropy(log_y, cols, Ts):
     """Negative log probability of the labeled column, summed over each
-    sequence's frames, for a padded (B, T_max, K) stack of posteriors y,
-    the 0-based columns cols of its sequences back to back (an
-    UnknownClass outside the K classes) and their lengths Ts.  Returns
-    the B sums, each over its own contiguous slice of one gathered NLL,
-    so each keeps the bits of its sequence alone."""
-    y, cols = np.asarray(y, dtype=float), np.asarray(cols, dtype=np.intp)
-    if len(cols) and (cols.min() < 0 or cols.max() >= y.shape[-1]):
-        raise UnknownClass("frame label outside 1..%d" % y.shape[-1])
-    b, t = np.nonzero(np.arange(y.shape[1]) < np.asarray(Ts)[:, None])
-    nll = -np.log(y[b, t, cols])
+    sequence's frames, for a padded (B, T_max, K) stack of
+    log-probabilities log_y, the 0-based columns cols of its sequences
+    back to back (an UnknownClass outside the K classes) and their
+    lengths Ts.  Returns the B sums, each over its own contiguous slice
+    of one gathered NLL, so each keeps the bits of its sequence alone."""
+    log_y, cols = np.asarray(log_y, dtype=float), np.asarray(cols, dtype=np.intp)
+    if len(cols) and (cols.min() < 0 or cols.max() >= log_y.shape[-1]):
+        raise UnknownClass("frame label outside 1..%d" % log_y.shape[-1])
+    b, t = np.nonzero(np.arange(log_y.shape[1]) < np.asarray(Ts)[:, None])
+    nll = -log_y[b, t, cols]
     ends = np.cumsum(Ts, dtype=int)
     return [float(nll[e - Tb:e].sum()) for Tb, e in zip(Ts, ends)]
 

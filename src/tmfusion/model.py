@@ -1,19 +1,23 @@
 """A small trainable network with hand-written backpropagation.
 
 The stack is a few tanh layers (the last one optionally a simple tanh
-recurrence), a feature layer u_t of width D, and a linear+softmax output
-a_t = W u_t + B.  Training fuses the sequence- or frame-level error
-signal through the last layer with the center-loss signal at the feature
-layer, steps the weights with Adam, and moves the class centers with
-their own momentum rule.  Centers are never differentiated through.
+recurrence), a feature layer u_t of width D, and a linear output
+a_t = W u_t + B, which ``log_softmax`` turns into the log-probabilities
+log y_t that the lattice and the cross entropy take (no posterior is
+logged again) and the probabilities y_t of the error signals and of
+decoding.  Training fuses the sequence- or frame-level error signal
+through the last layer with the center-loss signal at the feature layer,
+steps the weights with Adam, and moves the class centers with their own
+momentum rule.  Centers are never differentiated through.
 
 Batched layout.  ``forward_stacks`` runs B sequences at once on padded
 (B, T_max, .) stacks, each sequence left-aligned in its slice, and
-``backward_batch`` takes the error signals as stacks of that layout,
-zeroes their padding frames, and returns (B, ...) gradient stacks; one
-sequence is the batch B = 1.  The signal step between them runs on the
-stacks too, one call per step for the whole batch: one lattice, the CTC
-gradient, the occupancy, the ECL and its signal, and one center_stats
+returns its activation stacks with its outputs; ``backward_batch`` takes
+those and the error signals as stacks of that layout, zeroes their
+padding frames, and returns (B, ...) gradient stacks; one sequence is
+the batch B = 1.  The signal step between them runs on the stacks too,
+one call per step for the whole batch: one lattice, the CTC gradient,
+the occupancy, the ECL and its signal, and one center_stats
 (``_batch_signals``).  Training sums each gradient stack once
 (``_batch_step``, the gradient that ``verify.grad_full_suite`` checks).
 Only the tanh recurrence and its reverse step frame by frame.  Each
@@ -87,10 +91,6 @@ def output_units(mode, num_classes):
     return num_classes + (1 if mode in TEMPORAL_MODES else 0)
 
 
-class MissingForwardCache(Exception):
-    """backward_batch() called without a preceding forward_stacks()."""
-
-
 class NonFiniteGradient(Exception):
     """A gradient or loss stopped being finite."""
 
@@ -114,14 +114,7 @@ class NetworkSpec:
 
 
 class ModelState:
-    """Network parameters plus Adam moments, learning rate, and the
-    forward cache used by backward_batch().
-
-    ``cache`` is (Ts, stacks) from the last forward_stacks call: the B
-    input lengths, and the padded (B, T_max, .) stacks of the inputs
-    (zero on padding) and of each layer's activations, the features u
-    last, which backward_batch reads.
-    """
+    """Network parameters plus Adam moments and learning rate."""
 
     def __init__(self, spec, seed=0, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.spec = spec
@@ -143,7 +136,6 @@ class ModelState:
         self.params["B"] = np.zeros(spec.num_classes)
         self.adam_m = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.adam_v = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.cache = None
 
     def param_names(self):
         return sorted(self.params)
@@ -163,18 +155,23 @@ class ModelState:
         return views
 
 
-def softmax(a):
-    """Row softmax over the last axis of a (..., K) array."""
-    e = np.exp(a - a.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def log_softmax(a):
+    """Row log-softmax over the last axis of a (..., K) array, and the
+    softmax, from one exp: (log_y, y).  log_y stays finite where y
+    underflows to 0."""
+    shifted = a - a.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    return shifted - np.log(total), e / total
 
 
 def forward_stacks(state, xs):
-    """The network on B inputs of shapes (T_b, F): (Ts, u, a, y), the
-    input lengths and the padded (B, T_max, .) stacks of the features,
-    logits and posteriors.  A parameter array with a leading axis of B
-    gives input b the parameters [b].  The activations are cached on the
-    state for backward_batch()."""
+    """The network on B inputs of shapes (T_b, F): (Ts, stacks, log_y, y),
+    the input lengths, the padded (B, T_max, .) stacks of the inputs
+    (zero on padding) and of each layer's activations, the features u
+    last, which backward_batch takes, and the stacks of the output
+    log-probabilities and probabilities.  A parameter array with a
+    leading axis of B gives input b the parameters [b]."""
     spec, params = state.spec, state.params
     top = len(spec.hidden) - 1          # the recurrent layer, if any
     n_plain = top if spec.recurrent else top + 1
@@ -198,10 +195,7 @@ def forward_stacks(state, xs):
         _recurrence(frames, params["R"])
         h = np.ascontiguousarray(frames[:, :, 0].swapaxes(0, 1))
         stacks.append(h)
-    a = _rows_product(h, operands["W"], Ts) + operands["B"]
-    y = softmax(a)
-    state.cache = (Ts, stacks)
-    return Ts, h, a, y
+    return (Ts, stacks) + log_softmax(_rows_product(h, operands["W"], Ts) + operands["B"])
 
 
 def _padded(arrays, Ts, width):
@@ -277,17 +271,15 @@ def _recurrence_backward(R, hs, gs, Ts):
     return out
 
 
-def backward_batch(state, delta_ml, delta_fused):
-    """Parameter gradients of the B sequences of the last forward_stacks
-    call from the (B, T_max, K) stack delta_ml, the signal at the logits,
-    and the (B, T_max, D) stack delta_fused, the full signal at the
-    feature layer, laid out as the forward stacks; what their padding
-    frames hold is ignored.  Returns a dict of (B, ...) gradient stacks,
-    slice b bit for bit that of sequence b run alone."""
-    if state.cache is None:
-        raise MissingForwardCache("run forward_stacks() before backward_batch()")
+def backward_batch(state, Ts, stacks, delta_ml, delta_fused):
+    """Parameter gradients of B sequences from the lengths Ts and the
+    activation stacks that forward_stacks returned for them, the
+    (B, T_max, K) stack delta_ml, the signal at the logits, and the
+    (B, T_max, D) stack delta_fused, the full signal at the feature
+    layer, laid out as the forward stacks; what their padding frames
+    hold is ignored.  Returns a dict of (B, ...) gradient stacks, slice
+    b bit for bit that of sequence b run alone."""
     spec, params = state.spec, state.params
-    Ts, stacks = state.cache
     B, T = stacks[0].shape[:2]
     for delta, width in ((delta_ml, spec.num_classes), (delta_fused, spec.feature_dim)):
         if delta.shape != (B, T, width):
@@ -353,16 +345,17 @@ def schedule_tick(sched, validation_score):
     return "continue"
 
 
-def _batch_signals(state, batch, Ts, u, y, settings, bank):
+def _batch_signals(state, batch, Ts, u, log_y, y, settings, bank):
     """Each sequence's loss, the signal stacks delta_ml and delta_fused,
     and the batch's summed center statistics (fusion modes, else None),
-    from the feature and posterior stacks, with one call per step for
-    the whole batch.  tmf weighs the label positions of each lattice by
-    their occupancy, fmf the classes 1..C by the one-hot frame targets."""
+    from the stacks of the features and of the output log-probabilities
+    and probabilities, with one call per step for the whole batch.  tmf
+    weighs the label positions of each lattice by their occupancy, fmf
+    the classes 1..C by the one-hot frame targets."""
     mode, lam = settings.mode, settings.lam
     W, rows = state.params["W"], partial(_rows_product, Ts=Ts)
     if mode in TEMPORAL_MODES:
-        tables = ctc.forward_backward_batch(y, Ts, [s.collapsed for s in batch])
+        tables = ctc.forward_backward_batch(log_y, Ts, [s.collapsed for s in batch])
         seq_losses = -tables.log_seq_prob
         delta_ml = ctc.ctc_grad_logits(tables, y)
         if mode == "tmf":
@@ -372,7 +365,7 @@ def _batch_signals(state, batch, Ts, u, y, settings, bank):
             centers, product = bank.centers[labels - 1], np.matmul
     else:
         cols = np.concatenate([s.framewise for s in batch]).astype(np.intp) - 1
-        seq_losses = np.array(losses.cross_entropy(y, cols, Ts))
+        seq_losses = np.array(losses.cross_entropy(log_y, cols, Ts))
         w = np.zeros(y.shape)
         w[(*np.nonzero(np.arange(y.shape[1]) < np.asarray(Ts)[:, None]), cols)] = 1.0
         delta_ml = y - w
@@ -393,10 +386,10 @@ def _batch_step(state, batch, settings, bank):
     the batch's center statistics (fusion modes), from one
     forward_stacks, one signal step and one backward_batch.  Parameters
     and centers stay fixed within a batch."""
-    Ts, u, _, y = forward_stacks(state, [sample.x for sample in batch])
+    Ts, stacks, log_y, y = forward_stacks(state, [sample.x for sample in batch])
     seq_losses, delta_ml, delta_fused, stats = _batch_signals(
-        state, batch, Ts, u, y, settings, bank)
-    grads = backward_batch(state, delta_ml, delta_fused)
+        state, batch, Ts, stacks[-1], log_y, y, settings, bank)
+    grads = backward_batch(state, Ts, stacks, delta_ml, delta_fused)
     # in sequence order: a sum(axis=0) of (B, 1) stacks runs pairwise
     grads = {k: np.add.accumulate(g, axis=0)[-1] for k, g in grads.items()}
     return seq_losses, grads, stats
@@ -421,12 +414,12 @@ def validation_score(state, samples, mode):
     terms = [0.0] * len(samples)
     for group in score_groups(samples):
         members = [samples[i] for i in group]
-        Ts, _, _, y = forward_stacks(state, [s.x for s in members])
+        Ts, _, log_y, _ = forward_stacks(state, [s.x for s in members])
         if temporal:
-            group_terms = ctc.log_seq_probs(y, Ts, [s.collapsed for s in members]).tolist()
+            group_terms = ctc.log_seq_probs(log_y, Ts, [s.collapsed for s in members]).tolist()
         else:
             cols = np.concatenate([s.framewise for s in members]).astype(np.intp) - 1
-            group_terms = [-nll for nll in losses.cross_entropy(y, cols, Ts)]
+            group_terms = [-nll for nll in losses.cross_entropy(log_y, cols, Ts)]
         for i, term in zip(group, group_terms):
             terms[i] = term
     total = 0.0
@@ -526,5 +519,4 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
         # rollback covers parameters and centers; optimizer moments stay
         # at their final values (resume goes through saved checkpoints)
         state.params, bank = best_snapshot
-        state.cache = None
     return state, bank, rows

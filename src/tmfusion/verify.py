@@ -6,11 +6,14 @@ subcommand wraps them with tolerances and exit codes, and the test suite
 calls them directly.  The max error is NaN when any instance's error is
 NaN, so that such a suite fails.
 
-The suites run their lattices in few calls.  ``seq_prob``,
-``occupancy_ecl`` and ``consistency`` draw all their instances first,
-in the order a loop over instances would, then run one
-``ctc.forward_backward_batch`` call on the stack of their posteriors;
-each instance checks its own slice of the tables against its oracle.
+The instances are drawn as probabilities, which the brute-force
+oracles take; the lattice takes their logs, each taken once where the
+lattice call is made.  The suites run their lattices in few calls.
+``seq_prob``, ``occupancy_ecl`` and ``consistency`` draw all their
+instances first, in the order a loop over instances would, then run one
+``ctc.forward_backward_batch`` call on the stack of their
+log-probabilities; each instance checks its own slice of the tables
+(``AlignmentTables.sequence``) against its oracle.
 ``partition`` runs every feasible labeling of one posterior in one
 call, ``grad_ml`` and ``grad_full`` the 2n points of one finite
 difference (``oracle.finite_diff`` hands them over stacked).
@@ -18,10 +21,10 @@ difference (``oracle.finite_diff`` hands them over stacked).
 rows alone (``ctc.log_seq_probs``).  ``grad_ml`` and ``grad_ecl`` take
 each instance's base-point tables from the one-pair
 ``ctc.forward_backward`` on purpose, so that the public B=1 API stays
-under check.  ``grad_ml`` takes the softmax of all its points in one
-call, ``grad_full`` runs the network once for all of them and takes the
-ECL of all of them in one table, and ``grad_ecl`` takes one ECL table
-for all its points.  Their errors keep every bit of a per-instance
+under check.  ``grad_ml`` takes the log-softmax of all its points in
+one call, ``grad_full`` runs the network once for all of them and takes
+the ECL of all of them in one table, and ``grad_ecl`` takes one ECL
+table for all its points.  Their errors keep every bit of a per-instance
 loop: the batched lattice and network equal a call per instance bit for
 bit, each point sums its own contiguous block of an ECL table, the
 points are built by the same elementwise additions, and the partition
@@ -58,25 +61,13 @@ def _random_instance(rng, K_hi, T_hi, r_max):
 
 
 def _lattice(ys, zs):
-    """One forward_backward_batch call on the instances (y, z): their
-    posteriors stacked, padded with 1.0 (the lattice reads only each
-    instance's own frames and classes)."""
-    stack = np.ones((len(ys), max(len(y) for y in ys), max(y.shape[1] for y in ys)))
+    """One forward_backward_batch call on the instances (y, z): the logs
+    of their posteriors stacked, padded with 0.0 (the lattice reads only
+    each instance's own frames and classes)."""
+    stack = np.zeros((len(ys), max(len(y) for y in ys), max(y.shape[1] for y in ys)))
     for row, y in zip(stack, ys):
-        row[:len(y), :y.shape[1]] = y
+        row[:len(y), :y.shape[1]] = np.log(y)
     return ctc.forward_backward_batch(stack, [len(y) for y in ys], zs)
-
-
-def _each_lattice(ys, zs):
-    """forward_backward of each instance (y, z), from one _lattice call:
-    each instance's tables are its [b, :T_b, :S_b] slices, bit for bit
-    what forward_backward gives for its pair alone."""
-    t = _lattice(ys, zs)
-    for b, (y, z) in enumerate(zip(ys, zs)):
-        T, S = len(y), 2 * len(z) + 1
-        yield ctc.AlignmentTables(t.log_alpha[b, :T, :S], t.log_beta[b, :T, :S],
-                                  float(t.log_seq_prob[b]), t.zp[b, :S],
-                                  t.log_emissions[b, :T, :S], t.live[b, :T])
 
 
 def seq_prob_suite(n=200, seed=0):
@@ -101,8 +92,9 @@ def occupancy_suite(n=100, seed=1):
         bank.centers = rng.normal(size=bank.centers.shape)
         cases.append((y, z, u, bank))
     ys, zs, _, _ = zip(*cases)
-    errors = []
-    for (y, z, u, bank), tables in zip(cases, _each_lattice(ys, zs)):
+    batch, errors = _lattice(ys, zs), []
+    for b, (y, z, u, bank) in enumerate(cases):
+        tables = batch.sequence(b)
         gamma = ctc.occupancy(tables, "paper_literal")
         occ = oracle.brute_force_occupancy(y, z)
         errors.append(float(np.abs(gamma - occ).max()))
@@ -122,7 +114,7 @@ def partition_suite(n=20, K=3, T=5, seed=2):
     for _ in range(n):
         y = _random_posteriors(rng, T, K)
         total = 0.0
-        for log_p in ctc.log_seq_probs(np.broadcast_to(y, (len(labelings), T, K)),
+        for log_p in ctc.log_seq_probs(np.broadcast_to(np.log(y), (len(labelings), T, K)),
                                        [T] * len(labelings), labelings):
             total += np.exp(log_p)
         errors.append(abs(total - 1.0))
@@ -134,9 +126,10 @@ def consistency_suite(n=100, seed=3):
     emission divided out reproduces the sequence log probability."""
     rng = np.random.default_rng(seed)
     ys, zs = zip(*[_random_instance(rng, 6, 10, 4) for _ in range(n)])
-    errors = []
-    for y, tables in zip(ys, _each_lattice(ys, zs)):
-        stack = tables.log_alpha + tables.log_beta - np.log(y)[:, tables.zp]
+    batch, errors = _lattice(ys, zs), []
+    for b in range(n):
+        tables = batch.sequence(b)
+        stack = tables.log_alpha + tables.log_beta - tables.log_emissions
         peak = stack.max(axis=1, keepdims=True)
         lse = (peak[:, 0] + np.log(np.exp(stack - peak).sum(axis=1)))
         errors.append(float(np.abs(lse - tables.log_seq_prob).max()))
@@ -155,11 +148,11 @@ def grad_ml_suite(n=50, seed=4):
         logits = rng.normal(size=(T, K))
 
         def loss_of(points):
-            ys = model.softmax(points.reshape(len(points), T, K))
-            return -ctc.log_seq_probs(ys, [T] * len(ys), [z] * len(ys))
+            log_ys, _ = model.log_softmax(points.reshape(len(points), T, K))
+            return -ctc.log_seq_probs(log_ys, [T] * len(points), [z] * len(points))
 
-        y = model.softmax(logits)
-        tables = ctc.forward_backward(y, z)
+        log_y, y = model.log_softmax(logits)
+        tables = ctc.forward_backward(log_y, z)
         analytic = ctc.ctc_grad_logits(tables, y).ravel()
         fd = oracle.finite_diff(loss_of, logits.ravel())
         errors.append(_rel_err(analytic, fd))
@@ -177,7 +170,7 @@ def grad_ecl_suite(n=50, seed=5):
         D = int(rng.integers(2, 5))
         y = _random_posteriors(rng, T, K)
         z = _random_labels(rng, K, T, 2)
-        tables = ctc.forward_backward(y, z)
+        tables = ctc.forward_backward(np.log(y), z)
         gamma = ctc.occupancy(tables, "paper_literal")
         bank = losses.CenterBank(K - 1, D)
         bank.centers = rng.normal(size=bank.centers.shape)
@@ -207,9 +200,10 @@ def network_loss(state, points, batch, settings, bank):
     B, mode, rows = len(batch), settings.mode, np.vstack([state.flat_params(), points])
     runs = copy.copy(state)
     runs.params = state.unflatten(np.repeat(rows, B, axis=0))
-    Ts, u, _, y = model.forward_stacks(runs, [s.x for s in batch] * len(rows))
+    Ts, stacks, log_y, _ = model.forward_stacks(runs, [s.x for s in batch] * len(rows))
+    u = stacks[-1]
     if mode in model.TEMPORAL_MODES:
-        tables = ctc.forward_backward_batch(y, Ts, [s.collapsed for s in batch] * len(rows))
+        tables = ctc.forward_backward_batch(log_y, Ts, [s.collapsed for s in batch] * len(rows))
         seq_losses = -tables.log_seq_prob
         if mode == "tmf":
             # the base point's label positions; label 0 pads, with weight 0
@@ -218,8 +212,8 @@ def network_loss(state, points, batch, settings, bank):
             centers, widths = bank.centers[labels - 1], [len(s.collapsed) for s in batch]
     else:
         cols = np.concatenate([s.framewise for s in batch] * len(rows)) - 1
-        seq_losses = np.array(losses.cross_entropy(y, cols, Ts))
-        w = np.zeros((B,) + y.shape[1:])
+        seq_losses = np.array(losses.cross_entropy(log_y, cols, Ts))
+        w = np.zeros((B,) + log_y.shape[1:])
         for wb, s in zip(w, batch):
             wb[np.arange(len(s.framewise)), s.framewise - 1] = 1.0
         centers, widths = bank.centers, [bank.num_classes] * B

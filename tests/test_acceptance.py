@@ -82,7 +82,7 @@ def _tmf_center_step(bank, u, gamma, zp):
 
 def test_criterion_05_center_fixed_points_gating_and_blank():
     y = np.array([[0.2, 0.5, 0.3]])
-    tables = ctc.forward_backward(y, [1])
+    tables = ctc.forward_backward(np.log(y), [1])
     gamma = ctc.occupancy(tables, "paper_literal")
 
     bank = losses.CenterBank(2, 2)

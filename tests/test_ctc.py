@@ -19,7 +19,7 @@ def rand_posteriors(rng, T, K):
 
 def blank_extended(labels, T=5, K=4):
     """The z' of the lattice over labels, from a (T, K) posterior."""
-    return ctc.forward_backward(np.full((T, K), 1.0 / K), labels).zp
+    return ctc.forward_backward(np.log(np.full((T, K), 1.0 / K)), labels).zp
 
 
 def test_extend_with_blanks_two_labels():
@@ -52,21 +52,21 @@ def test_min_frames_counts_repeat_separators():
 def test_single_frame_single_label_likelihood():
     # only one path exists: emit the label at the only frame
     y = np.array([[0.2, 0.5, 0.3]])
-    tables = ctc.forward_backward(y, [1])
+    tables = ctc.forward_backward(np.log(y), [1])
     assert tables.log_seq_prob == pytest.approx(math.log(0.5), abs=1e-15)
 
 
 def test_two_frame_uniform_likelihood():
     # three paths each carry 1/9: (1,1), (1,blank), (blank,1)
     y = np.full((2, 3), 1.0 / 3.0)
-    tables = ctc.forward_backward(y, [1])
+    tables = ctc.forward_backward(np.log(y), [1])
     assert np.exp(tables.log_seq_prob) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_empty_labeling_is_the_all_blank_path():
     rng = np.random.default_rng(7)
     y = rand_posteriors(rng, 2, 3)
-    tables = ctc.forward_backward(y, [])
+    tables = ctc.forward_backward(np.log(y), [])
     assert np.exp(tables.log_seq_prob) == pytest.approx(y[0, 0] * y[1, 0],
                                                         rel=1e-12)
 
@@ -74,23 +74,73 @@ def test_empty_labeling_is_the_all_blank_path():
 def test_infeasible_labeling_raises():
     y = np.full((2, 3), 1.0 / 3.0)
     with pytest.raises(ctc.InfeasibleLabeling):
-        ctc.forward_backward(y, [1, 2, 1])
+        ctc.forward_backward(np.log(y), [1, 2, 1])
     with pytest.raises(ctc.InfeasibleLabeling):
         # the repeat needs a separating blank frame
-        ctc.forward_backward(y, [1, 1])
+        ctc.forward_backward(np.log(y), [1, 1])
 
 
-def test_nonpositive_posteriors_rejected():
-    y = np.array([[0.0, 0.5, 0.5]])
-    with pytest.raises(ctc.NonPositivePosterior):
+def test_log_probabilities_above_zero_rejected():
+    # probabilities passed where log-probabilities belong are above 0;
+    # 0.0 itself is a probability of one
+    y = np.array([[0.2, 0.5, 0.3]])
+    with pytest.raises(ValueError, match="must not exceed 0"):
         ctc.forward_backward(y, [1])
-    assert issubclass(ctc.NonPositivePosterior, ValueError)
+    log_y = np.log(y)
+    log_y[0, 2] = 5e-324
+    with pytest.raises(ValueError, match="must not exceed 0"):
+        ctc.log_seq_probs(log_y[None], [1], [[1]])
+    assert ctc.forward_backward([[-np.inf, 0.0]], [1]).log_seq_prob == 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_zero_probabilities_run_as_minus_infinity(data):
+    # exact zeros in y are -inf log-probabilities: the lattice, the
+    # literal occupancy and the gradient raise no floating-point error,
+    # and match the path oracles, which multiply the zeros in
+    K = data.draw(st.integers(2, 4))
+    T = data.draw(st.integers(1, 5))
+    labels = np.array(data.draw(st.lists(st.integers(1, K - 1), max_size=3)), dtype=np.intp)
+    if ctc.min_frames(labels) > T:
+        return
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    y = rand_posteriors(rng, T, K)
+    y[rng.random((T, K)) < data.draw(st.sampled_from([0.2, 0.5]))] = 0.0
+    with np.errstate(divide="ignore"):
+        log_y = np.log(y)
+    p = oracle.brute_force_seq_prob(y, labels)
+    with np.errstate(all="raise"):
+        tables = ctc.forward_backward(log_y, labels)
+        assert np.exp(tables.log_seq_prob) == pytest.approx(p, abs=1e-12)
+        np.testing.assert_allclose(ctc.occupancy(tables, "paper_literal"),
+                                   oracle.brute_force_occupancy(y, labels), rtol=0, atol=1e-12)
+        if p > 0.0:
+            delta = ctc.ctc_grad_logits(tables, y)
+            assert np.isfinite(delta).all()
+            # the occupancy ratio of each frame sums to one
+            np.testing.assert_allclose(delta.sum(axis=1), y.sum(axis=1) - 1.0, rtol=0, atol=1e-12)
+        else:
+            with pytest.raises(ctc.DegenerateFrame):
+                ctc.ctc_grad_logits(tables, y)
+
+
+def test_zero_probability_on_every_feasible_cell_of_a_frame_is_degenerate():
+    # frame 1 can only sit at the blank or the label, both of probability 0
+    y = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+    with np.errstate(divide="ignore"):
+        log_y = np.log(y)
+    with np.errstate(all="raise"):
+        tables = ctc.forward_backward(log_y, [1])
+        assert tables.log_seq_prob == -np.inf
+        with pytest.raises(ctc.DegenerateFrame, match="at frame"):
+            ctc.ctc_grad_logits(tables, y)
 
 
 def test_out_of_range_labels_rejected():
     y = np.full((3, 3), 1.0 / 3.0)
     with pytest.raises(ValueError):
-        ctc.forward_backward(y, [3])
+        ctc.forward_backward(np.log(y), [3])
 
 
 def test_forward_backward_consistency_identity():
@@ -104,7 +154,7 @@ def test_forward_backward_consistency_identity():
         if ctc.min_frames(z) > T:
             continue
         y = rand_posteriors(rng, T, K)
-        tables = ctc.forward_backward(y, z)
+        tables = ctc.forward_backward(np.log(y), z)
         stack = tables.log_alpha + tables.log_beta - np.log(y)[:, tables.zp]
         for t in range(T):
             row = stack[t]
@@ -115,7 +165,7 @@ def test_forward_backward_consistency_identity():
 def test_alpha_band_is_minus_infinity():
     # at frame t the forward pass can have reached at most position 2t+1
     y = np.full((3, 3), 1.0 / 3.0)
-    tables = ctc.forward_backward(y, [1, 2])
+    tables = ctc.forward_backward(np.log(y), [1, 2])
     assert tables.log_alpha[0, 2] == -np.inf
     assert tables.log_alpha[0, 3] == -np.inf
     assert np.isfinite(tables.log_alpha[0, 0])
@@ -137,7 +187,7 @@ def test_dp_matches_path_enumeration(data):
     if ctc.min_frames(labels) > T:
         assert bf == 0.0
         return
-    dp = np.exp(ctc.forward_backward(y, labels).log_seq_prob)
+    dp = np.exp(ctc.forward_backward(np.log(y), labels).log_seq_prob)
     assert dp == pytest.approx(bf, abs=1e-12)
 
 
@@ -150,8 +200,8 @@ def _outcome(fn, *args):
 
 
 def stacked(ys, fill=np.nan):
-    """The (T_b, K) posteriors as one left-aligned (B, T_max, K) stack
-    whose padding frames hold fill, and their lengths."""
+    """The (T_b, K) arrays as one left-aligned (B, T_max, K) stack whose
+    padding frames hold fill, and their lengths."""
     Ts = [len(y) for y in ys]
     out = np.full((len(ys), max(Ts), ys[0].shape[1]), fill)
     for o, y in zip(out, ys):
@@ -163,8 +213,9 @@ def stacked(ys, fill=np.nan):
 @given(st.data())
 def test_batch_matches_per_sequence_bitwise(data):
     # ragged T (T=1 included), empty labels (S=1), repeated labels and
-    # B=1 all occur; padding frames that hold 0, a negative value or NaN
-    # raise nothing and leave every real cell bit for bit alone
+    # B=1 all occur; padding frames of the log-probabilities that hold
+    # -inf, a value above 0 or NaN raise nothing and leave every real
+    # cell bit for bit alone
     K = data.draw(st.integers(2, 4))
     B = data.draw(st.integers(1, 6))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
@@ -173,9 +224,9 @@ def test_batch_matches_per_sequence_bitwise(data):
         z = np.array(data.draw(st.lists(st.integers(1, K - 1), max_size=4)),
                      dtype=np.intp)
         T = data.draw(st.integers(ctc.min_frames(z), 9))
-        ys.append(rand_posteriors(rng, T, K))
+        ys.append(np.log(rand_posteriors(rng, T, K)))
         zs.append(z)
-    y, Ts = stacked(ys, data.draw(st.sampled_from([0.0, -1.0, np.nan, 0.5])))
+    y, Ts = stacked(ys, data.draw(st.sampled_from([-np.inf, 0.5, np.nan, -1.0])))
     with np.errstate(all="raise"):
         batch = ctc.forward_backward_batch(y, Ts, zs)
         log_probs = ctc.log_seq_probs(y, Ts, zs)
@@ -199,7 +250,7 @@ def test_batch_matches_per_sequence_bitwise(data):
 
     # a bad pair at position b raises what the per-sequence call raises
     b = data.draw(st.integers(0, B - 1))
-    fault = data.draw(st.sampled_from(["infeasible", "out_of_range", "nonpositive"]))
+    fault = data.draw(st.sampled_from(["infeasible", "out_of_range", "above_0"]))
     if fault == "infeasible":
         zs[b] = np.ones(len(ys[b]) + 1, dtype=np.intp)
     elif fault == "out_of_range":
@@ -207,7 +258,7 @@ def test_batch_matches_per_sequence_bitwise(data):
     else:
         ys[b] = ys[b].copy()
         ys[b][data.draw(st.integers(0, len(ys[b]) - 1)), 0] = data.draw(
-            st.sampled_from([0.0, -0.5]))
+            st.sampled_from([5e-324, 0.5]))
     expected = _outcome(ctc.forward_backward, ys[b], zs[b])
     assert isinstance(expected, tuple)
     y, Ts = stacked(ys)
@@ -219,7 +270,7 @@ def test_degenerate_frame_fires_only_on_a_live_frame():
     # the padding frames of a batch carry no alignment mass and raise
     # nothing; a live frame without mass names its frame
     y, Ts = stacked([np.full((4, 3), 1.0 / 3.0), np.full((2, 3), 1.0 / 3.0)])
-    tables = ctc.forward_backward_batch(y, Ts, [[1, 2], [1]])
+    tables = ctc.forward_backward_batch(np.log(y), Ts, [[1, 2], [1]])
     assert np.array_equal(ctc.ctc_grad_logits(tables, y)[1, 2:], y[1, 2:], equal_nan=True)
     tables.log_alpha = tables.log_alpha.copy()
     tables.log_alpha[1, 1] = -np.inf
@@ -302,7 +353,7 @@ def test_lattice_matches_two_table_reference_bitwise(data):
         ys.append(rand_posteriors(rng, T, K))
         zs.append(z)
     stack, Ts = stacked(ys)
-    batch = ctc.forward_backward_batch(stack, Ts, zs)
+    batch = ctc.forward_backward_batch(np.log(stack), Ts, zs)
     batch_grad = ctc.ctc_grad_logits(batch, stack)
     batch_occupancy = {mode: ctc.occupancy(batch, mode) for mode in ctc.OCCUPANCY_MODES}
     for b, (y, z, (alpha, beta, log_p, zp)) in enumerate(
@@ -314,7 +365,7 @@ def test_lattice_matches_two_table_reference_bitwise(data):
         assert np.array_equal(batch.zp[b, :Sb], zp)
         # one pair alone keeps every bit of the reference; in the batch
         # the sums over positions run over S_max and may regroup
-        got = ctc.forward_backward(y, z)
+        got = ctc.forward_backward(np.log(y), z)
         grad = _loop_grad_logits(alpha, beta, zp, y)
         assert np.array_equal(ctc.ctc_grad_logits(got, y), grad)
         np.testing.assert_allclose(batch_grad[b, :Tb], grad, rtol=0, atol=1e-15)
@@ -335,7 +386,7 @@ def test_occupancy_single_path_literal_value():
     # alpha and beta both carry the emission at the single frame, so the
     # literal product at the label position is 0.5 * 0.5
     y = np.array([[0.2, 0.5, 0.3]])
-    tables = ctc.forward_backward(y, [1])
+    tables = ctc.forward_backward(np.log(y), [1])
     gamma = ctc.occupancy(tables, "paper_literal")
     assert gamma[0, 1] == pytest.approx(0.25, abs=1e-15)
     assert gamma[0, 0] == 0.0
@@ -345,7 +396,7 @@ def test_occupancy_single_path_literal_value():
 def test_occupancy_frame_normalized_rows_sum_to_one():
     rng = np.random.default_rng(3)
     y = rand_posteriors(rng, 6, 4)
-    tables = ctc.forward_backward(y, [1, 3, 2])
+    tables = ctc.forward_backward(np.log(y), [1, 3, 2])
     gamma = ctc.occupancy(tables, "frame_normalized")
     np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
 
@@ -353,7 +404,7 @@ def test_occupancy_frame_normalized_rows_sum_to_one():
 def test_occupancy_infeasible_cells_are_zero():
     rng = np.random.default_rng(4)
     y = rand_posteriors(rng, 3, 3)
-    tables = ctc.forward_backward(y, [1, 2])
+    tables = ctc.forward_backward(np.log(y), [1, 2])
     gamma = ctc.occupancy(tables, "paper_literal")
     # frame 0 cannot be past position 1, frame T-1 must be near the end
     assert gamma[0, 2] == 0.0
@@ -365,7 +416,7 @@ def test_occupancy_infeasible_cells_are_zero():
 
 def test_occupancy_rejects_unknown_mode():
     y = np.array([[0.2, 0.5, 0.3]])
-    tables = ctc.forward_backward(y, [1])
+    tables = ctc.forward_backward(np.log(y), [1])
     for mode in ctc.OCCUPANCY_MODES:
         assert ctc.occupancy(tables, mode).shape == (1, 3)
     with pytest.raises(ValueError, match="normalised"):
@@ -377,13 +428,13 @@ def test_occupancy_rejects_unknown_mode():
 
 def test_ml_loss_single_pair():
     y = np.array([[0.2, 0.5, 0.3]])
-    loss = -ctc.forward_backward(y, [1]).log_seq_prob
+    loss = -ctc.forward_backward(np.log(y), [1]).log_seq_prob
     assert loss == pytest.approx(-math.log(0.5), abs=1e-15)
 
 
 def test_ml_loss_uniform_two_frames():
     y = np.full((2, 3), 1.0 / 3.0)
-    loss = -ctc.forward_backward(y, [1]).log_seq_prob
+    loss = -ctc.forward_backward(np.log(y), [1]).log_seq_prob
     assert loss == pytest.approx(math.log(3.0), abs=1e-12)
 
 
@@ -392,7 +443,7 @@ def test_ml_loss_uniform_two_frames():
 def test_grad_logits_single_frame_values():
     # the one existing path puts all occupancy on the label class
     y = np.array([[0.2, 0.5, 0.3]])
-    tables = ctc.forward_backward(y, [1])
+    tables = ctc.forward_backward(np.log(y), [1])
     delta = ctc.ctc_grad_logits(tables, y)
     np.testing.assert_allclose(delta, [[0.2, -0.5, 0.3]], atol=1e-15)
 
@@ -406,7 +457,7 @@ def test_grad_logits_rows_sum_to_zero():
         if ctc.min_frames(z) > T:
             continue
         y = rand_posteriors(rng, T, K)
-        tables = ctc.forward_backward(y, z)
+        tables = ctc.forward_backward(np.log(y), z)
         delta = ctc.ctc_grad_logits(tables, y)
         np.testing.assert_allclose(delta.sum(axis=1), 0.0, atol=1e-9)
 
@@ -421,11 +472,11 @@ def test_grad_logits_matches_finite_differences():
         logits = rng.normal(size=(T, K))
 
         def loss_of(points):
-            ys = [model.softmax(flat.reshape(T, K)) for flat in points]
-            return [-ctc.forward_backward(y, z).log_seq_prob for y in ys]
+            log_ys = [model.log_softmax(flat.reshape(T, K))[0] for flat in points]
+            return [-ctc.forward_backward(log_y, z).log_seq_prob for log_y in log_ys]
 
-        y = model.softmax(logits)
-        tables = ctc.forward_backward(y, z)
+        log_y, y = model.log_softmax(logits)
+        tables = ctc.forward_backward(log_y, z)
         analytic = ctc.ctc_grad_logits(tables, y).ravel()
         fd = oracle.finite_diff(loss_of, logits.ravel())
         scale = max(np.abs(fd).max(), 1e-12)
@@ -436,7 +487,7 @@ def test_degenerate_frame_guard():
     # assemble tables whose mass vanished at one frame; the gradient
     # routine must flag it instead of dividing by zero
     y = np.array([[0.2, 0.5, 0.3]])
-    tables = ctc.forward_backward(y, [1])
+    tables = ctc.forward_backward(np.log(y), [1])
     tables.log_alpha = np.full_like(tables.log_alpha, -np.inf)
     with pytest.raises(ctc.DegenerateFrame):
         ctc.ctc_grad_logits(tables, y)

@@ -22,7 +22,7 @@ def single_frame_case():
     """The one-path alignment used across the worked examples: one frame,
     one label, occupancy 0.25 at the label position."""
     y = np.array([[0.2, 0.5, 0.3]])
-    tables = ctc.forward_backward(y, [1])
+    tables = ctc.forward_backward(np.log(y), [1])
     gamma = ctc.occupancy(tables, "paper_literal")
     return tables, gamma
 
@@ -173,18 +173,18 @@ def test_cross_entropy_perfect_prediction():
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
     # guard against log(0) on the unused entries
     y = np.clip(y, 1e-300, 1.0)
-    assert losses.cross_entropy(y[None], [0, 1], [2]) == [pytest.approx(0.0, abs=1e-12)]
+    assert losses.cross_entropy(np.log(y)[None], [0, 1], [2]) == [pytest.approx(0.0, abs=1e-12)]
 
 
 def test_cross_entropy_uniform():
     y = np.full((7, 4), 0.25)
-    assert losses.cross_entropy(y[None], [0, 1, 2, 3, 0, 1, 2], [7]) == [pytest.approx(
+    assert losses.cross_entropy(np.log(y)[None], [0, 1, 2, 3, 0, 1, 2], [7]) == [pytest.approx(
         7 * math.log(4), rel=1e-12)]
 
 
 def test_cross_entropy_quarter():
     y = np.array([[0.25, 0.75]])
-    assert losses.cross_entropy(y[None], [0], [1]) == [pytest.approx(math.log(4), rel=1e-12)]
+    assert losses.cross_entropy(np.log(y)[None], [0], [1]) == [pytest.approx(math.log(4), rel=1e-12)]
 
 
 def test_cross_entropy_of_a_padded_stack_matches_each_sequence_bitwise():
@@ -192,13 +192,13 @@ def test_cross_entropy_of_a_padded_stack_matches_each_sequence_bitwise():
     # padding frames hold, and keeps the bits of the per-sequence sum
     rng = np.random.default_rng(14)
     Ts = [1, 9, 40, 17, 8, 130]
-    ys = [model.softmax(rng.normal(size=(T, 5))) for T in Ts]
+    ys = [model.log_softmax(rng.normal(size=(T, 5)))[0] for T in Ts]
     cols = [rng.integers(0, 5, T) for T in Ts]
-    stack = rng.uniform(0.1, 1.0, (len(Ts), max(Ts), 5))
+    stack = np.log(rng.uniform(0.1, 1.0, (len(Ts), max(Ts), 5)))
     for b, y in enumerate(ys):
         stack[b, :len(y)] = y
     got = losses.cross_entropy(stack, np.concatenate(cols), Ts)
-    assert got == [float(-np.log(y[np.arange(len(c)), c]).sum()) for y, c in zip(ys, cols)]
+    assert got == [float((-y[np.arange(len(c)), c]).sum()) for y, c in zip(ys, cols)]
     for bad in (-1, 5):
         with pytest.raises(losses.UnknownClass):
             losses.cross_entropy(ys[1][None], [0] * 8 + [bad], [9])
@@ -213,7 +213,7 @@ def sequence_loss(mode, lam, u, y, bank, framewise=None, tables=None):
     state = SimpleNamespace(params={"W": np.zeros((y.shape[1], u.shape[1]))})
     sample = SimpleNamespace(framewise=np.asarray(framewise),
                              collapsed=None if tables is None else tables.zp[1::2])
-    return model._batch_signals(state, [sample], [len(y)], u[None], y[None],
+    return model._batch_signals(state, [sample], [len(y)], u[None], np.log(y)[None], y[None],
                                 model.TrainSettings(mode=mode, lam=lam), bank)[0][0]
 
 
@@ -223,7 +223,7 @@ def test_fmf_equals_cross_entropy_at_lambda_zero():
     y = np.array([[0.7, 0.3], [0.4, 0.6]])
     u = rng.normal(size=(2, 3))
     assert [sequence_loss("fmf", 0.0, u, y, bank, framewise=[1, 2])] == \
-        losses.cross_entropy(y[None], [0, 1], [2])
+        losses.cross_entropy(np.log(y)[None], [0, 1], [2])
 
 
 def test_fmf_arithmetic():
@@ -255,7 +255,7 @@ def test_ecl_linear_in_occupancy():
     rng = np.random.default_rng(5)
     y = rng.uniform(0.1, 1.0, (4, 3))
     y /= y.sum(axis=1, keepdims=True)
-    tables = ctc.forward_backward(y, [1, 2])
+    tables = ctc.forward_backward(np.log(y), [1, 2])
     gamma = ctc.occupancy(tables, "paper_literal")
     bank = make_bank(2, 3, rng)
     u = rng.normal(size=(4, 3))
@@ -276,7 +276,7 @@ def test_ecl_ignores_blank_occupancy():
 
 def test_ecl_empty_labeling_is_zero():
     y = np.array([[0.9, 0.1]])
-    tables = ctc.forward_backward(y, [])
+    tables = ctc.forward_backward(np.log(y), [])
     gamma = ctc.occupancy(tables, "paper_literal")
     bank = losses.CenterBank(1, 2)
     assert lattice_ecl(np.ones((1, 2)), gamma, tables.zp, bank) == 0.0
@@ -327,7 +327,7 @@ def test_ecl_grad_factor_two_versus_finite_differences():
     rng = np.random.default_rng(7)
     y = rng.uniform(0.1, 1.0, (5, 4))
     y /= y.sum(axis=1, keepdims=True)
-    tables = ctc.forward_backward(y, [2, 1, 3])
+    tables = ctc.forward_backward(np.log(y), [2, 1, 3])
     gamma = ctc.occupancy(tables, "paper_literal")
     bank = make_bank(3, 3, rng)
     u = rng.normal(size=(5, 3))
@@ -426,7 +426,7 @@ def test_center_step_descends_on_ecl():
     for _ in range(10):
         y = rng.uniform(0.1, 1.0, (5, 4))
         y /= y.sum(axis=1, keepdims=True)
-        tables = ctc.forward_backward(y, [1, 3])
+        tables = ctc.forward_backward(np.log(y), [1, 3])
         gamma = ctc.occupancy(tables, "paper_literal")
         bank = make_bank(3, 3, rng, momentum=0.05, occupancy_threshold=0.0)
         u = rng.normal(size=(5, 3))

@@ -54,8 +54,8 @@ def test_forward_identity_last_layer():
     state.params["W"] = np.eye(3)
     state.params["B"] = np.zeros(3)
     x = np.random.default_rng(0).normal(size=(5, 3))
-    _, (u,), (a,), _ = model.forward_stacks(state, [x])
-    np.testing.assert_array_equal(a, u)
+    _, stacks, (log_y,), _ = model.forward_stacks(state, [x])
+    np.testing.assert_array_equal(log_y, model.log_softmax(stacks[-1][0])[0])
 
 
 def test_forward_softmax_rows_sum_to_one():
@@ -100,7 +100,7 @@ def reference_forward(state, x):
         hs.append(h)
     u = hs[-1]
     a = u @ state.params["W"].T + state.params["B"]
-    return hs, (u, a, model.softmax(a))
+    return hs, (u, *model.log_softmax(a))
 
 
 def reference_backward(state, hs, delta_ml, delta_fused):
@@ -157,17 +157,17 @@ def test_backward_batch_ignores_what_the_padding_frames_hold(hidden, recurrent):
     spec = model.NetworkSpec(4, hidden, 3, recurrent=recurrent)
     state = model.ModelState(spec, seed=5)
     Ts, D = [9, 1, 5], spec.feature_dim
-    model.forward_stacks(state, [rng.normal(size=(T, 4)) for T in Ts])
+    _, stacks, _, _ = model.forward_stacks(state, [rng.normal(size=(T, 4)) for T in Ts])
     dml = padded([rng.normal(size=(T, 3)) for T in Ts], Ts, 3)
     dfused = padded([rng.normal(size=(T, D)) for T in Ts], Ts, D)
-    want = model.backward_batch(state, dml, dfused)
+    want = model.backward_batch(state, Ts, stacks, dml, dfused)
     padding = np.arange(max(Ts)) >= np.asarray(Ts)[:, None]
     dml[padding] = rng.normal(0.0, 1e3, (padding.sum(), 3))
     dfused[padding] = np.inf
     b, t = np.nonzero(padding)
     dfused[b[0], t[0]] = np.nan
     before = dml.copy(), dfused.copy()
-    got = model.backward_batch(state, dml, dfused)
+    got = model.backward_batch(state, Ts, stacks, dml, dfused)
     assert got.keys() == want.keys()
     for k in want:
         assert np.array_equal(got[k], want[k]), k
@@ -197,9 +197,10 @@ def test_batch_matches_per_sequence_bitwise(hidden, recurrent, K, Ts, seed):
     dml = [rng.normal(size=(T, K)) for T in Ts]
     dfused = [rng.normal(size=(T, spec.feature_dim)) for T in Ts]
 
-    Ts, u, a, y = model.forward_stacks(state, xs)
-    outputs = [(u[b, :T], a[b, :T], y[b, :T]) for b, T in enumerate(Ts)]
-    stacks = model.backward_batch(state, padded(dml, Ts, K),
+    Ts, activations, log_y, y = model.forward_stacks(state, xs)
+    u = activations[-1]
+    outputs = [(u[b, :T], log_y[b, :T], y[b, :T]) for b, T in enumerate(Ts)]
+    stacks = model.backward_batch(state, Ts, activations, padded(dml, Ts, K),
                                   padded(dfused, Ts, spec.feature_dim))
     grads = [{k: g[b] for k, g in stacks.items()} for b in range(len(Ts))]
     assert len(outputs) == len(grads) == len(Ts)
@@ -236,12 +237,14 @@ def test_forward_batch_per_input_parameters_match_each_loaded_point_bitwise(
     for k, p in per_point.params.items():
         assert p.shape == (P,) + state.params[k].shape
         assert np.shares_memory(p, points) or P == 0
-    _, *outputs = model.forward_stacks(per_point, xs)
+    _, stacks, *outputs = model.forward_stacks(per_point, xs)
+    outputs = [stacks[-1]] + outputs
     assert all(len(out) == P for out in outputs)
     reference = model.ModelState(spec)
     for p, (flat, x) in enumerate(zip(points, xs)):
         reference.params = {k: v.copy() for k, v in reference.unflatten(flat).items()}
-        _, *alone = model.forward_stacks(reference, [x])
+        _, stacks, *alone = model.forward_stacks(reference, [x])
+        alone = [stacks[-1]] + alone
         for out, want in zip(outputs, alone):
             got = out[p, :len(x)]
             assert got.shape == want[0].shape and np.array_equal(got, want[0])
@@ -356,9 +359,9 @@ def test_recurrence_first_frame_matches_the_zero_product_bitwise():
 
 def test_backward_batch_needs_one_signal_per_cached_sequence():
     state = model.ModelState(model.NetworkSpec(3, [4], 2, recurrent=True))
-    model.forward_stacks(state, [np.ones((2, 3)), np.ones((3, 3))])
+    Ts, stacks, _, _ = model.forward_stacks(state, [np.ones((2, 3)), np.ones((3, 3))])
     with pytest.raises(ValueError):
-        model.backward_batch(state, np.zeros((1, 3, 2)), np.zeros((1, 3, 4)))
+        model.backward_batch(state, Ts, stacks, np.zeros((1, 3, 2)), np.zeros((1, 3, 4)))
 
 
 def test_batch_rejects_a_wrong_shape_instead_of_broadcasting():
@@ -367,26 +370,20 @@ def test_batch_rejects_a_wrong_shape_instead_of_broadcasting():
     state = model.ModelState(model.NetworkSpec(3, [4], 2, recurrent=True))
     with pytest.raises(ValueError, match="expected a"):
         model.forward_stacks(state, [np.ones((5, 1))])
-    model.forward_stacks(state, [np.ones((3, 3))])
+    Ts, stacks, _, _ = model.forward_stacks(state, [np.ones((3, 3))])
     with pytest.raises(ValueError, match="expected a"):
-        model.backward_batch(state, np.ones((1, 1, 2)), np.ones((1, 3, 4)))
+        model.backward_batch(state, Ts, stacks, np.ones((1, 1, 2)), np.ones((1, 3, 4)))
     with pytest.raises(ValueError, match="expected a"):
-        model.backward_batch(state, np.ones((1, 3, 3)), np.ones((1, 3, 4)))
+        model.backward_batch(state, Ts, stacks, np.ones((1, 3, 3)), np.ones((1, 3, 4)))
 
 
 # ------------------------------------------------------------------- backward
 
-def test_backward_requires_forward_cache():
-    state = model.ModelState(model.NetworkSpec(2, [3], 2))
-    with pytest.raises(model.MissingForwardCache):
-        model.backward_batch(state, np.zeros((1, 1, 2)), np.zeros((1, 1, 3)))
-
-
 def test_backward_zero_signals_zero_gradients():
     state = model.ModelState(model.NetworkSpec(2, [3], 2, recurrent=True))
     x = np.random.default_rng(2).normal(size=(4, 2))
-    model.forward_stacks(state, [x])
-    grads = model.backward_batch(state, np.zeros((1, 4, 2)), np.zeros((1, 4, 3)))
+    Ts, stacks, _, _ = model.forward_stacks(state, [x])
+    grads = model.backward_batch(state, Ts, stacks, np.zeros((1, 4, 2)), np.zeros((1, 4, 3)))
     for g in grads.values():
         np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -394,9 +391,10 @@ def test_backward_zero_signals_zero_gradients():
 def test_backward_last_layer_is_outer_product():
     state = model.ModelState(model.NetworkSpec(2, [3], 2))
     x = np.random.default_rng(3).normal(size=(4, 2))
-    _, (u,), _, _ = model.forward_stacks(state, [x])
+    Ts, stacks, _, _ = model.forward_stacks(state, [x])
+    u = stacks[-1][0]
     delta = np.random.default_rng(4).normal(size=(4, 2))
-    grads = model.backward_batch(state, delta[None], np.zeros((1, 4, 3)))
+    grads = model.backward_batch(state, Ts, stacks, delta[None], np.zeros((1, 4, 3)))
     np.testing.assert_allclose(grads["W"][0], delta.T @ u, atol=1e-12)
     np.testing.assert_allclose(grads["B"][0], delta.sum(axis=0), atol=1e-12)
 
@@ -594,10 +592,11 @@ def test_train_batched_lattice_matches_per_sequence_bitwise(mode, monkeypatch):
         assert np.any(b1.centers != 0.0)
 
 
-def parent_sequence_signals(state, sample, u, y, tables, settings, bank):
+def parent_sequence_signals(state, sample, u, log_y, y, tables, settings, bank):
     """The per-sequence signal step that the batch's stacks replaced, as
     it was: the loss, delta_ml, delta_fused and center statistics of one
-    sequence from its features u, posteriors y and lattice tables."""
+    sequence from its features u, log-probabilities log_y, probabilities
+    y and lattice tables."""
     mode, lam = settings.mode, settings.lam
     if mode in model.TEMPORAL_MODES:
         delta_ml = ctc.ctc_grad_logits(tables, y)
@@ -611,7 +610,7 @@ def parent_sequence_signals(state, sample, u, y, tables, settings, bank):
         w = np.zeros((len(cols), y.shape[1]))
         w[np.arange(len(cols)), cols] = 1.0
         delta_ml = y - w
-        loss = losses.cross_entropy(y[None], cols, [len(cols)])[0]
+        loss = losses.cross_entropy(log_y[None], cols, [len(cols)])[0]
         labels, centers = range(1, bank.num_classes + 1), bank.centers
     W = state.params["W"]
     if mode not in model.FUSION_MODES:
@@ -634,14 +633,14 @@ def train_one_at_a_time(run, monkeypatch):
         sizes.append(len(batch))
         seq_losses, total, pieces = [], None, []
         for sample in batch:
-            _, u, _, y = forward_stacks(state, [sample.x])
-            u, y = u[0], y[0]
-            tables = (ctc.forward_backward(y, sample.collapsed)
+            Ts, stacks, log_y, y = forward_stacks(state, [sample.x])
+            u, log_y, y = stacks[-1][0], log_y[0], y[0]
+            tables = (ctc.forward_backward(log_y, sample.collapsed)
                       if settings.mode in model.TEMPORAL_MODES else None)
-            loss, d1, d2, st = parent_sequence_signals(state, sample, u, y, tables,
+            loss, d1, d2, st = parent_sequence_signals(state, sample, u, log_y, y, tables,
                                                        settings, bank)
             grads = {k: g[0] for k, g in
-                     model.backward_batch(state, d1[None], d2[None]).items()}
+                     model.backward_batch(state, Ts, stacks, d1[None], d2[None]).items()}
             if total is None:
                 total = grads
             else:
@@ -657,9 +656,13 @@ def train_one_at_a_time(run, monkeypatch):
         # each input alone, its outputs copied into the padded stacks
         sizes.append(len(xs))
         Ts = [len(x) for x in xs]
-        alone = [forward_stacks(state, [x])[1:] for x in xs]
-        return [Ts] + [padded([out[j][0] for out in alone], Ts, alone[0][j].shape[-1])
-                       for j in range(3)]
+        alone = [forward_stacks(state, [x]) for x in xs]
+
+        def stack(arrays):
+            return padded([a[0] for a in arrays], Ts, arrays[0].shape[-1])
+
+        return (Ts, [stack(layer) for layer in zip(*(out[1] for out in alone))],
+                stack([out[2] for out in alone]), stack([out[3] for out in alone]))
 
     monkeypatch.setattr(model, "_batch_step", step)
     monkeypatch.setattr(model, "forward_stacks", forward_each)
@@ -682,12 +685,12 @@ def signals_against_parent(run, monkeypatch):
     result and the largest relative difference of each batch."""
     real, worst = model._batch_signals, []
 
-    def checked(state, batch, Ts, u, y, settings, bank):
-        out = real(state, batch, Ts, u, y, settings, bank)
+    def checked(state, batch, Ts, u, log_y, y, settings, bank):
+        out = real(state, batch, Ts, u, log_y, y, settings, bank)
         temporal = settings.mode in model.TEMPORAL_MODES
         parts = [parent_sequence_signals(
-            state, s, u[b, :Tb], y[b, :Tb],
-            ctc.forward_backward(y[b, :Tb], s.collapsed) if temporal else None,
+            state, s, u[b, :Tb], log_y[b, :Tb], y[b, :Tb],
+            ctc.forward_backward(log_y[b, :Tb], s.collapsed) if temporal else None,
             settings, bank) for b, (s, Tb) in enumerate(zip(batch, Ts))]
         pairs = [(out[0], [p[0] for p in parts])]
         pairs += [(np.concatenate([out[j][b, :Tb] for b, Tb in enumerate(Ts)]),
@@ -833,6 +836,26 @@ def test_train_emits_metrics_rows():
         assert np.isfinite(row["val_score"])
 
 
+@pytest.mark.parametrize("mode", ["ctc", "tmf"])
+def test_train_goes_on_where_the_softmax_underflows(mode):
+    # output weights scaled until some live softmax entries are exactly
+    # 0.0: the lattice takes the log-softmax, which stays finite there,
+    # so training goes on with finite losses and scores
+    data = toy_data()
+    spec = model.NetworkSpec(4, [8], 3, recurrent=True)
+    state = model.ModelState(spec, seed=7, lr=1e-2)
+    state.params["W"] = 1e3 * state.params["W"]
+    Ts, _, log_y, y = model.forward_stacks(state, [s.x for s in data])
+    live = np.arange(y.shape[1]) < np.array(Ts)[:, None]
+    assert (y[live] == 0.0).any() and np.isfinite(log_y[live]).all()
+    state, bank, rows = model.train(state, losses.CenterBank(2, 8), data[:48], data[48:],
+                                    settings_for(mode, lam=1e-2, max_batches=6,
+                                                 eval_interval=3))
+    assert len(rows) == 2
+    assert all(np.isfinite(row[k]) for row in rows for k in ("train_loss", "val_score"))
+    assert np.isfinite(state.flat_params()).all() and np.isfinite(bank.centers).all()
+
+
 def test_train_parameters_stay_finite():
     state, bank, _ = fresh_run("tmf", lam=1e-3)
     assert np.isfinite(state.flat_params()).all()
@@ -893,7 +916,7 @@ def test_validation_score_temporal_is_mean_sequence_likelihood():
     spec = model.NetworkSpec(4, [8], 3)
     state = model.ModelState(spec, seed=3)
     from tmfusion import ctc
-    expected = np.mean([ctc.forward_backward(model.forward_stacks(state, [s.x])[3][0],
+    expected = np.mean([ctc.forward_backward(model.forward_stacks(state, [s.x])[2][0],
                                              s.collapsed).log_seq_prob
                         for s in data])
     got = model.validation_score(state, data, "ctc")
@@ -906,9 +929,9 @@ def test_validation_score_framewise_is_mean_frame_log_probability():
     state = model.ModelState(spec, seed=3)
     num, den = 0.0, 0
     for s in data:
-        *_, (y,) = model.forward_stacks(state, [s.x])
+        _, _, (log_y,), _ = model.forward_stacks(state, [s.x])
         cols = s.framewise - 1
-        num += float(np.log(y[np.arange(len(cols)), cols]).sum())
+        num += float(log_y[np.arange(len(cols)), cols].sum())
         den += len(cols)
     got = model.validation_score(state, data, "ce")
     assert got == pytest.approx(num / den, rel=1e-12)
@@ -925,12 +948,12 @@ def test_validation_score_sums_in_sample_order(mode, monkeypatch):
     state = model.ModelState(spec, seed=3)
     total, frames = 0.0, 0
     for s in data:
-        *_, (y,) = model.forward_stacks(state, [s.x])
+        _, _, (log_y,), _ = model.forward_stacks(state, [s.x])
         if mode == "ctc":
-            total += ctc.forward_backward(y, s.collapsed).log_seq_prob
+            total += ctc.forward_backward(log_y, s.collapsed).log_seq_prob
         else:
             cols = s.framewise - 1
-            total += float(np.log(y[np.arange(len(cols)), cols]).sum())
+            total += float(log_y[np.arange(len(cols)), cols].sum())
             frames += len(cols)
     monkeypatch.setattr(model, "SCORE_GROUP", 8)
     # the sequence score needs log p alone: no beta rows are filled

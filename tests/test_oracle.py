@@ -311,7 +311,7 @@ def per_point_partition_suite(n=20, K=3, T=5, seed=2):
         for z in oracle.all_label_sequences(K - 1, T):
             if ctc.min_frames(np.array(z)) > T:
                 continue
-            total += np.exp(ctc.forward_backward(y, np.array(z)).log_seq_prob)
+            total += np.exp(ctc.forward_backward(np.log(y), np.array(z)).log_seq_prob)
         worst = max(worst, abs(total - 1.0))
     return worst, n
 
@@ -324,7 +324,7 @@ def per_point_seq_prob_suite(n=200, seed=0):
         T = int(rng.integers(2, 7))
         y = verify._random_posteriors(rng, T, K)
         z = verify._random_labels(rng, K, T, 3)
-        dp = np.exp(ctc.forward_backward(y, z).log_seq_prob)
+        dp = np.exp(ctc.forward_backward(np.log(y), z).log_seq_prob)
         bf = loop_seq_prob(y, z)
         worst = max(worst, abs(dp - bf))
     return worst, n
@@ -338,7 +338,7 @@ def per_point_occupancy_suite(n=100, seed=1):
         T = int(rng.integers(2, 6))
         y = verify._random_posteriors(rng, T, K)
         z = verify._random_labels(rng, K, T, 2)
-        tables = ctc.forward_backward(y, z)
+        tables = ctc.forward_backward(np.log(y), z)
         gamma = ctc.occupancy(tables, "paper_literal")
         occ = loop_occupancy(y, z)
         worst = max(worst, float(np.abs(gamma - occ).max()))
@@ -361,7 +361,7 @@ def per_point_consistency_suite(n=100, seed=3):
         T = int(rng.integers(2, 10))
         y = verify._random_posteriors(rng, T, K)
         z = verify._random_labels(rng, K, T, 4)
-        tables = ctc.forward_backward(y, z)
+        tables = ctc.forward_backward(np.log(y), z)
         stack = tables.log_alpha + tables.log_beta - np.log(y)[:, tables.zp]
         peak = stack.max(axis=1, keepdims=True)
         lse = (peak[:, 0] + np.log(np.exp(stack - peak).sum(axis=1)))
@@ -379,11 +379,11 @@ def per_point_grad_ml_suite(n=50, seed=4):
         logits = rng.normal(size=(T, K))
 
         def loss_of(flat):
-            y = model.softmax(flat.reshape(T, K))
-            return -ctc.forward_backward(y, z).log_seq_prob
+            log_y, _ = model.log_softmax(flat.reshape(T, K))
+            return -ctc.forward_backward(log_y, z).log_seq_prob
 
-        y = model.softmax(logits)
-        tables = ctc.forward_backward(y, z)
+        log_y, y = model.log_softmax(logits)
+        tables = ctc.forward_backward(log_y, z)
         analytic = ctc.ctc_grad_logits(tables, y).ravel()
         fd = per_coordinate_finite_diff(loss_of, logits.ravel())
         worst = max(worst, verify._rel_err(analytic, fd))
@@ -410,11 +410,13 @@ def per_point_grad_full_suite(n=50, seed=6, lam=0.1):
         def alone(sample):
             # one sequence through the network at the loaded parameters:
             # its loss, features and lattice (temporal modes)
-            _, (u,), _, (y,) = model.forward_stacks(state, [sample.x])
+            _, stacks, (log_y,), _ = model.forward_stacks(state, [sample.x])
+            u = stacks[-1][0]
             if mode in model.TEMPORAL_MODES:
-                tables = ctc.forward_backward(y, sample.collapsed)
+                tables = ctc.forward_backward(log_y, sample.collapsed)
                 return -tables.log_seq_prob, u, tables
-            return losses.cross_entropy(y[None], sample.framewise - 1, [len(y)])[0], u, None
+            return (losses.cross_entropy(log_y[None], sample.framewise - 1, [len(log_y)])[0],
+                    u, None)
 
         frozen = []
         for sample in batch:
@@ -446,7 +448,7 @@ def per_point_grad_full_suite(n=50, seed=6, lam=0.1):
 
 def test_tmf_network_loss_leaves_the_state_alone():
     # the points run on a shallow copy; the caller's parameter dict, its
-    # arrays, their values and the forward cache stay as they were
+    # arrays and their values stay as they were
     rng = np.random.default_rng(11)
     for mode in model.MODES:
         spec = model.NetworkSpec(2, [3], model.output_units(mode, 2), recurrent=True)
@@ -454,8 +456,7 @@ def test_tmf_network_loss_leaves_the_state_alone():
         bank = losses.CenterBank(2, spec.feature_dim)
         bank.centers = rng.normal(size=bank.centers.shape)
         batch = verify._random_batch(rng, mode, 2, 2)
-        model.forward_stacks(state, [s.x for s in batch])
-        params, cache = state.params, state.cache
+        params = state.params
         arrays = dict(params)
         values = {k: v.copy() for k, v in params.items()}
         base = state.flat_params()
@@ -463,7 +464,7 @@ def test_tmf_network_loss_leaves_the_state_alone():
         losses_at = verify.network_loss(state, points, batch,
                                         model.TrainSettings(mode=mode, lam=0.1), bank)
         assert len(losses_at) == 6 and np.all(np.isfinite(losses_at))
-        assert state.params is params and state.cache is cache
+        assert state.params is params
         assert state.params.keys() == values.keys()
         for k, v in values.items():
             assert state.params[k] is arrays[k] and np.array_equal(state.params[k], v)
