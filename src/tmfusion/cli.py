@@ -1,7 +1,8 @@
 """Command line entry point: data generation, training, evaluation, and
 the self-check suites.
 
-Exit codes: 2 config error (a malformed dataset file included), 3
+Exit codes: 2 config error (a malformed dataset file, an empty training
+or validation split and an output path that cannot be written included), 3
 training divergence (including a numeric failure of the alignment
 lattice), 4 checkpoint/data shape mismatch (a dataset sample whose
 features, labels or labeling do not fit the network), 1 check-suite
@@ -151,17 +152,6 @@ def _load_test_sets(data_dir, spec, temporal):
     return tests
 
 
-def _selected_row(rows):
-    """The evaluation whose state model.train returns: the first with
-    the best validation score (the last if none beats -inf, when
-    training keeps its final state)."""
-    chosen, best = rows[-1], float("-inf")
-    for row in rows:
-        if row["val_score"] > best:
-            chosen, best = row, row["val_score"]
-    return chosen
-
-
 def cmd_train(args):
     try:
         cfg = _config_for(args)
@@ -174,47 +164,46 @@ def cmd_train(args):
     except ShapeMismatch as exc:
         return _fail(EXIT_SHAPE, str(exc))
     train_set, val_set = synth.split(pool, cfg.validation_fraction, seed=cfg.seed)
-    if not val_set:
-        return _fail(EXIT_CONFIG,
-                     "validation_fraction: %r of %d training sequences leaves "
-                     "the validation split empty"
-                     % (cfg.validation_fraction, len(pool)))
+    for name, part in (("training", train_set), ("validation", val_set)):
+        if not part:
+            return _fail(EXIT_CONFIG,
+                         "validation_fraction: %r of %d training sequences leaves "
+                         "the %s split empty" % (cfg.validation_fraction, len(pool), name))
     state = cfg.new_state()
     bank = cfg.new_bank()
 
-    fh, writer = open_metrics(cfg.metrics_path)
-    save_checkpoint(cfg.checkpoint_path, state, bank,
-                    model.ScheduleState(halve_after=cfg.halve_after,
-                                        stop_after=cfg.stop_after),
-                    cfg.mode, cfg.seed, 0)
-
-    final_sched = None
+    path = cfg.checkpoint_path
+    try:
+        # the step-0 checkpoint, which a run that diverges keeps
+        save_checkpoint(path, state, bank,
+                        model.ScheduleState(halve_after=cfg.halve_after,
+                                            stop_after=cfg.stop_after),
+                        cfg.mode, cfg.seed)
+        path = cfg.metrics_path
+        fh, writer = open_metrics(path)
+    except OSError as exc:
+        return _fail(EXIT_CONFIG, "cannot write %s: %s" % (path, exc.strerror or exc))
 
     def hook(hstate, hbank, row, sched):
-        nonlocal final_sched
         for condition, samples in tests.items():
             report = evaluate_model(hstate, hbank, samples, cfg.mode, condition)
             row["ter_%s" % condition] = report.token_error_rate
             row["acc_%s" % condition] = report.frame_accuracy
         append_metrics(writer, fh, row)
-        save_checkpoint(cfg.checkpoint_path, hstate, hbank, sched,
-                        cfg.mode, cfg.seed, row["batches"])
-        final_sched = sched
+        if sched.since_improvement == 0:
+            # the model train returns if it stops here
+            save_checkpoint(cfg.checkpoint_path, hstate, hbank, sched,
+                            cfg.mode, cfg.seed)
 
     try:
-        state, bank, rows = model.train(state, bank, train_set, val_set,
-                                        cfg.settings(), eval_hook=hook)
+        _, _, rows = model.train(state, bank, train_set, val_set,
+                                 cfg.settings(), eval_hook=hook)
     except (model.NonFiniteGradient, ctc.DegenerateFrame) as exc:
         return _fail(EXIT_DIVERGED,
-                     "training diverged (%s); last good checkpoint kept at %s"
+                     "training diverged (%s); best checkpoint so far kept at %s"
                      % (exc, cfg.checkpoint_path))
     finally:
         fh.close()
-    if rows:
-        # the model training returned, which may be rolled back to an
-        # earlier evaluation than the last one checkpointed
-        save_checkpoint(cfg.checkpoint_path, state, bank, final_sched,
-                        cfg.mode, cfg.seed, _selected_row(rows)["batches"])
     print("trained %s for %d evals; checkpoint %s, metrics %s"
           % (cfg.mode, len(rows), cfg.checkpoint_path, cfg.metrics_path))
     return 0
@@ -249,8 +238,11 @@ def cmd_eval(args):
         lines.append(",".join(_fmt(v) for v in report.csv_row()))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as out_fh:
-            out_fh.write(text)
+        try:
+            with open(args.out, "w") as out_fh:
+                out_fh.write(text)
+        except OSError as exc:
+            return _fail(EXIT_CONFIG, "cannot write %s: %s" % (args.out, exc.strerror or exc))
     else:
         sys.stdout.write(text)
     return 0

@@ -160,7 +160,7 @@ def _array_in(rows, shape):
     return np.array(flat).reshape(shape)
 
 
-def save_checkpoint(path, state, bank, sched, mode, seed, step_count):
+def save_checkpoint(path, state, bank, sched, mode, seed):
     """Write model, centers, optimizer, and schedule state as JSON,
     atomically: through path + ".tmp", then os.replace.  A write that
     fails removes the ".tmp" file and re-raises."""
@@ -169,7 +169,7 @@ def save_checkpoint(path, state, bank, sched, mode, seed, step_count):
         "format": "tmfusion-checkpoint-v1",
         "mode": mode,
         "seed": seed,
-        "step_count": step_count,
+        "step_count": state.step_count,
         "lr": repr(float(state.lr)),
         "network": {
             "input_dim": state.spec.input_dim,

@@ -236,23 +236,34 @@ def log_seq_probs(log_y, Ts, labels_list):
 OCCUPANCY_MODES = ("paper_literal", "frame_normalized")
 
 
+def _live_peaks(log_weights, live):
+    """The (..., T, 1) row maxima of (..., T, S) log weights on the live
+    frames, 0 on padding; a live frame whose row is -inf throughout (no
+    path crosses it) raises DegenerateFrame naming it."""
+    peak = log_weights.max(axis=-1)
+    dead = live & ~np.isfinite(peak)
+    if dead.any():
+        raise DegenerateFrame("alignment mass vanished at frame %d" % np.argwhere(dead)[0][-1])
+    return np.where(live, peak, 0.0)[..., None]
+
+
 def occupancy(tables, mode="paper_literal"):
     """Per-(frame, position) alignment weights from the DP tables, by
     one of OCCUPANCY_MODES, with the tables' leading batch axes.
 
     mode="paper_literal" returns the raw product alpha_t(s) * beta_t(s);
     mode="frame_normalized" divides each frame's row by its sum so rows
-    sum to one.  Cells outside the feasible band, and padding, are zero
-    either way.
+    sum to one, and raises DegenerateFrame, as ctc_grad_logits does,
+    on a live frame whose row carries no path.  Cells outside the
+    feasible band, and padding, are zero either way.
     """
     prod = tables.log_alpha + tables.log_beta
     if mode == "paper_literal":
         return np.exp(prod)
     if mode == "frame_normalized":
         # a padding frame is -inf throughout: its peak 0 and sum 1 keep it 0
-        live = tables.live[..., None]
-        scaled = np.exp(prod - np.where(live, prod.max(axis=-1, keepdims=True), 0.0))
-        return scaled / np.where(live, scaled.sum(axis=-1, keepdims=True), 1.0)
+        scaled = np.exp(prod - _live_peaks(prod, tables.live))
+        return scaled / np.where(tables.live[..., None], scaled.sum(axis=-1, keepdims=True), 1.0)
     raise ValueError("unknown occupancy mode %r" % (mode,))
 
 
@@ -273,11 +284,7 @@ def ctc_grad_logits(tables, y):
     # its -inf - -inf is never evaluated
     log_mass = np.subtract(tables.log_alpha + tables.log_beta, tables.log_emissions,
                            out=np.full(emitted.shape, -np.inf), where=emitted)
-    peak = log_mass.max(axis=-1)
-    dead = live & ~np.isfinite(peak)
-    if dead.any():
-        raise DegenerateFrame("alignment mass vanished at frame %d" % np.argwhere(dead)[0][-1])
-    mass = np.exp(log_mass - np.where(live, peak, 0.0)[..., None])
+    mass = np.exp(log_mass - _live_peaks(log_mass, live))
     denom = np.where(live, mass.sum(axis=-1), 1.0)
     ratio = np.zeros(y.shape)
     # adds each position's column into its class in position order, as

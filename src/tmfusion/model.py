@@ -72,6 +72,7 @@ time; ce and ctc equal them bit for bit, and so do the fmf runs' end
 points.
 """
 
+import copy
 from dataclasses import dataclass
 from functools import partial
 
@@ -461,10 +462,12 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
     Per batch: gradients are summed over the sequences, Adam steps the
     weights once, and the center bank takes one momentum step from the
     batch's center statistics (fusion modes only).  Every
-    eval_interval batches the validation score drives the plateau
-    schedule.  Returns (state, bank, rows) where rows hold one metrics
-    dict per evaluation; the returned state and bank are rolled back to
-    the evaluation with the best validation score.
+    eval_interval batches the validation score ticks the plateau
+    schedule; an evaluation is the best so far when its tick leaves
+    since_improvement at 0, and eval_hook(state, bank, row, sched) runs
+    after the tick.  Returns (state, bank, rows): rows hold one metrics
+    dict per evaluation, state and bank the whole training state (Adam
+    included) at the best one, or the final state if none beat -inf.
     """
     mode = settings.mode
     sched = ScheduleState(halve_after=settings.halve_after,
@@ -474,7 +477,7 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
     batches_seen = 0
     running_loss, running_n = 0.0, 0
     stop = False
-    best_snapshot = None
+    selected = None
     while not stop:
         order = rng.permutation(len(train_samples))
         for start in range(0, len(order), settings.batch_size):
@@ -493,6 +496,7 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
             batches_seen += 1
             if batches_seen % settings.eval_interval == 0 or batches_seen >= settings.max_batches:
                 score = validation_score(state, val_samples, mode)
+                # lr is the rate the batches before this evaluation used
                 row = {
                     "eval_index": len(rows),
                     "batches": batches_seen,
@@ -500,23 +504,19 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
                     "train_loss": running_loss / running_n,
                     "val_score": score,
                 }
+                action = schedule_tick(sched, score)
+                if action == "halve_lr":
+                    state.lr = state.lr / 2.0
+                if sched.since_improvement == 0:
+                    # bank.step returns a new bank: this one is never changed
+                    selected = copy.deepcopy(state), bank
                 if eval_hook is not None:
                     eval_hook(state, bank, row, sched)
                 rows.append(row)
                 running_loss, running_n = 0.0, 0
-                if score > sched.best:
-                    best_snapshot = ({k: v.copy() for k, v in state.params.items()},
-                                     bank.copy())
-                action = schedule_tick(sched, score)
-                if action == "halve_lr":
-                    state.lr = state.lr / 2.0
                 stop = action == "early_stop" or batches_seen >= settings.max_batches
                 if stop:
                     break
         if not len(order):
             break
-    if best_snapshot is not None:
-        # rollback covers parameters and centers; optimizer moments stay
-        # at their final values (resume goes through saved checkpoints)
-        state.params, bank = best_snapshot
-    return state, bank, rows
+    return (selected or (state, bank)) + (rows,)

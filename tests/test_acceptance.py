@@ -247,8 +247,7 @@ def test_criterion_10_serialization_round_trips(tmp_path):
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
     state, bank, sched, meta = config.load_checkpoint(run_cfg.checkpoint_path)
     ckpt2 = tmp_path / "ckpt2.json"
-    config.save_checkpoint(ckpt2, state, bank, sched, meta["mode"],
-                           meta["seed"], meta["step_count"])
+    config.save_checkpoint(ckpt2, state, bank, sched, meta["mode"], meta["seed"])
     checkpoint_ok = filecmp.cmp(run_cfg.checkpoint_path, ckpt2, shallow=False)
 
     rerun_csv = tmp_path / "metrics2.csv"

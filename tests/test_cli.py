@@ -1,5 +1,6 @@
 """End-to-end tests for the command line: data generation, training,
-evaluation, checkpoint resume, and the verification suites."""
+evaluation, the checkpoint of the selected evaluation, and the
+verification suites."""
 
 import filecmp
 import json
@@ -332,6 +333,31 @@ def test_train_empty_validation_split_exits_2(tmp_path, capsys):
     assert not os.path.exists(cfg.metrics_path)
 
 
+def test_train_empty_training_split_exits_2(tmp_path, capsys):
+    # 1 sequence per condition splits 0/1 at validation_fraction 0.9
+    cfg_path, cfg = write_config(tmp_path, num_train_sequences=1,
+                                 validation_fraction=0.9)
+    gen_data(tmp_path, cfg_path)
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+    assert "training split empty" in capsys.readouterr().err
+    assert not os.path.exists(cfg.checkpoint_path)
+    assert not os.path.exists(cfg.metrics_path)
+
+
+def test_train_output_path_in_a_missing_directory_exits_2(tmp_path, capsys,
+                                                          monkeypatch):
+    cfg_path, cfg = write_config(tmp_path)
+    gen_data(tmp_path, cfg_path)
+    monkeypatch.setattr(cli.model, "train",
+                        lambda *args, **kw: pytest.fail("training started"))
+    for flag in ("--out", "--checkpoint"):
+        missing = str(tmp_path / "nodir" / "file")
+        assert cli.main(["train", "--config", str(cfg_path),
+                         flag, missing]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot write %s" % missing in err and "Traceback" not in err
+
+
 def _assert_diverged_at_start(cfg, err, reason):
     assert "diverged" in err and reason in err
     assert cfg.checkpoint_path in err
@@ -351,7 +377,7 @@ def test_train_degenerate_frame_exits_3(tmp_path, capsys, monkeypatch):
     _assert_diverged_at_start(cfg, capsys.readouterr().err, "mass vanished")
 
 
-def test_train_kill_and_resume(tmp_path):
+def test_train_killed_run_keeps_its_best_checkpoint(tmp_path):
     cfg_path, cfg = write_config(tmp_path, max_batches=100000,
                                  eval_interval=2, num_test_sequences=2)
     gen_data(tmp_path, cfg_path)
@@ -383,21 +409,40 @@ def test_train_kill_and_resume(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-    # the interrupted run's checkpoint loads and evaluates
+    # the interrupted run's checkpoint is its best evaluation so far,
+    # with that evaluation's whole training state, and it evaluates
     state, bank, sched, meta = config.load_checkpoint(cfg.checkpoint_path)
     assert meta["step_count"] >= batches
-    report = tmp_path / "resumed.csv"
+    assert state.step_count == meta["step_count"]
+    assert sched.since_improvement == 0
+    scores = []
+    # rows up to the checkpointed one were flushed before it was written
+    for line in open(cfg.metrics_path).read().splitlines()[1:]:
+        cells = line.split(",")
+        scores.append(float(cells[4]))
+        if int(cells[1]) == meta["step_count"]:
+            break
+    assert sched.best == scores[-1] == max(scores)
+    report = tmp_path / "killed.csv"
     assert cli.main(["eval", "--checkpoint", cfg.checkpoint_path,
                      "--data", cfg.data_dir, "--out", str(report)]) == 0
     assert report.read_text().count("\n") == 4      # header + 3 conditions
 
 
-def test_train_checkpoint_is_the_model_training_selected(tmp_path):
+def test_train_checkpoint_is_the_model_training_selected(tmp_path, monkeypatch):
     # at this step size the validation score peaks before the last
     # evaluation, so training rolls back; the checkpoint must hold the
-    # rolled-back model, and eval must score exactly that model
+    # rolled-back model as the evaluation that selected it wrote it, and
+    # eval must score exactly that model
     cfg_path, cfg = write_config(tmp_path, learning_rate=1.0, max_batches=60)
     gen_data(tmp_path, cfg_path)
+    writes = {}
+
+    def save_and_keep(path, state, *args):
+        config.save_checkpoint(path, state, *args)
+        writes[state.step_count] = open(path, "rb").read()
+
+    monkeypatch.setattr(cli, "save_checkpoint", save_and_keep)
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
     pool = []
     for condition in cfg.train_conditions:
@@ -407,8 +452,16 @@ def test_train_checkpoint_is_the_model_training_selected(tmp_path):
                                     val_set, cfg.settings())
     best = max(range(len(rows)), key=lambda i: rows[i]["val_score"])
     assert best < len(rows) - 1
-    _, _, _, meta = config.load_checkpoint(cfg.checkpoint_path)
-    assert meta["step_count"] == rows[best]["batches"]
+    assert open(cfg.checkpoint_path, "rb").read() == writes[rows[best]["batches"]]
+    loaded, _, sched, meta = config.load_checkpoint(cfg.checkpoint_path)
+    assert meta["step_count"] == loaded.step_count == rows[best]["batches"]
+    assert loaded.lr == rows[best]["lr"]
+    assert (sched.best, sched.since_improvement) == (rows[best]["val_score"], 0)
+    assert (state.step_count, state.lr) == (loaded.step_count, loaded.lr)
+    for k in state.param_names():
+        for group in ("params", "adam_m", "adam_v"):
+            np.testing.assert_array_equal(getattr(loaded, group)[k],
+                                          getattr(state, group)[k])
     report = tmp_path / "eval.csv"
     assert cli.main(["eval", "--checkpoint", cfg.checkpoint_path,
                      "--data", cfg.data_dir, "--out", str(report)]) == 0
@@ -489,6 +542,16 @@ def test_eval_single_file_and_out_path(tmp_path):
     lines = report.read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("unseen,")
+
+
+def test_eval_out_path_in_a_missing_directory_exits_2(tmp_path, capsys):
+    cfg = trained_checkpoint(tmp_path)
+    missing = str(tmp_path / "nodir" / "e.csv")
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", cfg.checkpoint_path,
+                     "--data", cfg.data_dir, "--out", missing]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot write %s" % missing in err and "Traceback" not in err
 
 
 def test_eval_shape_mismatch_exits_4(tmp_path, capsys):

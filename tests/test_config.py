@@ -231,7 +231,7 @@ def trained_state():
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     state, bank, sched = trained_state()
     path = tmp_path / "ckpt.json"
-    config.save_checkpoint(path, state, bank, sched, "tmf", 8, 3)
+    config.save_checkpoint(path, state, bank, sched, "tmf", 8)
     loaded_state, loaded_bank, loaded_sched, meta = config.load_checkpoint(path)
     assert meta == {"mode": "tmf", "seed": 8, "step_count": 3}
     assert loaded_state.lr == state.lr
@@ -252,9 +252,8 @@ def test_checkpoint_reserialization_is_byte_identical(tmp_path):
     state, bank, sched = trained_state()
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
-    config.save_checkpoint(first, state, bank, sched, "tmf", 8, 3)
-    config.save_checkpoint(second, *config.load_checkpoint(first)[:3],
-                           "tmf", 8, 3)
+    config.save_checkpoint(first, state, bank, sched, "tmf", 8)
+    config.save_checkpoint(second, *config.load_checkpoint(first)[:3], "tmf", 8)
     assert filecmp.cmp(first, second, shallow=False)
 
 
@@ -262,7 +261,7 @@ def test_checkpoint_fresh_schedule_best_survives(tmp_path):
     state, bank, _ = trained_state()
     sched = model.ScheduleState()
     path = tmp_path / "ckpt.json"
-    config.save_checkpoint(path, state, bank, sched, "ctc", 0, 0)
+    config.save_checkpoint(path, state, bank, sched, "ctc", 0)
     _, _, loaded_sched, _ = config.load_checkpoint(path)
     assert loaded_sched.best == -np.inf
     assert loaded_sched.since_improvement == 0
@@ -271,7 +270,7 @@ def test_checkpoint_fresh_schedule_best_survives(tmp_path):
 def test_checkpoint_rejects_threshold_above_one(tmp_path):
     state, bank, sched = trained_state()
     path = tmp_path / "ckpt.json"
-    config.save_checkpoint(path, state, bank, sched, "tmf", 8, 3)
+    config.save_checkpoint(path, state, bank, sched, "tmf", 8)
     data = json.loads(path.read_text())
     data["centers"]["occupancy_threshold"] = "2.0"
     path.write_text(json.dumps(data))
@@ -282,7 +281,7 @@ def test_checkpoint_rejects_threshold_above_one(tmp_path):
 def test_checkpoint_rejects_unknown_mode(tmp_path):
     state, bank, sched = trained_state()
     path = tmp_path / "ckpt.json"
-    config.save_checkpoint(path, state, bank, sched, "CTC", 8, 3)
+    config.save_checkpoint(path, state, bank, sched, "CTC", 8)
     with pytest.raises(config.ConfigError, match="mode"):
         config.load_checkpoint(path)
 
@@ -292,7 +291,7 @@ def test_checkpoint_ignores_an_old_eval_interval(tmp_path):
     # training setting; it loads and is dropped
     state, bank, sched = trained_state()
     path = tmp_path / "ckpt.json"
-    config.save_checkpoint(path, state, bank, sched, "tmf", 8, 3)
+    config.save_checkpoint(path, state, bank, sched, "tmf", 8)
     data = json.loads(path.read_text())
     assert "eval_interval" not in data["schedule"]
     data["schedule"]["eval_interval"] = 200
@@ -305,7 +304,7 @@ def test_checkpoint_write_that_fails_keeps_the_previous_file(tmp_path,
                                                              monkeypatch):
     state, bank, sched = trained_state()
     path = tmp_path / "ckpt.json"
-    config.save_checkpoint(path, state, bank, sched, "tmf", 8, 3)
+    config.save_checkpoint(path, state, bank, sched, "tmf", 8)
     before = path.read_bytes()
 
     def dump_then_fail(data, fh, **kwargs):
@@ -314,8 +313,7 @@ def test_checkpoint_write_that_fails_keeps_the_previous_file(tmp_path,
 
     monkeypatch.setattr(config.json, "dump", dump_then_fail)
     with pytest.raises(OSError, match="no space left"):
-        config.save_checkpoint(path, state, bank, model.ScheduleState(),
-                               "tmf", 8, 4)
+        config.save_checkpoint(path, state, bank, model.ScheduleState(), "tmf", 8)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["ckpt.json"]     # no ckpt.json.tmp left
     monkeypatch.undo()

@@ -414,6 +414,23 @@ def test_occupancy_infeasible_cells_are_zero():
     assert (gamma >= 0.0).all()
 
 
+def test_occupancy_frame_normalized_raises_on_a_dead_frame():
+    # frame 1 of the second sequence can only sit at the blank or the
+    # label, both of probability 0: no path survives, so every row of
+    # that sequence is -inf with no peak to scale by.  Alone or next to a
+    # live sequence in a padded batch, its first frame is named and no
+    # -inf - -inf is evaluated
+    dead = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+    y, Ts = stacked([np.full((5, 3), 1.0 / 3.0), dead], fill=1.0 / 3.0)
+    with np.errstate(divide="ignore"):
+        log_y = np.log(y)
+    with np.errstate(all="raise"):
+        for tables in (ctc.forward_backward(log_y[1, :3], [1]),
+                       ctc.forward_backward_batch(log_y, Ts, [[1, 2], [1]])):
+            with pytest.raises(ctc.DegenerateFrame, match="at frame 0"):
+                ctc.occupancy(tables, "frame_normalized")
+
+
 def test_occupancy_rejects_unknown_mode():
     y = np.array([[0.2, 0.5, 0.3]])
     tables = ctc.forward_backward(np.log(y), [1])

@@ -1,5 +1,7 @@
 """Unit tests for the network, optimizer, schedule, and training loop."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -863,6 +865,8 @@ def test_train_parameters_stay_finite():
 
 
 def test_train_select_best_returns_best_validation_state():
+    # at this step size the validation score peaks before the last
+    # evaluation: train returns that evaluation's whole training state
     data = toy_data()
     train_set, val_set = data[:48], data[48:]
     spec = model.NetworkSpec(4, [8], 3, recurrent=True)
@@ -870,18 +874,23 @@ def test_train_select_best_returns_best_validation_state():
     snapshots = []
 
     def hook(hstate, hbank, row, sched):
-        snapshots.append((row["val_score"],
-                          {k: v.copy() for k, v in hstate.params.items()}))
+        snapshots.append((row["val_score"], copy.deepcopy(hstate)))
 
-    state = model.ModelState(spec, seed=7, lr=1e-2)
+    state = model.ModelState(spec, seed=7, lr=1.0)
     bank = losses.CenterBank(2, 8)
     state, bank, rows = model.train(state, bank, train_set, val_set,
                                     settings_for("ctc", max_batches=100,
                                                  eval_interval=20),
                                     eval_hook=hook)
-    best_score, best_params = max(snapshots, key=lambda p: p[0])
-    for k in best_params:
-        np.testing.assert_array_equal(state.params[k], best_params[k])
+    best = max(range(len(snapshots)), key=lambda i: snapshots[i][0])
+    assert best < len(snapshots) - 1
+    kept = snapshots[best][1]
+    assert (state.step_count, state.lr) == (kept.step_count, kept.lr)
+    assert state.step_count == rows[best]["batches"]
+    for k in kept.params:
+        for group in ("params", "adam_m", "adam_v"):
+            np.testing.assert_array_equal(getattr(state, group)[k],
+                                          getattr(kept, group)[k])
 
 
 def test_train_settings_reject_an_unknown_mode():
@@ -891,10 +900,11 @@ def test_train_settings_reject_an_unknown_mode():
 
 
 def test_train_eval_hook_sees_schedule_state():
-    seen = []
+    seen, scores = [], []
 
     def hook(hstate, hbank, row, sched):
-        seen.append((row["batches"], sched.best))
+        seen.append((row["batches"], sched.best, sched.since_improvement))
+        scores.append(row["val_score"])
 
     data = toy_data()
     spec = model.NetworkSpec(4, [8], 3, recurrent=True)
@@ -903,10 +913,10 @@ def test_train_eval_hook_sees_schedule_state():
     model.train(state, bank, data[:48], data[48:],
                 settings_for("ctc", max_batches=40, eval_interval=20),
                 eval_hook=hook)
-    assert [b for b, _ in seen] == [20, 40]
-    # the hook runs before the tick, so the first call still sees the
-    # untouched best score
-    assert seen[0][1] == -np.inf
+    assert [b for b, _, _ in seen] == [20, 40]
+    # the hook runs after the tick: the first evaluation is the best so
+    # far, with its own score
+    assert seen[0][1:] == (scores[0], 0)
 
 
 # ---------------------------------------------------------------- validation
