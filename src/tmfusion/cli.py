@@ -1,12 +1,12 @@
 """Command line entry point: data generation, training, evaluation, and
 the self-check suites.
 
-Exit codes: 2 config error (a malformed dataset file, an empty training
-or validation split and an output path that cannot be written included), 3
-training divergence (including a numeric failure of the alignment
-lattice), 4 checkpoint/data shape mismatch (a dataset sample whose
-features, labels or labeling do not fit the network), 1 check-suite
-failure.
+Exit codes: 2 config error (a malformed dataset file, a non-finite
+feature or checkpoint value, an empty training or validation split and
+an output path that cannot be written included), 3 training divergence
+(including a numeric failure of the alignment lattice), 4 checkpoint/data
+shape mismatch (a dataset sample whose features, labels or labeling do
+not fit the network), 1 check-suite failure.
 """
 
 import argparse

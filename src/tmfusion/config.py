@@ -155,9 +155,11 @@ def _array_out(arr):
     return [[repr(float(v)) for v in row] for row in np.atleast_2d(arr)]
 
 
-def _array_in(rows, shape):
-    flat = [float(v) for row in rows for v in row]
-    return np.array(flat).reshape(shape)
+def _array_in(rows, shape, field):
+    arr = np.array([float(v) for row in rows for v in row]).reshape(shape)
+    if not np.isfinite(arr).all():      # json reads NaN, Infinity and 1e400
+        raise ConfigError(f"{field}: not a finite number")
+    return arr
 
 
 def save_checkpoint(path, state, bank, sched, mode, seed):
@@ -216,7 +218,8 @@ def load_checkpoint(path):
     """Read a checkpoint back; returns (state, bank, sched, meta).
 
     A file that is not JSON, or lacks or mistypes a field, raises
-    ConfigError naming the file.
+    ConfigError naming the file, and a non-finite parameter, Adam moment,
+    center or learning rate one naming the field too.
     """
     with open(path) as fh:
         try:
@@ -240,14 +243,14 @@ def _checkpoint_from_dict(data):
     spec = NetworkSpec(net["input_dim"], list(net["hidden"]),
                        net["num_classes"], net["recurrent"])
     adam = data["adam"]
-    state = ModelState(spec, seed=data["seed"], lr=float(data["lr"]),
+    state = ModelState(spec, seed=data["seed"], lr=float(_array_in([[data["lr"]]], (), "lr")),
                        beta1=float(adam["beta1"]), beta2=float(adam["beta2"]),
                        eps=float(adam["eps"]))
     for group, target in (("params", state.params), ("adam_m", state.adam_m),
                           ("adam_v", state.adam_v)):
         for name in state.param_names():
-            target[name] = _array_in(data[group][name],
-                                     tuple(data["shapes"][name]))
+            target[name] = _array_in(data[group][name], tuple(data["shapes"][name]),
+                                     f"{group}.{name}")
     state.step_count = adam["steps"]
     cen = data["centers"]
     try:
@@ -256,7 +259,8 @@ def _checkpoint_from_dict(data):
                           occupancy_threshold=float(cen["occupancy_threshold"]))
     except ValueError as exc:
         raise ConfigError(f"centers.{exc}") from exc
-    bank.centers = _array_in(cen["values"], (cen["num_classes"], cen["dim"]))
+    bank.centers = _array_in(cen["values"], (cen["num_classes"], cen["dim"]),
+                             "centers.values")
     sch = data["schedule"]         # an eval_interval key of older files is ignored
     sched = ScheduleState(
         halve_after=sch["halve_after"], stop_after=sch["stop_after"],

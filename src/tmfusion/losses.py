@@ -7,20 +7,18 @@ to the center of each label position i by a weight w(t, i):
 * sequence mode (``tmf``) uses the alignment occupancy of the non-blank
   positions of the blank-extended labeling, so no frame labels are
   needed;
-* framewise mode (``fmf``) uses the one-hot target of the frame labels
-  over the classes 1..C, which makes the ECL the classic center loss
+* framewise mode (``fmf``) uses the hard alignment of its frame labels
+  onto their own runs (``frame_runs``): w(t, i) = 1 when frame t lies in
+  run i of equal labels, which makes the ECL the classic center loss
   (Wen et al., ECCV 2016).
 
 ``ecl_terms``, ``ecl``, ``ecl_grad_features`` and ``center_stats`` take
-the weights w (..., T, r), the centers (..., r, D) of their r positions
-and (``center_stats``) the positions' class labels, for one sequence or
-with leading batch axes: a batch's padded (B, T_max, .) stacks, with
-zero weight on the padding.  The terms keep each sequence's bits; the
-ECL total, summed over a padded (T_max, r_max) block, and w @ c over
-padded positions can move the last bit.  The center update differs
-between the modes only in its normalization:
-the framewise rule divides each class's sum by 1 + its weight, the
-occupancy rule does not (``CenterBank.step``).
+the weights w (..., T, r), the centers (..., r, D) of the r positions and
+(``center_stats``) their class labels, for one sequence or a batch's
+padded (B, T_max, .) stacks, with zero weight and label 0 on the
+padding.  The terms keep each sequence's bits; the ECL total, summed over
+a padded (T_max, r_max) block, and tmf's w @ c can move the last bit.
+The modes' center updates differ only in normalization (``CenterBank.step``).
 
 The feature-space error signal (``ecl_grad_features``) deliberately
 omits the factor 2 that differentiating a squared norm produces; the
@@ -45,8 +43,7 @@ class CenterBank:
     """
 
     def __init__(self, num_classes, dim, momentum=1e-3, occupancy_threshold=0.01):
-        # occupancy and one-hot weights lie in [0, 1]: a threshold above 1
-        # would gate off every center update
+        # occupancy and run weights lie in [0, 1]: above 1 nothing updates
         if not 0.0 <= occupancy_threshold <= 1.0:
             raise ValueError("occupancy_threshold: must lie in [0, 1], got %r"
                              % (occupancy_threshold,))
@@ -63,12 +60,6 @@ class CenterBank:
             raise UnknownClass("label outside 1..%d" % self.num_classes)
         return self.centers[labels - 1]
 
-    def copy(self):
-        out = CenterBank(self.num_classes, self.dim, self.momentum,
-                         self.occupancy_threshold)
-        out.centers = self.centers.copy()
-        return out
-
     def step(self, sums, weights=None):
         """Return a bank moved by -momentum * sums, the (C, D) center-update
         sums of ``center_stats``.  With the (C,) weights given, each
@@ -80,7 +71,7 @@ class CenterBank:
         """
         if weights is not None:
             sums = sums / (1.0 + weights)[:, None]
-        out = self.copy()
+        out = CenterBank(self.num_classes, self.dim, self.momentum, self.occupancy_threshold)
         out.centers = self.centers - self.momentum * sums
         return out
 
@@ -101,6 +92,27 @@ def cross_entropy(log_y, cols, Ts):
     return [float(nll[e - Tb:e].sum()) for Tb, e in zip(Ts, ends)]
 
 
+def frame_runs(frames, Ts):
+    """fmf's ECL weights and labels for the 1-based frame labels of B
+    sequences back to back, of lengths Ts: the (B, T_max, r_max) hard
+    alignment onto their runs of equal labels, w(t, i) = 1 when frame t
+    lies in run i, and the (B, r_max) class of each run, 0 past the last.
+    Run it after ``cross_entropy`` has rejected labels outside 1..C."""
+    frames, Ts = np.asarray(frames, dtype=np.intp), np.asarray(Ts, dtype=np.intp)
+    seq = np.repeat(np.arange(len(Ts)), Ts)
+    start = (np.cumsum(Ts) - Ts)[seq]       # where each frame's sequence starts
+    t = np.arange(len(frames)) - start
+    new = t == 0                            # the frames that open a run
+    new[1:] |= frames[1:] != frames[:-1]
+    runs = np.cumsum(new)
+    i = runs - runs[start]                  # each frame's run in its sequence
+    w = np.zeros((len(Ts), Ts.max(initial=0), i.max(initial=-1) + 1))
+    w[seq, t, i] = 1.0
+    labels = np.zeros((len(Ts), w.shape[2]), dtype=np.intp)
+    labels[seq[new], i[new]] = frames[new]
+    return w, labels
+
+
 def ecl_terms(u, w, centers):
     """The terms w(t, i) * |u_t - c_i|^2 of the expected center loss as a
     (..., T, r) table, for features u (..., T, D), weights w (..., T, r)
@@ -117,15 +129,14 @@ def ecl(u, w, centers):
     return ecl_terms(np.asarray(u, dtype=float), w, centers).sum(axis=(-2, -1))
 
 
-def ecl_grad_features(u, w, centers, product=np.matmul):
+def ecl_grad_features(u, w, centers):
     """Per-frame feature error signal of the ECL (without the factor 2),
     delta(t) = sum_i w(t, i) * (u_t - c_i), with arguments shaped as for
-    ``ecl_terms``.  ``product(w, centers)`` is w @ centers; a padded
-    batch may pass one that keeps each sequence's bits."""
+    ``ecl_terms``."""
     u = np.asarray(u, dtype=float)
     if centers.shape[-2] == 0:
         return np.zeros_like(u)
-    return w.sum(axis=-1)[..., None] * u - product(w, centers)
+    return w.sum(axis=-1)[..., None] * u - w @ centers
 
 
 def fuse_feature_grad(delta_ml, W, delta_ecl, lam, product=np.matmul):
@@ -155,11 +166,10 @@ def center_stats(bank, u, w, labels, centers, over_frames=_over_frames):
 
     u, w and centers are shaped as for ``ecl_terms``, labels (..., r);
     label 0 pads a shorter labeling and adds nothing.  Each (sequence,
-    position) takes one gated w^T u product and weight sum over the
-    frames, ``over_frames(gated w, u)`` (a padded batch may pass one
-    that keeps each sequence's bits); then each sequence's positions add
-    into its classes in position order, and the sequences into the
-    totals in sequence order.
+    position) takes its gated w^T u and weight sum over the frames from
+    ``over_frames(gated w, u)`` (a padded batch may pass one that keeps
+    each sequence's bits), and adds into its class in position order,
+    the sequences in sequence order.
 
     Returns the (C,) weights and (C, D) sums for one ``CenterBank.step``.
     """
@@ -167,10 +177,9 @@ def center_stats(bank, u, w, labels, centers, over_frames=_over_frames):
     gated = np.where(w >= bank.occupancy_threshold, w, 0.0)
     prod, n = over_frames(gated, u)
     s = n[..., None] * centers - prod
-    labels = np.broadcast_to(labels, n.shape)
     N, r, C, D = math.prod(n.shape[:-1]), n.shape[-1], bank.num_classes, bank.dim
     weights, sums = np.zeros((N, C + 1)), np.zeros((N, C + 1, D))
-    at = (np.arange(N)[:, None], labels.reshape(N, r))
+    at = (np.arange(N)[:, None], np.reshape(labels, (N, r)))
     np.add.at(weights, at, n.reshape(N, r))
     np.add.at(sums, at, s.reshape(N, r, D))
     return (np.add.accumulate(weights[:, 1:], axis=0)[-1],

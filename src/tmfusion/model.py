@@ -30,11 +30,11 @@ tests/test_model.py:
   gemm per slice, and the first T_b rows of a slice equal the (T_b, K)
   product for every T_b >= 2 and D >= 2, whatever the padding rows
   hold, with the matrix transposed (the layers) or as stored
-  (``delta_ml @ W``, fmf's ``w @ centers``).  A 1-row product, or one
-  with D = 1, runs as a gemv whose bits depend on the row count, so
-  ``_rows_product`` gives such an input a product of its own.  Rows of
-  different sequences never share one 2-D product: OpenBLAS picks its
-  kernel by the row count (200 of 200 trials changed bits).
+  (``delta_ml @ W``).  A 1-row product, or one with D = 1, runs as a
+  gemv whose bits depend on the row count, so ``_rows_product`` gives
+  such an input a product of its own.  Rows of different sequences
+  never share one 2-D product: OpenBLAS picks its kernel by the row
+  count (200 of 200 trials changed bits).
 * Weight gradients.  dz is zero on the padding frames, so dz^T @ h and
   dz.sum over T_max frames add only +-0 terms to the T_b-frame ones
   (8400 of 8400 trials).  Where dz or h has width 1, numpy sums over the
@@ -52,23 +52,20 @@ tests/test_model.py:
   the tanh slope is 0 on padding frames, where forward left finite
   values that no output reads.
 * Per-input parameters.  A parameter array with a leading axis of B
-  gives input b the parameters [b] (``ModelState.unflatten`` makes such
-  views of a (B, n) array of flat vectors): weights enter as
-  ``W.swapaxes(-1, -2)``, biases get an axis for the frames, and the
-  recurrence multiplies by a stack of R[b].T, each the product that the
-  network runs with the parameters [b] alone.  backward_batch takes
-  shared parameters only.
+  (``ModelState.unflatten`` views of a (B, n) array) gives input b the
+  parameters [b]: each stacked product (W[b].T, the biases, R[b].T) is
+  the one the network runs with the parameters [b] alone.
+  backward_batch takes shared parameters only.
 
 The signals keep each sequence's bits wherever they are elementwise,
 gathered, or a product over frames (``center_stats`` takes its w^T u
-products and weight sums from ``_weight_grads``), and the center
-statistics add up sequence by sequence.  What regroups are the sums
-over positions and classes of a padded stack: the ECL total, the row
-sums of the CTC posterior and the normalized occupancy above 8
-positions, and tmf's w @ c over the padded positions.  They move the
-last bit.  In tests/test_model.py's training runs, each batch's
-signals were within 2.2e-16 relative of the sequences taken one at a
-time; ce and ctc equal them bit for bit, and so do the fmf runs' end
+products and weight sums from ``_weight_grads``; fmf's 0/1 w @ c is
+exact), and the center statistics add up sequence by sequence.  What
+regroups are the sums over the positions of a padded stack: the ECL
+total, the row sums of the CTC posterior and the normalized occupancy
+above 8 positions, and tmf's w @ c.  In tests/test_model.py's training
+runs each batch's signals stayed within 2.2e-16 relative of the
+sequences taken one at a time: ce and ctc bit for bit, as did fmf's end
 points.
 """
 
@@ -350,9 +347,9 @@ def _batch_signals(state, batch, Ts, u, log_y, y, settings, bank):
     """Each sequence's loss, the signal stacks delta_ml and delta_fused,
     and the batch's summed center statistics (fusion modes, else None),
     from the stacks of the features and of the output log-probabilities
-    and probabilities, with one call per step for the whole batch.  tmf
-    weighs the label positions of each lattice by their occupancy, fmf
-    the classes 1..C by the one-hot frame targets."""
+    and probabilities, one call per step for the whole batch.  Both
+    fusion modes weigh (w, labels) label positions: tmf the positions of
+    each lattice by occupancy, fmf the runs of its frame labels by 0/1."""
     mode, lam = settings.mode, settings.lam
     W, rows = state.params["W"], partial(_rows_product, Ts=Ts)
     if mode in TEMPORAL_MODES:
@@ -361,23 +358,22 @@ def _batch_signals(state, batch, Ts, u, log_y, y, settings, bank):
         delta_ml = ctc.ctc_grad_logits(tables, y)
         if mode == "tmf":
             w = ctc.occupancy(tables, settings.occupancy_mode)[..., 1::2]
-            # label 0 pads the shorter labelings: weight 0, any center
             labels = tables.zp[:, 1::2]
-            centers, product = bank.centers[labels - 1], np.matmul
     else:
-        cols = np.concatenate([s.framewise for s in batch]).astype(np.intp) - 1
-        seq_losses = np.array(losses.cross_entropy(log_y, cols, Ts))
-        w = np.zeros(y.shape)
-        w[(*np.nonzero(np.arange(y.shape[1]) < np.asarray(Ts)[:, None]), cols)] = 1.0
-        delta_ml = y - w
-        # the one-hot columns are the classes 1..C, in the bank's order
-        labels, centers, product = np.arange(1, bank.num_classes + 1), bank.centers, rows
+        frames = np.concatenate([s.framewise for s in batch]).astype(np.intp)
+        seq_losses = np.array(losses.cross_entropy(log_y, frames - 1, Ts))
+        b, t = np.nonzero(np.arange(y.shape[1]) < np.asarray(Ts)[:, None])
+        delta_ml = y.copy()             # y - onehot: 1 off each live target column
+        delta_ml[b, t, frames - 1] -= 1.0
+        if mode == "fmf":
+            w, labels = losses.frame_runs(frames, Ts)
     if mode not in FUSION_MODES:
         return seq_losses.tolist(), delta_ml, rows(delta_ml, W), None
+    # label 0 pads the shorter labelings: weight 0, any center
+    centers = bank.centers[labels - 1]
     seq_losses = seq_losses + lam * losses.ecl(u, w, centers)
-    delta_ecl = losses.ecl_grad_features(u, w, centers, product)
-    stats = losses.center_stats(bank, u, w, labels, centers,
-                                partial(_weight_grads, Ts=Ts))
+    delta_ecl = losses.ecl_grad_features(u, w, centers)
+    stats = losses.center_stats(bank, u, w, labels, centers, partial(_weight_grads, Ts=Ts))
     return (seq_losses.tolist(), delta_ml,
             losses.fuse_feature_grad(delta_ml, W, delta_ecl, lam, rows), stats)
 

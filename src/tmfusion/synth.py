@@ -22,8 +22,8 @@ class ConfigInvalid(ValueError):
 
 
 class MalformedDataset(ValueError):
-    """A dataset file line that is not a sample record, or a test file
-    with nothing to score."""
+    """A dataset file line that is not a sample record of finite
+    features, or a test file with nothing to score."""
 
 
 @dataclass
@@ -189,6 +189,8 @@ def _sample_from_record(rec):
     if x.ndim != 2 or framewise.shape != (len(x),) or collapsed.ndim != 1:
         raise ValueError("features must be T rows with one framewise label "
                          "each, and collapsed a list of labels")
+    if not np.isfinite(x).all():
+        raise ValueError("features hold a non-finite value")
     if rec["condition"] not in CONDITIONS:
         raise ValueError("unknown condition %r" % (rec["condition"],))
     return SequenceSample(x=x, framewise=framewise, collapsed=collapsed,
@@ -197,7 +199,7 @@ def _sample_from_record(rec):
 
 def load_jsonl(path):
     """Read the samples save_jsonl wrote.  A line that is not a sample
-    record raises MalformedDataset naming the path and the line."""
+    record of finite features raises MalformedDataset naming its line."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):

@@ -6,29 +6,19 @@ subcommand wraps them with tolerances and exit codes, and the test suite
 calls them directly.  The max error is NaN when any instance's error is
 NaN, so that such a suite fails.
 
-The instances are drawn as probabilities, which the brute-force
-oracles take; the lattice takes their logs, each taken once where the
-lattice call is made.  The suites run their lattices in few calls.
-``seq_prob``, ``occupancy_ecl`` and ``consistency`` draw all their
-instances first, in the order a loop over instances would, then run one
-``ctc.forward_backward_batch`` call on the stack of their
-log-probabilities; each instance checks its own slice of the tables
-(``AlignmentTables.sequence``) against its oracle.
-``partition`` runs every feasible labeling of one posterior in one
-call, ``grad_ml`` and ``grad_full`` the 2n points of one finite
-difference (``oracle.finite_diff`` hands them over stacked).
-``partition`` and ``grad_ml`` need only log p(z|x) and run the forward
-rows alone (``ctc.log_seq_probs``).  ``grad_ml`` and ``grad_ecl`` take
-each instance's base-point tables from the one-pair
+The instances are drawn as probabilities, which the brute-force oracles
+take, all first and in the order a loop over instances would draw them.
+Each suite then runs its lattices and networks in few batched calls: on
+all its instances, on every feasible labeling of one posterior
+(``partition``), or on the 2n points of one finite difference
+(``oracle.finite_diff`` hands them over stacked).  ``grad_ml`` and
+``grad_ecl`` take each base point's tables from the one-pair
 ``ctc.forward_backward`` on purpose, so that the public B=1 API stays
-under check.  ``grad_ml`` takes the log-softmax of all its points in
-one call, ``grad_full`` runs the network once for all of them and takes
-the ECL of all of them in one table, and ``grad_ecl`` takes one ECL
-table for all its points.  Their errors keep every bit of a per-instance
-loop: the batched lattice and network equal a call per instance bit for
-bit, each point sums its own contiguous block of an ECL table, the
-points are built by the same elementwise additions, and the partition
-sums its probabilities in enumeration order.
+under check.  The errors keep every bit of a per-instance loop: the
+batched lattice and network equal a call per instance bit for bit, the
+points are built by the same elementwise additions, each sums its own
+contiguous block of an ECL table, and the partition sums its
+probabilities in enumeration order.
 """
 
 import copy
@@ -191,12 +181,12 @@ def network_loss(state, points, batch, settings, bank):
     """The loss whose gradient a training step sums, at each flat
     parameter vector in ``points``: over the sequences of ``batch``, CTC
     (ctc, tmf) or the framewise CE (ce, fmf), plus in the fusion modes
-    (lam/2) * ECL, its weights and centers frozen at the state's own
-    parameters (tmf's occupancy, fmf's one-hot targets).  One
-    ``forward_stacks`` call runs every sequence at the state's parameters
-    and at every point, one lattice call scores them all, and one
-    ``ecl_terms`` table holds every point's ECL, of which each sequence
-    sums its own (T_b, r_b) block.  The state is left as it was."""
+    (lam/2) * ECL, with the (w, labels) of ``model._batch_signals`` frozen
+    at the state's own parameters.  One ``forward_stacks`` call runs every
+    sequence at the state's parameters and at every point, one lattice
+    call scores them all, and one ``ecl_terms`` table holds every point's
+    ECL, of which each sequence sums its own (T_b, r_b) block.  The state
+    is left as it was."""
     B, mode, rows = len(batch), settings.mode, np.vstack([state.flat_params(), points])
     runs = copy.copy(state)
     runs.params = state.unflatten(np.repeat(rows, B, axis=0))
@@ -209,18 +199,16 @@ def network_loss(state, points, batch, settings, bank):
             # the base point's label positions; label 0 pads, with weight 0
             w = ctc.occupancy(tables, settings.occupancy_mode)[:B, :, 1::2]
             labels = tables.zp[:B, 1::2]
-            centers, widths = bank.centers[labels - 1], [len(s.collapsed) for s in batch]
     else:
-        cols = np.concatenate([s.framewise for s in batch] * len(rows)) - 1
-        seq_losses = np.array(losses.cross_entropy(log_y, cols, Ts))
-        w = np.zeros((B,) + log_y.shape[1:])
-        for wb, s in zip(w, batch):
-            wb[np.arange(len(s.framewise)), s.framewise - 1] = 1.0
-        centers, widths = bank.centers, [bank.num_classes] * B
+        frames = np.concatenate([s.framewise for s in batch])
+        seq_losses = np.array(losses.cross_entropy(log_y, np.tile(frames, len(rows)) - 1, Ts))
+        if mode == "fmf":
+            w, labels = losses.frame_runs(frames, Ts[:B])
     seq_losses = seq_losses.reshape(len(rows), B)
     if mode in model.FUSION_MODES:
-        terms = losses.ecl_terms(u.reshape((len(rows), B) + u.shape[1:]), w, centers)
-        for b, (Tb, rb) in enumerate(zip(Ts, widths)):
+        terms = losses.ecl_terms(u.reshape((len(rows), B) + u.shape[1:]), w,
+                                 bank.centers[labels - 1])
+        for b, (Tb, rb) in enumerate(zip(Ts, np.count_nonzero(labels, axis=1))):
             block = np.ascontiguousarray(terms[:, b, :Tb, :rb]).reshape(len(rows), -1)
             seq_losses[:, b] += 0.5 * settings.lam * block.sum(axis=1)
     return seq_losses[1:].sum(axis=1)

@@ -479,6 +479,13 @@ MALFORMED = {
     "unknown_condition": (lambda good: re.sub(r'"condition": "\w+"',
                                               '"condition": "noisy"', good),
                           "unknown condition 'noisy'"),
+    # json reads NaN, and an overflowing literal as inf
+    "nan_feature": (lambda good: re.sub(r'"features": \[\[[^,\]]+', '"features": [[NaN',
+                                        good, count=1),
+                    "features hold a non-finite value"),
+    "inf_feature": (lambda good: re.sub(r'"features": \[\[[^,\]]+', '"features": [[1e400',
+                                        good, count=1),
+                    "features hold a non-finite value"),
 }
 
 
@@ -594,6 +601,32 @@ def test_eval_old_checkpoint_with_eval_interval_gives_the_same_report(tmp_path, 
                          "--data", cfg.data_dir]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("params.W", "nan"), ("params.W", "1e400"), ("adam_m.b0", "nan"),
+    ("adam_v.W0", "-1e400"), ("centers.values", "nan"), ("lr", "nan"),
+])
+def test_eval_non_finite_checkpoint_value_exits_2_naming_field(tmp_path, capsys,
+                                                               field, value):
+    # json reads "nan" and turns "1e400" into inf: a checkpoint holding
+    # either is a config error, not a model to score
+    cfg = trained_checkpoint(tmp_path)
+
+    def plant(data):
+        *groups, name = field.split(".")
+        target = data[groups[0]] if groups else data
+        if isinstance(target[name], list):
+            target[name][0][0] = value
+        else:
+            target[name] = value
+
+    path = _rewrite_checkpoint(cfg, tmp_path, plant)
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", path,
+                     "--data", cfg.data_dir]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "%s: %s: not a finite number" % (path, field) in err and "Traceback" not in err
 
 
 def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Unit tests for the loss functions, error signals, and center updates."""
 
+import copy
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmfusion import ctc, losses, model, oracle
@@ -35,12 +36,11 @@ def lattice_weights(gamma, zp, bank):
 
 
 def onehot_weights(k, bank):
-    """One-hot weights over the classes 1..C, their labels and centers:
-    the framewise-mode arguments of the path, as model.train builds them."""
-    k = np.asarray(k, dtype=np.intp)
-    w = np.zeros((len(k), bank.num_classes))
-    w[np.arange(len(k)), k - 1] = 1.0
-    return w, range(1, bank.num_classes + 1), bank.centers
+    """Weights one-hot over the runs of the frame labels k, the runs'
+    labels and centers: the framewise-mode arguments of the path, as
+    model.train builds them."""
+    (w,), (labels,) = losses.frame_runs(k, [len(k)])
+    return w, labels, bank.gather(labels)
 
 
 def lattice_ecl(u, gamma, zp, bank):
@@ -113,7 +113,7 @@ def test_bank_starts_at_zero():
 
 def test_bank_copy_is_independent():
     bank = losses.CenterBank(2, 2)
-    other = bank.copy()
+    other = copy.deepcopy(bank)
     other.centers[0, 0] = 5.0
     assert bank.centers[0, 0] == 0.0
 
@@ -232,6 +232,42 @@ def test_fmf_arithmetic():
     u = np.array([[1.0, 2.0]])                     # CL term contributes 5.0
     got = sequence_loss("fmf", 0.5, u, y, bank, framewise=[1])
     assert got == pytest.approx(3.5, rel=1e-12)
+
+
+def brute_force_frame_runs(ks):
+    """frame_runs by a loop over each sequence's frames: a run opens at
+    frame 0 and wherever the label changes."""
+    runs = []
+    for k in ks:
+        opens = [t for t in range(len(k)) if t == 0 or k[t] != k[t - 1]]
+        runs.append(list(zip(opens, opens[1:] + [len(k)])))
+    B, T, r = len(ks), max(map(len, ks)), max(map(len, runs))
+    w, labels = np.zeros((B, T, r)), np.zeros((B, r), dtype=np.intp)
+    for b, (k, spans) in enumerate(zip(ks, runs)):
+        for i, (start, end) in enumerate(spans):
+            labels[b, i] = k[start]
+            for t in range(start, end):
+                w[b, t, i] = 1.0
+    return w, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=9), min_size=1, max_size=4))
+@example([[2]])                          # T = 1
+@example([[3, 3, 3, 3]])                 # one run
+@example([[1, 2, 1, 1, 2]])              # classes that recur in non-adjacent runs
+@example([[1, 1, 2], [3], [2, 1, 2, 3, 3, 1]])      # unequal lengths, padded
+def test_frame_runs_matches_a_brute_force_loop(ks):
+    w, labels = losses.frame_runs(np.concatenate(ks), [len(k) for k in ks])
+    want_w, want_labels = brute_force_frame_runs(ks)
+    assert w.dtype == want_w.dtype and labels.dtype == want_labels.dtype
+    # bytes: the padding is exactly +0 weight and label 0
+    assert w.shape == want_w.shape and w.tobytes() == want_w.tobytes()
+    assert labels.shape == want_labels.shape and labels.tobytes() == want_labels.tobytes()
+    for b, k in enumerate(ks):
+        r = np.count_nonzero(labels[b])
+        assert np.array_equal(w[b, :len(k)].sum(axis=1), np.ones(len(k)))
+        assert not w[b, len(k):].any() and not w[b, :, r:].any() and not labels[b, r:].any()
 
 
 # ----------------------------------------------------------------------- ecl
@@ -564,7 +600,7 @@ class parent:
 
     @staticmethod
     def step(bank, deltas):
-        out = bank.copy()
+        out = copy.deepcopy(bank)
         for label, delta in deltas.items():
             out.centers[label - 1] = bank.centers[label - 1] - bank.momentum * delta
         return out
@@ -690,7 +726,7 @@ def test_onehot_path_matches_the_framewise_stack(data):
         np.testing.assert_allclose(bank.step(sums, weights).centers, single.centers,
                                    rtol=1e-12, atol=1e-12)
         pieces.append(piece)
-        inputs.append((u, w, np.asarray(labels), centers))
+        inputs.append((u, w, labels, centers))
     weights, sums = losses.center_stats(bank, *padded_batch(inputs))
     np.testing.assert_allclose(
         bank.step(sums, weights).centers,
@@ -734,7 +770,6 @@ def test_center_stats_matches_a_brute_force_loop(data):
             w[kind == 0], w[kind == 1], w[kind == 2] = bank.occupancy_threshold, 0.0, 1.0
         else:
             w, labels, _ = onehot_weights(rng.integers(1, C + 1, T), bank)
-            labels = np.asarray(labels)
         pieces.append((u, w, labels))
     tol = dict(rtol=1e-12, atol=1e-12)
     for u, w, labels in pieces:
@@ -743,8 +778,6 @@ def test_center_stats_matches_a_brute_force_loop(data):
             np.testing.assert_allclose(g, want, **tol)
     u, w, labels, centers = padded_batch([(u, w, labels, bank.centers[labels - 1])
                                           for u, w, labels in pieces])
-    if mode == "fmf":       # the classes 1..C for every sequence, shared
-        labels, centers = labels[0], bank.centers
     got = losses.center_stats(bank, u, w, labels, centers)
     want = brute_force_center_stats(bank, pieces)
     for g, expected in zip(got, want):

@@ -1,6 +1,7 @@
 """Unit tests for the network, optimizer, schedule, and training loop."""
 
 import copy
+from functools import partial
 
 import numpy as np
 import pytest
@@ -323,8 +324,8 @@ def test_blas_contiguous_frame_products_match_the_one_dimensional_product():
 
 
 def test_blas_rows_of_a_padded_stack_times_a_stored_matrix_match_the_unpadded_product():
-    # the signal step runs delta_ml @ W and fmf's w @ centers on padded
-    # stacks, with the (K, D) matrix as it is stored.  The rows of an
+    # the signal step runs delta_ml @ W on padded stacks, with the
+    # (K, D) matrix as it is stored.  The rows of an
     # input of T_b >= 2 frames equal its unpadded product, for two or
     # more columns D.  One column runs as a gemv and is not covered:
     # _rows_product runs each input on its own there
@@ -609,11 +610,13 @@ def parent_sequence_signals(state, sample, u, log_y, y, tables, settings, bank):
             centers = bank.gather(labels)
     else:
         cols = np.asarray(sample.framewise, dtype=np.intp) - 1
-        w = np.zeros((len(cols), y.shape[1]))
-        w[np.arange(len(cols)), cols] = 1.0
-        delta_ml = y - w
+        onehot = np.zeros((len(cols), y.shape[1]))
+        onehot[np.arange(len(cols)), cols] = 1.0
+        delta_ml = y - onehot
         loss = losses.cross_entropy(log_y[None], cols, [len(cols)])[0]
-        labels, centers = range(1, bank.num_classes + 1), bank.centers
+        # fmf weighs the runs of its frame labels
+        (w,), (labels,) = losses.frame_runs(sample.framewise, [len(cols)])
+        centers = bank.gather(labels)
     W = state.params["W"]
     if mode not in model.FUSION_MODES:
         return loss, delta_ml, delta_ml @ W, None
@@ -758,6 +761,56 @@ def test_train_with_long_labelings_matches_per_sequence_signals(mode, monkeypatc
     (_, bank, _), worst = signals_against_parent(run, monkeypatch)
     assert len(worst) == 20 and max(worst) <= 1e-12
     assert (mode == "tmf") == bool(np.any(bank.centers != 0.0))
+
+
+def onehot_batch_signals(state, batch, Ts, u, log_y, y, settings, bank):
+    """fmf's signal step as it was before it weighed the runs of its frame
+    labels: one-hot (B, T_max, C) weights over all C classes, the labels
+    1..C shared by every sequence, and w @ centers per sequence."""
+    rows = partial(model._rows_product, Ts=Ts)
+    cols = np.concatenate([s.framewise for s in batch]).astype(np.intp) - 1
+    seq_losses = np.array(losses.cross_entropy(log_y, cols, Ts))
+    w = np.zeros(y.shape)
+    w[(*np.nonzero(np.arange(y.shape[1]) < np.asarray(Ts)[:, None]), cols)] = 1.0
+    delta_ml = y - w
+    labels = np.broadcast_to(np.arange(1, bank.num_classes + 1), (len(Ts), bank.num_classes))
+    seq_losses = seq_losses + settings.lam * losses.ecl(u, w, bank.centers)
+    delta_ecl = w.sum(axis=-1)[..., None] * u - rows(w, bank.centers)
+    stats = losses.center_stats(bank, u, w, labels, bank.centers,
+                                partial(model._weight_grads, Ts=Ts))
+    return (seq_losses.tolist(), delta_ml,
+            losses.fuse_feature_grad(delta_ml, state.params["W"], delta_ecl, settings.lam,
+                                     rows), stats)
+
+
+@pytest.mark.parametrize("hidden", [(8,), (3, 1)])
+def test_fmf_run_weights_match_the_onehot_layout(hidden, monkeypatch):
+    # weighing the runs of the frame labels instead of every class gives
+    # each batch's gradients bit for bit, equal center weights, and center
+    # sums that add run by run instead of class by class, to 1e-12
+    cfg = synth.GeneratorConfig(num_classes=5, feature_dim=5, segment_length=(1, 4),
+                                labels_per_sequence=(1, 5), seed=3)
+    data = synth.generate(cfg, 160)
+    rng = np.random.default_rng(3)
+    settings = settings_for("fmf", lam=0.1)
+    spec = model.NetworkSpec(5, list(hidden), 5, recurrent=True)
+    recurs = 0
+    for n in range(20):
+        batch = data[8 * n:8 * n + 8]
+        recurs += any(len(set(s.collapsed)) < len(s.collapsed) for s in batch)
+        state = model.ModelState(spec, seed=n)
+        bank = losses.CenterBank(5, hidden[-1], occupancy_threshold=0.5)
+        bank.centers = rng.normal(size=bank.centers.shape)
+        runs = model._batch_step(state, batch, settings, bank)
+        with monkeypatch.context() as m:
+            m.setattr(model, "_batch_signals", onehot_batch_signals)
+            onehot = model._batch_step(state, batch, settings, bank)
+        np.testing.assert_allclose(runs[0], onehot[0], rtol=1e-12)
+        for k in state.param_names():
+            assert runs[1][k].tobytes() == onehot[1][k].tobytes(), (n, k)
+        assert np.array_equal(runs[2][0], onehot[2][0])
+        np.testing.assert_allclose(runs[2][1], onehot[2][1], rtol=1e-12, atol=1e-12)
+    assert recurs          # some labelings revisit a class in a later run
 
 
 @pytest.mark.parametrize("mode", ["ce", "fmf", "ctc", "tmf"])
