@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from tmfusion import ctc, oracle
+from tmfusion import ctc, metrics
 
 
 def enumerate_paths(y, labels):
@@ -21,7 +21,7 @@ def enumerate_paths(y, labels):
     total = 0.0
     kept = []
     for path in itertools.product(range(K), repeat=T):
-        if oracle.collapse(path) == tuple(labels):
+        if metrics.collapse(np.array(path)) == list(labels):
             p = float(np.prod([y[t, path[t]] for t in range(T)]))
             total += p
             kept.append((path, p))

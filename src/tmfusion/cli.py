@@ -1,12 +1,11 @@
 """Command line entry point: data generation, training, evaluation, and
 the self-check suites.
 
-Exit codes: 2 config error (a malformed dataset file, a non-finite
-feature or checkpoint value, an empty training or validation split and
-an output path that cannot be written included), 3 training divergence
-(including a numeric failure of the alignment lattice), 4 checkpoint/data
-shape mismatch (a dataset sample whose features, labels or labeling do
-not fit the network), 1 check-suite failure.
+The commands raise, and main maps each error to its exit code and a
+one-line message, by the table under "Exit codes" in the README: 2 an
+input that cannot be read or is invalid, or an output that cannot be
+written, 3 training divergence, 4 a dataset that does not fit the
+network; check exits 1 when a suite fails.
 """
 
 import argparse
@@ -27,15 +26,11 @@ EXIT_CHECK = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_SHAPE = 4
+DIVERGED = (model.NonFiniteGradient, ctc.DegenerateFrame)
 
 
 class ShapeMismatch(Exception):
     pass
-
-
-def _fail(code, message):
-    print("error: %s" % message, file=sys.stderr)
-    return code
 
 
 def _config_for(args):
@@ -66,10 +61,7 @@ def _write_part(gen, condition, part, count, path):
 
 
 def cmd_gen_data(args):
-    try:
-        cfg = _config_for(args)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, "config: %s" % exc)
+    cfg = _config_for(args)
     out_dir = args.out or cfg.data_dir
     os.makedirs(out_dir, exist_ok=True)
     gen = dataclasses.replace(cfg.generator, seed=cfg.seed)
@@ -153,36 +145,23 @@ def _load_test_sets(data_dir, spec, temporal):
 
 
 def cmd_train(args):
-    try:
-        cfg = _config_for(args)
-        pool = _load_train_pool(cfg)
-        tests = _load_test_sets(cfg.data_dir, cfg.network, cfg.temporal)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, "config: %s" % exc)
-    except MalformedDataset as exc:
-        return _fail(EXIT_CONFIG, "dataset: %s" % exc)
-    except ShapeMismatch as exc:
-        return _fail(EXIT_SHAPE, str(exc))
+    cfg = _config_for(args)
+    pool = _load_train_pool(cfg)
+    tests = _load_test_sets(cfg.data_dir, cfg.network, cfg.temporal)
     train_set, val_set = synth.split(pool, cfg.validation_fraction, seed=cfg.seed)
     for name, part in (("training", train_set), ("validation", val_set)):
         if not part:
-            return _fail(EXIT_CONFIG,
-                         "validation_fraction: %r of %d training sequences leaves "
-                         "the %s split empty" % (cfg.validation_fraction, len(pool), name))
+            raise ConfigError("validation_fraction: %r of %d training sequences leaves "
+                              "the %s split empty"
+                              % (cfg.validation_fraction, len(pool), name))
     state = cfg.new_state()
     bank = cfg.new_bank()
-
-    path = cfg.checkpoint_path
-    try:
-        # the step-0 checkpoint, which a run that diverges keeps
-        save_checkpoint(path, state, bank,
-                        model.ScheduleState(halve_after=cfg.halve_after,
-                                            stop_after=cfg.stop_after),
-                        cfg.mode, cfg.seed)
-        path = cfg.metrics_path
-        fh, writer = open_metrics(path)
-    except OSError as exc:
-        return _fail(EXIT_CONFIG, "cannot write %s: %s" % (path, exc.strerror or exc))
+    # the step-0 checkpoint, which a run that diverges keeps
+    save_checkpoint(cfg.checkpoint_path, state, bank,
+                    model.ScheduleState(halve_after=cfg.halve_after,
+                                        stop_after=cfg.stop_after),
+                    cfg.mode, cfg.seed)
+    fh, writer = open_metrics(cfg.metrics_path)
 
     def hook(hstate, hbank, row, sched):
         for condition, samples in tests.items():
@@ -195,37 +174,29 @@ def cmd_train(args):
             save_checkpoint(cfg.checkpoint_path, hstate, hbank, sched,
                             cfg.mode, cfg.seed)
 
-    try:
-        _, _, rows = model.train(state, bank, train_set, val_set,
-                                 cfg.settings(), eval_hook=hook)
-    except (model.NonFiniteGradient, ctc.DegenerateFrame) as exc:
-        return _fail(EXIT_DIVERGED,
-                     "training diverged (%s); best checkpoint so far kept at %s"
-                     % (exc, cfg.checkpoint_path))
-    finally:
-        fh.close()
+    with fh:
+        try:
+            _, _, rows = model.train(state, bank, train_set, val_set,
+                                     cfg.settings(), eval_hook=hook)
+        except DIVERGED as exc:
+            raise type(exc)("%s; best checkpoint so far kept at %s"
+                            % (exc, cfg.checkpoint_path)) from exc
     print("trained %s for %d evals; checkpoint %s, metrics %s"
           % (cfg.mode, len(rows), cfg.checkpoint_path, cfg.metrics_path))
     return 0
 
 
 def cmd_eval(args):
-    try:
-        state, bank, _, meta = load_checkpoint(args.checkpoint)
-        temporal = meta["mode"] in TEMPORAL_MODES
-        if os.path.isdir(args.data):
-            samples = [sample for part in
-                       _load_test_sets(args.data, state.spec, temporal).values()
-                       for sample in part]
-            if not samples:
-                raise ConfigError("data: %s holds no <condition>_test.jsonl file"
-                                  % args.data)
-        else:
-            samples = _load_test_file(args.data, state.spec, temporal)
-    except (OSError, ConfigError, MalformedDataset) as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    except ShapeMismatch as exc:
-        return _fail(EXIT_SHAPE, str(exc))
+    state, bank, _, meta = load_checkpoint(args.checkpoint)
+    temporal = meta["mode"] in TEMPORAL_MODES
+    if os.path.isdir(args.data):
+        samples = [sample for part in
+                   _load_test_sets(args.data, state.spec, temporal).values()
+                   for sample in part]
+        if not samples:
+            raise ConfigError("data: %s holds no <condition>_test.jsonl file" % args.data)
+    else:
+        samples = _load_test_file(args.data, state.spec, temporal)
     by_condition = {}
     for sample in samples:
         by_condition.setdefault(sample.condition, []).append(sample)
@@ -238,11 +209,8 @@ def cmd_eval(args):
         lines.append(",".join(_fmt(v) for v in report.csv_row()))
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w") as out_fh:
-                out_fh.write(text)
-        except OSError as exc:
-            return _fail(EXIT_CONFIG, "cannot write %s: %s" % (args.out, exc.strerror or exc))
+        with open(args.out, "w") as out_fh:
+            out_fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -296,8 +264,26 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit code.  The errors below are
+    reported in one line on stderr; any other is a bug, and keeps its
+    traceback."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        code, message = EXIT_CONFIG, "config: %s" % exc
+    except MalformedDataset as exc:
+        code, message = EXIT_CONFIG, "dataset: %s" % exc
+    except OSError as exc:
+        # the loaders report a file they cannot read, so this is an output
+        code, message = EXIT_CONFIG, "cannot write %s: %s" % (
+            exc.filename or "an output", exc.strerror or exc)
+    except ShapeMismatch as exc:
+        code, message = EXIT_SHAPE, str(exc)
+    except DIVERGED as exc:
+        code, message = EXIT_DIVERGED, "training diverged: %s" % exc
+    print("error: %s" % message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -136,13 +136,20 @@ def config_from_dict(data):
     return _build(RunConfig, data)
 
 
+def _read_json(path, label):
+    """The JSON document in a file.  A file that cannot be read, is not
+    UTF-8 or is not JSON raises ConfigError, its message led by label."""
+    try:
+        with open(path, "rb") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{label}: cannot read: {exc.strerror}") from exc
+    except ValueError as exc:       # UnicodeDecodeError and JSONDecodeError
+        raise ConfigError(f"{label}: invalid JSON: {exc}") from exc
+
+
 def load_config(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(_read_json(path, path))
 
 
 def save_config(cfg, path):
@@ -217,15 +224,12 @@ def save_checkpoint(path, state, bank, sched, mode, seed):
 def load_checkpoint(path):
     """Read a checkpoint back; returns (state, bank, sched, meta).
 
-    A file that is not JSON, or lacks or mistypes a field, raises
-    ConfigError naming the file, and a non-finite parameter, Adam moment,
-    center or learning rate one naming the field too.
+    A file that cannot be read, is not JSON, or lacks or mistypes a
+    field, raises ConfigError naming the file, and a non-finite
+    parameter, Adam moment, center or learning rate one naming the field
+    too.
     """
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"checkpoint {path}: invalid JSON: {exc}") from exc
+    data = _read_json(path, f"checkpoint {path}")
     try:
         return _checkpoint_from_dict(data)
     except KeyError as exc:

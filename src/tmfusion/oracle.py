@@ -32,17 +32,6 @@ def _check_size(T, K):
         raise TooLarge("K**T = %d exceeds %d" % (K ** T, MAX_PATHS))
 
 
-def collapse(path):
-    """CTC collapse: merge adjacent repeats, then drop blanks (class 0)."""
-    out = []
-    prev = None
-    for c in path:
-        if c != prev and c != 0:
-            out.append(c)
-        prev = c
-    return tuple(out)
-
-
 def _digits(T, K):
     """The K**T paths of T frames over K classes in itertools.product
     order, one path per column of a (T, K**T) array."""

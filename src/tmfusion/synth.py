@@ -22,8 +22,9 @@ class ConfigInvalid(ValueError):
 
 
 class MalformedDataset(ValueError):
-    """A dataset file line that is not a sample record of finite
-    features, or a test file with nothing to score."""
+    """A dataset file that cannot be read, a line of it that is not a
+    sample record of finite features and integer labels, or a test file
+    with nothing to score."""
 
 
 @dataclass
@@ -182,13 +183,21 @@ def save_jsonl(samples, path):
             }) + "\n")
 
 
+def _labels(rec, field):
+    values = rec[field]
+    # json reads 1.7 as a float and true as a bool, which intp would
+    # truncate to a label
+    if not isinstance(values, list) or set(map(type, values)) - {int}:
+        raise ValueError("%s must be a list of integer labels" % field)
+    return np.array(values, dtype=np.intp)
+
+
 def _sample_from_record(rec):
     x = np.array(rec["features"], dtype=float)
-    framewise = np.array(rec["framewise"], dtype=np.intp)
-    collapsed = np.array(rec["collapsed"], dtype=np.intp)
-    if x.ndim != 2 or framewise.shape != (len(x),) or collapsed.ndim != 1:
-        raise ValueError("features must be T rows with one framewise label "
-                         "each, and collapsed a list of labels")
+    framewise = _labels(rec, "framewise")
+    collapsed = _labels(rec, "collapsed")
+    if x.ndim != 2 or framewise.shape != (len(x),):
+        raise ValueError("features must be T rows with one framewise label each")
     if not np.isfinite(x).all():
         raise ValueError("features hold a non-finite value")
     if rec["condition"] not in CONDITIONS:
@@ -198,17 +207,23 @@ def _sample_from_record(rec):
 
 
 def load_jsonl(path):
-    """Read the samples save_jsonl wrote.  A line that is not a sample
-    record of finite features raises MalformedDataset naming its line."""
+    """Read the samples save_jsonl wrote.  A file that cannot be read
+    raises MalformedDataset naming it, and a line that is not UTF-8 or
+    not a sample record of finite features and integer labels one
+    naming its line."""
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                out.append(_sample_from_record(json.loads(line)))
-            except KeyError as exc:
-                raise MalformedDataset("%s line %d: missing field %s"
-                                       % (path, lineno, exc)) from exc
-            except (TypeError, ValueError) as exc:
-                raise MalformedDataset("%s line %d: %s"
-                                       % (path, lineno, exc)) from exc
+    try:
+        # as bytes, so that json.loads raises a line's decode error
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    out.append(_sample_from_record(json.loads(line)))
+                except KeyError as exc:
+                    raise MalformedDataset("%s line %d: missing field %s"
+                                           % (path, lineno, exc)) from exc
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise MalformedDataset("%s line %d: %s"
+                                           % (path, lineno, exc)) from exc
+    except OSError as exc:
+        raise MalformedDataset("%s: cannot read: %s" % (path, exc.strerror)) from exc
     return out

@@ -150,16 +150,19 @@ def test_gen_data_on_two_workers_equals_one(monkeypatch, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_gen_data_write_failure_raises_the_first_files_error(monkeypatch,
+def test_gen_data_write_failure_raises_the_first_files_error(monkeypatch, capsys,
                                                              tmp_path, cpus):
     conf = gen_data_config(tmp_path)
     force_cpus(monkeypatch, cpus)
-    # a directory where a file goes: writing it fails on a worker
+    # a directory where a file goes: writing it fails on a worker, and
+    # the error reaches main with the file's name
     for name in ("seen_train.jsonl", "unseen_test.jsonl"):
         (tmp_path / "data" / name).mkdir(parents=True)
-    with pytest.raises(IsADirectoryError) as failed:
-        cli.main(["gen-data", "--config", conf, "--out", str(tmp_path / "data")])
-    assert failed.value.filename == str(tmp_path / "data" / "seen_train.jsonl")
+    assert cli.main(["gen-data", "--config", conf,
+                     "--out", str(tmp_path / "data")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot write %s: Is a directory" % (tmp_path / "data" / "seen_train.jsonl") in err
+    assert "unseen_test.jsonl" not in err
     assert multiprocessing.active_children() == []
     for name in ALL_FILES[:2]:
         assert os.path.isfile(tmp_path / "data" / name)
