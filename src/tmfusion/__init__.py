@@ -10,7 +10,7 @@ import numpy.random as _numpy_random  # noqa: F401
 from .ctc import (AlignmentTables, BLANK, DegenerateFrame, InfeasibleLabeling,
                   ctc_grad_logits, forward_backward, min_frames, occupancy)
 from .losses import (CenterBank, UnknownClass, center_stats, cross_entropy, ecl,
-                     ecl_grad_features, frame_runs, fuse_feature_grad)
+                     ecl_grad_features, frame_runs)
 from .model import (ModelState, NetworkSpec, NonFiniteGradient, ScheduleState,
                     TrainSettings, adam_step, backward_batch, forward_stacks,
                     schedule_tick, train, validation_score)

@@ -144,6 +144,14 @@ def _load_test_sets(data_dir, spec, temporal):
     return tests
 
 
+def _check_writable(path):
+    """Raise the OSError that writing path would raise; path stays as it was."""
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def cmd_train(args):
     cfg = _config_for(args)
     pool = _load_train_pool(cfg)
@@ -156,6 +164,9 @@ def cmd_train(args):
                               % (cfg.validation_fraction, len(pool), name))
     state = cfg.new_state()
     bank = cfg.new_bank()
+    # a failed checkpoint write keeps the earlier file, so no output is
+    # written unless both can be
+    _check_writable(cfg.metrics_path)
     # the step-0 checkpoint, which a run that diverges keeps
     save_checkpoint(cfg.checkpoint_path, state, bank,
                     model.ScheduleState(halve_after=cfg.halve_after,

@@ -172,7 +172,8 @@ def _array_in(rows, shape, field):
 def save_checkpoint(path, state, bank, sched, mode, seed):
     """Write model, centers, optimizer, and schedule state as JSON,
     atomically: through path + ".tmp", then os.replace.  A write that
-    fails removes the ".tmp" file and re-raises."""
+    fails removes the ".tmp" file and re-raises; an OSError names path,
+    not the ".tmp" file."""
     shapes = {k: list(v.shape) for k, v in state.params.items()}
     data = {
         "format": "tmfusion-checkpoint-v1",
@@ -180,12 +181,7 @@ def save_checkpoint(path, state, bank, sched, mode, seed):
         "seed": seed,
         "step_count": state.step_count,
         "lr": repr(float(state.lr)),
-        "network": {
-            "input_dim": state.spec.input_dim,
-            "hidden": list(state.spec.hidden),
-            "num_classes": state.spec.num_classes,
-            "recurrent": state.spec.recurrent,
-        },
+        "network": dataclasses.asdict(state.spec),
         "shapes": shapes,
         "params": {k: _array_out(v) for k, v in state.params.items()},
         "adam_m": {k: _array_out(v) for k, v in state.adam_m.items()},
@@ -214,10 +210,13 @@ def save_checkpoint(path, state, bank, sched, mode, seed):
             json.dump(data, fh, indent=1)
             fh.write("\n")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         # a failed write leaves no partial file behind either
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if getattr(exc, "filename", None) == tmp:
+            # the error names the file the caller asked for
+            exc.filename, exc.filename2 = os.fspath(path), None
         raise
 
 
@@ -243,9 +242,7 @@ def _checkpoint_from_dict(data):
         raise ConfigError("unrecognized format marker")
     if data["mode"] not in MODES:
         raise ConfigError("mode: expected one of %s, got %r" % (MODES, data["mode"]))
-    net = data["network"]
-    spec = NetworkSpec(net["input_dim"], list(net["hidden"]),
-                       net["num_classes"], net["recurrent"])
+    spec = _build(NetworkSpec, data["network"], "network")
     adam = data["adam"]
     state = ModelState(spec, seed=data["seed"], lr=float(_array_in([[data["lr"]]], (), "lr")),
                        beta1=float(adam["beta1"]), beta2=float(adam["beta2"]),

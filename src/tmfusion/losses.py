@@ -139,16 +139,6 @@ def ecl_grad_features(u, w, centers):
     return w.sum(axis=-1)[..., None] * u - w @ centers
 
 
-def fuse_feature_grad(delta_ml, W, delta_ecl, lam, product=np.matmul):
-    """Fused error signal entering the second-last layer,
-    delta = product(delta_ml, W) + lam * delta_ecl: per frame,
-    W^T delta_ml(t) plus the weighted center signal."""
-    base = product(np.asarray(delta_ml, dtype=float), np.asarray(W, dtype=float))
-    if lam == 0.0:
-        return base
-    return base + lam * np.asarray(delta_ecl, dtype=float)
-
-
 def _over_frames(g, u):
     """g^T u and g summed over the frames, per sequence."""
     return g.swapaxes(-1, -2) @ u, g.sum(axis=-2)

@@ -16,10 +16,10 @@ returns its activation stacks with its outputs; ``backward_batch`` takes
 those and the error signals as stacks of that layout, zeroes their
 padding frames, and returns (B, ...) gradient stacks; one sequence is
 the batch B = 1.  The signal step between them runs on the stacks too,
-one call per step for the whole batch: one lattice, the CTC gradient,
-the occupancy, the ECL and its signal, and one center_stats
-(``_batch_signals``).  Training sums each gradient stack once
-(``_batch_step``, the gradient that ``verify.grad_full_suite`` checks).
+one call per step for the whole batch (``_batch_signals``).  Each mode's
+objective is written once, in ``_alignment``: training, validation
+(``sequence_losses``) and ``verify.grad_full_suite``, which checks the
+gradient that ``_batch_step`` sums, all score a batch through it.
 Only the tanh recurrence and its reverse step frame by frame.  Each
 sequence's outputs and gradients are bit for bit those of a network
 that sees it alone, by these facts, measured with numpy 2.4 and
@@ -343,19 +343,24 @@ def schedule_tick(sched, validation_score):
     return "continue"
 
 
-def _batch_signals(state, batch, Ts, u, log_y, y, settings, bank):
-    """Each sequence's loss, the signal stacks delta_ml and delta_fused,
-    and the batch's summed center statistics (fusion modes, else None),
-    from the stacks of the features and of the output log-probabilities
-    and probabilities, one call per step for the whole batch.  Both
-    fusion modes weigh (w, labels) label positions: tmf the positions of
-    each lattice by occupancy, fmf the runs of its frame labels by 0/1."""
-    mode, lam = settings.mode, settings.lam
-    W, rows = state.params["W"], partial(_rows_product, Ts=Ts)
+def sequence_losses(mode, batch, Ts, log_y):
+    """The (B,) CTC (ctc, tmf) or CE (ce, fmf) losses of ``_alignment``
+    bit for bit, from the log-probabilities by the forward rows alone."""
+    if mode in TEMPORAL_MODES:
+        return -ctc.log_seq_probs(log_y, Ts, [s.collapsed for s in batch])
+    frames = np.concatenate([s.framewise for s in batch]).astype(np.intp)
+    return np.array(losses.cross_entropy(log_y, frames - 1, Ts))
+
+
+def _alignment(batch, Ts, log_y, y, settings):
+    """The one place the modes part: each sequence's CTC or CE loss, the
+    signal stack delta_ml at the logits, and the ECL's (w, labels), None
+    outside the fusion modes: tmf weighs the label positions of each
+    lattice by occupancy, fmf the runs of its frame labels by 0/1."""
+    mode, w, labels = settings.mode, None, None
     if mode in TEMPORAL_MODES:
         tables = ctc.forward_backward_batch(log_y, Ts, [s.collapsed for s in batch])
-        seq_losses = -tables.log_seq_prob
-        delta_ml = ctc.ctc_grad_logits(tables, y)
+        seq_losses, delta_ml = -tables.log_seq_prob, ctc.ctc_grad_logits(tables, y)
         if mode == "tmf":
             w = ctc.occupancy(tables, settings.occupancy_mode)[..., 1::2]
             labels = tables.zp[:, 1::2]
@@ -367,15 +372,26 @@ def _batch_signals(state, batch, Ts, u, log_y, y, settings, bank):
         delta_ml[b, t, frames - 1] -= 1.0
         if mode == "fmf":
             w, labels = losses.frame_runs(frames, Ts)
-    if mode not in FUSION_MODES:
-        return seq_losses.tolist(), delta_ml, rows(delta_ml, W), None
+    return seq_losses, delta_ml, w, labels
+
+
+def _batch_signals(state, batch, Ts, u, log_y, y, settings, bank):
+    """Each sequence's loss, the signal stacks delta_ml and delta_fused
+    (W^T delta_ml, plus lam times the ECL signal unless lam is 0), and
+    the batch's summed center statistics (fusion modes, else None), from
+    the stacks of the features and of the output log-probabilities and
+    probabilities, one call per step for the whole batch."""
+    seq_losses, delta_ml, w, labels = _alignment(batch, Ts, log_y, y, settings)
+    delta_fused = _rows_product(delta_ml, state.params["W"], Ts)
+    if w is None:
+        return seq_losses.tolist(), delta_ml, delta_fused, None
     # label 0 pads the shorter labelings: weight 0, any center
-    centers = bank.centers[labels - 1]
+    lam, centers = settings.lam, bank.centers[labels - 1]
     seq_losses = seq_losses + lam * losses.ecl(u, w, centers)
-    delta_ecl = losses.ecl_grad_features(u, w, centers)
+    if lam:
+        delta_fused = delta_fused + lam * losses.ecl_grad_features(u, w, centers)
     stats = losses.center_stats(bank, u, w, labels, centers, partial(_weight_grads, Ts=Ts))
-    return (seq_losses.tolist(), delta_ml,
-            losses.fuse_feature_grad(delta_ml, W, delta_ecl, lam, rows), stats)
+    return seq_losses.tolist(), delta_ml, delta_fused, stats
 
 
 def _batch_step(state, batch, settings, bank):
@@ -405,24 +421,18 @@ def score_groups(samples):
 
 def validation_score(state, samples, mode):
     """Mean per-sequence log likelihood (sequence modes) or mean frame
-    log probability (framewise modes); higher is better.  The terms are
-    summed in sample order, whatever order the groups score them in."""
-    temporal = mode in TEMPORAL_MODES
+    log probability (framewise modes) by ``sequence_losses``; higher is
+    better.  The terms add in sample order, whatever order they score in."""
     terms = [0.0] * len(samples)
     for group in score_groups(samples):
         members = [samples[i] for i in group]
         Ts, _, log_y, _ = forward_stacks(state, [s.x for s in members])
-        if temporal:
-            group_terms = ctc.log_seq_probs(log_y, Ts, [s.collapsed for s in members]).tolist()
-        else:
-            cols = np.concatenate([s.framewise for s in members]).astype(np.intp) - 1
-            group_terms = [-nll for nll in losses.cross_entropy(log_y, cols, Ts)]
-        for i, term in zip(group, group_terms):
+        for i, term in zip(group, (-sequence_losses(mode, members, Ts, log_y)).tolist()):
             terms[i] = term
     total = 0.0
     for term in terms:
         total += term
-    return total / (len(samples) if temporal
+    return total / (len(samples) if mode in TEMPORAL_MODES
                     else sum(len(sample.framewise) for sample in samples))
 
 

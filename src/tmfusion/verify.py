@@ -14,7 +14,9 @@ all its instances, on every feasible labeling of one posterior
 (``oracle.finite_diff`` hands them over stacked).  ``grad_ml`` and
 ``grad_ecl`` take each base point's tables from the one-pair
 ``ctc.forward_backward`` on purpose, so that the public B=1 API stays
-under check.  The errors keep every bit of a per-instance loop: the
+under check.  ``grad_full`` scores its points by training's own
+objective code (``model._alignment`` and ``model.sequence_losses``), not
+a copy of it.  The errors keep every bit of a per-instance loop: the
 batched lattice and network equal a call per instance bit for bit, the
 points are built by the same elementwise additions, each sums its own
 contiguous block of an ECL table, and the partition sums its
@@ -179,39 +181,28 @@ def grad_ecl_suite(n=50, seed=5):
 
 def network_loss(state, points, batch, settings, bank):
     """The loss whose gradient a training step sums, at each flat
-    parameter vector in ``points``: over the sequences of ``batch``, CTC
-    (ctc, tmf) or the framewise CE (ce, fmf), plus in the fusion modes
-    (lam/2) * ECL, with the (w, labels) of ``model._batch_signals`` frozen
-    at the state's own parameters.  One ``forward_stacks`` call runs every
-    sequence at the state's parameters and at every point, one lattice
-    call scores them all, and one ``ecl_terms`` table holds every point's
-    ECL, of which each sequence sums its own (T_b, r_b) block.  The state
-    is left as it was."""
-    B, mode, rows = len(batch), settings.mode, np.vstack([state.flat_params(), points])
+    parameter vector in ``points``, by training's own objective code:
+    ``model.sequence_losses`` over the sequences of ``batch``, plus in the
+    fusion modes (lam/2) * ECL with ``model._alignment``'s (w, labels)
+    frozen at the state's parameters.  One ``forward_stacks`` call runs
+    every sequence at those and at every point, the points run the
+    lattice's forward rows only, and each sequence sums its own
+    (T_b, r_b) block of one ``ecl_terms`` table.  The state is left as it was."""
+    B, P, rows = len(batch), len(points), np.vstack([state.flat_params(), points])
     runs = copy.copy(state)
     runs.params = state.unflatten(np.repeat(rows, B, axis=0))
-    Ts, stacks, log_y, _ = model.forward_stacks(runs, [s.x for s in batch] * len(rows))
-    u = stacks[-1]
-    if mode in model.TEMPORAL_MODES:
-        tables = ctc.forward_backward_batch(log_y, Ts, [s.collapsed for s in batch] * len(rows))
-        seq_losses = -tables.log_seq_prob
-        if mode == "tmf":
-            # the base point's label positions; label 0 pads, with weight 0
-            w = ctc.occupancy(tables, settings.occupancy_mode)[:B, :, 1::2]
-            labels = tables.zp[:B, 1::2]
-    else:
-        frames = np.concatenate([s.framewise for s in batch])
-        seq_losses = np.array(losses.cross_entropy(log_y, np.tile(frames, len(rows)) - 1, Ts))
-        if mode == "fmf":
-            w, labels = losses.frame_runs(frames, Ts[:B])
-    seq_losses = seq_losses.reshape(len(rows), B)
-    if mode in model.FUSION_MODES:
-        terms = losses.ecl_terms(u.reshape((len(rows), B) + u.shape[1:]), w,
-                                 bank.centers[labels - 1])
+    Ts, stacks, log_y, y = model.forward_stacks(runs, [s.x for s in batch] * (P + 1))
+    _, _, w, labels = model._alignment(batch, Ts[:B], log_y[:B], y[:B], settings)
+    seq_losses = model.sequence_losses(settings.mode, batch * P, Ts[B:],
+                                       log_y[B:]).reshape(P, B)
+    if w is not None:
+        # label 0 pads, with weight 0
+        u = stacks[-1][B:]
+        terms = losses.ecl_terms(u.reshape((P, B) + u.shape[1:]), w, bank.centers[labels - 1])
         for b, (Tb, rb) in enumerate(zip(Ts, np.count_nonzero(labels, axis=1))):
-            block = np.ascontiguousarray(terms[:, b, :Tb, :rb]).reshape(len(rows), -1)
+            block = np.ascontiguousarray(terms[:, b, :Tb, :rb]).reshape(P, -1)
             seq_losses[:, b] += 0.5 * settings.lam * block.sum(axis=1)
-    return seq_losses[1:].sum(axis=1)
+    return seq_losses.sum(axis=1)
 
 
 def _random_batch(rng, mode, C, F):

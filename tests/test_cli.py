@@ -495,6 +495,12 @@ def training_refused(env):
                             lambda *args, **kw: pytest.fail("training started"))
 
 
+def earlier_run_refused(env):
+    training_refused(env)
+    env.earlier = {path: open(path, "rb").read()
+                   for path in (env.cfg.checkpoint_path, env.cfg.metrics_path)}
+
+
 def missing_directory(env):
     env.missing = str(env.tmp / "nodir" / "e.csv")
 
@@ -643,6 +649,10 @@ def step_0_checkpoint_kept(env, captured):
     assert meta["step_count"] == 0
 
 
+def earlier_outputs_unchanged(env, captured):
+    assert {path: open(path, "rb").read() for path in env.earlier} == env.earlier
+
+
 def framewise_modes_train(env, captured):
     # only the temporal modes read the labeling
     framewise_path, _ = write_config(env.tmp, "ce.json", mode="ce",
@@ -781,10 +791,18 @@ ROWS = [
     # train checks both paths before training starts
     Row("test_train_output_path_in_a_missing_directory_exits_2", "data", EXIT_2,
         training_refused, lambda env: env.train("--out", env.missing),
-        ["cannot write {missing}"], files=("checkpoint",)),
+        ["cannot write {missing}:"], files=()),
     Row("test_train_checkpoint_path_in_a_missing_directory_exits_2", "data", EXIT_2,
         training_refused, lambda env: env.train("--checkpoint", env.missing),
-        ["cannot write {missing}"], files=()),
+        ["cannot write {missing}:"], files=()),
+    # an earlier run's files at the other path keep their bytes
+    *[Row("test_train_%s_path_in_a_missing_directory_keeps_the_earlier_%s"
+          % (path, kept), "trained", EXIT_2, earlier_run_refused,
+          lambda env, flag=flag: env.train(flag, env.missing),
+          ["cannot write {missing}:"], files=("checkpoint", "metrics"),
+          after=earlier_outputs_unchanged)
+      for path, flag, kept in (("output", "--out", "checkpoint"),
+                               ("checkpoint", "--checkpoint", "metrics"))],
     Row("test_eval_out_path_in_a_missing_directory_exits_2", "trained", EXIT_2,
         missing_directory, lambda env: env.eval("--out", env.missing),
         ["cannot write {missing}"]),

@@ -4,6 +4,7 @@ import dataclasses
 import filecmp
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,21 @@ def test_checkpoint_rejects_unknown_mode(tmp_path):
     path = tmp_path / "ckpt.json"
     config.save_checkpoint(path, state, bank, sched, "CTC", 8)
     with pytest.raises(config.ConfigError, match="mode"):
+        config.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [("hiden", [4]), ("input_dim", "8")],
+                         ids=["unknown", "mistyped"])
+def test_checkpoint_network_field_that_is_unknown_or_mistyped_is_named(tmp_path, field,
+                                                                      value):
+    state, bank, sched = trained_state()
+    path = tmp_path / "ckpt.json"
+    config.save_checkpoint(path, state, bank, sched, "tmf", 8)
+    data = json.loads(path.read_text())
+    data["network"][field] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(config.ConfigError,
+                       match=re.escape("checkpoint %s: network: " % path)):
         config.load_checkpoint(path)
 
 

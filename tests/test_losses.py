@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tmfusion import ctc, losses, model, oracle
+from tmfusion import ctc, losses, model, oracle, synth
 
 
 def make_bank(num_classes, dim, rng=None, **kw):
@@ -377,31 +377,51 @@ def test_ecl_grad_factor_two_versus_finite_differences():
     np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
 
 
-def test_fuse_lambda_zero_is_pure_backprop():
+def fused_signal(mode, lam, W=None):
+    """delta_fused of ``model._batch_signals`` for a padded batch of three
+    sequences of unequal lengths, with W as the output weights if given,
+    and what it is built from: the (B, T_max, D) stack W^T delta_ml, the
+    features u, the ECL weights w and the centers of their positions."""
     rng = np.random.default_rng(8)
-    delta_ml = rng.normal(size=(4, 3))
-    W = rng.normal(size=(3, 5))
-    delta_ecl = rng.normal(size=(4, 5))
-    got = losses.fuse_feature_grad(delta_ml, W, delta_ecl, 0.0)
-    np.testing.assert_array_equal(got, delta_ml @ W)
+    batch = synth.generate(synth.GeneratorConfig(num_classes=2, feature_dim=3,
+                                                 segment_length=(1, 3),
+                                                 labels_per_sequence=(1, 3), seed=8), 3)
+    assert len({len(s.x) for s in batch}) == 3
+    state = model.ModelState(model.NetworkSpec(3, [4], model.output_units(mode, 2)), seed=8)
+    if W is not None:
+        state.params["W"] = W
+    bank = make_bank(2, 4, rng)
+    settings = model.TrainSettings(mode=mode, lam=lam)
+    Ts, stacks, log_y, y = model.forward_stacks(state, [s.x for s in batch])
+    _, delta_ml, delta_fused, _ = model._batch_signals(state, batch, Ts, stacks[-1], log_y, y,
+                                                       settings, bank)
+    _, _, w, labels = model._alignment(batch, Ts, log_y, y, settings)
+    base = model._rows_product(delta_ml, state.params["W"], Ts)
+    return delta_fused, base, stacks[-1], w, bank.centers[labels - 1]
+
+
+def test_fuse_lambda_zero_is_pure_backprop():
+    # the ECL signal is not added at all, so not even a -0 turns into +0
+    for mode in model.FUSION_MODES:
+        delta_fused, base, *_ = fused_signal(mode, 0.0)
+        assert delta_fused.tobytes() == base.tobytes()
 
 
 def test_fuse_passes_center_signal_through():
-    delta_ecl = np.array([[1.0, -2.0]])
-    got = losses.fuse_feature_grad(np.zeros((1, 3)), np.zeros((3, 2)),
-                                   delta_ecl, 1.0)
-    np.testing.assert_array_equal(got, delta_ecl)
+    for mode in model.FUSION_MODES:
+        W = np.zeros((model.output_units(mode, 2), 4))
+        delta_fused, base, u, w, centers = fused_signal(mode, 1.0, W)
+        assert not base.any()
+        np.testing.assert_array_equal(delta_fused, losses.ecl_grad_features(u, w, centers))
 
 
 def test_fuse_linear_in_lambda():
-    rng = np.random.default_rng(9)
-    delta_ml = rng.normal(size=(4, 3))
-    W = rng.normal(size=(3, 5))
-    delta_ecl = rng.normal(size=(4, 5))
-    one = losses.fuse_feature_grad(delta_ml, W, delta_ecl, 0.3)
-    two = losses.fuse_feature_grad(delta_ml, W, delta_ecl, 0.6)
-    base = delta_ml @ W
-    np.testing.assert_allclose(two - base, 2.0 * (one - base), rtol=1e-12)
+    for mode in model.FUSION_MODES:
+        one, base, u, w, centers = fused_signal(mode, 0.3)
+        two, *_ = fused_signal(mode, 0.6)
+        delta_ecl = losses.ecl_grad_features(u, w, centers)
+        assert one.tobytes() == (base + 0.3 * delta_ecl).tobytes()
+        np.testing.assert_allclose(two - base, 2.0 * (one - base), rtol=1e-12)
 
 
 # ------------------------------------------------------- temporal center rule

@@ -621,8 +621,9 @@ def parent_sequence_signals(state, sample, u, log_y, y, tables, settings, bank):
     if mode not in model.FUSION_MODES:
         return loss, delta_ml, delta_ml @ W, None
     loss = loss + lam * losses.ecl(u, w, centers)
-    delta_ecl = losses.ecl_grad_features(u, w, centers)
-    delta_fused = losses.fuse_feature_grad(delta_ml, W, delta_ecl, lam)
+    delta_fused = delta_ml @ W
+    if lam:
+        delta_fused = delta_fused + lam * losses.ecl_grad_features(u, w, centers)
     return loss, delta_ml, delta_fused, losses.center_stats(bank, u, w, labels, centers)
 
 
@@ -779,8 +780,7 @@ def onehot_batch_signals(state, batch, Ts, u, log_y, y, settings, bank):
     stats = losses.center_stats(bank, u, w, labels, bank.centers,
                                 partial(model._weight_grads, Ts=Ts))
     return (seq_losses.tolist(), delta_ml,
-            losses.fuse_feature_grad(delta_ml, state.params["W"], delta_ecl, settings.lam,
-                                     rows), stats)
+            rows(delta_ml, state.params["W"]) + settings.lam * delta_ecl, stats)
 
 
 @pytest.mark.parametrize("hidden", [(8,), (3, 1)])
@@ -1023,6 +1023,20 @@ def test_validation_score_sums_in_sample_order(mode, monkeypatch):
     monkeypatch.setattr(ctc, "forward_backward_batch",
                         lambda *args: pytest.fail("validation ran the backward rows"))
     assert model.validation_score(state, data, mode) == total / (frames or len(data))
+
+
+@pytest.mark.parametrize("mode", model.MODES)
+def test_sequence_losses_equal_the_alignments_bitwise(mode):
+    # validation and the gradient check score by the forward rows alone:
+    # training's losses, on a padded batch of unequal lengths
+    data = toy_data(n=6)
+    assert len({len(s.x) for s in data}) > 1
+    spec = model.NetworkSpec(4, [8], model.output_units(mode, 2), recurrent=True)
+    state = model.ModelState(spec, seed=3)
+    Ts, _, log_y, y = model.forward_stacks(state, [s.x for s in data])
+    want, *_ = model._alignment(data, Ts, log_y, y, settings_for(mode, lam=0.1))
+    assert model.sequence_losses(mode, data, Ts, log_y).tobytes() == want.tobytes()
+
 
 # ------------------------------------------------------- full gradient check
 

@@ -474,6 +474,26 @@ def test_tmf_network_loss_leaves_the_state_alone():
             assert state.params[k] is arrays[k] and np.array_equal(state.params[k], v)
 
 
+@pytest.mark.parametrize("mode", model.TEMPORAL_MODES)
+def test_network_loss_runs_the_backward_rows_at_the_base_point_only(mode, monkeypatch):
+    # the points need their losses alone: the lattice's forward rows
+    rng = np.random.default_rng(12)
+    spec = model.NetworkSpec(2, [3], model.output_units(mode, 2))
+    state = model.ModelState(spec, seed=3)
+    batch = verify._random_batch(rng, mode, 2, 2)
+    real, sizes = ctc.forward_backward_batch, []
+
+    def counted(log_y, Ts, labels_list):
+        sizes.append(len(Ts))
+        return real(log_y, Ts, labels_list)
+
+    monkeypatch.setattr(ctc, "forward_backward_batch", counted)
+    points = state.flat_params() + rng.normal(0.0, 0.1, (5, state.flat_params().size))
+    verify.network_loss(state, points, batch, model.TrainSettings(mode=mode),
+                        losses.CenterBank(2, spec.feature_dim))
+    assert sizes == [len(batch)]
+
+
 @pytest.mark.parametrize("batched, per_point, n", [
     (verify.seq_prob_suite, per_point_seq_prob_suite, 40),
     (verify.occupancy_suite, per_point_occupancy_suite, 30),
