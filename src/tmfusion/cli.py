@@ -18,7 +18,7 @@ from contextlib import closing
 from . import ctc, metrics, model, synth, verify, workers
 from .config import (ConfigError, _fmt, append_metrics, load_checkpoint,
                      load_config, open_metrics, save_checkpoint)
-from .experiment import corpus_part, evaluate_model
+from .experiment import corpus_part, evaluate_model, split_pool
 from .model import TEMPORAL_MODES
 from .synth import CONDITIONS, MalformedDataset
 
@@ -30,7 +30,7 @@ DIVERGED = (model.NonFiniteGradient, ctc.DegenerateFrame)
 
 
 class ShapeMismatch(Exception):
-    pass
+    """A dataset sample that does not fit the network: exit 4."""
 
 
 def _config_for(args):
@@ -156,22 +156,15 @@ def cmd_train(args):
     cfg = _config_for(args)
     pool = _load_train_pool(cfg)
     tests = _load_test_sets(cfg.data_dir, cfg.network, cfg.temporal)
-    train_set, val_set = synth.split(pool, cfg.validation_fraction, seed=cfg.seed)
-    for name, part in (("training", train_set), ("validation", val_set)):
-        if not part:
-            raise ConfigError("validation_fraction: %r of %d training sequences leaves "
-                              "the %s split empty"
-                              % (cfg.validation_fraction, len(pool), name))
+    train_set, val_set = split_pool(pool, cfg.validation_fraction, cfg.seed)
     state = cfg.new_state()
     bank = cfg.new_bank()
     # a failed checkpoint write keeps the earlier file, so no output is
     # written unless both can be
     _check_writable(cfg.metrics_path)
     # the step-0 checkpoint, which a run that diverges keeps
-    save_checkpoint(cfg.checkpoint_path, state, bank,
-                    model.ScheduleState(halve_after=cfg.halve_after,
-                                        stop_after=cfg.stop_after),
-                    cfg.mode, cfg.seed)
+    sched = model.ScheduleState(halve_after=cfg.halve_after, stop_after=cfg.stop_after)
+    save_checkpoint(cfg.checkpoint_path, state, bank, sched, cfg.mode, cfg.seed)
     fh, writer = open_metrics(cfg.metrics_path)
 
     def hook(hstate, hbank, row, sched):

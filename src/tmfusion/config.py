@@ -4,14 +4,15 @@ All three formats are JSON or CSV with floats rendered by repr(), so a
 parse -> serialize -> parse cycle is bit-exact and two runs with the
 same seed produce byte-identical files.
 
-RunConfig is model.TrainSettings plus the run's own settings (network,
-generator, optimizer, center bank, data and files), read by the
+RunConfig is model.TrainSettings plus the run's own settings (hidden
+widths, generator, optimizer, center bank, data and files), read by the
 dataclasses' own field types: a field typed by a dataclass is read from
 a nested object, a list or tuple field from an array.  Each dataclass
-checks its own fields (the mode against model.MODES, lam,
+checks its own fields (the mode against model.MODES, lam, hidden,
 occupancy_mode, the batch and schedule counts, the generator's ranges,
-occupancy_threshold), and every error arrives as a ConfigError that
-names the field by its dotted path ("generator: segment_length: ...").
+occupancy_threshold), _build rejects a NaN or infinity at any depth,
+and every error arrives as a ConfigError that names the field by its
+dotted path ("generator: segment_length: ...").
 """
 
 import contextlib
@@ -43,8 +44,8 @@ class ConfigError(ValueError):
 class RunConfig(TrainSettings):
     """Everything one training run needs, with defaults materialized."""
 
-    network: NetworkSpec = dataclasses.field(
-        default_factory=lambda: NetworkSpec(8, [32, 16], 6))
+    hidden: tuple = (32, 16)            # the network's hidden widths
+    recurrent: bool = False             # the last hidden layer recurs
     generator: GeneratorConfig = dataclasses.field(default_factory=GeneratorConfig)
     learning_rate: float = 1e-4
     beta1: float = 0.9
@@ -61,21 +62,17 @@ class RunConfig(TrainSettings):
     metrics_path: str = "metrics.csv"
 
     def __post_init__(self):
-        # first, so that output_units below sees a known mode
         try:
             super().__post_init__()
-            self.new_bank()
+            self.new_bank()             # builds the network, which checks hidden
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        want = output_units(self.mode, self.generator.num_classes)
-        if self.network.num_classes != want:
-            raise ConfigError(
-                "network.num_classes: mode %r over %d data classes needs %d "
-                "output units, got %d" % (self.mode, self.generator.num_classes,
-                                          want, self.network.num_classes))
-        for cond in self.train_conditions:
-            if cond not in CONDITIONS:
-                raise ConfigError(f"train_conditions: unknown condition {cond!r}")
+        for i, cond in enumerate(self.train_conditions):
+            # a repeated condition would load its file twice, and the
+            # split would put copies of its sequences on both sides
+            if cond not in CONDITIONS or cond in self.train_conditions[:i]:
+                raise ConfigError("train_conditions: %s condition %r" % (
+                    "repeated" if cond in CONDITIONS else "unknown", cond))
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction: must lie strictly in (0, 1)")
         for field in ("learning_rate", "center_momentum"):
@@ -84,6 +81,14 @@ class RunConfig(TrainSettings):
         for field in ("num_train_sequences", "num_test_sequences"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field}: must be at least 1")
+
+    @property
+    def network(self):
+        """Not a setting: the generator's features in, the hidden widths,
+        and output_units(mode, generator.num_classes) columns out."""
+        return NetworkSpec(self.generator.feature_dim, list(self.hidden),
+                           output_units(self.mode, self.generator.num_classes),
+                           self.recurrent)
 
     @property
     def temporal(self):
@@ -118,6 +123,8 @@ def _build(cls, data, where=""):
         raise ConfigError(f"{label}: unknown field {extra[0]!r}")
     kwargs = {}
     for name, value in data.items():
+        if _non_finite(value):      # json reads NaN, Infinity and 1e400
+            raise ConfigError(f"{where + ': ' if where else ''}{name}: not a finite number")
         kind = types[name]
         if dataclasses.is_dataclass(kind):
             value = _build(kind, value, f"{where}.{name}" if where else name)
@@ -130,6 +137,13 @@ def _build(cls, data, where=""):
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{label}: {exc}") from exc
+
+
+def _non_finite(value):
+    """Whether a JSON value is, or an array holds, a NaN or an infinity."""
+    if isinstance(value, list):
+        return any(map(_non_finite, value))
+    return isinstance(value, float) and not math.isfinite(value)
 
 
 def config_from_dict(data):

@@ -10,8 +10,10 @@ clean data as the secondary axis.
 This module also owns the corpus recipe: ``corpus_part`` says which
 sequence indices a condition's train or test part draws, for the
 experiment's per-seed corpus and for the files ``tmfusion gen-data``
-writes alike.  The modes and the blank-output rule come from the mode
-table in ``model`` (MODES, TEMPORAL_MODES, FUSION_MODES, output_units).
+writes alike, and ``split_pool`` the train/validation split, which
+``tmfusion train`` runs too.  The modes come from the mode table in
+``model`` (MODES, TEMPORAL_MODES, FUSION_MODES), a run's network widths
+from ``RunConfig.network``.
 """
 
 from contextlib import closing
@@ -20,8 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics, model, synth, workers
-from .config import RunConfig
-from .model import NetworkSpec
+from .config import ConfigError, RunConfig
 
 
 def evaluate_model(state, bank, samples, mode, condition):
@@ -103,10 +104,7 @@ def _generator(spec, seed):
 def run_config_for(spec, mode, seed):
     gen = _generator(spec, seed)
     return RunConfig(
-        mode=mode, seed=seed,
-        network=NetworkSpec(gen.feature_dim, list(spec.hidden),
-                            model.output_units(mode, gen.num_classes),
-                            recurrent=spec.recurrent),
+        mode=mode, seed=seed, hidden=tuple(spec.hidden), recurrent=spec.recurrent,
         generator=gen,
         lam={"tmf": spec.lam_tmf, "fmf": spec.lam_fmf}.get(mode, 0.0),
         occupancy_mode=spec.occupancy_mode,
@@ -132,6 +130,17 @@ def corpus_part(gen, condition, part, count):
                           start_index=start)
 
 
+def split_pool(pool, validation_fraction, seed):
+    """synth.split of a training pool into (train, validation); a part
+    left empty raises ConfigError naming validation_fraction."""
+    parts = synth.split(pool, validation_fraction, seed=seed)
+    for name, part in zip(("training", "validation"), parts):
+        if not part:
+            raise ConfigError("validation_fraction: %r of %d training sequences leaves "
+                              "the %s split empty" % (validation_fraction, len(pool), name))
+    return parts
+
+
 def make_datasets(spec, seed):
     """Generate the per-seed corpus: pooled clean+seen training data,
     split into train and validation, and one held-out test set per
@@ -140,7 +149,7 @@ def make_datasets(spec, seed):
     pool = []
     for cond in ("clean", "seen"):
         pool.extend(corpus_part(gen, cond, "train", spec.num_train_per_condition))
-    train, val = synth.split(pool, spec.val_fraction, seed=seed)
+    train, val = split_pool(pool, spec.val_fraction, seed)
     tests = {cond: corpus_part(gen, cond, "test", spec.num_test)
              for cond in synth.CONDITIONS}
     return train, val, tests
@@ -151,9 +160,7 @@ def run_single(spec, mode, seed):
     (make_datasets(spec, seed)); returns {condition: EvalReport}."""
     train_set, val_set, tests = make_datasets(spec, seed)
     cfg = run_config_for(spec, mode, seed)
-    state = cfg.new_state()
-    bank = cfg.new_bank()
-    state, bank, _ = model.train(state, bank, train_set, val_set,
+    state, bank, _ = model.train(cfg.new_state(), cfg.new_bank(), train_set, val_set,
                                  cfg.settings())
     return {cond: evaluate_model(state, bank, tests[cond], mode, cond)
             for cond in tests}
@@ -163,11 +170,12 @@ def run_experiment(spec=None, progress=None):
     """Full sweep; returns results[mode][seed] = {condition: EvalReport}.
 
     Every (mode, seed) RunConfig is built first, so a bad spec raises
-    its ConfigError before any data or model.  The models then train on
-    worker processes (workers.in_order), each from its own copy of its
-    seed's corpus; results and progress(mode, seed, unseen report)
-    calls come in the serial order, seed by seed, bit for bit as one
-    process would compute them.
+    its ConfigError before any data or model; an empty split raises in
+    split_pool once its seed's data is made, before its model trains.
+    The models train on worker processes (workers.in_order), each from
+    its own copy of its seed's corpus; results and progress(mode, seed,
+    unseen report) calls come in the serial order, seed by seed, bit for
+    bit as one process would compute them.
     """
     if spec is None:
         spec = ExperimentSpec()

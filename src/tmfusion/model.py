@@ -101,10 +101,10 @@ class NetworkSpec:
     recurrent: bool = False
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.num_classes < 1 or not self.hidden:
-            raise ValueError("all dimensions must be at least 1")
-        if any(h < 1 for h in self.hidden):
-            raise ValueError("all dimensions must be at least 1")
+        for name, widths in (("input_dim", [self.input_dim]), ("hidden", self.hidden),
+                             ("num_classes", [self.num_classes])):
+            if min(widths, default=0) < 1:      # an empty hidden too
+                raise ValueError("%s: must be at least 1" % name)
 
     @property
     def feature_dim(self):
@@ -376,18 +376,20 @@ def _alignment(batch, Ts, log_y, y, settings):
 
 
 def _batch_signals(state, batch, Ts, u, log_y, y, settings, bank):
-    """Each sequence's loss, the signal stacks delta_ml and delta_fused
-    (W^T delta_ml, plus lam times the ECL signal unless lam is 0), and
-    the batch's summed center statistics (fusion modes, else None), from
-    the stacks of the features and of the output log-probabilities and
-    probabilities, one call per step for the whole batch."""
+    """Each sequence's loss, CTC or CE plus (lam/2) * ECL in the fusion
+    modes (the ECL signal omits its factor 2), the signal stacks delta_ml
+    and delta_fused (W^T delta_ml, plus lam times the ECL signal unless
+    lam is 0), and the batch's summed center statistics (fusion modes,
+    else None), from the stacks of the features and of the output
+    log-probabilities and probabilities, one call per step for the whole
+    batch."""
     seq_losses, delta_ml, w, labels = _alignment(batch, Ts, log_y, y, settings)
     delta_fused = _rows_product(delta_ml, state.params["W"], Ts)
     if w is None:
         return seq_losses.tolist(), delta_ml, delta_fused, None
     # label 0 pads the shorter labelings: weight 0, any center
     lam, centers = settings.lam, bank.centers[labels - 1]
-    seq_losses = seq_losses + lam * losses.ecl(u, w, centers)
+    seq_losses = seq_losses + 0.5 * lam * losses.ecl(u, w, centers)
     if lam:
         delta_fused = delta_fused + lam * losses.ecl_grad_features(u, w, centers)
     stats = losses.center_stats(bank, u, w, labels, centers, partial(_weight_grads, Ts=Ts))

@@ -220,7 +220,7 @@ def test_criterion_09_plateau_schedule_semantics():
 def test_criterion_10_serialization_round_trips(tmp_path):
     run_cfg = config.RunConfig(
         mode="tmf", seed=11, lam=1e-3,
-        network=model.NetworkSpec(4, [6], 3, recurrent=True),
+        hidden=(6,), recurrent=True,
         generator=synth.GeneratorConfig(num_classes=2, feature_dim=4,
                                         segment_length=(2, 4),
                                         labels_per_sequence=(1, 3), seed=11),

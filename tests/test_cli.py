@@ -21,7 +21,7 @@ from tmfusion import cli, config, ctc, experiment, losses, model, synth, verify
 def write_config(tmp_path, name="run.json", **kw):
     defaults = dict(
         mode="tmf", seed=3, lam=1e-3,
-        network=model.NetworkSpec(4, [6], 3, recurrent=True),
+        hidden=(6,), recurrent=True,
         generator=synth.GeneratorConfig(num_classes=2, feature_dim=4,
                                         segment_length=(2, 4),
                                         labels_per_sequence=(1, 3), seed=3),
@@ -430,6 +430,17 @@ def config_setting(keys, value):
     return change
 
 
+def config_literal(keys, text):
+    """The command reads a copy of the config with the JSON text at keys
+    as written, such as NaN or 1e400, which json.dumps does not write."""
+    def change(env):
+        config_setting(keys, "@literal@")(env)
+        with open(env.cfg_path) as fh:
+            content = fh.read().replace('"@literal@"', text)
+        config_file(content.encode())(env)
+    return change
+
+
 def dataset_edit(condition, part, edit):
     """edit rewrites a dataset file's samples, and returns the numbers
     the message names."""
@@ -483,8 +494,9 @@ def drop_references(samples):
 
 
 def wide_network(env):
-    cfg_path, _ = write_config(env.tmp, "wide.json",
-                               network=model.NetworkSpec(5, [6], 3, recurrent=True),
+    # the network's input width is the generator's feature width
+    wide = dataclasses.replace(env.cfg.generator, feature_dim=5)
+    cfg_path, _ = write_config(env.tmp, "wide.json", generator=wide,
                                data_dir=env.cfg.data_dir)
     env.cfg_path = str(cfg_path)
 
@@ -655,8 +667,7 @@ def earlier_outputs_unchanged(env, captured):
 
 def framewise_modes_train(env, captured):
     # only the temporal modes read the labeling
-    framewise_path, _ = write_config(env.tmp, "ce.json", mode="ce",
-                                     network=FRAMEWISE_NETWORK)
+    framewise_path, _ = write_config(env.tmp, "ce.json", mode="ce")
     assert cli.main(["train", "--config", str(framewise_path)]) == 0
 
 
@@ -681,7 +692,6 @@ def seq_prob_error_is_nan(env, captured):
     assert first.split()[:2] == ["seq_prob", "max_err=nan"] and first.endswith("FAIL")
 
 
-FRAMEWISE_NETWORK = model.NetworkSpec(4, [6], 2, recurrent=True)    # no blank output
 EXIT_2, EXIT_3, EXIT_4 = cli.EXIT_CONFIG, cli.EXIT_DIVERGED, cli.EXIT_SHAPE
 GEN_DATA, TRAIN, EVAL = Env.gen_data, Env.train, Env.eval
 
@@ -716,6 +726,33 @@ ROWS = [
     Row("test_gen_data_unknown_field_exits_2_naming_field", "config", EXIT_2,
         config_file(b'{"mode": "tmf", "learning_rte": 0.1}'), GEN_DATA,
         ["learning_rte"]),
+    # the network's widths follow from the generator and the mode
+    Row("test_config_with_a_network_field_exits_2_naming_it", "config", EXIT_2,
+        config_setting(("network",), {"input_dim": 4, "hidden": [6], "num_classes": 3}),
+        TRAIN, ["config: top level: unknown field 'network'"], files=()),
+    # json reads NaN, and an overflowing literal as inf: a number that
+    # is not finite is refused before any file is written, not trained on
+    *[Row("test_config_non_finite_number_exits_2_naming_field[%s-%s-%s]"
+          % (command.__name__, ".".join(keys), text), "config", EXIT_2,
+          config_literal(keys, literal or text), command,
+          ["config: %s: not a finite number" % named],
+          files=() if command is TRAIN else None,
+          after=no_dataset_files if command is GEN_DATA else None)
+      for command, keys, text, literal, named in (
+          (TRAIN, ("learning_rate",), "NaN", None, "learning_rate"),
+          (TRAIN, ("learning_rate",), "1e400", None, "learning_rate"),
+          (TRAIN, ("lam",), "NaN", None, "lam"),
+          (TRAIN, ("center_momentum",), "1e400", None, "center_momentum"),
+          (TRAIN, ("beta1",), "NaN", None, "beta1"),
+          (TRAIN, ("epsilon",), "1e400", None, "epsilon"),
+          (GEN_DATA, ("generator", "unseen", "offset_scale"), "NaN", None,
+           "generator.unseen: offset_scale"),
+          (GEN_DATA, ("generator", "segment_length"), "1e400", "[2, 1e400]",
+           "generator: segment_length"))],
+    # the split would put copies of the repeated file's sequences on both sides
+    Row("test_train_repeated_condition_exits_2_naming_it", "data", EXIT_2,
+        config_setting(("train_conditions",), ["clean", "clean"]), TRAIN,
+        ["config: train_conditions: repeated condition 'clean'"], files=()),
     *[Row("test_train_invalid_occupancy_setting_exits_2_naming_field[%s]" % case,
           "data", EXIT_2, config_setting((field,), value), TRAIN, [field], files=())
       for case, field, value in (
@@ -817,7 +854,7 @@ ROWS = [
         files=("checkpoint", "metrics"), after=step_0_checkpoint_kept),
     # ---- 4: a dataset that does not fit the network, named by file and sample
     Row("test_train_shape_mismatch_exits_4", "data", EXIT_4, wide_network, TRAIN,
-        ["clean_train.jsonl: sample 0 ", "features"], files=()),
+        ["clean_train.jsonl: sample 0 ", "4 features, network expects 5"], files=()),
     # a framewise label of 0 would index the last one-hot column
     Row("test_train_frame_label_outside_the_classes_exits_4", "data", EXIT_4,
         dataset_edit("clean", "train", set_label(3, "framewise", 0, 0)), TRAIN,
@@ -830,12 +867,12 @@ ROWS = [
     Row("test_train_test_set_frame_label_outside_the_classes_exits_4", "data", EXIT_4,
         dataset_edit("unseen", "test", set_label(4, "framewise", -1, 7)), TRAIN,
         ["{path}: sample 4 ", "class 7", "1..2"], files=(),
-        config={"mode": "fmf", "network": FRAMEWISE_NETWORK}),
+        config={"mode": "fmf"}),
     *[Row("test_train_collapsed_label_outside_the_classes_exits_4[%s]" % mode, "data",
           EXIT_4, dataset_edit("clean", "train", set_collapsed(5, [1, 99])), TRAIN,
           ["{path}: sample 5 ", "collapsed label 99"], files=(), config=kw)
       for mode, kw in (("ctc", {"mode": "ctc"}),
-                       ("ce", {"mode": "ce", "network": FRAMEWISE_NETWORK}))],
+                       ("ce", {"mode": "ce"}))],
     Row("test_train_labeling_longer_than_its_frames_exits_4", "data", EXIT_4,
         dataset_edit("clean", "train", lengthen), TRAIN,
         ["{path}: sample 1 ", "{twice_T} collapsed labels", "need {twice_T} frames",

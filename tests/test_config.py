@@ -15,8 +15,7 @@ from tmfusion import config, ctc, losses, model, synth
 
 
 def small_config(**kw):
-    defaults = dict(mode="tmf", seed=3,
-                    network=model.NetworkSpec(4, [6], 3, recurrent=True),
+    defaults = dict(mode="tmf", seed=3, hidden=(6,), recurrent=True,
                     generator=synth.GeneratorConfig(num_classes=2,
                                                     feature_dim=4, seed=3))
     defaults.update(kw)
@@ -26,9 +25,13 @@ def small_config(**kw):
 # ------------------------------------------------------------------ validity
 
 def test_defaults_are_valid():
-    cfg = config.RunConfig()
-    assert cfg.temporal
-    assert cfg.network.num_classes == cfg.generator.num_classes + 1
+    # in every mode: the output columns follow from it
+    for mode in model.MODES:
+        cfg = config.RunConfig(mode=mode)
+        assert cfg.temporal == (mode in model.TEMPORAL_MODES)
+        assert cfg.network == model.NetworkSpec(
+            cfg.generator.feature_dim, list(cfg.hidden),
+            model.output_units(mode, cfg.generator.num_classes), cfg.recurrent)
 
 
 def test_mode_validation():
@@ -38,17 +41,57 @@ def test_mode_validation():
         config.config_from_dict({"mode": "CTC"})
 
 
-def test_temporal_modes_need_a_blank_output():
-    with pytest.raises(config.ConfigError, match="num_classes"):
-        small_config(network=model.NetworkSpec(4, [6], 2))
-    framewise = small_config(mode="ce",
-                             network=model.NetworkSpec(4, [6], 2))
-    assert not framewise.temporal
+@pytest.mark.parametrize("mode", model.MODES)
+def test_network_widths_follow_the_generator_and_the_mode(mode):
+    # the temporal modes add the blank output column
+    gen = synth.GeneratorConfig(num_classes=3, feature_dim=7, seed=3)
+    cfg = small_config(mode=mode, generator=gen, hidden=(5, 2), recurrent=False)
+    blank = mode in model.TEMPORAL_MODES
+    assert cfg.network == model.NetworkSpec(7, [5, 2], 3 + blank, recurrent=False)
+    assert cfg.new_state().params["W0"].shape == (5, 7)
+    assert cfg.new_state().params["W"].shape == (3 + blank, 2)
+    assert cfg.new_bank().dim == 2
+
+
+def test_network_is_not_a_setting():
+    assert "network" not in {f.name for f in dataclasses.fields(config.RunConfig)}
+    # a file written before the widths were derived
+    with pytest.raises(config.ConfigError,
+                       match=re.escape("top level: unknown field 'network'")):
+        config.config_from_dict({"network": {"input_dim": 8, "hidden": [32, 16],
+                                             "num_classes": 6}})
+
+
+@pytest.mark.parametrize("hidden", [(), (4, 0), (-1,)])
+def test_hidden_widths_below_one_are_rejected_naming_field(hidden):
+    with pytest.raises(config.ConfigError, match="^hidden: must be at least 1"):
+        small_config(hidden=hidden)
+    with pytest.raises(config.ConfigError, match="^hidden: must be at least 1"):
+        config.config_from_dict({"hidden": list(hidden)})
 
 
 def test_condition_validation():
-    with pytest.raises(config.ConfigError, match="train_conditions"):
+    with pytest.raises(config.ConfigError, match="train_conditions: unknown"):
         small_config(train_conditions=("clean", "noisy"))
+    # a repeated file would put copies of its sequences on both sides of
+    # the validation split
+    with pytest.raises(config.ConfigError,
+                       match="train_conditions: repeated condition 'seen'"):
+        small_config(train_conditions=("seen", "clean", "seen"))
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"learning_rate": float("nan")}, "^learning_rate: not a finite number"),
+    ({"lam": float("inf")}, "^lam: not a finite number"),
+    ({"batch_size": float("nan")}, "^batch_size: not a finite number"),
+    ({"generator": {"unseen": {"variance_multiplier": float("-inf")}}},
+     "^generator.unseen: variance_multiplier: not a finite number"),
+    ({"generator": {"labels_per_sequence": [1, float("inf")]}},
+     "^generator: labels_per_sequence: not a finite number"),
+], ids=["top_nan", "top_inf", "count_nan", "nested_object", "nested_array"])
+def test_non_finite_numbers_are_rejected_naming_field(data, named):
+    with pytest.raises(config.ConfigError, match=named):
+        config.config_from_dict(data)
 
 
 def test_fraction_validation():
@@ -96,16 +139,20 @@ def test_unknown_top_level_field_is_named():
 
 
 def test_unknown_nested_field_is_named():
-    with pytest.raises(config.ConfigError, match="hiden"):
-        config.config_from_dict({"network": {"hiden": [4]}})
+    with pytest.raises(config.ConfigError,
+                       match="generator: unknown field 'num_clases'"):
+        config.config_from_dict({"generator": {"num_clases": 3}})
     with pytest.raises(config.ConfigError,
                        match="generator.unseen: unknown field 'famly'"):
         config.config_from_dict({"generator": {"unseen": {"famly": "uniform"}}})
 
 
 def test_nested_field_that_is_not_an_object_is_named():
-    with pytest.raises(config.ConfigError, match="network: expected a JSON object"):
-        config.config_from_dict({"network": [8, [4], 6]})
+    with pytest.raises(config.ConfigError, match="generator: expected a JSON object"):
+        config.config_from_dict({"generator": [5, 8]})
+    with pytest.raises(config.ConfigError,
+                       match="generator.unseen: expected a JSON object"):
+        config.config_from_dict({"generator": {"unseen": "uniform"}})
 
 
 def test_factories_are_consistent():
@@ -158,8 +205,7 @@ def test_config_round_trip_over_nested_fields(tmp_path_factory, conditions, hidd
         labels_per_sequence=labels_per_sequence, mean_seed=mean_seed,
         unseen=synth.UnseenNoise(variance_multiplier=variance,
                                  offset_scale=offset))
-    cfg = small_config(network=model.NetworkSpec(4, hidden, 3, recurrent=True),
-                       generator=gen, train_conditions=conditions)
+    cfg = small_config(hidden=tuple(hidden), generator=gen, train_conditions=conditions)
     folder = tmp_path_factory.mktemp("cfg")
     path, again = folder / "run.json", folder / "run2.json"
     config.save_config(cfg, path)
@@ -178,9 +224,10 @@ def test_config_json_is_complete(tmp_path):
     assert list(data)[:len(inherited)] == inherited     # written first
 
 
-# the key order of run.json files written before RunConfig extended TrainSettings
+# the key order of run.json files written before RunConfig extended
+# TrainSettings, with the network's hidden and recurrent in its place
 EARLIER_KEY_ORDER = (
-    "mode", "seed", "network", "generator", "lam", "occupancy_mode",
+    "mode", "seed", "hidden", "recurrent", "generator", "lam", "occupancy_mode",
     "learning_rate", "beta1", "beta2", "epsilon", "center_momentum",
     "occupancy_threshold", "batch_size", "max_batches", "eval_interval",
     "halve_after", "stop_after", "train_conditions", "validation_fraction",
@@ -205,13 +252,11 @@ def test_config_rejects_invalid_json(tmp_path):
 
 
 def test_config_from_dict_accepts_partial_overrides():
-    cfg = config.config_from_dict({"mode": "ce", "seed": 5,
-                                   "network": {"input_dim": 8,
-                                               "hidden": [32, 16],
-                                               "num_classes": 5}})
+    cfg = config.config_from_dict({"mode": "ce", "seed": 5, "hidden": [24]})
     assert cfg.mode == "ce"
     assert cfg.seed == 5
-    assert cfg.network.hidden == [32, 16]
+    assert cfg.hidden == (24,)
+    assert cfg.network == model.NetworkSpec(8, [24], 5)
 
 
 # ------------------------------------------------------------- checkpoint io
@@ -371,3 +416,15 @@ def test_metrics_missing_columns_are_blank(tmp_path):
     fh.close()
     cells = path.read_text().splitlines()[1].split(",")
     assert cells[5:] == [""] * 6
+
+
+def test_readme_minimal_config_loads(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read().split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    cfg = config.load_config(path)
+    assert (cfg.mode, cfg.hidden, cfg.recurrent) == ("ctc", (16,), True)
+    # the widths the README derives: 4 -> 16 (recurrent) -> 3 classes + blank
+    assert cfg.network == model.NetworkSpec(4, [16], 4, recurrent=True)

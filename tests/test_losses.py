@@ -230,8 +230,9 @@ def test_fmf_arithmetic():
     bank = losses.CenterBank(2, 2)
     y = np.array([[math.exp(-1.0), 1.0]])          # CE term contributes 1.0
     u = np.array([[1.0, 2.0]])                     # CL term contributes 5.0
+    # the reported loss is the objective of the gradient, CE + (lam/2) * ECL
     got = sequence_loss("fmf", 0.5, u, y, bank, framewise=[1])
-    assert got == pytest.approx(3.5, rel=1e-12)
+    assert got == pytest.approx(1.0 + 0.25 * 5.0, rel=1e-12)
 
 
 def brute_force_frame_runs(ks):
@@ -330,13 +331,14 @@ def test_tmf_equals_ml_at_lambda_zero():
 
 
 def test_tmf_arithmetic():
-    # ML term -log 0.5, ECL term 0.25 (the single-frame worked example)
+    # ML term -log 0.5, ECL term 0.25 (the single-frame worked example),
+    # weighed lam/2 as in the objective of the gradient
     tables, _ = single_frame_case()
     y = np.array([[0.2, 0.5, 0.3]])
     u = np.array([[1.0, 0.0]])
     bank = losses.CenterBank(2, 2)
     got = sequence_loss("tmf", 1e-3, u, y, bank, tables=tables)
-    assert got == pytest.approx(math.log(2.0) + 1e-3 * 0.25, rel=1e-12)
+    assert got == pytest.approx(math.log(2.0) + 0.5e-3 * 0.25, rel=1e-12)
 
 
 # --------------------------------------------------------- feature gradients

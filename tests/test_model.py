@@ -620,7 +620,8 @@ def parent_sequence_signals(state, sample, u, log_y, y, tables, settings, bank):
     W = state.params["W"]
     if mode not in model.FUSION_MODES:
         return loss, delta_ml, delta_ml @ W, None
-    loss = loss + lam * losses.ecl(u, w, centers)
+    # the loss is reported as the objective of the gradient: (lam/2) * ECL
+    loss = loss + 0.5 * lam * losses.ecl(u, w, centers)
     delta_fused = delta_ml @ W
     if lam:
         delta_fused = delta_fused + lam * losses.ecl_grad_features(u, w, centers)
@@ -775,7 +776,7 @@ def onehot_batch_signals(state, batch, Ts, u, log_y, y, settings, bank):
     w[(*np.nonzero(np.arange(y.shape[1]) < np.asarray(Ts)[:, None]), cols)] = 1.0
     delta_ml = y - w
     labels = np.broadcast_to(np.arange(1, bank.num_classes + 1), (len(Ts), bank.num_classes))
-    seq_losses = seq_losses + settings.lam * losses.ecl(u, w, bank.centers)
+    seq_losses = seq_losses + 0.5 * settings.lam * losses.ecl(u, w, bank.centers)
     delta_ecl = w.sum(axis=-1)[..., None] * u - rows(w, bank.centers)
     stats = losses.center_stats(bank, u, w, labels, bank.centers,
                                 partial(model._weight_grads, Ts=Ts))
@@ -1047,3 +1048,21 @@ def test_full_network_gradient_small_case():
     err, n = verify.grad_full_suite(n=4, seed=123)
     assert n == 4
     assert err <= 1e-4
+
+
+@pytest.mark.parametrize("mode", model.MODES)
+def test_reported_loss_is_the_objective_of_the_gradient(mode):
+    # a step's summed losses are CTC or CE + (lam/2) * ECL, the loss whose
+    # gradient it returns and grad_full differentiates, not + lam * ECL
+    from tmfusion import verify
+    rng = np.random.default_rng(17)
+    settings = model.TrainSettings(mode=mode, lam=0.1, occupancy_mode="frame_normalized")
+    spec = model.NetworkSpec(3, [4], model.output_units(mode, 2), recurrent=True)
+    state = model.ModelState(spec, seed=5)
+    bank = losses.CenterBank(2, spec.feature_dim)
+    bank.centers = rng.normal(size=bank.centers.shape)
+    batch = verify._random_batch(rng, mode, 2, 3)
+    seq_losses, _, _ = model._batch_step(state, batch, settings, bank)
+    want = verify.network_loss(state, state.flat_params()[None], batch, settings, bank)
+    assert len(seq_losses) == 2
+    assert sum(seq_losses) == pytest.approx(want[0], rel=1e-12, abs=0)

@@ -116,12 +116,26 @@ def test_sweep_rejects_a_bad_mode_before_any_data(monkeypatch):
         experiment.run_experiment(bad)
 
 
+def test_sweep_with_an_empty_split_trains_no_model(monkeypatch):
+    # one sequence per condition splits 1/0 at val_fraction 0.1, and the
+    # validation score of an empty split divides by zero, after training
+    def no_training(*args, **kw):
+        raise AssertionError("a model trained on an empty split")
+
+    monkeypatch.setattr(model, "train", no_training)
+    empty = dataclasses.replace(SPEC, seeds=(0,), modes=("ctc",),
+                                num_train_per_condition=1, num_test=1)
+    with pytest.raises(config.ConfigError, match="^validation_fraction: 0.1 of 2 "
+                       "training sequences leaves the validation split empty"):
+        experiment.run_experiment(empty)
+
+
 # ---------------------------------------------------------- gen-data
 
 def gen_data_config(tmp_path):
     cfg = config.RunConfig(
         mode="tmf", seed=3,
-        network=model.NetworkSpec(4, [6], 3),
+        hidden=(6,),
         generator=synth.GeneratorConfig(num_classes=2, feature_dim=4,
                                         segment_length=(2, 4),
                                         labels_per_sequence=(1, 3)),
