@@ -14,9 +14,8 @@ from .losses import (CenterBank, UnknownClass, center_stats, cross_entropy, ecl,
 from .model import (ModelState, NetworkSpec, NonFiniteGradient, ScheduleState,
                     TrainSettings, adam_step, backward_batch, forward_stacks,
                     schedule_tick, train, validation_score)
-from .synth import (CONDITIONS, ConfigInvalid, GeneratorConfig, MalformedDataset,
-                    SequenceSample, UnseenNoise, class_means, generate, load_jsonl,
-                    save_jsonl, split)
+from .synth import (CONDITIONS, GeneratorConfig, MalformedDataset, SequenceSample,
+                    UnseenNoise, class_means, generate, load_jsonl, save_jsonl, split)
 from .metrics import (EvalReport, collapse, edit_distance, embedding_report,
                       greedy_decode, temporal_assignments, token_error_rate)
 from .config import (ConfigError, RunConfig, load_checkpoint, load_config,

@@ -34,19 +34,13 @@ class ShapeMismatch(Exception):
 
 
 def _config_for(args):
-    cfg = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "data", None):
-        overrides["data_dir"] = args.data
-    if getattr(args, "checkpoint", None):
-        overrides["checkpoint_path"] = args.checkpoint
-    if getattr(args, "out", None):
-        overrides["metrics_path"] = args.out
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    """The config file, with the command's --seed, --data, --checkpoint
+    and --out in place of its settings where they are given."""
+    given = {"seed": args.seed, "data_dir": getattr(args, "data", None),
+             "checkpoint_path": getattr(args, "checkpoint", None),
+             "metrics_path": getattr(args, "out", None)}
+    return dataclasses.replace(load_config(args.config),
+                               **{k: v for k, v in given.items() if v not in (None, "")})
 
 
 def dataset_path(data_dir, condition, part):

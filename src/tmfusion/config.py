@@ -4,15 +4,21 @@ All three formats are JSON or CSV with floats rendered by repr(), so a
 parse -> serialize -> parse cycle is bit-exact and two runs with the
 same seed produce byte-identical files.
 
-RunConfig is model.TrainSettings plus the run's own settings (hidden
-widths, generator, optimizer, center bank, data and files), read by the
-dataclasses' own field types: a field typed by a dataclass is read from
-a nested object, a list or tuple field from an array.  Each dataclass
-checks its own fields (the mode against model.MODES, lam, hidden,
-occupancy_mode, the batch and schedule counts, the generator's ranges,
-occupancy_threshold), _build rejects a NaN or infinity at any depth,
-and every error arrives as a ConfigError that names the field by its
-dotted path ("generator: segment_length: ...").
+One typed reader reads both JSON files: _typed checks each value
+against its field's declared type (a bool takes only true or false, an
+int an integer that is not a bool, a float any finite number, a str a
+string, an array its elements one by one), and every error is a
+ConfigError that names the field by its dotted path ("generator:
+segment_length: ...", "adam.steps: ...").  RunConfig is
+model.TrainSettings plus the run's own settings (hidden widths,
+generator, optimizer, center bank, data and files), which _build reads
+by the annotations of its fields.  Ranges are checked where the objects
+are built: each dataclass checks its own fields, ModelState the seed,
+the learning rate and Adam's betas and epsilon, CenterBank the center
+momentum and occupancy threshold.  The config and the checkpoint build
+the same objects, so they share those rules.  A checkpoint states its
+model once: every array's shape comes from ModelState(network), and
+the center bank's size from the network and the mode.
 """
 
 import contextlib
@@ -21,6 +27,8 @@ import dataclasses
 import json
 import math
 import os
+import types
+import typing
 
 import numpy as np
 
@@ -44,7 +52,7 @@ class ConfigError(ValueError):
 class RunConfig(TrainSettings):
     """Everything one training run needs, with defaults materialized."""
 
-    hidden: tuple = (32, 16)            # the network's hidden widths
+    hidden: tuple[int, ...] = (32, 16)  # the network's hidden widths
     recurrent: bool = False             # the last hidden layer recurs
     generator: GeneratorConfig = dataclasses.field(default_factory=GeneratorConfig)
     learning_rate: float = 1e-4
@@ -53,7 +61,7 @@ class RunConfig(TrainSettings):
     epsilon: float = 1e-8
     center_momentum: float = 1e-3
     occupancy_threshold: float = 0.01
-    train_conditions: tuple = ("clean", "seen")
+    train_conditions: tuple[str, ...] = ("clean", "seen")
     validation_fraction: float = 0.1
     num_train_sequences: int = 1000     # per condition, train files
     num_test_sequences: int = 300       # per condition, test files
@@ -62,11 +70,11 @@ class RunConfig(TrainSettings):
     metrics_path: str = "metrics.csv"
 
     def __post_init__(self):
-        try:
+        # the network checks hidden, the state the optimizer settings and
+        # the bank its own, each under its own parameter name
+        with _renamed({"lr": "learning_rate", "eps": "epsilon", "momentum": "center_momentum"}):
             super().__post_init__()
-            self.new_bank()             # builds the network, which checks hidden
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            self.new_state(), self.new_bank()
         for i, cond in enumerate(self.train_conditions):
             # a repeated condition would load its file twice, and the
             # split would put copies of its sequences on both sides
@@ -75,9 +83,6 @@ class RunConfig(TrainSettings):
                     "repeated" if cond in CONDITIONS else "unknown", cond))
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction: must lie strictly in (0, 1)")
-        for field in ("learning_rate", "center_momentum"):
-            if getattr(self, field) < 0:
-                raise ConfigError(f"{field}: must be nonnegative")
         for field in ("num_train_sequences", "num_test_sequences"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field}: must be at least 1")
@@ -110,40 +115,72 @@ class RunConfig(TrainSettings):
 
 
 def _build(cls, data, where=""):
-    """cls from its JSON object, by the field types: a dataclass-typed
-    field is built from its nested object, and an array becomes the list
-    or tuple its field names.  where is the object's dotted path, empty
-    at the top level; errors name it."""
+    """cls from its JSON object, each value checked by _typed against its
+    field's annotation, and a dataclass-typed field built from its nested
+    object.  where is the object's dotted path, empty at the top level;
+    errors name it."""
     label = where or "top level"
-    if not isinstance(data, dict):
-        raise ConfigError(f"{label}: expected a JSON object")
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    extra = sorted(set(data) - set(types))
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    extra = sorted(set(_typed(dict, data, label)) - set(fields))
     if extra:
         raise ConfigError(f"{label}: unknown field {extra[0]!r}")
     kwargs = {}
     for name, value in data.items():
-        if _non_finite(value):      # json reads NaN, Infinity and 1e400
-            raise ConfigError(f"{where + ': ' if where else ''}{name}: not a finite number")
-        kind = types[name]
+        kind = fields[name].type
         if dataclasses.is_dataclass(kind):
-            value = _build(kind, value, f"{where}.{name}" if where else name)
-        elif kind in (list, tuple) and isinstance(value, list):
-            value = kind(value)
-        kwargs[name] = value
+            kwargs[name] = _build(kind, value, f"{where}.{name}" if where else name)
+        else:
+            kwargs[name] = _typed(kind, value, f"{where}: {name}" if where else name,
+                                  nullable=fields[name].default is None)
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
+    except (TypeError, ValueError) as exc:      # RunConfig names its fields itself
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
-def _non_finite(value):
-    """Whether a JSON value is, or an array holds, a NaN or an infinity."""
-    if isinstance(value, list):
-        return any(map(_non_finite, value))
-    return isinstance(value, float) and not math.isfinite(value)
+# each annotation's JSON type, and its name in an error
+_EXPECTED = {bool: (bool, "true or false"), int: (int, "an integer"),
+             float: ((int, float), "a number"), str: (str, "a string"),
+             dict: (dict, "a JSON object"), list: (list, "an array"), tuple: (list, "an array")}
+
+
+def _typed(kind, value, field, nullable=False):
+    """value, read from JSON for field, checked against the field's
+    annotation kind: a bool takes only true or false, an int an integer
+    that is not a bool, a float any finite number, a str a string, a
+    dict an object, and list[t], tuple[t, ...] or tuple[t1, t2] an array
+    whose elements are checked against t, and that the list or tuple
+    becomes.  A function kind reads the value itself.  null passes where
+    nullable; errors name field."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{field}: not a finite number")     # json reads NaN and 1e400
+    if type(value) is kind or (value is None and nullable):
+        return value
+    if isinstance(kind, types.FunctionType):
+        return kind(value, field)
+    origin, args = typing.get_origin(kind) or kind, typing.get_args(kind)
+    json_type, expected = _EXPECTED[origin]
+    if not isinstance(value, json_type) or (isinstance(value, bool) and origin is not bool):
+        raise ConfigError(f"{field}: expected {expected}, got {json.dumps(value)}")
+    if origin in (list, tuple):
+        if origin is list or args[1:] == (Ellipsis,):
+            args = args[:1] * len(value)
+        if len(args) != len(value):
+            raise ConfigError(f"{field}: expected {len(args)} elements, got {len(value)}")
+        return origin(_typed(t, v, field) for t, v in zip(args, value))
+    return value
+
+
+@contextlib.contextmanager
+def _renamed(fields):
+    """Raise a ValueError of the block as a ConfigError, the parameter
+    name that leads its message replaced by fields[name], the field the
+    value was read from."""
+    try:
+        yield
+    except ValueError as exc:
+        name, sep, rest = str(exc).partition(": ")
+        raise ConfigError(fields.get(name, name) + sep + rest) from exc
 
 
 def config_from_dict(data):
@@ -172,51 +209,38 @@ def save_config(cfg, path):
         fh.write("\n")
 
 
+# the checkpoint's per-parameter arrays, and its schedule's counts
+ARRAY_GROUPS = ("params", "adam_m", "adam_v")
+SCHEDULE_COUNTS = ("since_improvement", "halve_after", "stop_after")
+
+
 def _array_out(arr):
     return [[repr(float(v)) for v in row] for row in np.atleast_2d(arr)]
-
-
-def _array_in(rows, shape, field):
-    arr = np.array([float(v) for row in rows for v in row]).reshape(shape)
-    if not np.isfinite(arr).all():      # json reads NaN, Infinity and 1e400
-        raise ConfigError(f"{field}: not a finite number")
-    return arr
 
 
 def save_checkpoint(path, state, bank, sched, mode, seed):
     """Write model, centers, optimizer, and schedule state as JSON,
     atomically: through path + ".tmp", then os.replace.  A write that
     fails removes the ".tmp" file and re-raises; an OSError names path,
-    not the ".tmp" file."""
-    shapes = {k: list(v.shape) for k, v in state.params.items()}
+    not the ".tmp" file.  The arrays' shapes and the center bank's size
+    are not written: they follow from the network and the mode."""
     data = {
         "format": "tmfusion-checkpoint-v1",
         "mode": mode,
         "seed": seed,
-        "step_count": state.step_count,
         "lr": repr(float(state.lr)),
         "network": dataclasses.asdict(state.spec),
-        "shapes": shapes,
-        "params": {k: _array_out(v) for k, v in state.params.items()},
-        "adam_m": {k: _array_out(v) for k, v in state.adam_m.items()},
-        "adam_v": {k: _array_out(v) for k, v in state.adam_v.items()},
+        **{group: {k: _array_out(v) for k, v in getattr(state, group).items()}
+           for group in ARRAY_GROUPS},
         "adam": {"beta1": repr(float(state.beta1)),
                  "beta2": repr(float(state.beta2)),
                  "eps": repr(float(state.eps)),
                  "steps": state.step_count},
-        "centers": {
-            "num_classes": bank.num_classes,
-            "dim": bank.dim,
-            "momentum": repr(float(bank.momentum)),
-            "occupancy_threshold": repr(float(bank.occupancy_threshold)),
-            "values": _array_out(bank.centers),
-        },
-        "schedule": {
-            "best": None if math.isinf(sched.best) else repr(float(sched.best)),
-            "since_improvement": sched.since_improvement,
-            "halve_after": sched.halve_after,
-            "stop_after": sched.stop_after,
-        },
+        "centers": {"momentum": repr(float(bank.momentum)),
+                    "occupancy_threshold": repr(float(bank.occupancy_threshold)),
+                    "values": _array_out(bank.centers)},
+        "schedule": {"best": None if math.isinf(sched.best) else repr(float(sched.best)),
+                     **{k: getattr(sched, k) for k in SCHEDULE_COUNTS}},
     }
     tmp = os.fspath(path) + ".tmp"      # a killed write leaves path as it was
     try:
@@ -237,53 +261,81 @@ def save_checkpoint(path, state, bank, sched, mode, seed):
 def load_checkpoint(path):
     """Read a checkpoint back; returns (state, bank, sched, meta).
 
-    A file that cannot be read, is not JSON, or lacks or mistypes a
-    field, raises ConfigError naming the file, and a non-finite
-    parameter, Adam moment, center or learning rate one naming the field
-    too.
+    A file that cannot be read or is not JSON, a field that is missing,
+    mistyped or out of range, a non-finite float, or an array that does
+    not fit the network and mode, raises ConfigError naming the file and
+    the field.
     """
     data = _read_json(path, f"checkpoint {path}")
     try:
         return _checkpoint_from_dict(data)
-    except KeyError as exc:
-        raise ConfigError(f"checkpoint {path}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:      # ConfigError is a ValueError
+    except ConfigError as exc:
         raise ConfigError(f"checkpoint {path}: {exc}") from exc
+
+
+def _read(data, path, kind, nullable=False):
+    """The value at a dotted path of a checkpoint, checked by _typed; a
+    missing key names the section that lacks it."""
+    keys = path.split(".")
+    for i, key in enumerate(keys):
+        where = ".".join(keys[:i]) or "top level"
+        if key not in _typed(dict, data, where):
+            raise ConfigError(f"{where}: missing field {key!r}")
+        data = data[key]
+    return _typed(kind, data, path, nullable)
+
+
+def _real(text, field):
+    """A checkpoint float: the repr string save_checkpoint wrote, read
+    back as a finite float."""
+    text = _typed(str, text, field)
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
+    return _typed(float, value, field)      # float() reads "nan" and "1e400"
+
+
+def _array_in(data, path, like):
+    """The array at path, in the rows of repr strings _array_out wrote,
+    with the shape of like, the array it replaces."""
+    rows = _read(data, path, list[list[_real]])
+    n, m = np.atleast_2d(like).shape
+    if len(rows) != n or any(len(row) != m for row in rows):
+        raise ConfigError(f"{path}: expected a {n} x {m} array, to fit the network and mode")
+    return np.array(rows).reshape(like.shape)
 
 
 def _checkpoint_from_dict(data):
     if not isinstance(data, dict) or data.get("format") != "tmfusion-checkpoint-v1":
         raise ConfigError("unrecognized format marker")
-    if data["mode"] not in MODES:
-        raise ConfigError("mode: expected one of %s, got %r" % (MODES, data["mode"]))
-    spec = _build(NetworkSpec, data["network"], "network")
-    adam = data["adam"]
-    state = ModelState(spec, seed=data["seed"], lr=float(_array_in([[data["lr"]]], (), "lr")),
-                       beta1=float(adam["beta1"]), beta2=float(adam["beta2"]),
-                       eps=float(adam["eps"]))
-    for group, target in (("params", state.params), ("adam_m", state.adam_m),
-                          ("adam_v", state.adam_v)):
+    # older v1 files also hold shapes, centers.num_classes, centers.dim,
+    # step_count and schedule.eval_interval; they follow from the rest
+    mode = _read(data, "mode", str)
+    if mode not in MODES:
+        raise ConfigError("mode: expected one of %s, got %r" % (MODES, mode))
+    spec = _build(NetworkSpec, _read(data, "network", dict), "network")
+    seed = _read(data, "seed", int)
+    # the objects' float arguments by the paths they are read from: each
+    # object checks its ranges, and a range error names the path
+    paths = {"lr": "lr", "beta1": "adam.beta1", "beta2": "adam.beta2", "eps": "adam.eps",
+             "momentum": "centers.momentum", "occupancy_threshold": "centers.occupancy_threshold"}
+    lr, beta1, beta2, eps, momentum, threshold = (_read(data, p, _real) for p in paths.values())
+    with _renamed(paths):
+        state = ModelState(spec, seed, lr, beta1, beta2, eps)
+        # one center per output column but the blank
+        bank = CenterBank(spec.num_classes - output_units(mode, 0), spec.feature_dim, momentum,
+                          threshold)
+    for group in ARRAY_GROUPS:
+        arrays = getattr(state, group)
         for name in state.param_names():
-            target[name] = _array_in(data[group][name], tuple(data["shapes"][name]),
-                                     f"{group}.{name}")
-    state.step_count = adam["steps"]
-    cen = data["centers"]
-    try:
-        bank = CenterBank(cen["num_classes"], cen["dim"],
-                          momentum=float(cen["momentum"]),
-                          occupancy_threshold=float(cen["occupancy_threshold"]))
-    except ValueError as exc:
-        raise ConfigError(f"centers.{exc}") from exc
-    bank.centers = _array_in(cen["values"], (cen["num_classes"], cen["dim"]),
-                             "centers.values")
-    sch = data["schedule"]         # an eval_interval key of older files is ignored
-    sched = ScheduleState(
-        halve_after=sch["halve_after"], stop_after=sch["stop_after"],
-        best=float("-inf") if sch["best"] is None else float(sch["best"]),
-        since_improvement=sch["since_improvement"])
-    meta = {"mode": data["mode"], "seed": data["seed"],
-            "step_count": data["step_count"]}
-    return state, bank, sched, meta
+            arrays[name] = _array_in(data, f"{group}.{name}", arrays[name])
+    state.step_count = _read(data, "adam.steps", int)
+    bank.centers = _array_in(data, "centers.values", bank.centers)
+    best = _read(data, "schedule.best", _real, nullable=True)
+    sched = ScheduleState(best=-np.inf if best is None else best,
+                          **{k: _read(data, f"schedule.{k}", int) for k in SCHEDULE_COUNTS})
+    return state, bank, sched, {"mode": mode, "seed": seed, "step_count": state.step_count}
 
 
 def _fmt(value):

@@ -33,9 +33,7 @@ def evaluate_model(state, bank, samples, mode, condition):
     per-sample results are gathered in sample order.
     """
     temporal = mode in model.TEMPORAL_MODES
-    hyps = [None] * len(samples)
-    feats = [None] * len(samples)
-    assigns = [None] * len(samples)
+    hyps, feats, assigns = ([None] * len(samples) for _ in range(3))
     correct = 0
     for group in model.score_groups(samples):
         Ts, stacks, _, ys = model.forward_stacks(state, [samples[i].x for i in group])
@@ -102,19 +100,15 @@ def _generator(spec, seed):
 
 
 def run_config_for(spec, mode, seed):
-    gen = _generator(spec, seed)
     return RunConfig(
         mode=mode, seed=seed, hidden=tuple(spec.hidden), recurrent=spec.recurrent,
-        generator=gen,
+        generator=_generator(spec, seed),
         lam={"tmf": spec.lam_tmf, "fmf": spec.lam_fmf}.get(mode, 0.0),
-        occupancy_mode=spec.occupancy_mode,
-        learning_rate=spec.learning_rate,
-        center_momentum=spec.center_momentum,
-        batch_size=spec.batch_size, max_batches=spec.max_batches,
-        eval_interval=spec.eval_interval,
+        occupancy_mode=spec.occupancy_mode, learning_rate=spec.learning_rate,
+        center_momentum=spec.center_momentum, batch_size=spec.batch_size,
+        max_batches=spec.max_batches, eval_interval=spec.eval_interval,
         validation_fraction=spec.val_fraction,
-        num_train_sequences=spec.num_train_per_condition,
-        num_test_sequences=spec.num_test)
+        num_train_sequences=spec.num_train_per_condition, num_test_sequences=spec.num_test)
 
 
 TEST_START_INDEX = 1_000_000

@@ -47,6 +47,8 @@ class CenterBank:
         if not 0.0 <= occupancy_threshold <= 1.0:
             raise ValueError("occupancy_threshold: must lie in [0, 1], got %r"
                              % (occupancy_threshold,))
+        if momentum < 0:
+            raise ValueError("momentum: must be nonnegative, got %r" % (momentum,))
         self.num_classes = num_classes
         self.dim = dim
         self.momentum = momentum

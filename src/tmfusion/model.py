@@ -96,7 +96,7 @@ class NonFiniteGradient(Exception):
 @dataclass
 class NetworkSpec:
     input_dim: int
-    hidden: list
+    hidden: list[int]
     num_classes: int            # output columns, blank included in temporal mode
     recurrent: bool = False
 
@@ -115,6 +115,14 @@ class ModelState:
     """Network parameters plus Adam moments and learning rate."""
 
     def __init__(self, spec, seed=0, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        # a decay of 1 leaves Adam's bias correction 1 - beta**t at 0
+        for name, value, ok, rule in (("seed", seed, seed >= 0, "be nonnegative"),
+                                      ("lr", lr, lr >= 0, "be nonnegative"),
+                                      ("beta1", beta1, 0 <= beta1 < 1, "lie in [0, 1)"),
+                                      ("beta2", beta2, 0 <= beta2 < 1, "lie in [0, 1)"),
+                                      ("eps", eps, eps > 0, "be positive")):
+            if not ok:
+                raise ValueError("%s: must %s, got %r" % (name, rule, value))
         self.spec = spec
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -505,13 +513,8 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
             if batches_seen % settings.eval_interval == 0 or batches_seen >= settings.max_batches:
                 score = validation_score(state, val_samples, mode)
                 # lr is the rate the batches before this evaluation used
-                row = {
-                    "eval_index": len(rows),
-                    "batches": batches_seen,
-                    "lr": state.lr,
-                    "train_loss": running_loss / running_n,
-                    "val_score": score,
-                }
+                row = {"eval_index": len(rows), "batches": batches_seen, "lr": state.lr,
+                       "train_loss": running_loss / running_n, "val_score": score}
                 action = schedule_tick(sched, score)
                 if action == "halve_lr":
                     state.lr = state.lr / 2.0

@@ -17,10 +17,6 @@ import numpy as np
 CONDITIONS = ("clean", "seen", "unseen")
 
 
-class ConfigInvalid(ValueError):
-    """A generator or split setting outside its range, named by field."""
-
-
 class MalformedDataset(ValueError):
     """A dataset file that cannot be read, a line of it that is not a
     sample record of finite features and integer labels, or a test file
@@ -35,9 +31,9 @@ class UnseenNoise:
 
     def __post_init__(self):
         if self.family != "uniform":
-            raise ConfigInvalid("unsupported unseen noise family %r" % (self.family,))
+            raise ValueError("unsupported unseen noise family %r" % (self.family,))
         if self.variance_multiplier < 0 or self.offset_scale < 0:
-            raise ConfigInvalid("unseen noise parameters must be nonnegative")
+            raise ValueError("unseen noise parameters must be nonnegative")
 
 
 @dataclass
@@ -46,8 +42,8 @@ class GeneratorConfig:
     feature_dim: int = 8
     class_mean_scale: float = 2.0
     emission_stddev: float = 0.25
-    segment_length: tuple = (3, 8)      # frames per label, inclusive
-    labels_per_sequence: tuple = (2, 5)
+    segment_length: tuple[int, int] = (3, 8)    # frames per label, inclusive
+    labels_per_sequence: tuple[int, int] = (2, 5)
     noise_condition: str = "clean"
     seen_noise_stddev: float = 0.5
     unseen: UnseenNoise = field(default_factory=UnseenNoise)
@@ -57,32 +53,32 @@ class GeneratorConfig:
 
     def __post_init__(self):
         if self.num_classes < 1:
-            raise ConfigInvalid("num_classes: need at least one class")
+            raise ValueError("num_classes: need at least one class")
         if self.num_classes > self.feature_dim:
-            raise ConfigInvalid("num_classes: class means need "
+            raise ValueError("num_classes: class means need "
                                 "num_classes <= feature_dim")
         for name in ("emission_stddev", "seen_noise_stddev"):
             if getattr(self, name) < 0:
-                raise ConfigInvalid("%s: must be nonnegative" % name)
+                raise ValueError("%s: must be nonnegative" % name)
         for name in ("segment_length", "labels_per_sequence"):
             lo, hi = getattr(self, name)
             if lo > hi or lo < 1:
-                raise ConfigInvalid("%s: must satisfy 1 <= min <= max" % name)
+                raise ValueError("%s: must satisfy 1 <= min <= max" % name)
         if self.allow_repeats and self.segment_length[0] < 2:
-            raise ConfigInvalid("allow_repeats: needs segment length >= 2 so "
+            raise ValueError("allow_repeats: needs segment length >= 2 so "
                                 "the alignment can cross a blank")
         if (not self.allow_repeats and self.num_classes == 1
                 and self.labels_per_sequence[1] > 1):
-            raise ConfigInvalid("labels_per_sequence: one class cannot avoid "
+            raise ValueError("labels_per_sequence: one class cannot avoid "
                                 "consecutive repeats")
         if self.noise_condition not in CONDITIONS:
-            raise ConfigInvalid("noise_condition: unknown condition %r"
+            raise ValueError("noise_condition: unknown condition %r"
                                 % (self.noise_condition,))
         # one-hot directions scaled by class_mean_scale sit sqrt(2)*scale
         # apart; demand the configured emission spread leaves that usable
         if np.sqrt(2.0) * self.class_mean_scale < \
                 4.0 * self.emission_stddev * self.class_mean_scale:
-            raise ConfigInvalid("emission_stddev: too large for separable "
+            raise ValueError("emission_stddev: too large for separable "
                                 "class means (needs < sqrt(2)/4)")
 
 
@@ -146,7 +142,7 @@ def generate(cfg, n, start_index=0):
     the same task (same class means), which is how train and test files
     stay leak-free under one seed."""
     if n < 1:
-        raise ConfigInvalid("n: must be at least 1")
+        raise ValueError("n: must be at least 1")
     means = class_means(cfg)
     return [_one_sequence(cfg, means, start_index + i) for i in range(n)]
 
@@ -156,7 +152,7 @@ def split(dataset, validation_fraction, seed=0):
     condition's n samples give round((1 - validation_fraction) * n) to
     train and the rest to validation, so nothing is dropped."""
     if not 0.0 <= validation_fraction <= 1.0:
-        raise ConfigInvalid("validation_fraction: must lie in [0, 1]")
+        raise ValueError("validation_fraction: must lie in [0, 1]")
     by_condition = {}
     for i, sample in enumerate(dataset):
         by_condition.setdefault(sample.condition, []).append(i)

@@ -726,6 +726,26 @@ ROWS = [
     Row("test_gen_data_unknown_field_exits_2_naming_field", "config", EXIT_2,
         config_file(b'{"mode": "tmf", "learning_rte": 0.1}'), GEN_DATA,
         ["learning_rte"]),
+    # a value of another JSON type than its field's: before, "recurrent":
+    # "no" trained a recurrent network and "lam": true a lambda of 1
+    *[Row("test_config_mistyped_field_exits_2_naming_it[%s-%s]" % (command.__name__, field),
+          "config", EXIT_2, config_setting((field,), value), command,
+          ["config: %s: expected %s, got " % (field, expected)],
+          files=() if command is TRAIN else None,
+          after=no_dataset_files if command is GEN_DATA else None)
+      for command in (GEN_DATA, TRAIN)
+      for field, value, expected in (
+          ("seed", "3", "an integer"), ("batch_size", 2.5, "an integer"),
+          ("recurrent", "no", "true or false"), ("lam", True, "a number"),
+          ("hidden", 16, "an array"), ("train_conditions", "clean", "an array"))],
+    # a beta of 1 diverged, and the other values trained
+    *[Row("test_train_optimizer_setting_out_of_range_exits_2_naming_it[%s-%s]"
+          % (field, value), "data", EXIT_2, config_setting((field,), value), TRAIN,
+          ["config: %s: must %s, got %r" % (field, rule, value)], files=())
+      for field, value, rule in (("beta1", 1.0, "lie in [0, 1)"),
+                                 ("beta1", -0.5, "lie in [0, 1)"),
+                                 ("beta2", 1.5, "lie in [0, 1)"),
+                                 ("epsilon", -1.0, "be positive"))],
     # the network's widths follow from the generator and the mode
     Row("test_config_with_a_network_field_exits_2_naming_it", "config", EXIT_2,
         config_setting(("network",), {"input_dim": 4, "hidden": [6], "num_classes": 3}),
@@ -819,6 +839,29 @@ ROWS = [
       for field, value in (("params.W", "nan"), ("params.W", "1e400"),
                            ("adam_m.b0", "nan"), ("adam_v.W0", "-1e400"),
                            ("centers.values", "nan"), ("lr", "nan"))],
+    # every value is read by its type and checked where its object is built
+    *[Row("test_eval_checkpoint_field_that_is_mistyped_or_out_of_range_exits_2_naming_it[%s]"
+          % field, "trained", EXIT_2, checkpoint_edit(edit),
+          lambda env: env.eval(checkpoint=env.path), ["{path}: %s: %s" % (field, named)])
+      for field, edit, named in (
+          ("adam.steps", lambda d: d["adam"].update(steps="20"), 'expected an integer, got "20"'),
+          ("schedule.halve_after", lambda d: d["schedule"].update(halve_after=3.0),
+           "expected an integer, got 3.0"),
+          ("network", lambda d: d["network"].update(recurrent="yes"),
+           'recurrent: expected true or false, got "yes"'),
+          ("centers.momentum", lambda d: d["centers"].update(momentum="-0.5"),
+           "must be nonnegative, got -0.5"))],
+    # the arrays' shapes and the bank's size follow from the network and
+    # the mode: before, eval scored a ce checkpoint of a tmf network (TER
+    # 200%), and a transposed weight reached a matmul
+    *[Row("test_eval_checkpoint_array_that_does_not_fit_exits_2_naming_it[%s]" % case,
+          "trained", EXIT_2, checkpoint_edit(edit), lambda env: env.eval(checkpoint=env.path),
+          ["{path}: %s: expected a %s array, to fit the network and mode" % named])
+      for case, edit, named in (
+          ("mode_of_another_network", lambda d: d.update(mode="ce"), ("centers.values", "3 x 6")),
+          ("transposed_weight",
+           lambda d: d["params"].update(W0=[list(c) for c in zip(*d["params"]["W0"])]),
+           ("params.W0", "6 x 4")))],
     # ---- 2: an output that cannot be written
     *[Row("test_gen_data_out_that_cannot_be_written_exits_2_naming_it[%s]" % case,
           "config", EXIT_2, gen_data_out(name), lambda env: env.gen_data("--out", env.out),

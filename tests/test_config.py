@@ -94,6 +94,74 @@ def test_non_finite_numbers_are_rejected_naming_field(data, named):
         config.config_from_dict(data)
 
 
+@pytest.mark.parametrize("data, named", [
+    ({"seed": "3"}, 'seed: expected an integer, got "3"'),
+    ({"seed": True}, "seed: expected an integer, got true"),
+    ({"batch_size": 2.5}, "batch_size: expected an integer, got 2.5"),
+    ({"recurrent": "no"}, 'recurrent: expected true or false, got "no"'),
+    ({"recurrent": 0}, "recurrent: expected true or false, got 0"),
+    ({"lam": True}, "lam: expected a number, got true"),
+    ({"occupancy_mode": 1}, "occupancy_mode: expected a string, got 1"),
+    ({"hidden": 16}, "hidden: expected an array, got 16"),
+    ({"hidden": [16, 2.5]}, "hidden: expected an integer, got 2.5"),
+    ({"train_conditions": "clean"}, 'train_conditions: expected an array, got "clean"'),
+    ({"train_conditions": ["clean", 1]}, "train_conditions: expected a string, got 1"),
+    ({"generator": {"segment_length": [2, 3, 4]}},
+     "generator: segment_length: expected 2 elements, got 3"),
+    ({"generator": {"labels_per_sequence": [1, True]}},
+     "generator: labels_per_sequence: expected an integer, got true"),
+    ({"generator": {"mean_seed": "1"}}, 'generator: mean_seed: expected an integer, got "1"'),
+    ({"generator": {"unseen": {"family": None}}},
+     "generator.unseen: family: expected a string, got null"),
+], ids=["seed_string", "seed_bool", "count_float", "bool_string", "bool_int", "float_bool",
+        "str_int", "array_int", "element_float", "array_string", "element_int",
+        "tuple_length", "element_bool", "nullable_string", "nested_null"])
+def test_mistyped_field_is_rejected_naming_field(data, named):
+    with pytest.raises(config.ConfigError, match="^" + re.escape(named)):
+        config.config_from_dict(data)
+
+
+def test_typed_fields_keep_their_legal_values():
+    # an integer is a number, and a field whose default is None takes null
+    cfg = config.config_from_dict({"learning_rate": 1, "hidden": [3, 2],
+                                   "generator": {"mean_seed": None, "segment_length": [2, 4]}})
+    assert cfg.learning_rate == 1 and type(cfg.learning_rate) is int
+    assert cfg.hidden == (3, 2)
+    assert (cfg.generator.mean_seed, cfg.generator.segment_length) == (None, (2, 4))
+    assert config.config_from_dict({"generator": {"mean_seed": 7}}).generator.mean_seed == 7
+
+
+@pytest.mark.parametrize("field, value, rule", [
+    ("beta1", 1.0, "lie in [0, 1), got 1.0"),
+    ("beta1", -0.5, "lie in [0, 1), got -0.5"),
+    ("beta2", 1.5, "lie in [0, 1), got 1.5"),
+    ("epsilon", -1.0, "be positive, got -1.0"),
+    ("epsilon", 0.0, "be positive, got 0.0"),
+    ("learning_rate", -1.0, "be nonnegative, got -1.0"),
+    ("center_momentum", -1e-3, "be nonnegative, got -0.001"),
+    ("seed", -1, "be nonnegative, got -1"),
+])
+def test_optimizer_and_bank_settings_out_of_range_are_named(field, value, rule):
+    # a beta of 1 leaves Adam's bias correction at 0: before, training
+    # diverged, and the other values trained
+    with pytest.raises(config.ConfigError, match="^" + re.escape(f"{field}: must {rule}")):
+        config.config_from_dict({field: value})
+    with pytest.raises(config.ConfigError, match="^" + re.escape(f"{field}: must {rule}")):
+        small_config(**{field: value})
+
+
+def test_state_and_bank_own_their_ranges():
+    spec = model.NetworkSpec(2, [3], 2)
+    for kw, named in (({"beta1": 1.0}, "beta1"), ({"beta2": -0.1}, "beta2"),
+                      ({"eps": 0.0}, "eps"), ({"lr": -1.0}, "lr"), ({"seed": -2}, "seed")):
+        with pytest.raises(ValueError, match=f"^{named}: must "):
+            model.ModelState(spec, **kw)
+    with pytest.raises(ValueError, match="^momentum: must be nonnegative"):
+        losses.CenterBank(2, 2, momentum=-1e-3)
+    model.ModelState(spec, lr=0.0, beta1=0.0, beta2=0.0)
+    losses.CenterBank(2, 2, momentum=0.0)
+
+
 def test_fraction_validation():
     with pytest.raises(config.ConfigError, match="validation_fraction"):
         small_config(validation_fraction=0.0)
@@ -349,7 +417,9 @@ def test_checkpoint_network_field_that_is_unknown_or_mistyped_is_named(tmp_path,
 
 def test_checkpoint_ignores_an_old_eval_interval(tmp_path):
     # earlier v1 files carried schedule.eval_interval, a copy of the
-    # training setting; it loads and is dropped
+    # training setting, and shapes, centers.num_classes, centers.dim and
+    # step_count, which follow from the network, the mode and adam.steps;
+    # they load and are dropped
     state, bank, sched = trained_state()
     path = tmp_path / "ckpt.json"
     config.save_checkpoint(path, state, bank, sched, "tmf", 8)
@@ -359,6 +429,88 @@ def test_checkpoint_ignores_an_old_eval_interval(tmp_path):
     old = tmp_path / "old.json"
     old.write_text(json.dumps(data, indent=1) + "\n")
     assert config.load_checkpoint(old)[2] == sched
+    data["step_count"] = state.step_count
+    data["shapes"] = {k: list(v.shape) for k, v in state.params.items()}
+    data["centers"].update(num_classes=bank.num_classes, dim=bank.dim)
+    old.write_text(json.dumps(data, indent=1) + "\n")
+    now, then = config.load_checkpoint(path), config.load_checkpoint(old)
+    assert then[2:] == now[2:] == (sched, {"mode": "tmf", "seed": 8, "step_count": 3})
+    for loaded in (now[0], then[0]):
+        assert (loaded.spec, loaded.lr, loaded.beta1, loaded.beta2, loaded.eps,
+                loaded.step_count) == (state.spec, state.lr, state.beta1, state.beta2,
+                                       state.eps, state.step_count)
+        for group in ("params", "adam_m", "adam_v"):
+            for k, v in getattr(state, group).items():
+                assert getattr(loaded, group)[k].tobytes() == v.tobytes()
+    for loaded in (now[1], then[1]):
+        assert (loaded.num_classes, loaded.dim, loaded.momentum,
+                loaded.occupancy_threshold) == (bank.num_classes, bank.dim, bank.momentum,
+                                                bank.occupancy_threshold)
+        assert loaded.centers.tobytes() == bank.centers.tobytes()
+
+
+def test_checkpoint_states_its_model_once(tmp_path):
+    # the shapes and the bank's size follow from the network and the mode,
+    # and the step count is adam.steps
+    state, bank, sched = trained_state()
+    path = tmp_path / "ckpt.json"
+    config.save_checkpoint(path, state, bank, sched, "tmf", 8)
+    data = json.loads(path.read_text())
+    assert "shapes" not in data and "step_count" not in data
+    assert list(data["centers"]) == ["momentum", "occupancy_threshold", "values"]
+    assert data["adam"]["steps"] == 3
+    assert data["format"] == "tmfusion-checkpoint-v1"
+
+
+def _transposed(rows):
+    return [list(column) for column in zip(*rows)]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda d: d["adam"].update(steps="3"), 'adam.steps: expected an integer, got "3"'),
+    (lambda d: d["schedule"].update(halve_after=2.5),
+     "schedule.halve_after: expected an integer, got 2.5"),
+    (lambda d: d["schedule"].update(since_improvement=True),
+     "schedule.since_improvement: expected an integer, got true"),
+    (lambda d: d.update(seed="8"), 'seed: expected an integer, got "8"'),
+    (lambda d: d.update(mode=3), "mode: expected a string, got 3"),
+    (lambda d: d["network"].update(recurrent="yes"),
+     'network: recurrent: expected true or false, got "yes"'),
+    (lambda d: d["adam"].update(beta1=0.9), "adam.beta1: expected a string, got 0.9"),
+    (lambda d: d["adam"].update(beta2=None), "adam.beta2: expected a string, got null"),
+    (lambda d: d["adam"].update(eps="abc"), "adam.eps: could not convert string to float"),
+    (lambda d: d["schedule"].update(best="nan"), "schedule.best: not a finite number"),
+    (lambda d: d["centers"]["values"][1].__setitem__(0, 1.0),
+     "centers.values: expected a string, got 1.0"),
+    (lambda d: d["adam"].update(beta1="1.0"), "adam.beta1: must lie in [0, 1), got 1.0"),
+    (lambda d: d["adam"].update(eps="0.0"), "adam.eps: must be positive, got 0.0"),
+    (lambda d: d.update(lr="-1.0"), "lr: must be nonnegative, got -1.0"),
+    (lambda d: d["centers"].update(momentum="-0.5"),
+     "centers.momentum: must be nonnegative, got -0.5"),
+    (lambda d: d["adam"].pop("steps"), "adam: missing field 'steps'"),
+    (lambda d: d["params"].pop("R"), "params: missing field 'R'"),
+    (lambda d: d.pop("schedule"), "top level: missing field 'schedule'"),
+    (lambda d: d.update(adam=[]), "adam: expected a JSON object, got []"),
+    # a (6, 4) weight written as (4, 6) reshaped without complaint before
+    (lambda d: d["params"].update(W0=_transposed(d["params"]["W0"])),
+     "params.W0: expected a 6 x 4 array, to fit the network and mode"),
+    (lambda d: d["adam_v"]["b0"][0].pop(), "adam_v.b0: expected a 1 x 6 array"),
+    # a framewise mode has no blank column: a center per output column
+    (lambda d: d.update(mode="ce"), "centers.values: expected a 3 x 6 array"),
+], ids=["steps_string", "halve_after_float", "since_improvement_bool", "seed_string",
+        "mode_number", "network_recurrent_string", "float_as_number", "float_null",
+        "float_text", "best_nan", "array_number", "beta1_1", "eps_0", "lr_negative",
+        "momentum_negative", "missing_steps", "missing_param", "missing_section",
+        "section_array", "transposed_weight", "short_bias", "mode_of_another_network"])
+def test_checkpoint_field_that_is_mistyped_missing_or_unfit_is_named(tmp_path, edit, named):
+    state, bank, sched = trained_state()
+    path = tmp_path / "ckpt.json"
+    config.save_checkpoint(path, state, bank, sched, "tmf", 8)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(config.ConfigError, match=re.escape(f"checkpoint {path}: {named}")):
+        config.load_checkpoint(path)
 
 
 def test_checkpoint_write_that_fails_keeps_the_previous_file(tmp_path,

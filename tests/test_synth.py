@@ -22,58 +22,58 @@ def dedup(seq):
 # ------------------------------------------------------------- config checks
 
 def test_config_rejects_zero_classes():
-    with pytest.raises(synth.ConfigInvalid, match="num_classes"):
+    with pytest.raises(ValueError, match="num_classes"):
         synth.GeneratorConfig(num_classes=0)
 
 
 def test_config_rejects_more_classes_than_dimensions():
-    with pytest.raises(synth.ConfigInvalid, match="num_classes"):
+    with pytest.raises(ValueError, match="num_classes"):
         synth.GeneratorConfig(num_classes=9, feature_dim=8)
 
 
 def test_config_rejects_negative_stddev():
-    with pytest.raises(synth.ConfigInvalid, match="emission_stddev"):
+    with pytest.raises(ValueError, match="emission_stddev"):
         synth.GeneratorConfig(emission_stddev=-0.1)
-    with pytest.raises(synth.ConfigInvalid, match="seen_noise_stddev"):
+    with pytest.raises(ValueError, match="seen_noise_stddev"):
         synth.GeneratorConfig(seen_noise_stddev=-1.0)
 
 
 def test_config_rejects_bad_ranges():
-    with pytest.raises(synth.ConfigInvalid, match="segment_length"):
+    with pytest.raises(ValueError, match="segment_length"):
         synth.GeneratorConfig(segment_length=(5, 3))
-    with pytest.raises(synth.ConfigInvalid, match="labels_per_sequence"):
+    with pytest.raises(ValueError, match="labels_per_sequence"):
         synth.GeneratorConfig(labels_per_sequence=(0, 2))
 
 
 def test_config_rejects_repeats_with_single_frame_segments():
-    with pytest.raises(synth.ConfigInvalid, match="allow_repeats"):
+    with pytest.raises(ValueError, match="allow_repeats"):
         synth.GeneratorConfig(allow_repeats=True, segment_length=(1, 4))
 
 
 def test_config_rejects_impossible_no_repeat_task():
-    with pytest.raises(synth.ConfigInvalid, match="labels_per_sequence"):
+    with pytest.raises(ValueError, match="labels_per_sequence"):
         synth.GeneratorConfig(num_classes=1, labels_per_sequence=(2, 3))
 
 
 def test_config_rejects_unknown_condition():
-    with pytest.raises(synth.ConfigInvalid, match="noise_condition"):
+    with pytest.raises(ValueError, match="noise_condition"):
         synth.GeneratorConfig(noise_condition="quiet")
 
 
 def test_config_rejects_overlapping_emissions():
-    with pytest.raises(synth.ConfigInvalid, match="emission_stddev"):
+    with pytest.raises(ValueError, match="emission_stddev"):
         synth.GeneratorConfig(emission_stddev=0.9)
 
 
 def test_unseen_noise_validation():
-    with pytest.raises(synth.ConfigInvalid):
+    with pytest.raises(ValueError):
         synth.UnseenNoise(family="laplace")
-    with pytest.raises(synth.ConfigInvalid):
+    with pytest.raises(ValueError):
         synth.UnseenNoise(variance_multiplier=-1.0)
 
 
 def test_generate_rejects_empty_request():
-    with pytest.raises(synth.ConfigInvalid, match="n"):
+    with pytest.raises(ValueError, match="n"):
         synth.generate(synth.GeneratorConfig(), 0)
 
 
@@ -260,9 +260,9 @@ def test_split_keeps_every_sequence():
 
 def test_split_rejects_bad_fractions():
     data = synth.generate(synth.GeneratorConfig(seed=21), 4)
-    with pytest.raises(synth.ConfigInvalid, match="validation_fraction"):
+    with pytest.raises(ValueError, match="validation_fraction"):
         synth.split(data, 1.5)
-    with pytest.raises(synth.ConfigInvalid, match="validation_fraction"):
+    with pytest.raises(ValueError, match="validation_fraction"):
         synth.split(data, -0.5)
 
 
