@@ -15,6 +15,8 @@ import sys
 import traceback
 from contextlib import closing
 
+import numpy as np
+
 from . import ctc, metrics, model, synth, verify, workers
 from .config import (ConfigError, _fmt, append_metrics, load_checkpoint,
                      load_config, open_metrics, save_checkpoint)
@@ -75,11 +77,25 @@ def _load_checked(path, spec, temporal):
     """The samples of a dataset file.  Each must match the network's
     input width and label space, and in the temporal modes its labeling
     must fit its frames; the first that does not raises ShapeMismatch
-    naming the file and the sample."""
+    naming the file and the sample.  The whole file is screened with
+    array operations, and only a sample that fails the screen is checked
+    again on its own, for its message."""
     samples = synth.load_jsonl(path)
     limit = spec.num_classes - 1 if temporal else spec.num_classes
-    for i, sample in enumerate(samples):
-        where = "%s: sample %d" % (path, i)
+    bad = np.array([sample.x.shape[1] != spec.input_dim for sample in samples], dtype=bool)
+    collapsed = _flat([sample.collapsed for sample in samples])
+    for owner, flat in (_flat([sample.framewise for sample in samples]), collapsed):
+        bad[owner[(flat < 1) | (flat > limit)]] = True
+    if temporal:
+        # ctc.min_frames: one frame per label, and a blank between repeats
+        # (an empty labeling needs one frame, and every sample has one)
+        owner, flat = collapsed
+        repeats = np.bincount(owner[1:][(flat[1:] == flat[:-1]) & (owner[1:] == owner[:-1])],
+                              minlength=len(samples))
+        bad |= np.bincount(owner, minlength=len(samples)) + repeats > [
+            len(sample.x) for sample in samples]
+    for i in np.flatnonzero(bad):
+        sample, where = samples[i], "%s: sample %d" % (path, i)
         if sample.x.shape[1] != spec.input_dim:
             raise ShapeMismatch(
                 "%s has %d features, network expects %d"
@@ -99,6 +115,13 @@ def _load_checked(path, spec, temporal):
                 "%s has %d collapsed labels, which need %d frames; it has %d"
                 % (where, len(sample.collapsed), need, len(sample.x)))
     return samples
+
+
+def _flat(arrays):
+    """(owner, flat): the arrays concatenated, and each element's index
+    in the list."""
+    return (np.repeat(np.arange(len(arrays)), [len(a) for a in arrays]),
+            np.concatenate([np.zeros(0, dtype=np.intp)] + arrays))
 
 
 def _load_test_file(path, spec, temporal):

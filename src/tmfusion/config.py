@@ -124,6 +124,10 @@ def _build(cls, data, where=""):
     extra = sorted(set(_typed(dict, data, label)) - set(fields))
     if extra:
         raise ConfigError(f"{label}: unknown field {extra[0]!r}")
+    missing = [name for name, f in fields.items() if name not in data
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{label}: missing field {missing[0]!r}")
     kwargs = {}
     for name, value in data.items():
         kind = fields[name].type

@@ -23,42 +23,55 @@ import numpy as np
 
 from . import metrics, model, synth, workers
 from .config import ConfigError, RunConfig
+from .ctc import BLANK
 
 
 def evaluate_model(state, bank, samples, mode, condition):
     """Score one trained model on one condition's samples.
 
     The network runs on length-sorted groups (model.score_groups), and
-    each group's outputs are reduced before the next group runs; the
-    per-sample results are gathered in sample order.
+    each group's padded (G, T_max, .) stacks are reduced before the next
+    group runs: one argmax gives the steps, a live mask the frames, and
+    metrics.best_paths the hypotheses.  A live frame's slot is its index
+    in sample order, then time order, and its step goes there in one
+    array.  Only the frames that take a class (every frame in a
+    framewise mode, the non-blank ones in a sequence mode) keep their
+    features: compact per group, then each group's rows go to their
+    sample-order rows of one array.  So embedding_report sums them in
+    the order that scoring one sequence at a time gives, and a barely
+    trained sequence model, whose frames are nearly all blank, holds
+    almost no features.  The frame accuracy and the token error rate
+    are integer counts, so the report is bit for bit the per-sequence
+    one.
     """
-    temporal = mode in model.TEMPORAL_MODES
-    hyps, feats, assigns = ([None] * len(samples) for _ in range(3))
-    correct = 0
+    offset = 0 if mode in model.TEMPORAL_MODES else 1
+    starts = np.cumsum([0] + [len(sample.x) for sample in samples])
+    steps = np.empty(starts[-1], dtype=np.intp)
+    hyps = [None] * len(samples)
+    kept = []
     for group in model.score_groups(samples):
-        Ts, stacks, _, ys = model.forward_stacks(state, [samples[i].x for i in group])
-        for i, Tb, u, y in zip(group, Ts, stacks[-1], ys):
-            u, y, sample = u[:Tb], y[:Tb], samples[i]
-            if temporal:
-                hyps[i] = metrics.greedy_decode(y)
-                steps, keep = metrics.temporal_assignments(y)
-                feats[i] = u[keep]
-                assigns[i] = steps
-                correct += int((y.argmax(axis=1) == sample.framewise).sum())
-            else:
-                pred = y.argmax(axis=1) + 1
-                hyps[i] = metrics.collapse(pred)
-                feats[i] = u
-                assigns[i] = pred
-                correct += int((pred == sample.framewise).sum())
-        del stacks, ys
-    frames = sum(len(sample.framewise) for sample in samples)
-    ter = metrics.token_error_rate(
-        [(hyp, sample.collapsed) for hyp, sample in zip(hyps, samples)])
-    acc = 100.0 * correct / frames
+        Ts, stacks, _, y = model.forward_stacks(state, [samples[i].x for i in group])
+        slots = starts[group][:, None] + np.arange(y.shape[1])
+        live = np.arange(y.shape[1]) < np.array(Ts)[:, None]
+        group_steps = y.argmax(axis=2) + offset
+        steps[slots[live]] = group_steps[live]
+        classed = live & (group_steps != BLANK)
+        kept.append((slots[classed], stacks[-1][classed]))
+        paths, counts = metrics.best_paths(group_steps, Ts)
+        for i, path, count in zip(group, paths.tolist(), counts.tolist()):
+            hyps[i] = path[:count]
+        del stacks, y
+    ter = metrics.token_error_rate(zip(hyps, (sample.collapsed for sample in samples)))
+    framewise = np.concatenate([sample.framewise for sample in samples])
+    acc = 100.0 * int((steps == framewise).sum()) / len(framewise)
+    classed = steps != BLANK
+    feats = np.empty((int(classed.sum()), state.spec.feature_dim))
+    rank = np.cumsum(classed) - 1       # a classed slot's row in feats
+    while kept:
+        slots, group_feats = kept.pop()
+        feats[rank[slots]] = group_feats
     try:
-        intra, inter, ratio = metrics.embedding_report(
-            np.concatenate(feats), np.concatenate(assigns), bank)
+        intra, inter, ratio = metrics.embedding_report(feats, steps[classed], bank)
     except metrics.DegenerateBank:
         intra = inter = ratio = float("nan")
     return metrics.EvalReport(condition, ter, acc, intra, inter, ratio,

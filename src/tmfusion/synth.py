@@ -52,6 +52,10 @@ class GeneratorConfig:
     mean_seed: int = None       # class-mean geometry; None ties it to seed
 
     def __post_init__(self):
+        for name in ("seed", "mean_seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError("%s: must be nonnegative, got %r" % (name, value))
         if self.num_classes < 1:
             raise ValueError("num_classes: need at least one class")
         if self.num_classes > self.feature_dim:

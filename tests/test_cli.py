@@ -303,6 +303,47 @@ def test_eval_old_checkpoint_with_eval_interval_gives_the_same_report(tmp_path, 
 
 # --------------------------------------------------------------------- check
 
+def per_sample_check(samples, spec, temporal):
+    """The message of the first sample that does not fit, one sample at a
+    time, as _load_checked did before it screened whole files; None
+    when every sample fits."""
+    limit = spec.num_classes - 1 if temporal else spec.num_classes
+    for i, s in enumerate(samples):
+        if s.x.shape[1] != spec.input_dim:
+            return "sample %d has %d features" % (i, s.x.shape[1])
+        for kind, labels in (("class", s.framewise), ("collapsed label", s.collapsed)):
+            bad = [c for c in labels.tolist() if c < 1 or c > limit]
+            if bad:
+                low, top = int(labels.min()), int(labels.max())
+                return "sample %d uses %s %d" % (i, kind, top if top > limit else low)
+        if temporal and ctc.min_frames(s.collapsed) > len(s.x):
+            return "sample %d has %d collapsed labels" % (i, len(s.collapsed))
+    return None
+
+
+@pytest.mark.parametrize("temporal", [True, False])
+def test_file_screen_reports_the_first_sample_that_does_not_fit(temporal, monkeypatch):
+    # random labelings with repeats, labels out of range, short inputs
+    # and a wrong width, against the one-sample-at-a-time checks
+    rng = np.random.default_rng(4)
+    spec = model.NetworkSpec(3, [4], 4 if temporal else 3)
+    for trial in range(300):
+        samples = []
+        for _ in range(rng.integers(0, 6)):
+            T = int(rng.integers(1, 6))
+            x = np.zeros((T, 3 if rng.random() > 0.05 else 2))
+            framewise = rng.integers(1 if rng.random() > 0.1 else 0, 4, T)
+            collapsed = rng.integers(1, 4 if rng.random() > 0.1 else 5, rng.integers(0, 4))
+            samples.append(synth.SequenceSample(x, framewise, collapsed, "clean"))
+        monkeypatch.setattr(synth, "load_jsonl", lambda path: samples)
+        want = per_sample_check(samples, spec, temporal)
+        if want is None:
+            assert cli._load_checked("f", spec, temporal) is samples
+        else:
+            with pytest.raises(cli.ShapeMismatch, match="^f: " + want):
+                cli._load_checked("f", spec, temporal)
+
+
 def test_check_all_suites_pass(capsys):
     assert cli.main(["check"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -722,7 +763,9 @@ ROWS = [
           ("num_train_sequences", ("num_train_sequences",), 0,
            "config: num_train_sequences"),
           ("num_test_sequences", ("num_test_sequences",), 0,
-           "config: num_test_sequences"))],
+           "config: num_test_sequences"),
+          ("mean_seed", ("generator", "mean_seed"), -1,
+           "config: generator: mean_seed: must be nonnegative, got -1"))],
     Row("test_gen_data_unknown_field_exits_2_naming_field", "config", EXIT_2,
         config_file(b'{"mode": "tmf", "learning_rte": 0.1}'), GEN_DATA,
         ["learning_rte"]),

@@ -490,6 +490,7 @@ def _transposed(rows):
     (lambda d: d["adam"].pop("steps"), "adam: missing field 'steps'"),
     (lambda d: d["params"].pop("R"), "params: missing field 'R'"),
     (lambda d: d.pop("schedule"), "top level: missing field 'schedule'"),
+    (lambda d: d["network"].pop("hidden"), "network: missing field 'hidden'"),
     (lambda d: d.update(adam=[]), "adam: expected a JSON object, got []"),
     # a (6, 4) weight written as (4, 6) reshaped without complaint before
     (lambda d: d["params"].update(W0=_transposed(d["params"]["W0"])),
@@ -501,6 +502,7 @@ def _transposed(rows):
         "mode_number", "network_recurrent_string", "float_as_number", "float_null",
         "float_text", "best_nan", "array_number", "beta1_1", "eps_0", "lr_negative",
         "momentum_negative", "missing_steps", "missing_param", "missing_section",
+        "missing_network_field",
         "section_array", "transposed_weight", "short_bias", "mode_of_another_network"])
 def test_checkpoint_field_that_is_mistyped_missing_or_unfit_is_named(tmp_path, edit, named):
     state, bank, sched = trained_state()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmfusion import experiment, losses, metrics, model, synth
@@ -47,6 +47,30 @@ def test_greedy_decode_invariant_to_monotone_transforms(argmaxes):
     assert metrics.greedy_decode(10.0 * y + 2.0) == base
 
 
+def loop_collapse(steps):
+    """collapse as a loop over one sequence's steps."""
+    out, prev = [], -1
+    for c in steps:
+        if c != prev and c != 0:
+            out.append(c)
+        prev = c
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=10), min_size=1,
+                max_size=8), st.integers(0, 3))
+def test_best_paths_are_collapse_of_each_live_row(rows, pad):
+    # padding frames carry a class too; only live frames may reach a path
+    T = max(map(len, rows))
+    steps = np.array([row + [pad] * (T - len(row)) for row in rows])
+    paths, counts = metrics.best_paths(steps, [len(row) for row in rows])
+    assert paths.shape == (len(rows), max(counts, default=0))
+    for path, count, row in zip(paths.tolist(), counts.tolist(), rows):
+        assert path[:count] == loop_collapse(row) == metrics.collapse(np.array(row))
+        assert path[count:] == [0] * (len(path) - count)
+
+
 # ------------------------------------------------------------- edit distance
 
 def quadratic_edit_distance(hyp, ref):
@@ -74,6 +98,36 @@ def test_edit_distance_basics():
        st.lists(st.integers(1, 4), max_size=10))
 def test_edit_distance_matches_quadratic_reference(hyp, ref):
     assert metrics.edit_distance(hyp, ref) == quadratic_edit_distance(hyp, ref)
+
+
+def ragged_pairs(max_ref):
+    # hypotheses up to five times longer than the longest reference
+    return st.lists(st.tuples(st.lists(st.integers(1, 4), max_size=5 * max_ref),
+                              st.lists(st.integers(1, 4), max_size=max_ref)),
+                    max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ragged_pairs(6))
+@example([([], [1, 2]), ([3, 1], []), ([], []), ([1, 1, 2, 2, 3, 3, 4, 4, 1, 2], [1, 2])])
+@example([([1] * 20, [2, 3, 4, 1])])
+def test_batched_edit_distances_match_quadratic_reference(pairs):
+    hyps, hyp_lens = metrics._padded([h for h, _ in pairs])
+    refs, ref_lens = metrics._padded([r for _, r in pairs])
+    got = metrics.edit_distances(hyps, hyp_lens, refs, ref_lens)
+    assert got.tolist() == [quadratic_edit_distance(h, r) for h, r in pairs]
+    tokens = sum(len(r) for _, r in pairs)
+    if tokens:
+        edits = sum(quadratic_edit_distance(h, r) for h, r in pairs)
+        assert metrics.token_error_rate(pairs) == 100.0 * edits / tokens
+
+
+def test_edit_distances_ignore_padding_values():
+    # the cells past each pair's lengths never reach its distance
+    hyps, refs = np.array([[1, 2, 9, 9]]), np.array([[1, 3, 9]])
+    for fill in (0, 1, 3):
+        hyps[0, 2:], refs[0, 2:] = fill, fill
+        assert metrics.edit_distances(hyps, np.array([2]), refs, np.array([2])).tolist() == [1]
 
 
 # ----------------------------------------------------------------------- ter
@@ -126,11 +180,77 @@ def test_frame_accuracy():
             assert 0 < right < total
 
 
-def test_temporal_assignments_drop_blank_frames():
-    y = posteriors_for([0, 2, 0, 1])
-    steps, keep = metrics.temporal_assignments(y)
-    np.testing.assert_array_equal(steps, [2, 1])
-    np.testing.assert_array_equal(keep, [False, True, False, True])
+def frozen_evaluate_model(state, bank, samples, mode, condition):
+    """The per-sequence scoring that evaluate_model replaced, frozen: one
+    sequence at a time, a loop collapse and a quadratic edit distance
+    per pair, features kept per sample and concatenated."""
+    hyps, feats, assigns, correct = [], [], [], 0
+    for sample in samples:
+        _, stacks, _, (y,) = model.forward_stacks(state, [sample.x])
+        u = stacks[-1][0]
+        if mode in model.TEMPORAL_MODES:
+            steps = np.argmax(y, axis=1)
+            keep = steps != 0
+            hyps.append(loop_collapse(steps.tolist()))
+            feats.append(u[keep])
+            assigns.append(steps[keep])
+            correct += int((steps == sample.framewise).sum())
+        else:
+            pred = y.argmax(axis=1) + 1
+            hyps.append(loop_collapse(pred.tolist()))
+            feats.append(u)
+            assigns.append(pred)
+            correct += int((pred == sample.framewise).sum())
+    edits = sum(quadratic_edit_distance(h, s.collapsed) for h, s in zip(hyps, samples))
+    tokens = sum(len(s.collapsed) for s in samples)
+    frames = sum(len(s.framewise) for s in samples)
+    try:
+        intra, inter, ratio = metrics.embedding_report(
+            np.concatenate(feats), np.concatenate(assigns), bank)
+    except metrics.DegenerateBank:
+        intra = inter = ratio = float("nan")
+    return metrics.EvalReport(condition, 100.0 * edits / tokens, 100.0 * correct / frames,
+                              intra, inter, ratio, len(samples))
+
+
+def scoring_case(mode, case):
+    """(state, bank, samples) for one evaluate_model case: a random
+    recurrent network on more samples than one score group holds, the
+    same on length-1 inputs, or a degenerate network whose output 0
+    always wins: all blank in the sequence modes, all class 1 in the
+    framewise ones, so fewer than two classes are populated and the
+    scatter is NaN."""
+    K = 3
+    spec = model.NetworkSpec(4, [5, 6], model.output_units(mode, K), recurrent=True)
+    state = model.ModelState(spec, seed=11)
+    bank = losses.CenterBank(K, 6)
+    rng = np.random.default_rng(3)
+    if case == "length_1":
+        labels = rng.integers(1, K + 1, 40)
+        samples = [synth.SequenceSample(rng.normal(size=(1, 4)), np.array([c]),
+                                        np.array([c]), "clean") for c in labels]
+    else:
+        gen = synth.GeneratorConfig(num_classes=K, feature_dim=4, segment_length=(1, 5),
+                                    labels_per_sequence=(1, 4), noise_condition="unseen",
+                                    seed=8)
+        samples = synth.generate(gen, 2 * model.SCORE_GROUP + 7)
+    if case == "degenerate":
+        state.params["B"][0] = 1e3
+    return state, bank, samples
+
+
+@pytest.mark.parametrize("case", ["groups", "length_1", "degenerate"])
+@pytest.mark.parametrize("mode", model.MODES)
+def test_evaluate_model_equals_per_sequence_scoring(mode, case):
+    state, bank, samples = scoring_case(mode, case)
+    got = experiment.evaluate_model(state, bank, samples, mode, "unseen")
+    want = frozen_evaluate_model(state, bank, samples, mode, "unseen")
+    assert repr(got) == repr(want)
+    if case == "degenerate":
+        assert np.isnan(got.scatter_ratio)
+        assert (got.token_error_rate == 100.0) == (mode in model.TEMPORAL_MODES)
+    else:
+        assert got == want and 0.0 < got.scatter_ratio
 
 
 # ----------------------------------------------------------------- embedding

@@ -38,6 +38,15 @@ def test_config_rejects_negative_stddev():
         synth.GeneratorConfig(seen_noise_stddev=-1.0)
 
 
+def test_config_rejects_negative_seeds():
+    # numpy refuses a negative seed only when the first sequence is drawn,
+    # in a gen-data worker
+    for name in ("seed", "mean_seed"):
+        with pytest.raises(ValueError, match="^%s: must be nonnegative, got -1$" % name):
+            synth.GeneratorConfig(**{name: -1})
+    assert synth.GeneratorConfig(seed=0, mean_seed=0).mean_seed == 0
+
+
 def test_config_rejects_bad_ranges():
     with pytest.raises(ValueError, match="segment_length"):
         synth.GeneratorConfig(segment_length=(5, 3))
