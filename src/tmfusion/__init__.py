@@ -16,8 +16,8 @@ from .model import (ModelState, NetworkSpec, NonFiniteGradient, ScheduleState,
                     schedule_tick, train, validation_score)
 from .synth import (CONDITIONS, GeneratorConfig, MalformedDataset, SequenceSample,
                     UnseenNoise, class_means, generate, load_jsonl, save_jsonl, split)
-from .metrics import (EvalReport, best_paths, collapse, edit_distance, edit_distances,
-                      embedding_report, greedy_decode, token_error_rate)
+from .metrics import (EvalReport, best_paths, collapse, edit_distances, embedding_report,
+                      token_error_rate)
 from .config import (ConfigError, RunConfig, load_checkpoint, load_config,
                      save_checkpoint, save_config)
 from .experiment import (ExperimentSpec, evaluate_model, headline,

@@ -151,11 +151,16 @@ _EXPECTED = {bool: (bool, "true or false"), int: (int, "an integer"),
 def _typed(kind, value, field, nullable=False):
     """value, read from JSON for field, checked against the field's
     annotation kind: a bool takes only true or false, an int an integer
-    that is not a bool, a float any finite number, a str a string, a
-    dict an object, and list[t], tuple[t, ...] or tuple[t1, t2] an array
-    whose elements are checked against t, and that the list or tuple
-    becomes.  A function kind reads the value itself.  null passes where
-    nullable; errors name field."""
+    that is not a bool, a float any finite number, read as a float, a str
+    a string, a dict an object, and list[t], tuple[t, ...] or tuple[t1,
+    t2] an array whose elements are checked against t, and that the list
+    or tuple becomes.  A function kind reads the value itself.  null
+    passes where nullable; errors name field."""
+    if kind is float and type(value) is int:    # so 1 and 1.0 write the same file
+        try:
+            value = float(value)
+        except OverflowError:                   # an integer past the float range
+            raise ConfigError(f"{field}: not a finite number") from None
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{field}: not a finite number")     # json reads NaN and 1e400
     if type(value) is kind or (value is None and nullable):

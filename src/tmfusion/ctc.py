@@ -14,8 +14,9 @@ Conventions used throughout:
   ``alpha_t(s) * beta_t(s) = (mass of paths through (s, t)) * y_t[z'_s]``
   and for every frame ``sum_s alpha_t(s) beta_t(s) / y_t[z'_s] = p(z|x)``.
   The extra emission factor is divided out (its log subtracted) wherever
-  a true path mass is needed (gradients); the raw product is what the
-  occupancy matrix exposes in its literal mode.
+  a true path mass is needed (gradients).  ``occupancy`` divides each
+  frame's row of products by its sum instead: the raw product carries
+  the factor p(z|x), and vanishes with it.
 
 Batched layout.  ``forward_backward_batch`` runs both recursions for B
 sequences at once, on their padded (B, T_max, K) log-probability stack,
@@ -42,8 +43,8 @@ and ``log_seq_probs`` runs the forward rows alone:
   table nor the above-0 check: they may hold anything.
 * ``occupancy`` and ``ctc_grad_logits`` take such stacks too, with the
   tables' mask of live frames.  Elementwise they keep each sequence's
-  bits; their row sums over S_max positions (of the normalized
-  occupancy and of the CTC posterior) add zeros for the padding, which
+  bits; their row sums over S_max positions (of the occupancy and of
+  the CTC posterior) add zeros for the padding, which
   keeps the bits below 8 positions, where numpy sums in order, and can
   move the last bit above, where its pairwise sum regroups.
 """
@@ -233,9 +234,6 @@ def log_seq_probs(log_y, Ts, labels_list):
     return _last_cells(_recursion((lyz,), cells, skip), Ts, Ss)
 
 
-OCCUPANCY_MODES = ("paper_literal", "frame_normalized")
-
-
 def _live_peaks(log_weights, live):
     """The (..., T, 1) row maxima of (..., T, S) log weights on the live
     frames, 0 on padding; a live frame whose row is -inf throughout (no
@@ -247,24 +245,17 @@ def _live_peaks(log_weights, live):
     return np.where(live, peak, 0.0)[..., None]
 
 
-def occupancy(tables, mode="paper_literal"):
-    """Per-(frame, position) alignment weights from the DP tables, by
-    one of OCCUPANCY_MODES, with the tables' leading batch axes.
-
-    mode="paper_literal" returns the raw product alpha_t(s) * beta_t(s);
-    mode="frame_normalized" divides each frame's row by its sum so rows
-    sum to one, and raises DegenerateFrame, as ctc_grad_logits does,
-    on a live frame whose row carries no path.  Cells outside the
-    feasible band, and padding, are zero either way.
+def occupancy(tables):
+    """Per-(frame, position) alignment weights from the DP tables, with
+    the tables' leading batch axes: each frame's row of alpha_t(s) *
+    beta_t(s), divided by its sum so that rows sum to one.  A live frame
+    whose row carries no path raises DegenerateFrame, as ctc_grad_logits
+    does.  Cells outside the feasible band, and padding, are zero.
     """
     prod = tables.log_alpha + tables.log_beta
-    if mode == "paper_literal":
-        return np.exp(prod)
-    if mode == "frame_normalized":
-        # a padding frame is -inf throughout: its peak 0 and sum 1 keep it 0
-        scaled = np.exp(prod - _live_peaks(prod, tables.live))
-        return scaled / np.where(tables.live[..., None], scaled.sum(axis=-1, keepdims=True), 1.0)
-    raise ValueError("unknown occupancy mode %r" % (mode,))
+    # a padding frame is -inf throughout: its peak 0 and sum 1 keep it 0
+    scaled = np.exp(prod - _live_peaks(prod, tables.live))
+    return scaled / np.where(tables.live[..., None], scaled.sum(axis=-1, keepdims=True), 1.0)
 
 
 def ctc_grad_logits(tables, y):

@@ -98,7 +98,6 @@ class ExperimentSpec:
     learning_rate: float = 1e-3
     lam_tmf: float = 0.02
     lam_fmf: float = 0.05
-    occupancy_mode: str = "frame_normalized"
     center_momentum: float = 1e-3
     batch_size: int = 8
     max_batches: int = 6000
@@ -117,10 +116,9 @@ def run_config_for(spec, mode, seed):
         mode=mode, seed=seed, hidden=tuple(spec.hidden), recurrent=spec.recurrent,
         generator=_generator(spec, seed),
         lam={"tmf": spec.lam_tmf, "fmf": spec.lam_fmf}.get(mode, 0.0),
-        occupancy_mode=spec.occupancy_mode, learning_rate=spec.learning_rate,
-        center_momentum=spec.center_momentum, batch_size=spec.batch_size,
-        max_batches=spec.max_batches, eval_interval=spec.eval_interval,
-        validation_fraction=spec.val_fraction,
+        learning_rate=spec.learning_rate, center_momentum=spec.center_momentum,
+        batch_size=spec.batch_size, max_batches=spec.max_batches,
+        eval_interval=spec.eval_interval, validation_fraction=spec.val_fraction,
         num_train_sequences=spec.num_train_per_condition, num_test_sequences=spec.num_test)
 
 

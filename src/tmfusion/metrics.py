@@ -1,4 +1,4 @@
-"""Decoding and evaluation: greedy decode, token error rate, the
+"""Decoding and evaluation: best-path decode, token error rate, the
 per-condition report, and embedding-geometry measures.
 
 Decoding and the edit distance work on stacks.  best_paths takes a score
@@ -6,9 +6,8 @@ group's per-frame classes as one padded (G, T_max) array with each row's
 live length.  edit_distances takes N (hypothesis, reference) pairs as
 zero-padded (N, H) and (N, R) integer arrays with their lengths, and
 runs one DP for all of them.  No cell past a row's length reaches that
-row's result.  collapse, greedy_decode and edit_distance are the
-one-sequence case.  All of it is integer arithmetic, so each count is
-exact, whatever the grouping."""
+row's result.  collapse is best_paths' one-sequence case.  All of it
+is integer arithmetic, so each count is exact, whatever the grouping."""
 
 import itertools
 from dataclasses import dataclass
@@ -42,12 +41,6 @@ class EvalReport:
 
     def csv_row(self):
         return [getattr(self, c) for c in self.CSV_COLUMNS]
-
-
-def greedy_decode(y):
-    """Best-path decode: per-frame argmax (ties to the lowest index),
-    merge repeats, drop blanks."""
-    return collapse(np.argmax(y, axis=1))
 
 
 def collapse(steps):
@@ -110,11 +103,6 @@ def edit_distances(hyps, hyp_lens, refs, ref_lens):
     return dist
 
 
-def edit_distance(hyp, ref):
-    """Levenshtein distance with unit insert/delete/substitute costs."""
-    return int(edit_distances(*_padded([hyp]), *_padded([ref]))[0])
-
-
 def token_error_rate(pairs):
     """Corpus-level rate: 100 * total edits / total reference tokens,
     over (hypothesis, reference) pairs, by one edit_distances call."""
@@ -142,8 +130,7 @@ def embedding_report(features, assignments, bank):
                if np.any(assignments == j)]
     if len(classes) < 2:
         raise DegenerateBank("need at least two populated classes")
-    centers = {}
-    intra, n = 0.0, 0
+    centers, intra, n = {}, 0.0, 0
     for j in classes:
         pts = features[assignments == j]
         centers[j] = pts.mean(axis=0)

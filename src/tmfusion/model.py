@@ -62,7 +62,7 @@ gathered, or a product over frames (``center_stats`` takes its w^T u
 products and weight sums from ``_weight_grads``; fmf's 0/1 w @ c is
 exact), and the center statistics add up sequence by sequence.  What
 regroups are the sums over the positions of a padded stack: the ECL
-total, the row sums of the CTC posterior and the normalized occupancy
+total, the row sums of the CTC posterior and of the occupancy
 above 8 positions, and tmf's w @ c.  In tests/test_model.py's training
 runs each batch's signals stayed within 2.2e-16 relative of the
 sequences taken one at a time: ce and ctc bit for bit, as did fmf's end
@@ -370,8 +370,7 @@ def _alignment(batch, Ts, log_y, y, settings):
         tables = ctc.forward_backward_batch(log_y, Ts, [s.collapsed for s in batch])
         seq_losses, delta_ml = -tables.log_seq_prob, ctc.ctc_grad_logits(tables, y)
         if mode == "tmf":
-            w = ctc.occupancy(tables, settings.occupancy_mode)[..., 1::2]
-            labels = tables.zp[:, 1::2]
+            w, labels = ctc.occupancy(tables)[..., 1::2], tables.zp[:, 1::2]
     else:
         frames = np.concatenate([s.framewise for s in batch]).astype(np.intp)
         seq_losses = np.array(losses.cross_entropy(log_y, frames - 1, Ts))
@@ -455,17 +454,13 @@ class TrainSettings:
     halve_after: int = 3
     stop_after: int = 8
     seed: int = 0
-    lam: float = 1e-3                       # weight of the center-loss term
-    occupancy_mode: str = "paper_literal"   # one of ctc.OCCUPANCY_MODES
+    lam: float = 1e-3                     # weight of the center-loss term
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError("mode: expected one of %s, got %r" % (MODES, self.mode))
         if self.lam < 0:
             raise ValueError("lam: must be nonnegative")
-        if self.occupancy_mode not in ctc.OCCUPANCY_MODES:
-            raise ValueError("occupancy_mode: expected one of %s, got %r"
-                             % (ctc.OCCUPANCY_MODES, self.occupancy_mode))
         for name in ("batch_size", "max_batches", "eval_interval",
                      "halve_after", "stop_after"):
             if getattr(self, name) < 1:

@@ -125,7 +125,7 @@ def brute_force_seq_prob(y, z):
 def brute_force_occupancy(y, z):
     """Path mass through each (frame, extended position), by enumeration.
 
-    Matches the DP's literal alpha*beta product, i.e. the mass of every
+    Matches the DP's alpha*beta product, i.e. the mass of every
     collapsing path that sits at extended position s during frame t,
     multiplied once more by that frame's emission probability; each
     cell adds its paths' masses in enumeration order.
@@ -149,11 +149,13 @@ def brute_force_occupancy(y, z):
 
 
 def brute_force_ecl(y, z, u, centers):
-    """Occupancy-weighted squared center distances, blanks skipped.
+    """Occupancy-weighted squared center distances, blanks skipped, each
+    frame's occupancy row divided by its sum as ctc.occupancy divides it.
 
     centers : mapping from label class to its center vector.
     """
     occ = brute_force_occupancy(y, z)
+    occ = occ / occ.sum(axis=1, keepdims=True)
     u = np.asarray(u, dtype=float)
     total = 0.0
     for i, c in enumerate(z):

@@ -74,7 +74,9 @@ def seq_prob_suite(n=200, seed=0):
 
 
 def occupancy_suite(n=100, seed=1):
-    """DP literal occupancy and ECL vs. their brute-force counterparts."""
+    """DP occupancy and ECL vs. their brute-force counterparts: the raw
+    alpha*beta product vs. the path mass of each cell, and the occupancy
+    vs. that mass with each frame's row divided by its sum."""
     rng = np.random.default_rng(seed)
     D, cases = 3, []
     for _ in range(n):
@@ -87,9 +89,10 @@ def occupancy_suite(n=100, seed=1):
     batch, errors = _lattice(ys, zs), []
     for b, (y, z, u, bank) in enumerate(cases):
         tables = batch.sequence(b)
-        gamma = ctc.occupancy(tables, "paper_literal")
+        gamma = ctc.occupancy(tables)
         occ = oracle.brute_force_occupancy(y, z)
-        errors.append(float(np.abs(gamma - occ).max()))
+        errors.append(float(np.abs(np.exp(tables.log_alpha + tables.log_beta) - occ).max()))
+        errors.append(float(np.abs(gamma - occ / occ.sum(axis=1, keepdims=True)).max()))
         dp_ecl = losses.ecl(u, gamma[:, 1::2], bank.gather(tables.zp[1::2]))
         bf_ecl = oracle.brute_force_ecl(
             y, z, u, dict(enumerate(bank.centers, start=1)))
@@ -163,7 +166,7 @@ def grad_ecl_suite(n=50, seed=5):
         y = _random_posteriors(rng, T, K)
         z = _random_labels(rng, K, T, 2)
         tables = ctc.forward_backward(np.log(y), z)
-        gamma = ctc.occupancy(tables, "paper_literal")
+        gamma = ctc.occupancy(tables)
         bank = losses.CenterBank(K - 1, D)
         bank.centers = rng.normal(size=bank.centers.shape)
         u = rng.normal(size=(T, D))
@@ -220,17 +223,16 @@ def grad_full_suite(n=50, seed=6, lam=0.1):
     """The summed gradient of ``model._batch_step`` vs. finite differences
     of ``network_loss`` over every parameter.  Instance i trains mode
     MODES[i % 4] on a ``_random_batch`` through one or two hidden layers
-    of widths 1 to 3; the recurrence switches every 4 instances, tmf's
-    occupancy mode every 8.  The objective per sequence is CTC or CE +
-    (lam/2) * ECL, lam the training weight: the ECL signal omits its
-    factor 2.  ECL weights and centers stay frozen at the base point
-    (they move by their own rules, not by the gradient)."""
+    of widths 1 to 3; the recurrence switches every 4 instances.  The
+    objective per sequence is CTC or CE + (lam/2) * ECL, lam the training
+    weight: the ECL signal omits its factor 2.  ECL weights and centers
+    stay frozen at the base point (they move by their own rules, not by
+    the gradient)."""
     rng = np.random.default_rng(seed)
     errors, C, F = [], 2, 2
     for i in range(n):
         mode = model.MODES[i % 4]
-        settings = model.TrainSettings(mode=mode, lam=lam,
-                                       occupancy_mode=ctc.OCCUPANCY_MODES[i // 8 % 2])
+        settings = model.TrainSettings(mode=mode, lam=lam)
         hidden = [int(h) for h in rng.integers(1, 4, int(rng.integers(1, 3)))]
         spec = model.NetworkSpec(F, hidden, model.output_units(mode, C),
                                  recurrent=bool(i // 4 % 2))

@@ -83,7 +83,8 @@ def _tmf_center_step(bank, u, gamma, zp):
 def test_criterion_05_center_fixed_points_gating_and_blank():
     y = np.array([[0.2, 0.5, 0.3]])
     tables = ctc.forward_backward(np.log(y), [1])
-    gamma = ctc.occupancy(tables, "paper_literal")
+    # the raw product alpha * beta: 0.25 at the label, below the 0.5 gate
+    gamma = np.exp(tables.log_alpha + tables.log_beta)
 
     bank = losses.CenterBank(2, 2)
     bank.centers[0] = [1.5, -2.0]

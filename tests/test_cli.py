@@ -122,6 +122,24 @@ def test_train_reruns_byte_identical(tmp_path):
     assert filecmp.cmp(out_a, out_b, shallow=False)
 
 
+def test_a_whole_number_in_a_float_field_trains_as_its_float(tmp_path):
+    # json reads 1 as an int: a float field reads it as 1.0, so the file
+    # saves and trains byte for byte as the one that writes 1.0
+    float_path, _ = write_config(tmp_path, "float.json", learning_rate=1.0)
+    text = float_path.read_text()
+    assert text.count('"learning_rate": 1.0,') == 1
+    int_path = tmp_path / "int.json"
+    int_path.write_text(text.replace('"learning_rate": 1.0,', '"learning_rate": 1,'))
+    gen_data(tmp_path, float_path)
+    for path in (float_path, int_path):
+        config.save_config(config.load_config(path), path.with_suffix(".saved"))
+        assert cli.main(["train", "--config", str(path),
+                         "--out", str(path.with_suffix(".csv"))]) == 0
+    for suffix in (".saved", ".csv"):
+        assert filecmp.cmp(float_path.with_suffix(suffix), int_path.with_suffix(suffix),
+                           shallow=False)
+
+
 def test_train_lambda_zero_tmf_reproduces_ctc(tmp_path):
     data_dir = str(tmp_path / "data")
     tmf_path, tmf_cfg = write_config(
@@ -665,11 +683,11 @@ def flipped_center_signal(u, w, centers):
     return -real_ecl_grad_features(u, w, centers)
 
 
-def biased_occupancy(tables, mode="paper_literal"):
-    return real_occupancy(tables, mode) * 1.01
+def biased_occupancy(tables):
+    return real_occupancy(tables) * 1.01
 
 
-def vanished_occupancy(tables, mode="paper_literal"):
+def vanished_occupancy(tables):
     raise ctc.DegenerateFrame("alignment mass vanished at frame 0")
 
 
@@ -822,12 +840,16 @@ ROWS = [
           ("threshold_below_0", "occupancy_threshold", -0.5),
           # would gate off every center update
           ("threshold_above_1", "occupancy_threshold", 2.0),
-          ("unknown_mode", "occupancy_mode", "literal"),
           ("batch_size_0", "batch_size", 0),
           ("max_batches_0", "max_batches", 0),
           ("eval_interval_0", "eval_interval", 0),
           ("halve_after_0", "halve_after", 0),
           ("stop_after_0", "stop_after", 0))],
+    # a file from when tmf had two occupancies to pick from: to port it,
+    # delete the key
+    Row("test_train_invalid_occupancy_setting_exits_2_naming_field[unknown_mode]",
+        "data", EXIT_2, config_setting(("occupancy_mode",), "paper_literal"), TRAIN,
+        ["config: top level: unknown field 'occupancy_mode'"], files=()),
     # 3 sequences per condition split 3/0 at validation_fraction 0.1, and
     # 1 splits 0/1 at 0.9
     Row("test_train_empty_validation_split_exits_2", "data", EXIT_2, None, TRAIN,

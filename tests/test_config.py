@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmfusion import config, ctc, losses, model, synth
+from tmfusion import config, experiment, losses, model, synth
 
 
 def small_config(**kw):
@@ -88,7 +88,9 @@ def test_condition_validation():
      "^generator.unseen: variance_multiplier: not a finite number"),
     ({"generator": {"labels_per_sequence": [1, float("inf")]}},
      "^generator: labels_per_sequence: not a finite number"),
-], ids=["top_nan", "top_inf", "count_nan", "nested_object", "nested_array"])
+    # an integer too large for a float
+    ({"learning_rate": 10 ** 400}, "^learning_rate: not a finite number"),
+], ids=["top_nan", "top_inf", "count_nan", "nested_object", "nested_array", "top_huge_int"])
 def test_non_finite_numbers_are_rejected_naming_field(data, named):
     with pytest.raises(config.ConfigError, match=named):
         config.config_from_dict(data)
@@ -101,7 +103,7 @@ def test_non_finite_numbers_are_rejected_naming_field(data, named):
     ({"recurrent": "no"}, 'recurrent: expected true or false, got "no"'),
     ({"recurrent": 0}, "recurrent: expected true or false, got 0"),
     ({"lam": True}, "lam: expected a number, got true"),
-    ({"occupancy_mode": 1}, "occupancy_mode: expected a string, got 1"),
+    ({"mode": 1}, "mode: expected a string, got 1"),
     ({"hidden": 16}, "hidden: expected an array, got 16"),
     ({"hidden": [16, 2.5]}, "hidden: expected an integer, got 2.5"),
     ({"train_conditions": "clean"}, 'train_conditions: expected an array, got "clean"'),
@@ -122,10 +124,11 @@ def test_mistyped_field_is_rejected_naming_field(data, named):
 
 
 def test_typed_fields_keep_their_legal_values():
-    # an integer is a number, and a field whose default is None takes null
+    # an integer is a number, read as a float, and a field whose default
+    # is None takes null
     cfg = config.config_from_dict({"learning_rate": 1, "hidden": [3, 2],
                                    "generator": {"mean_seed": None, "segment_length": [2, 4]}})
-    assert cfg.learning_rate == 1 and type(cfg.learning_rate) is int
+    assert cfg.learning_rate == 1 and type(cfg.learning_rate) is float
     assert cfg.hidden == (3, 2)
     assert (cfg.generator.mean_seed, cfg.generator.segment_length) == (None, (2, 4))
     assert config.config_from_dict({"generator": {"mean_seed": 7}}).generator.mean_seed == 7
@@ -176,12 +179,14 @@ def test_negative_rates_rejected():
         small_config(learning_rate=-1.0)
 
 
-def test_occupancy_modes_are_the_ones_ctc_implements():
-    for mode in ctc.OCCUPANCY_MODES:
-        assert small_config(occupancy_mode=mode).settings().occupancy_mode == mode
+def test_occupancy_mode_is_not_a_setting():
+    # tmf has one occupancy, ctc.occupancy: nothing selects it
+    for kind in (config.RunConfig, model.TrainSettings, experiment.ExperimentSpec):
+        assert "occupancy_mode" not in {f.name for f in dataclasses.fields(kind)}
+    # a file written while it was one
     with pytest.raises(config.ConfigError,
-                       match="occupancy_mode: expected one of .*'normalised'"):
-        small_config(occupancy_mode="normalised")
+                       match=re.escape("top level: unknown field 'occupancy_mode'")):
+        config.config_from_dict({"occupancy_mode": "frame_normalized"})
 
 
 SCHEDULE_COUNTS = ("batch_size", "max_batches", "eval_interval",
@@ -225,8 +230,7 @@ def test_nested_field_that_is_not_an_object_is_named():
 
 def test_factories_are_consistent():
     cfg = small_config(batch_size=3, max_batches=17, eval_interval=5,
-                       halve_after=2, stop_after=4, lam=0.02,
-                       occupancy_mode="frame_normalized")
+                       halve_after=2, stop_after=4, lam=0.02)
     assert cfg.temporal
     settings = cfg.settings()
     assert type(settings) is model.TrainSettings
@@ -243,7 +247,7 @@ def test_factories_are_consistent():
 # ----------------------------------------------------------------- config io
 
 def test_config_round_trip(tmp_path):
-    cfg = small_config(lam=0.02, occupancy_mode="frame_normalized")
+    cfg = small_config(lam=0.02)
     path = tmp_path / "run.json"
     config.save_config(cfg, path)
     loaded = config.load_config(path)
@@ -294,9 +298,10 @@ def test_config_json_is_complete(tmp_path):
 
 # the key order of run.json files written before RunConfig extended
 # TrainSettings, with the network's hidden and recurrent in its place
+# (and less the occupancy_mode that has gone since)
 EARLIER_KEY_ORDER = (
-    "mode", "seed", "hidden", "recurrent", "generator", "lam", "occupancy_mode",
-    "learning_rate", "beta1", "beta2", "epsilon", "center_momentum",
+    "mode", "seed", "hidden", "recurrent", "generator", "lam", "learning_rate",
+    "beta1", "beta2", "epsilon", "center_momentum",
     "occupancy_threshold", "batch_size", "max_batches", "eval_interval",
     "halve_after", "stop_after", "train_conditions", "validation_fraction",
     "num_train_sequences", "num_test_sequences", "data_dir",

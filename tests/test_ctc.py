@@ -97,8 +97,8 @@ def test_log_probabilities_above_zero_rejected():
 @given(st.data())
 def test_zero_probabilities_run_as_minus_infinity(data):
     # exact zeros in y are -inf log-probabilities: the lattice, the
-    # literal occupancy and the gradient raise no floating-point error,
-    # and match the path oracles, which multiply the zeros in
+    # occupancy and the gradient raise no floating-point error, and match
+    # the path oracles, which multiply the zeros in
     K = data.draw(st.integers(2, 4))
     T = data.draw(st.integers(1, 5))
     labels = np.array(data.draw(st.lists(st.integers(1, K - 1), max_size=3)), dtype=np.intp)
@@ -113,9 +113,12 @@ def test_zero_probabilities_run_as_minus_infinity(data):
     with np.errstate(all="raise"):
         tables = ctc.forward_backward(log_y, labels)
         assert np.exp(tables.log_seq_prob) == pytest.approx(p, abs=1e-12)
-        np.testing.assert_allclose(ctc.occupancy(tables, "paper_literal"),
-                                   oracle.brute_force_occupancy(y, labels), rtol=0, atol=1e-12)
+        occ = oracle.brute_force_occupancy(y, labels)
+        np.testing.assert_allclose(np.exp(tables.log_alpha + tables.log_beta), occ,
+                                   rtol=0, atol=1e-12)
         if p > 0.0:
+            np.testing.assert_allclose(ctc.occupancy(tables), occ / occ.sum(axis=1, keepdims=True),
+                                       rtol=0, atol=1e-12)
             delta = ctc.ctc_grad_logits(tables, y)
             assert np.isfinite(delta).all()
             # the occupancy ratio of each frame sums to one
@@ -123,6 +126,8 @@ def test_zero_probabilities_run_as_minus_infinity(data):
         else:
             with pytest.raises(ctc.DegenerateFrame):
                 ctc.ctc_grad_logits(tables, y)
+            with pytest.raises(ctc.DegenerateFrame):
+                ctc.occupancy(tables)
 
 
 def test_zero_probability_on_every_feasible_cell_of_a_frame_is_degenerate():
@@ -355,7 +360,7 @@ def test_lattice_matches_two_table_reference_bitwise(data):
     stack, Ts = stacked(ys)
     batch = ctc.forward_backward_batch(np.log(stack), Ts, zs)
     batch_grad = ctc.ctc_grad_logits(batch, stack)
-    batch_occupancy = {mode: ctc.occupancy(batch, mode) for mode in ctc.OCCUPANCY_MODES}
+    batch_occupancy = ctc.occupancy(batch)
     for b, (y, z, (alpha, beta, log_p, zp)) in enumerate(
             zip(ys, zs, _two_table_lattice(ys, zs))):
         Tb, Sb = alpha.shape
@@ -371,33 +376,33 @@ def test_lattice_matches_two_table_reference_bitwise(data):
         np.testing.assert_allclose(batch_grad[b, :Tb], grad, rtol=0, atol=1e-15)
         prod = alpha + beta
         scaled = np.exp(prod - prod.max(axis=1, keepdims=True))
-        for mode, want in (("paper_literal", np.exp(prod)),
-                           ("frame_normalized", scaled / scaled.sum(axis=1, keepdims=True))):
-            assert np.array_equal(ctc.occupancy(got, mode), want)
-            np.testing.assert_allclose(batch_occupancy[mode][b, :Tb, :Sb], want,
-                                       rtol=1e-15, atol=0)
-            assert not batch_occupancy[mode][b, Tb:].any()
-            assert not batch_occupancy[mode][b, :, Sb:].any()
+        want = scaled / scaled.sum(axis=1, keepdims=True)
+        assert np.array_equal(ctc.occupancy(got), want)
+        np.testing.assert_allclose(batch_occupancy[b, :Tb, :Sb], want, rtol=1e-15, atol=0)
+        assert not batch_occupancy[b, Tb:].any()
+        assert not batch_occupancy[b, :, Sb:].any()
 
 
 # ----------------------------------------------------------------- occupancy
 
 def test_occupancy_single_path_literal_value():
     # alpha and beta both carry the emission at the single frame, so the
-    # literal product at the label position is 0.5 * 0.5
+    # literal product at the label position is 0.5 * 0.5; the occupancy
+    # divides it by its row's sum, the product alone
     y = np.array([[0.2, 0.5, 0.3]])
     tables = ctc.forward_backward(np.log(y), [1])
-    gamma = ctc.occupancy(tables, "paper_literal")
-    assert gamma[0, 1] == pytest.approx(0.25, abs=1e-15)
-    assert gamma[0, 0] == 0.0
-    assert gamma[0, 2] == 0.0
+    literal = np.exp(tables.log_alpha + tables.log_beta)
+    assert literal[0, 1] == pytest.approx(0.25, abs=1e-15)
+    assert ctc.occupancy(tables).tolist() == [[0.0, 1.0, 0.0]]
+    assert literal[0, 0] == 0.0
+    assert literal[0, 2] == 0.0
 
 
 def test_occupancy_frame_normalized_rows_sum_to_one():
     rng = np.random.default_rng(3)
     y = rand_posteriors(rng, 6, 4)
     tables = ctc.forward_backward(np.log(y), [1, 3, 2])
-    gamma = ctc.occupancy(tables, "frame_normalized")
+    gamma = ctc.occupancy(tables)
     np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -405,7 +410,7 @@ def test_occupancy_infeasible_cells_are_zero():
     rng = np.random.default_rng(4)
     y = rand_posteriors(rng, 3, 3)
     tables = ctc.forward_backward(np.log(y), [1, 2])
-    gamma = ctc.occupancy(tables, "paper_literal")
+    gamma = ctc.occupancy(tables)
     # frame 0 cannot be past position 1, frame T-1 must be near the end
     assert gamma[0, 2] == 0.0
     assert gamma[0, 3] == 0.0
@@ -428,16 +433,7 @@ def test_occupancy_frame_normalized_raises_on_a_dead_frame():
         for tables in (ctc.forward_backward(log_y[1, :3], [1]),
                        ctc.forward_backward_batch(log_y, Ts, [[1, 2], [1]])):
             with pytest.raises(ctc.DegenerateFrame, match="at frame 0"):
-                ctc.occupancy(tables, "frame_normalized")
-
-
-def test_occupancy_rejects_unknown_mode():
-    y = np.array([[0.2, 0.5, 0.3]])
-    tables = ctc.forward_backward(np.log(y), [1])
-    for mode in ctc.OCCUPANCY_MODES:
-        assert ctc.occupancy(tables, mode).shape == (1, 3)
-    with pytest.raises(ValueError, match="normalised"):
-        ctc.occupancy(tables, "normalised")
+                ctc.occupancy(tables)
 
 
 # ------------------------------------------------------------------- ml loss

@@ -21,11 +21,10 @@ def make_bank(num_classes, dim, rng=None, **kw):
 
 def single_frame_case():
     """The one-path alignment used across the worked examples: one frame,
-    one label, occupancy 0.25 at the label position."""
+    one label, and the weights alpha * beta, 0.25 at the label position."""
     y = np.array([[0.2, 0.5, 0.3]])
     tables = ctc.forward_backward(np.log(y), [1])
-    gamma = ctc.occupancy(tables, "paper_literal")
-    return tables, gamma
+    return tables, np.exp(tables.log_alpha + tables.log_beta)
 
 
 def lattice_weights(gamma, zp, bank):
@@ -82,11 +81,6 @@ def update_centers_lattice(bank, u, gamma, zp):
 def test_fusion_config_rejects_negative_lambda():
     with pytest.raises(ValueError, match="lam:"):
         model.TrainSettings(lam=-0.1)
-
-
-def test_fusion_config_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="occupancy_mode:"):
-        model.TrainSettings(occupancy_mode="literal")
 
 
 # --------------------------------------------------------------- center bank
@@ -293,7 +287,7 @@ def test_ecl_linear_in_occupancy():
     y = rng.uniform(0.1, 1.0, (4, 3))
     y /= y.sum(axis=1, keepdims=True)
     tables = ctc.forward_backward(np.log(y), [1, 2])
-    gamma = ctc.occupancy(tables, "paper_literal")
+    gamma = np.exp(tables.log_alpha + tables.log_beta)
     bank = make_bank(2, 3, rng)
     u = rng.normal(size=(4, 3))
     one = lattice_ecl(u, gamma, tables.zp, bank)
@@ -314,7 +308,7 @@ def test_ecl_ignores_blank_occupancy():
 def test_ecl_empty_labeling_is_zero():
     y = np.array([[0.9, 0.1]])
     tables = ctc.forward_backward(np.log(y), [])
-    gamma = ctc.occupancy(tables, "paper_literal")
+    gamma = np.exp(tables.log_alpha + tables.log_beta)
     bank = losses.CenterBank(1, 2)
     assert lattice_ecl(np.ones((1, 2)), gamma, tables.zp, bank) == 0.0
 
@@ -331,14 +325,15 @@ def test_tmf_equals_ml_at_lambda_zero():
 
 
 def test_tmf_arithmetic():
-    # ML term -log 0.5, ECL term 0.25 (the single-frame worked example),
-    # weighed lam/2 as in the objective of the gradient
+    # ML term -log 0.5, ECL term 1 (the single-frame worked example, whose
+    # one occupancy row is all on the label), weighed lam/2 as in the
+    # objective of the gradient
     tables, _ = single_frame_case()
     y = np.array([[0.2, 0.5, 0.3]])
     u = np.array([[1.0, 0.0]])
     bank = losses.CenterBank(2, 2)
     got = sequence_loss("tmf", 1e-3, u, y, bank, tables=tables)
-    assert got == pytest.approx(math.log(2.0) + 0.5e-3 * 0.25, rel=1e-12)
+    assert got == pytest.approx(math.log(2.0) + 0.5e-3 * 1.0, rel=1e-12)
 
 
 # --------------------------------------------------------- feature gradients
@@ -366,7 +361,7 @@ def test_ecl_grad_factor_two_versus_finite_differences():
     y = rng.uniform(0.1, 1.0, (5, 4))
     y /= y.sum(axis=1, keepdims=True)
     tables = ctc.forward_backward(np.log(y), [2, 1, 3])
-    gamma = ctc.occupancy(tables, "paper_literal")
+    gamma = np.exp(tables.log_alpha + tables.log_beta)
     bank = make_bank(3, 3, rng)
     u = rng.normal(size=(5, 3))
 
@@ -485,7 +480,7 @@ def test_center_step_descends_on_ecl():
         y = rng.uniform(0.1, 1.0, (5, 4))
         y /= y.sum(axis=1, keepdims=True)
         tables = ctc.forward_backward(np.log(y), [1, 3])
-        gamma = ctc.occupancy(tables, "paper_literal")
+        gamma = np.exp(tables.log_alpha + tables.log_beta)
         bank = make_bank(3, 3, rng, momentum=0.05, occupancy_threshold=0.0)
         u = rng.normal(size=(5, 3))
         before = lattice_ecl(u, gamma, tables.zp, bank)

@@ -18,33 +18,40 @@ def posteriors_for(argmaxes, K=3):
 
 # -------------------------------------------------------------------- decode
 
+def greedy_decode(*ys):
+    """The best paths of posterior matrices, decoded as evaluate_model
+    decodes a score group: the per-frame argmax of their padded stack
+    (ties to the lowest index), then best_paths."""
+    Ts = [len(y) for y in ys]
+    stack = np.zeros((len(ys), max(Ts), ys[0].shape[1]))
+    for b, y in enumerate(ys):
+        stack[b, :len(y)] = y
+    paths, counts = metrics.best_paths(np.argmax(stack, axis=2), Ts)
+    return [path[:count] for path, count in zip(paths.tolist(), counts.tolist())]
+
+
 def test_greedy_decode_collapses_and_drops_blanks():
-    assert metrics.greedy_decode(posteriors_for([0, 1, 1, 0, 2])) == [1, 2]
+    assert greedy_decode(posteriors_for([0, 1, 1, 0, 2])) == [[1, 2]]
 
 
 def test_greedy_decode_all_blank():
-    assert metrics.greedy_decode(posteriors_for([0, 0, 0])) == []
+    assert greedy_decode(posteriors_for([0, 0, 0])) == [[]]
 
 
 def test_greedy_decode_blank_separates_repeat():
-    assert metrics.greedy_decode(posteriors_for([1, 0, 1])) == [1, 1]
+    assert greedy_decode(posteriors_for([1, 0, 1])) == [[1, 1]]
 
 
 def test_greedy_decode_ties_go_to_lowest_index():
-    y = np.full((2, 3), 1.0 / 3.0)
-    assert metrics.greedy_decode(y) == []
-    y = np.array([[0.1, 0.45, 0.45]])
-    assert metrics.greedy_decode(y) == [1]
+    assert greedy_decode(np.full((2, 3), 1.0 / 3.0), np.array([[0.1, 0.45, 0.45]])) == [[], [1]]
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
 def test_greedy_decode_invariant_to_monotone_transforms(argmaxes):
     y = posteriors_for(argmaxes, K=4)
-    base = metrics.greedy_decode(y)
-    assert metrics.greedy_decode(y ** 3) == base
-    assert metrics.greedy_decode(np.exp(y)) == base
-    assert metrics.greedy_decode(10.0 * y + 2.0) == base
+    base = greedy_decode(y)
+    assert greedy_decode(y ** 3, np.exp(y), 10.0 * y + 2.0) == base * 3
 
 
 def loop_collapse(steps):
@@ -85,19 +92,24 @@ def quadratic_edit_distance(hyp, ref):
     return int(d[m, n])
 
 
+def pair_distances(pairs):
+    """edit_distances of (hypothesis, reference) pairs, in one call."""
+    return metrics.edit_distances(*metrics._padded([h for h, _ in pairs]),
+                                  *metrics._padded([r for _, r in pairs])).tolist()
+
+
 def test_edit_distance_basics():
-    assert metrics.edit_distance([1, 2, 3], [1, 2, 3]) == 0
-    assert metrics.edit_distance([], [1, 2]) == 2
-    assert metrics.edit_distance([1, 2], []) == 2
-    assert metrics.edit_distance([1, 2], [1, 3]) == 1
-    assert metrics.edit_distance([2, 1], [1, 2]) == 2
+    pairs = [([1, 2, 3], [1, 2, 3]), ([], [1, 2]), ([1, 2], []), ([1, 2], [1, 3]),
+             ([2, 1], [1, 2])]
+    assert pair_distances(pairs) == [0, 2, 2, 1, 2]
+    assert metrics.token_error_rate(pairs) == 100.0 * 7 / 9
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(1, 4), max_size=10),
        st.lists(st.integers(1, 4), max_size=10))
 def test_edit_distance_matches_quadratic_reference(hyp, ref):
-    assert metrics.edit_distance(hyp, ref) == quadratic_edit_distance(hyp, ref)
+    assert pair_distances([(hyp, ref)]) == [quadratic_edit_distance(hyp, ref)]
 
 
 def ragged_pairs(max_ref):

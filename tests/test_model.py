@@ -1,6 +1,7 @@
 """Unit tests for the network, optimizer, schedule, and training loop."""
 
 import copy
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tmfusion import ctc, experiment, losses, model, oracle, synth
+from tmfusion import config, ctc, experiment, losses, model, oracle, synth
 
 
 TOY_GEN = synth.GeneratorConfig(num_classes=2, feature_dim=4,
@@ -546,6 +547,20 @@ def test_train_is_deterministic():
     np.testing.assert_array_equal(b1.centers, b2.centers)
 
 
+def test_tmf_on_the_run_config_defaults_moves_its_centers():
+    # the default generator's sequences are long enough that the raw
+    # alpha * beta, which carries p(z|x), passed no cell through the
+    # 0.01 gate: the centers stayed at 0 and tmf trained as ctc
+    cfg = config.RunConfig(mode="tmf", max_batches=10, eval_interval=10)
+    gen = dataclasses.replace(cfg.generator, seed=cfg.seed)
+    pool = [sample for condition in cfg.train_conditions
+            for sample in experiment.corpus_part(gen, condition, "train", 40)]
+    train_set, val_set = experiment.split_pool(pool, cfg.validation_fraction, cfg.seed)
+    _, bank, _ = model.train(cfg.new_state(), cfg.new_bank(), train_set, val_set,
+                             cfg.settings())
+    assert np.linalg.norm(bank.centers) > 0.0
+
+
 @pytest.mark.parametrize("mode", ["ctc", "tmf"])
 def test_train_batched_lattice_matches_per_sequence_bitwise(mode, monkeypatch):
     # training makes one lattice call per batch and one forward-only
@@ -555,8 +570,7 @@ def test_train_batched_lattice_matches_per_sequence_bitwise(mode, monkeypatch):
     from tmfusion import ctc
 
     def run():
-        return fresh_run(mode, lam=1e-2, batch_size=6, max_batches=40,
-                         occupancy_mode="frame_normalized")
+        return fresh_run(mode, lam=1e-2, batch_size=6, max_batches=40)
 
     batched = run()
     one_at_a_time = ctc.forward_backward_batch
@@ -605,7 +619,7 @@ def parent_sequence_signals(state, sample, u, log_y, y, tables, settings, bank):
         delta_ml = ctc.ctc_grad_logits(tables, y)
         loss = -tables.log_seq_prob
         if mode == "tmf":
-            w = ctc.occupancy(tables, settings.occupancy_mode)[:, 1::2]
+            w = ctc.occupancy(tables)[:, 1::2]
             labels = tables.zp[1::2]
             centers = bank.gather(labels)
     else:
@@ -721,8 +735,7 @@ def test_train_batched_network_matches_per_sequence_bitwise(mode, monkeypatch):
     lam = 1e-2 if mode in ("fmf", "tmf") else 0.0
 
     def run():
-        return fresh_run(mode, lam=lam, batch_size=6, max_batches=40,
-                         occupancy_mode="frame_normalized")
+        return fresh_run(mode, lam=lam, batch_size=6, max_batches=40)
 
     monkeypatch.setattr(model, "SCORE_GROUP", 5)     # 12 validation sequences
     if mode == "tmf":
@@ -757,8 +770,7 @@ def test_train_with_long_labelings_matches_per_sequence_signals(mode, monkeypatc
     assert min(len(s.collapsed) for s in toy_data(labels=(4, 5))) == 4
 
     def run():
-        return fresh_run(mode, lam=lam, labels=(4, 5), batch_size=6, max_batches=20,
-                         occupancy_mode="frame_normalized")
+        return fresh_run(mode, lam=lam, labels=(4, 5), batch_size=6, max_batches=20)
 
     (_, bank, _), worst = signals_against_parent(run, monkeypatch)
     assert len(worst) == 20 and max(worst) <= 1e-12
@@ -824,7 +836,7 @@ def test_train_at_width_one_matches_one_at_a_time_bitwise(mode, monkeypatch):
 
     def run():
         return fresh_run(mode, lam=lam, hidden=(1,), batch_size=8, max_batches=30,
-                         eval_interval=15, occupancy_mode="frame_normalized")
+                         eval_interval=15)
 
     batched = run()
     (s2, b2, r2), sizes = train_one_at_a_time(run, monkeypatch)
@@ -1056,7 +1068,7 @@ def test_reported_loss_is_the_objective_of_the_gradient(mode):
     # gradient it returns and grad_full differentiates, not + lam * ECL
     from tmfusion import verify
     rng = np.random.default_rng(17)
-    settings = model.TrainSettings(mode=mode, lam=0.1, occupancy_mode="frame_normalized")
+    settings = model.TrainSettings(mode=mode, lam=0.1)
     spec = model.NetworkSpec(3, [4], model.output_units(mode, 2), recurrent=True)
     state = model.ModelState(spec, seed=5)
     bank = losses.CenterBank(2, spec.feature_dim)

@@ -133,6 +133,7 @@ def loop_occupancy(y, z):
 def loop_ecl(y, z, u, centers):
     """brute_force_ecl on loop_occupancy."""
     occ = loop_occupancy(y, z)
+    occ = occ / occ.sum(axis=1, keepdims=True)
     total = 0.0
     for i, c in enumerate(z):
         d = u - np.asarray(centers[int(c)], dtype=float)
@@ -225,7 +226,8 @@ def test_ecl_single_path_hand_value():
     centers = {1: np.zeros(2), 2: np.ones(2)}
     u = np.array([[1.0, 0.0]])
     got = oracle.brute_force_ecl(y, (1,), u, centers)
-    assert got == pytest.approx(0.25)
+    # the one frame's normalized row puts all its weight on the label
+    assert got == pytest.approx(1.0)
 
 
 def test_ecl_scales_with_distance_squared():
@@ -343,9 +345,10 @@ def per_point_occupancy_suite(n=100, seed=1):
         y = verify._random_posteriors(rng, T, K)
         z = verify._random_labels(rng, K, T, 2)
         tables = ctc.forward_backward(np.log(y), z)
-        gamma = ctc.occupancy(tables, "paper_literal")
+        gamma = ctc.occupancy(tables)
         occ = loop_occupancy(y, z)
-        worst = max(worst, float(np.abs(gamma - occ).max()))
+        worst = max(worst, float(np.abs(np.exp(tables.log_alpha + tables.log_beta) - occ).max()))
+        worst = max(worst, float(np.abs(gamma - occ / occ.sum(axis=1, keepdims=True)).max()))
 
         D = 3
         u = rng.normal(size=(T, D))
@@ -399,8 +402,7 @@ def per_point_grad_full_suite(n=50, seed=6, lam=0.1):
     worst, C, F = 0.0, 2, 2
     for i in range(n):
         mode = model.MODES[i % 4]
-        settings = model.TrainSettings(mode=mode, lam=lam,
-                                       occupancy_mode=ctc.OCCUPANCY_MODES[i // 8 % 2])
+        settings = model.TrainSettings(mode=mode, lam=lam)
         hidden = [int(h) for h in rng.integers(1, 4, int(rng.integers(1, 3)))]
         spec = model.NetworkSpec(F, hidden, model.output_units(mode, C),
                                  recurrent=bool(i // 4 % 2))
@@ -426,7 +428,7 @@ def per_point_grad_full_suite(n=50, seed=6, lam=0.1):
         for sample in batch:
             tables = alone(sample)[2]
             if mode == "tmf":
-                frozen.append((ctc.occupancy(tables, settings.occupancy_mode)[:, 1::2],
+                frozen.append((ctc.occupancy(tables)[:, 1::2],
                                bank.gather(tables.zp[1::2])))
             elif mode == "fmf":
                 frozen.append((np.eye(C)[sample.framewise - 1], bank.centers))
