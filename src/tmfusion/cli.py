@@ -9,17 +9,18 @@ network; check exits 1 when a suite fails.
 """
 
 import argparse
+import csv
 import dataclasses
 import os
 import sys
 import traceback
-from contextlib import closing
+from contextlib import closing, nullcontext
 
 import numpy as np
 
 from . import ctc, metrics, model, synth, verify, workers
-from .config import (ConfigError, _fmt, append_metrics, load_checkpoint,
-                     load_config, open_metrics, save_checkpoint)
+from .config import (ConfigError, append_metrics, load_checkpoint, load_config,
+                     open_metrics, save_checkpoint)
 from .experiment import corpus_part, evaluate_model, split_pool
 from .model import TEMPORAL_MODES
 from .synth import CONDITIONS, MalformedDataset
@@ -78,42 +79,40 @@ def _load_checked(path, spec, temporal):
     input width and label space, and in the temporal modes its labeling
     must fit its frames; the first that does not raises ShapeMismatch
     naming the file and the sample.  The whole file is screened with
-    array operations, and only a sample that fails the screen is checked
-    again on its own, for its message."""
+    array operations, and the message is read off the screen's arrays."""
     samples = synth.load_jsonl(path)
-    limit = spec.num_classes - 1 if temporal else spec.num_classes
-    bad = np.array([sample.x.shape[1] != spec.input_dim for sample in samples], dtype=bool)
-    collapsed = _flat([sample.collapsed for sample in samples])
-    for owner, flat in (_flat([sample.framewise for sample in samples]), collapsed):
-        bad[owner[(flat < 1) | (flat > limit)]] = True
+    n, limit = len(samples), spec.num_classes - 1 if temporal else spec.num_classes
+    width = np.array([sample.x.shape[1] for sample in samples], dtype=np.intp)
+    frames = np.array([len(sample.x) for sample in samples], dtype=np.intp)
+    bad, ranges = width != spec.input_dim, []
+    for kind, labels in (("class", [sample.framewise for sample in samples]),
+                         ("collapsed label", [sample.collapsed for sample in samples])):
+        # each sample's lowest and highest label, 1 and limit when it has none
+        owner, flat = _flat(labels)
+        low, top = np.ones(n, dtype=np.intp), np.full(n, limit, dtype=np.intp)
+        np.minimum.at(low, owner, flat)
+        np.maximum.at(top, owner, flat)
+        bad |= (low < 1) | (top > limit)
+        ranges.append((kind, low, top))
     if temporal:
-        # ctc.min_frames: one frame per label, and a blank between repeats
-        # (an empty labeling needs one frame, and every sample has one)
-        owner, flat = collapsed
-        repeats = np.bincount(owner[1:][(flat[1:] == flat[:-1]) & (owner[1:] == owner[:-1])],
-                              minlength=len(samples))
-        bad |= np.bincount(owner, minlength=len(samples)) + repeats > [
-            len(sample.x) for sample in samples]
-    for i in np.flatnonzero(bad):
-        sample, where = samples[i], "%s: sample %d" % (path, i)
-        if sample.x.shape[1] != spec.input_dim:
-            raise ShapeMismatch(
-                "%s has %d features, network expects %d"
-                % (where, sample.x.shape[1], spec.input_dim))
-        for kind, labels in (("class", sample.framewise),
-                             ("collapsed label", sample.collapsed)):
-            if not len(labels):
-                continue
-            low, top = int(labels.min()), int(labels.max())
-            if low < 1 or top > limit:
-                raise ShapeMismatch(
-                    "%s uses %s %d, network only covers 1..%d"
-                    % (where, kind, top if top > limit else low, limit))
-        need = ctc.min_frames(sample.collapsed) if temporal else 0
-        if need > len(sample.x):
-            raise ShapeMismatch(
-                "%s has %d collapsed labels, which need %d frames; it has %d"
-                % (where, len(sample.collapsed), need, len(sample.x)))
+        # ctc.min_frames of the collapsed labels (the loop's last owner
+        # and flat): one frame per label, and a blank between repeats (an
+        # empty labeling needs one frame, and every sample has one)
+        need = np.bincount(owner, minlength=n) + np.bincount(
+            owner[1:][(flat[1:] == flat[:-1]) & (owner[1:] == owner[:-1])], minlength=n)
+        bad |= need > frames
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = "%s: sample %d" % (path, i)
+        if width[i] != spec.input_dim:
+            raise ShapeMismatch("%s has %d features, network expects %d"
+                                % (where, width[i], spec.input_dim))
+        for kind, low, top in ranges:
+            if low[i] < 1 or top[i] > limit:
+                raise ShapeMismatch("%s uses %s %d, network only covers 1..%d" % (
+                    where, kind, top[i] if top[i] > limit else low[i], limit))
+        raise ShapeMismatch("%s has %d collapsed labels, which need %d frames; it has %d"
+                            % (where, len(samples[i].collapsed), need[i], frames[i]))
     return samples
 
 
@@ -122,24 +121,6 @@ def _flat(arrays):
     in the list."""
     return (np.repeat(np.arange(len(arrays)), [len(a) for a in arrays]),
             np.concatenate([np.zeros(0, dtype=np.intp)] + arrays))
-
-
-def _load_test_file(path, spec, temporal):
-    """_load_checked for a file to score: the token error rate divides by
-    the reference tokens of each condition, so a file without samples,
-    or with a condition whose samples hold no token, raises
-    MalformedDataset naming the file."""
-    samples = _load_checked(path, spec, temporal)
-    if not samples:
-        raise MalformedDataset("%s: no sample to score" % path)
-    tokens = {}
-    for sample in samples:
-        tokens[sample.condition] = tokens.get(sample.condition, 0) + len(sample.collapsed)
-    for condition, count in tokens.items():
-        if not count:
-            raise MalformedDataset("%s: the %s samples hold no reference token to "
-                                   "score" % (path, condition))
-    return samples
 
 
 def _load_train_pool(cfg):
@@ -152,13 +133,33 @@ def _load_train_pool(cfg):
     return pool
 
 
-def _load_test_sets(data_dir, spec, temporal):
-    tests = {}
-    for condition in CONDITIONS:
-        path = dataset_path(data_dir, condition, "test")
-        if os.path.exists(path):
-            tests[condition] = _load_test_file(path, spec, temporal)
-    return tests
+def _test_files(data_dir):
+    """The <condition>_test.jsonl files of a dataset directory."""
+    return [path for path in (dataset_path(data_dir, condition, "test")
+                              for condition in CONDITIONS) if os.path.exists(path)]
+
+
+def _load_test_sets(paths, spec, temporal):
+    """The samples of the test files to score, each checked as
+    _load_checked checks it, grouped by their own condition in
+    CONDITIONS order.  The token error rate divides by the reference
+    tokens of each condition, so a file without samples, or with a
+    condition whose samples hold no token, raises MalformedDataset
+    naming the file."""
+    tests = {condition: [] for condition in CONDITIONS}
+    for path in paths:
+        samples = _load_checked(path, spec, temporal)
+        if not samples:
+            raise MalformedDataset("%s: no sample to score" % path)
+        tokens = {}
+        for sample in samples:
+            tokens[sample.condition] = tokens.get(sample.condition, 0) + len(sample.collapsed)
+            tests[sample.condition].append(sample)
+        for condition, count in tokens.items():
+            if not count:
+                raise MalformedDataset("%s: the %s samples hold no reference token to "
+                                       "score" % (path, condition))
+    return {condition: samples for condition, samples in tests.items() if samples}
 
 
 def _check_writable(path):
@@ -172,7 +173,7 @@ def _check_writable(path):
 def cmd_train(args):
     cfg = _config_for(args)
     pool = _load_train_pool(cfg)
-    tests = _load_test_sets(cfg.data_dir, cfg.network, cfg.temporal)
+    tests = _load_test_sets(_test_files(cfg.data_dir), cfg.network, cfg.temporal)
     train_set, val_set = split_pool(pool, cfg.validation_fraction, cfg.seed)
     state = cfg.new_state()
     bank = cfg.new_bank()
@@ -209,31 +210,20 @@ def cmd_train(args):
 
 def cmd_eval(args):
     state, bank, _, meta = load_checkpoint(args.checkpoint)
-    temporal = meta["mode"] in TEMPORAL_MODES
     if os.path.isdir(args.data):
-        samples = [sample for part in
-                   _load_test_sets(args.data, state.spec, temporal).values()
-                   for sample in part]
-        if not samples:
+        paths = _test_files(args.data)
+        if not paths:
             raise ConfigError("data: %s holds no <condition>_test.jsonl file" % args.data)
     else:
-        samples = _load_test_file(args.data, state.spec, temporal)
-    by_condition = {}
-    for sample in samples:
-        by_condition.setdefault(sample.condition, []).append(sample)
-    lines = [",".join(metrics.EvalReport.CSV_COLUMNS)]
-    for condition in CONDITIONS:
-        if condition not in by_condition:
-            continue
-        report = evaluate_model(state, bank, by_condition[condition],
-                                meta["mode"], condition)
-        lines.append(",".join(_fmt(v) for v in report.csv_row()))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as out_fh:
-            out_fh.write(text)
-    else:
-        sys.stdout.write(text)
+        paths = [args.data]
+    tests = _load_test_sets(paths, state.spec, meta["mode"] in TEMPORAL_MODES)
+    # every condition is scored before the report is written
+    rows = [evaluate_model(state, bank, samples, meta["mode"], condition).csv_row()
+            for condition, samples in tests.items()]
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(metrics.EvalReport.CSV_COLUMNS)
+        writer.writerows(rows)
     return 0
 
 

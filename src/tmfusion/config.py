@@ -347,14 +347,6 @@ def _checkpoint_from_dict(data):
     return state, bank, sched, {"mode": mode, "seed": seed, "step_count": state.step_count}
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def open_metrics(path):
     """Create the metrics CSV with its fixed header; append-only handle."""
     fh = open(path, "w", newline="")
@@ -365,5 +357,5 @@ def open_metrics(path):
 
 
 def append_metrics(writer, fh, row):
-    writer.writerow([_fmt(row.get(col)) for col in METRIC_COLUMNS])
+    writer.writerow([row.get(col) for col in METRIC_COLUMNS])
     fh.flush()

@@ -2,6 +2,7 @@
 evaluation, the checkpoint of the selected evaluation, the verification
 suites, and one matrix of every documented nonzero exit."""
 
+import csv
 import dataclasses
 import filecmp
 import json
@@ -250,7 +251,8 @@ def test_train_checkpoint_is_the_model_training_selected(tmp_path, monkeypatch):
     for condition in synth.CONDITIONS:
         samples = synth.load_jsonl(cli.dataset_path(cfg.data_dir, condition, "test"))
         rep = experiment.evaluate_model(state, bank, samples, cfg.mode, condition)
-        expected.append(",".join(config._fmt(v) for v in rep.csv_row()))
+        expected.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                                 for v in rep.csv_row()))
     assert report.read_text().splitlines()[1:] == expected
 
 
@@ -286,6 +288,32 @@ def test_eval_is_repeatable(tmp_path, capsys):
     cli.main(["eval", "--checkpoint", cfg.checkpoint_path,
               "--data", cfg.data_dir])
     assert capsys.readouterr().out == first
+
+
+def test_train_and_eval_score_a_sample_under_its_own_condition(tmp_path):
+    # seen_test.jsonl relabeled "unseen": both commands pool its samples
+    # with unseen_test.jsonl's, whatever file they come from
+    cfg_path, cfg = write_config(tmp_path, mode="ctc", seed=1)
+    gen_data(tmp_path, cfg_path)
+    seen = tmp_path / "data" / "seen_test.jsonl"
+    seen.write_text("".join(json.dumps(dict(json.loads(line), condition="unseen")) + "\n"
+                            for line in seen.read_text().splitlines()))
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    # the metrics row of the evaluation whose model the checkpoint holds
+    _, _, _, meta = config.load_checkpoint(cfg.checkpoint_path)
+    with open(cfg.metrics_path) as fh:
+        row = next(r for r in csv.DictReader(fh) if int(r["batches"]) == meta["step_count"])
+    report = tmp_path / "eval.csv"
+    assert cli.main(["eval", "--checkpoint", cfg.checkpoint_path,
+                     "--data", cfg.data_dir, "--out", str(report)]) == 0
+    with open(report) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["condition"] for r in rows] == ["clean", "unseen"]
+    assert rows[1]["sample_count"] == str(2 * cfg.num_test_sequences)
+    assert row["ter_seen"] == row["acc_seen"] == ""
+    for r in rows:
+        assert row["ter_" + r["condition"]] == r["token_error_rate"]
+        assert row["acc_" + r["condition"]] == r["frame_accuracy"]
 
 
 def test_eval_single_file_and_out_path(tmp_path):

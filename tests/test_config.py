@@ -553,8 +553,8 @@ def test_metrics_rows_use_exact_decimal_floats(tmp_path):
     path = tmp_path / "metrics.csv"
     fh, writer = config.open_metrics(path)
     row = {"eval_index": 0, "batches": 200, "lr": 1e-4,
-           "train_loss": 1.0 / 3.0, "val_score": -2.5,
-           "ter_clean": 0.1, "ter_seen": 12.25, "ter_unseen": 30.0,
+           "train_loss": 1.0 / 3.0, "val_score": float("nan"),
+           "ter_clean": np.float64(0.1) / 3, "ter_seen": 12.25, "ter_unseen": 30.0,
            "acc_clean": 99.9, "acc_seen": 95.0, "acc_unseen": 80.5}
     config.append_metrics(writer, fh, row)
     fh.close()
@@ -564,6 +564,8 @@ def test_metrics_rows_use_exact_decimal_floats(tmp_path):
     assert cells[0] == "0"
     assert float(cells[3]) == 1.0 / 3.0
     assert cells[3] == repr(1.0 / 3.0)
+    assert cells[4] == "nan"
+    assert cells[5] == repr(0.1 / 3) and float(cells[5]) == np.float64(0.1) / 3
 
 
 def test_metrics_missing_columns_are_blank(tmp_path):
