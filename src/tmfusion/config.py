@@ -338,7 +338,7 @@ def _checkpoint_from_dict(data):
     for group in ARRAY_GROUPS:
         arrays = getattr(state, group)
         for name in state.param_names():
-            arrays[name] = _array_in(data, f"{group}.{name}", arrays[name])
+            arrays[name][...] = _array_in(data, f"{group}.{name}", arrays[name])
     state.step_count = _read(data, "adam.steps", int)
     bank.centers = _array_in(data, "centers.values", bank.centers)
     best = _read(data, "schedule.best", _real, nullable=True)

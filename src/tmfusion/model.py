@@ -10,6 +10,16 @@ through the last layer with the center-loss signal at the feature layer,
 steps the weights with Adam, and moves the class centers with their own
 momentum rule.  Centers are never differentiated through.
 
+Flat parameters.  A ``ModelState`` keeps its n parameters and the two
+Adam moments as three flat vectors, each array at its offset in
+``param_names()`` (sorted) order; ``params``, ``adam_m`` and ``adam_v``
+are read-only mappings of views into them, built once per vector.
+Write into a view (``state.params["W"][...] = W``), or load every
+parameter at once by assigning ``state.flat`` a length-n vector or a
+(P, n) stack of per-input ones.  ``_batch_step`` returns the batch's
+gradient as one flat vector in that order, and ``adam_step`` updates
+all three vectors with one pass of elementwise operations.
+
 Batched layout.  ``forward_stacks`` runs B sequences at once on padded
 (B, T_max, .) stacks, each sequence left-aligned in its slice, and
 returns its activation stacks with its outputs; ``backward_batch`` takes
@@ -40,7 +50,8 @@ tests/test_model.py:
   (8400 of 8400 trials).  Where dz or h has width 1, numpy sums over the
   frames as a gemv or pairwise instead, so ``_weight_grads`` then sums
   each input on its own; the batch's sum runs in sequence order too
-  (``np.add.accumulate``), since a (B, 1) ``sum(axis=0)`` is pairwise.
+  (``np.add.accumulate`` over the (B, n) stack of flat gradients), since
+  a (B, 1) ``sum(axis=0)`` is pairwise.
 * The recurrence runs on time-major (T_max, B, 1, H) buffers, so that a
   frame of the batch is one contiguous (B, 1, H) block.  ``prev @ R.T``
   and ``d @ R`` are stacked vector-matrix products, which numpy runs as
@@ -52,7 +63,7 @@ tests/test_model.py:
   the tanh slope is 0 on padding frames, where forward left finite
   values that no output reads.
 * Per-input parameters.  A parameter array with a leading axis of B
-  (``ModelState.unflatten`` views of a (B, n) array) gives input b the
+  (a (B, n) stack assigned to ``ModelState.flat``) gives input b the
   parameters [b]: each stacked product (W[b].T, the biases, R[b].T) is
   the one the network runs with the parameters [b] alone.
   backward_batch takes shared parameters only.
@@ -70,8 +81,11 @@ points.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
@@ -112,14 +126,25 @@ class NetworkSpec:
 
 
 class ModelState:
-    """Network parameters plus Adam moments and learning rate."""
+    """Network parameters plus Adam moments and learning rate.
+
+    The parameters and the two Adam moments are three flat vectors of
+    n entries, each array at its offset in ``param_names()`` order;
+    ``params``, ``adam_m`` and ``adam_v`` map each name to a view of its
+    vector, read-only as mappings: write into a view
+    (``state.params["W"][...] = W``) or load all parameters by assigning
+    ``flat``.  A deep copy or a pickle round trip gets vectors of its own
+    (a shallow copy shares them), and its views view those."""
 
     def __init__(self, spec, seed=0, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-        # a decay of 1 leaves Adam's bias correction 1 - beta**t at 0
+        # a decay of 1 leaves Adam's bias correction 1 - beta**t at 0, an
+        # eps of inf every parameter where it is
         for name, value, ok, rule in (("seed", seed, seed >= 0, "be nonnegative"),
+                                      ("lr", lr, math.isfinite(lr), "be finite"),
                                       ("lr", lr, lr >= 0, "be nonnegative"),
                                       ("beta1", beta1, 0 <= beta1 < 1, "lie in [0, 1)"),
                                       ("beta2", beta2, 0 <= beta2 < 1, "lie in [0, 1)"),
+                                      ("eps", eps, math.isfinite(eps), "be finite"),
                                       ("eps", eps, eps > 0, "be positive")):
             if not ok:
                 raise ValueError("%s: must %s, got %r" % (name, rule, value))
@@ -128,37 +153,84 @@ class ModelState:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         rng = np.random.default_rng(seed)
-        self.params = {}
+        params = {}
         fan_in = spec.input_dim
         for i, h in enumerate(spec.hidden):
-            self.params["W%d" % i] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), (h, fan_in))
-            self.params["b%d" % i] = np.zeros(h)
+            params["W%d" % i] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), (h, fan_in))
+            params["b%d" % i] = np.zeros(h)
             fan_in = h
         if spec.recurrent:
             h = spec.hidden[-1]
-            self.params["R"] = rng.normal(0.0, 1.0 / np.sqrt(h), (h, h))
+            params["R"] = rng.normal(0.0, 1.0 / np.sqrt(h), (h, h))
         d = spec.feature_dim
-        self.params["W"] = rng.normal(0.0, 1.0 / np.sqrt(d), (spec.num_classes, d))
-        self.params["B"] = np.zeros(spec.num_classes)
-        self.adam_m = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.adam_v = {k: np.zeros_like(v) for k, v in self.params.items()}
+        params["W"] = rng.normal(0.0, 1.0 / np.sqrt(d), (spec.num_classes, d))
+        params["B"] = np.zeros(spec.num_classes)
+        # (offset, shape) by name: the offsets in sorted-name order, the
+        # names in the order built above, the mappings' and the checkpoint's
+        names = sorted(params)
+        ends = list(accumulate(params[k].size for k in names))
+        start = dict(zip(names, [0] + ends))
+        self._layout = {k: (start[k], p.shape) for k, p in params.items()}
+        self.size = ends[-1]
+        self.flat = np.concatenate([params[k].ravel() for k in names])
+        self._m, self._v = np.zeros(self.size), np.zeros(self.size)
+        self._bind_moments()
+
+    @property
+    def flat(self):
+        """The parameter vector, or the (P, n) stack of per-input vectors
+        last assigned.  Assigning it loads the parameters: the state keeps
+        the array, a float copy of it only when it is not a C-contiguous
+        float array, and ``params`` views it."""
+        return self._flat
+
+    @flat.setter
+    def flat(self, value):
+        value = np.ascontiguousarray(value, dtype=float)
+        if value.ndim not in (1, 2) or value.shape[-1] != self.size:
+            raise ValueError("flat: expected %d parameters or a (P, %d) stack, got shape %s"
+                             % (self.size, self.size, value.shape))
+        self._flat, self._params = value, MappingProxyType(self.unflatten(value))
+
+    params = property(lambda self: self._params, doc="The parameters by name.")
+    adam_m = property(lambda self: self._adam_m, doc="Adam's first moment by name.")
+    adam_v = property(lambda self: self._adam_v, doc="Adam's second moment by name.")
+
+    def _bind_moments(self):
+        self._adam_m, self._adam_v = (MappingProxyType(self.unflatten(v))
+                                      for v in (self._m, self._v))
+
+    def __copy__(self):
+        # shares the vectors, and so their views
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__)
+        return other
+
+    def __getstate__(self):
+        # the views are rebuilt over the copied vectors, not copied apart from them
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_params", "_adam_m", "_adam_v")}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.flat = self._flat
+        self._bind_moments()
 
     def param_names(self):
-        return sorted(self.params)
+        return sorted(self._layout)
 
     def flat_params(self):
-        return np.concatenate([self.params[k].ravel() for k in self.param_names()])
+        return self._flat.copy()
 
     def unflatten(self, flat):
         """Parameter views of a (..., n) array of flat parameter vectors:
         each array keeps the leading axes, so the rows of a (P, n) array
         become per-input parameters for forward_stacks, without copies."""
-        views, pos = {}, 0
-        for k in self.param_names():
-            p = self.params[k]
-            views[k] = flat[..., pos:pos + p.size].reshape(flat.shape[:-1] + p.shape)
-            pos += p.size
-        return views
+        if np.shape(flat)[-1:] != (self.size,):
+            raise ValueError("expected %d parameters, got shape %s" % (self.size, np.shape(flat)))
+        lead = flat.shape[:-1]
+        return {k: flat[..., pos:pos + math.prod(shape)].reshape(lead + shape)
+                for k, (pos, shape) in self._layout.items()}
 
 
 def log_softmax(a):
@@ -310,19 +382,25 @@ def backward_batch(state, Ts, stacks, delta_ml, delta_fused):
     return grads
 
 
-def adam_step(state, grads):
-    """Standard bias-corrected Adam update, in place."""
-    for g in grads.values():
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("non-finite gradient")
+def adam_step(state, grad):
+    """Standard bias-corrected Adam update, in place on the state's three
+    flat vectors, from the flat gradient grad in ``param_names()`` order
+    (as ``_batch_step`` returns it).  A non-finite gradient raises
+    NonFiniteGradient and leaves the state as it was."""
+    if np.shape(grad) != state.flat.shape:
+        raise ValueError("expected a gradient of shape %s, got %s"
+                         % (state.flat.shape, np.shape(grad)))
+    if not np.isfinite(grad).all():
+        raise NonFiniteGradient("non-finite gradient")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for k, g in grads.items():
-        m = state.adam_m[k] = state.beta1 * state.adam_m[k] + (1 - state.beta1) * g
-        v = state.adam_v[k] = state.beta2 * state.adam_v[k] + (1 - state.beta2) * g * g
-        state.params[k] = state.params[k] - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    # each array's formulas, written into the vectors: the same bits
+    m, v, p = state._m, state._v, state.flat
+    m[...] = state.beta1 * m + (1 - state.beta1) * grad
+    v[...] = state.beta2 * v + (1 - state.beta2) * grad * grad
+    p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
     return state
 
 
@@ -404,7 +482,8 @@ def _batch_signals(state, batch, Ts, u, log_y, y, settings, bank):
 
 
 def _batch_step(state, batch, settings, bank):
-    """Each sequence's loss, the gradients summed over the batch, and
+    """Each sequence's loss, the flat gradient summed over the batch (in
+    ``param_names()`` order, which ``adam_step`` takes), and
     the batch's center statistics (fusion modes), from one
     forward_stacks, one signal step and one backward_batch.  Parameters
     and centers stay fixed within a batch."""
@@ -412,9 +491,10 @@ def _batch_step(state, batch, settings, bank):
     seq_losses, delta_ml, delta_fused, stats = _batch_signals(
         state, batch, Ts, stacks[-1], log_y, y, settings, bank)
     grads = backward_batch(state, Ts, stacks, delta_ml, delta_fused)
-    # in sequence order: a sum(axis=0) of (B, 1) stacks runs pairwise
-    grads = {k: np.add.accumulate(g, axis=0)[-1] for k, g in grads.items()}
-    return seq_losses, grads, stats
+    rows = np.concatenate([grads[k].reshape(len(batch), -1) for k in state.param_names()],
+                          axis=1)
+    # in sequence order, entry by entry, as adding the sequences one at a time
+    return seq_losses, np.add.accumulate(rows, axis=0)[-1], stats
 
 
 SCORE_GROUP = 32        # sequences per forward_stacks call when scoring
@@ -493,12 +573,12 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
         order = rng.permutation(len(train_samples))
         for start in range(0, len(order), settings.batch_size):
             batch = [train_samples[i] for i in order[start:start + settings.batch_size]]
-            seq_losses, grads, stats = _batch_step(state, batch, settings, bank)
+            seq_losses, grad, stats = _batch_step(state, batch, settings, bank)
             for loss in seq_losses:
                 running_loss += loss
             if not np.isfinite(running_loss):
                 raise NonFiniteGradient("training loss is not finite")
-            adam_step(state, grads)
+            adam_step(state, grad)
             if mode in FUSION_MODES:
                 # the framewise rule divides each class's sum by 1 + its weight
                 weights, sums = stats

@@ -191,9 +191,9 @@ def network_loss(state, points, batch, settings, bank):
     every sequence at those and at every point, the points run the
     lattice's forward rows only, and each sequence sums its own
     (T_b, r_b) block of one ``ecl_terms`` table.  The state is left as it was."""
-    B, P, rows = len(batch), len(points), np.vstack([state.flat_params(), points])
+    B, P, rows = len(batch), len(points), np.vstack([state.flat, points])
     runs = copy.copy(state)
-    runs.params = state.unflatten(np.repeat(rows, B, axis=0))
+    runs.flat = np.repeat(rows, B, axis=0)
     Ts, stacks, log_y, y = model.forward_stacks(runs, [s.x for s in batch] * (P + 1))
     _, _, w, labels = model._alignment(batch, Ts[:B], log_y[:B], y[:B], settings)
     seq_losses = model.sequence_losses(settings.mode, batch * P, Ts[B:],
@@ -240,8 +240,7 @@ def grad_full_suite(n=50, seed=6, lam=0.1):
         bank = losses.CenterBank(C, spec.feature_dim)
         bank.centers = rng.normal(size=bank.centers.shape)
         batch = _random_batch(rng, mode, C, F)
-        _, grads, _ = model._batch_step(state, batch, settings, bank)
-        analytic = np.concatenate([grads[k].ravel() for k in state.param_names()])
+        _, analytic, _ = model._batch_step(state, batch, settings, bank)
 
         def loss_of(points):
             return network_loss(state, points, batch, settings, bank)

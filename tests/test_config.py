@@ -155,10 +155,15 @@ def test_optimizer_and_bank_settings_out_of_range_are_named(field, value, rule):
 
 def test_state_and_bank_own_their_ranges():
     spec = model.NetworkSpec(2, [3], 2)
+    # an eps of inf left every parameter unchanged, and an lr of inf
+    # failed a batch later with NonFiniteGradient
     for kw, named in (({"beta1": 1.0}, "beta1"), ({"beta2": -0.1}, "beta2"),
                       ({"eps": 0.0}, "eps"), ({"lr": -1.0}, "lr"), ({"seed": -2}, "seed")):
         with pytest.raises(ValueError, match=f"^{named}: must "):
             model.ModelState(spec, **kw)
+    for name in ("lr", "eps"):
+        with pytest.raises(ValueError, match=f"^{name}: must be finite, got inf$"):
+            model.ModelState(spec, **{name: float("inf")})
     with pytest.raises(ValueError, match="^momentum: must be nonnegative"):
         losses.CenterBank(2, 2, momentum=-1e-3)
     model.ModelState(spec, lr=0.0, beta1=0.0, beta2=0.0)
@@ -339,8 +344,7 @@ def trained_state():
     state = model.ModelState(spec, seed=8, lr=3e-4)
     rng = np.random.default_rng(0)
     for _ in range(3):
-        grads = {k: rng.normal(size=v.shape) for k, v in state.params.items()}
-        model.adam_step(state, grads)
+        model.adam_step(state, rng.normal(size=state.size))
     bank = losses.CenterBank(2, 6, momentum=2e-3, occupancy_threshold=0.02)
     bank.centers = rng.normal(size=bank.centers.shape)
     sched = model.ScheduleState(best=-1.25, since_improvement=2)

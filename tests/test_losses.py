@@ -386,7 +386,7 @@ def fused_signal(mode, lam, W=None):
     assert len({len(s.x) for s in batch}) == 3
     state = model.ModelState(model.NetworkSpec(3, [4], model.output_units(mode, 2)), seed=8)
     if W is not None:
-        state.params["W"] = W
+        state.params["W"][...] = W
     bank = make_bank(2, 4, rng)
     settings = model.TrainSettings(mode=mode, lam=lam)
     Ts, stacks, log_y, y = model.forward_stacks(state, [s.x for s in batch])

@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import pickle
+import re
 from functools import partial
 
 import numpy as np
@@ -45,9 +47,23 @@ def test_flat_params_round_trip():
     flat = state.flat_params()
     other = model.ModelState(model.NetworkSpec(3, [4], 3, recurrent=True),
                              seed=99)
-    other.params = {k: v.copy() for k, v in other.unflatten(flat).items()}
+    other.flat = flat.copy()
     for k in state.param_names():
         np.testing.assert_array_equal(state.params[k], other.params[k])
+    # a vector of another length is refused, naming n and the length given
+    n = flat.size
+    for bad in (np.zeros(n + 5), np.zeros(n - 1), np.zeros((2, n + 5))):
+        message = r"expected %d parameters.*got shape %s" % (n, re.escape(str(bad.shape)))
+        with pytest.raises(ValueError, match=message):
+            state.unflatten(bad)
+        with pytest.raises(ValueError, match="^flat: " + message):
+            other.flat = bad
+    np.testing.assert_array_equal(other.flat, flat)
+    # the mappings are read-only: a write that bypasses the vector raises
+    with pytest.raises(TypeError):
+        other.params["W"] = np.zeros((3, 4))
+    with pytest.raises(AttributeError):
+        other.params = dict(other.params)
 
 
 # -------------------------------------------------------------------- forward
@@ -55,8 +71,8 @@ def test_flat_params_round_trip():
 def test_forward_identity_last_layer():
     spec = model.NetworkSpec(3, [3], 3)
     state = model.ModelState(spec)
-    state.params["W"] = np.eye(3)
-    state.params["B"] = np.zeros(3)
+    state.params["W"][...] = np.eye(3)
+    state.params["B"][...] = np.zeros(3)
     x = np.random.default_rng(0).normal(size=(5, 3))
     _, stacks, (log_y,), _ = model.forward_stacks(state, [x])
     np.testing.assert_array_equal(log_y, model.log_softmax(stacks[-1][0])[0])
@@ -73,11 +89,11 @@ def test_forward_softmax_rows_sum_to_one():
 def test_forward_uniform_bias_gives_uniform_posteriors():
     spec = model.NetworkSpec(2, [3], 4)
     state = model.ModelState(spec)
-    state.params["W"] = np.zeros((4, 3))
-    state.params["B"] = np.full(4, 0.7)
+    state.params["W"][...] = np.zeros((4, 3))
+    state.params["B"][...] = np.full(4, 0.7)
     *_, (y,) = model.forward_stacks(state, [np.zeros((2, 2))])
     np.testing.assert_allclose(y, 0.25, atol=1e-15)
-    state.params["B"] = np.array([0.0, 1.0, 0.0, 0.0])
+    state.params["B"][...] = np.array([0.0, 1.0, 0.0, 0.0])
     *_, (y,) = model.forward_stacks(state, [np.zeros((2, 2))])
     assert y[0, 1] > y[0, 0]
 
@@ -196,7 +212,7 @@ def test_batch_matches_per_sequence_bitwise(hidden, recurrent, K, Ts, seed):
     spec = model.NetworkSpec(4, hidden, K, recurrent=recurrent)
     state = model.ModelState(spec, seed=int(rng.integers(1 << 30)))
     for k in state.params:      # nonzero biases, as after training
-        state.params[k] = state.params[k] + rng.normal(0.0, 0.5, state.params[k].shape)
+        state.params[k][...] = state.params[k] + rng.normal(0.0, 0.5, state.params[k].shape)
     xs = [rng.normal(size=(T, 4)) for T in Ts]
     dml = [rng.normal(size=(T, K)) for T in Ts]
     dfused = [rng.normal(size=(T, spec.feature_dim)) for T in Ts]
@@ -237,7 +253,7 @@ def test_forward_batch_per_input_parameters_match_each_loaded_point_bitwise(
     xs = [rng.normal(size=(T, 4)) for T in Ts]
 
     per_point = model.ModelState(spec)
-    per_point.params = state.unflatten(points)
+    per_point.flat = points
     for k, p in per_point.params.items():
         assert p.shape == (P,) + state.params[k].shape
         assert np.shares_memory(p, points) or P == 0
@@ -246,7 +262,7 @@ def test_forward_batch_per_input_parameters_match_each_loaded_point_bitwise(
     assert all(len(out) == P for out in outputs)
     reference = model.ModelState(spec)
     for p, (flat, x) in enumerate(zip(points, xs)):
-        reference.params = {k: v.copy() for k, v in reference.unflatten(flat).items()}
+        reference.flat = flat.copy()
         _, stacks, *alone = model.forward_stacks(reference, [x])
         alone = [stacks[-1]] + alone
         for out, want in zip(outputs, alone):
@@ -408,17 +424,15 @@ def test_backward_last_layer_is_outer_product():
 def test_adam_zero_gradient_from_rest_leaves_parameters():
     state = model.ModelState(model.NetworkSpec(2, [3], 2))
     before = state.flat_params()
-    grads = {k: np.zeros_like(v) for k, v in state.params.items()}
-    model.adam_step(state, grads)
+    model.adam_step(state, np.zeros(state.size))
     np.testing.assert_array_equal(state.flat_params(), before)
 
 
 def test_adam_zero_gradient_decays_existing_moments():
     state = model.ModelState(model.NetworkSpec(2, [3], 2))
-    state.adam_m["W"] += 1.0
-    state.adam_v["W"] += 1.0
-    grads = {k: np.zeros_like(v) for k, v in state.params.items()}
-    model.adam_step(state, grads)
+    state.adam_m["W"][...] += 1.0
+    state.adam_v["W"][...] += 1.0
+    model.adam_step(state, np.zeros(state.size))
     np.testing.assert_allclose(state.adam_m["W"], 0.9, atol=1e-15)
     np.testing.assert_allclose(state.adam_v["W"], 0.999, atol=1e-15)
 
@@ -426,10 +440,10 @@ def test_adam_zero_gradient_decays_existing_moments():
 def test_adam_first_step_closed_form():
     state = model.ModelState(model.NetworkSpec(2, [3], 2), lr=0.01)
     g = np.random.default_rng(5).normal(size=state.params["W"].shape)
-    grads = {k: np.zeros_like(v) for k, v in state.params.items()}
-    grads["W"] = g
+    grad = np.zeros(state.size)
+    state.unflatten(grad)["W"][...] = g
     before = state.params["W"].copy()
-    model.adam_step(state, grads)
+    model.adam_step(state, grad)
     expected = before - 0.01 * g / (np.abs(g) + state.eps)
     np.testing.assert_allclose(state.params["W"], expected, atol=1e-12)
 
@@ -437,17 +451,128 @@ def test_adam_first_step_closed_form():
 def test_adam_zero_learning_rate():
     state = model.ModelState(model.NetworkSpec(2, [3], 2), lr=0.0)
     before = state.flat_params()
-    grads = {k: np.ones_like(v) for k, v in state.params.items()}
-    model.adam_step(state, grads)
+    model.adam_step(state, np.ones(state.size))
     np.testing.assert_array_equal(state.flat_params(), before)
 
 
 def test_adam_rejects_non_finite_gradients():
     state = model.ModelState(model.NetworkSpec(2, [3], 2))
-    grads = {k: np.zeros_like(v) for k, v in state.params.items()}
-    grads["W"] = grads["W"] + np.nan
+    grad = np.zeros(state.size)
+    state.unflatten(grad)["W"][...] = np.nan
+    before = state.flat_params()
     with pytest.raises(model.NonFiniteGradient):
-        model.adam_step(state, grads)
+        model.adam_step(state, grad)
+    assert state.step_count == 0 and np.array_equal(state.flat, before)
+    # a gradient that does not fit the vector would broadcast: refused
+    with pytest.raises(ValueError, match=r"expected a gradient of shape \(%d,\)" % state.size):
+        model.adam_step(state, np.zeros(1))
+
+
+GROUPS = ("params", "adam_m", "adam_v")
+
+
+def train_batches(state, bank, batches, settings):
+    """model.train's step on each batch in turn: one Adam step and, in
+    the fusion modes, one center step.  Returns the last bank."""
+    for batch in batches:
+        _, grad, stats = model._batch_step(state, batch, settings, bank)
+        model.adam_step(state, grad)
+        if stats is not None:
+            weights, sums = stats
+            bank = bank.step(sums, weights if settings.mode == "fmf" else None)
+    return bank
+
+
+def assert_same_training_state(got, want):
+    assert (got.step_count, got.lr) == (want.step_count, want.lr)
+    for group in GROUPS:
+        for k, v in getattr(want, group).items():
+            assert getattr(got, group)[k].tobytes() == v.tobytes(), (group, k)
+
+
+@pytest.mark.parametrize("mode", model.MODES)
+def test_flat_step_matches_the_per_key_reference_bitwise(mode, monkeypatch):
+    # one accumulate over the (B, n) gradient stack and one Adam update of
+    # the three vectors, against the per-key sums and per-key updates they
+    # replaced, over 24 batches and a halved learning rate
+    data = toy_data(n=96)
+    settings = settings_for(mode, lam=1e-2)
+    spec = model.NetworkSpec(4, [6, 5], model.output_units(mode, 2), recurrent=True)
+    state = model.ModelState(spec, seed=3, lr=1e-2)
+    bank = losses.CenterBank(2, 5)
+    ref = {group: {k: v.copy() for k, v in getattr(state, group).items()} for group in GROUPS}
+    real, stacks = model.backward_batch, []
+
+    def kept(*args):
+        stacks.append(real(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(model, "backward_batch", kept)
+    for n in range(24):
+        if n == 12:
+            state.lr /= 2.0
+        bank = train_batches(state, bank, [data[4 * n:4 * n + 4]], settings)
+        grads = {k: np.add.accumulate(g, axis=0)[-1] for k, g in stacks.pop().items()}
+        t = n + 1
+        c1, c2 = 1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t
+        for k, g in grads.items():
+            m = ref["adam_m"][k] = state.beta1 * ref["adam_m"][k] + (1 - state.beta1) * g
+            v = ref["adam_v"][k] = state.beta2 * ref["adam_v"][k] + (1 - state.beta2) * g * g
+            ref["params"][k] = (ref["params"][k]
+                                - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
+        assert state.step_count == t
+        for group, arrays in ref.items():
+            for k, want in arrays.items():
+                assert getattr(state, group)[k].tobytes() == want.tobytes(), (n, group, k)
+    if mode in model.FUSION_MODES:
+        assert np.any(bank.centers != 0.0)
+
+
+def test_copies_and_pickles_own_their_vectors():
+    # a deep copy and a pickle round trip share no memory with the state,
+    # training them leaves it alone, and on the same batches they reach
+    # its bits: their views view their own vectors
+    data = toy_data(n=96)
+    settings = settings_for("tmf", lam=1e-2)
+    state = model.ModelState(model.NetworkSpec(4, [8], 3, recurrent=True), seed=7, lr=1e-2)
+    batches = [data[4 * n:4 * n + 4] for n in range(24)]
+    bank = train_batches(state, losses.CenterBank(2, 8), batches[:12], settings)
+    copies = [copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
+
+    def arrays(s):
+        return [s.flat] + [a for group in GROUPS for a in getattr(s, group).values()]
+
+    before = copy.deepcopy(state)
+    for other in copies:
+        assert not any(np.shares_memory(a, b) for a in arrays(other) for b in arrays(state))
+        assert_same_training_state(other, state)
+        train_batches(other, bank, batches[12:], settings)
+    assert_same_training_state(state, before)
+    train_batches(state, bank, batches[12:], settings)
+    assert state.step_count == 24
+    for other in copies:
+        assert_same_training_state(other, state)
+
+
+@pytest.mark.parametrize("mode", model.MODES)
+def test_checkpoint_resume_trains_on_to_the_same_bits(mode, tmp_path):
+    # save after 12 batches, load and train 12 more: the training state
+    # and the centers equal those of training straight through
+    data = toy_data(n=96)
+    settings = settings_for(mode, lam=1e-2)
+    spec = model.NetworkSpec(4, [8], model.output_units(mode, 2), recurrent=True)
+    batches = [data[4 * n:4 * n + 4] for n in range(24)]
+    state = model.ModelState(spec, seed=7, lr=1e-2)
+    bank = train_batches(state, losses.CenterBank(2, 8), batches[:12], settings)
+    path = tmp_path / "ckpt.json"
+    config.save_checkpoint(path, state, bank, model.ScheduleState(), mode, 7)
+    straight = train_batches(state, bank, batches[12:], settings)
+    resumed, bank, _, _ = config.load_checkpoint(path)
+    bank = train_batches(resumed, bank, batches[12:], settings)
+    assert state.step_count == 24
+    assert_same_training_state(resumed, state)
+    assert bank.centers.tobytes() == straight.centers.tobytes()
+    assert (mode in model.FUSION_MODES) == bool(np.any(bank.centers != 0.0))
 
 
 # ------------------------------------------------------------------- schedule
@@ -671,7 +796,7 @@ def train_one_at_a_time(run, monkeypatch):
             if st is not None:
                 pieces.append(st)
         stats = (sum(w for w, _ in pieces), sum(s for _, s in pieces)) if pieces else None
-        return seq_losses, total, stats
+        return seq_losses, np.concatenate([total[k].ravel() for k in state.param_names()]), stats
 
     def forward_each(state, xs):
         # each input alone, its outputs copied into the padded stacks
@@ -819,8 +944,7 @@ def test_fmf_run_weights_match_the_onehot_layout(hidden, monkeypatch):
             m.setattr(model, "_batch_signals", onehot_batch_signals)
             onehot = model._batch_step(state, batch, settings, bank)
         np.testing.assert_allclose(runs[0], onehot[0], rtol=1e-12)
-        for k in state.param_names():
-            assert runs[1][k].tobytes() == onehot[1][k].tobytes(), (n, k)
+        assert runs[1].tobytes() == onehot[1].tobytes(), n
         assert np.array_equal(runs[2][0], onehot[2][0])
         np.testing.assert_allclose(runs[2][1], onehot[2][1], rtol=1e-12, atol=1e-12)
     assert recurs          # some labelings revisit a class in a later run
@@ -912,7 +1036,7 @@ def test_train_goes_on_where_the_softmax_underflows(mode):
     data = toy_data()
     spec = model.NetworkSpec(4, [8], 3, recurrent=True)
     state = model.ModelState(spec, seed=7, lr=1e-2)
-    state.params["W"] = 1e3 * state.params["W"]
+    state.params["W"][...] = 1e3 * state.params["W"]
     Ts, _, log_y, y = model.forward_stacks(state, [s.x for s in data])
     live = np.arange(y.shape[1]) < np.array(Ts)[:, None]
     assert (y[live] == 0.0).any() and np.isfinite(log_y[live]).all()
