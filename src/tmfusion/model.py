@@ -50,8 +50,8 @@ tests/test_model.py:
   (8400 of 8400 trials).  Where dz or h has width 1, numpy sums over the
   frames as a gemv or pairwise instead, so ``_weight_grads`` then sums
   each input on its own; the batch's sum runs in sequence order too
-  (``np.add.accumulate`` over the (B, n) stack of flat gradients), since
-  a (B, 1) ``sum(axis=0)`` is pairwise.
+  (row by row over the (B, n) stack of flat gradients), since a (B, 1)
+  ``sum(axis=0)`` is pairwise.
 * The recurrence runs on time-major (T_max, B, 1, H) buffers, so that a
   frame of the batch is one contiguous (B, 1, H) block.  ``prev @ R.T``
   and ``d @ R`` are stacked vector-matrix products, which numpy runs as
@@ -133,7 +133,7 @@ class ModelState:
     ``params``, ``adam_m`` and ``adam_v`` map each name to a view of its
     vector, read-only as mappings: write into a view
     (``state.params["W"][...] = W``) or load all parameters by assigning
-    ``flat``.  A deep copy or a pickle round trip gets vectors of its own
+    ``flat`` (the state keeps a copy of a vector).  A deep copy or a pickle round trip gets vectors of its own
     (a shallow copy shares them), and its views view those."""
 
     def __init__(self, spec, seed=0, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -180,40 +180,40 @@ class ModelState:
     def flat(self):
         """The parameter vector, or the (P, n) stack of per-input vectors
         last assigned.  Assigning it loads the parameters: the state keeps
-        the array, a float copy of it only when it is not a C-contiguous
-        float array, and ``params`` views it."""
+        a copy of a vector, which training writes into, and the array of a
+        stack unless it is not a C-contiguous float array; ``params``
+        views what it keeps."""
         return self._flat
 
     @flat.setter
     def flat(self, value):
-        value = np.ascontiguousarray(value, dtype=float)
+        value = np.asarray(value, dtype=float)
         if value.ndim not in (1, 2) or value.shape[-1] != self.size:
             raise ValueError("flat: expected %d parameters or a (P, %d) stack, got shape %s"
                              % (self.size, self.size, value.shape))
-        self._flat, self._params = value, MappingProxyType(self.unflatten(value))
+        self._flat = value.copy() if value.ndim == 1 else np.ascontiguousarray(value)
+        self._bind_params()
 
     params = property(lambda self: self._params, doc="The parameters by name.")
     adam_m = property(lambda self: self._adam_m, doc="Adam's first moment by name.")
     adam_v = property(lambda self: self._adam_v, doc="Adam's second moment by name.")
 
+    def _bind_params(self):
+        self._params = MappingProxyType(self.unflatten(self._flat))
+
     def _bind_moments(self):
         self._adam_m, self._adam_v = (MappingProxyType(self.unflatten(v))
                                       for v in (self._m, self._v))
 
-    def __copy__(self):
-        # shares the vectors, and so their views
-        other = object.__new__(type(self))
-        other.__dict__.update(self.__dict__)
-        return other
-
     def __getstate__(self):
-        # the views are rebuilt over the copied vectors, not copied apart from them
+        # the views are rebuilt over the (copied or shared) vectors, not
+        # copied apart from them
         return {k: v for k, v in self.__dict__.items()
                 if k not in ("_params", "_adam_m", "_adam_v")}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.flat = self._flat
+        self._bind_params()
         self._bind_moments()
 
     def param_names(self):
@@ -494,7 +494,10 @@ def _batch_step(state, batch, settings, bank):
     rows = np.concatenate([grads[k].reshape(len(batch), -1) for k in state.param_names()],
                           axis=1)
     # in sequence order, entry by entry, as adding the sequences one at a time
-    return seq_losses, np.add.accumulate(rows, axis=0)[-1], stats
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return seq_losses, total, stats
 
 
 SCORE_GROUP = 32        # sequences per forward_stacks call when scoring

@@ -47,9 +47,14 @@ def test_flat_params_round_trip():
     flat = state.flat_params()
     other = model.ModelState(model.NetworkSpec(3, [4], 3, recurrent=True),
                              seed=99)
-    other.flat = flat.copy()
+    other.flat = flat
     for k in state.param_names():
         np.testing.assert_array_equal(state.params[k], other.params[k])
+    # the state keeps a copy of a vector: its Adam step leaves the caller's alone
+    model.adam_step(other, np.ones(flat.size))
+    assert not np.shares_memory(other.flat, flat)
+    np.testing.assert_array_equal(flat, state.flat)
+    other.flat = flat
     # a vector of another length is refused, naming n and the length given
     n = flat.size
     for bad in (np.zeros(n + 5), np.zeros(n - 1), np.zeros((2, n + 5))):
@@ -262,7 +267,7 @@ def test_forward_batch_per_input_parameters_match_each_loaded_point_bitwise(
     assert all(len(out) == P for out in outputs)
     reference = model.ModelState(spec)
     for p, (flat, x) in enumerate(zip(points, xs)):
-        reference.flat = flat.copy()
+        reference.flat = flat
         _, stacks, *alone = model.forward_stacks(reference, [x])
         alone = [stacks[-1]] + alone
         for out, want in zip(outputs, alone):
@@ -542,6 +547,10 @@ def test_copies_and_pickles_own_their_vectors():
     def arrays(s):
         return [s.flat] + [a for group in GROUPS for a in getattr(s, group).values()]
 
+    # a shallow copy shares the vectors, and views them
+    shallow = copy.copy(state)
+    assert shallow.flat is state.flat
+    assert all(np.shares_memory(a, b) for a, b in zip(arrays(shallow), arrays(state)))
     before = copy.deepcopy(state)
     for other in copies:
         assert not any(np.shares_memory(a, b) for a in arrays(other) for b in arrays(state))

@@ -434,7 +434,7 @@ def per_point_grad_full_suite(n=50, seed=6, lam=0.1):
         base = state.flat_params()
 
         def loss_of(flat):
-            state.flat = flat.copy()
+            state.flat = flat
             try:
                 total = []
                 for b, sample in enumerate(batch):
@@ -444,7 +444,7 @@ def per_point_grad_full_suite(n=50, seed=6, lam=0.1):
                     total.append(loss)
                 return total[0] + total[1]
             finally:
-                state.flat = base.copy()
+                state.flat = base
 
         fd = per_coordinate_finite_diff(loss_of, base)
         worst = max(worst, verify._rel_err(analytic, fd))
