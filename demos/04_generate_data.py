@@ -65,10 +65,10 @@ def main():
     print()
 
     with tempfile.TemporaryDirectory() as tmp:
-        a = Path(tmp) / "a.jsonl"
-        b = Path(tmp) / "b.jsonl"
-        synth.save_jsonl(clean[:20], a)
-        synth.save_jsonl(synth.load_jsonl(a), b)
+        a = Path(tmp) / "a.npz"
+        b = Path(tmp) / "b.npz"
+        synth.save_dataset(clean[:20], a)
+        synth.save_dataset(synth.load_dataset(a), b)
         print("disk round trip byte-identical:", filecmp.cmp(a, b,
                                                              shallow=False))
 

@@ -15,7 +15,7 @@ from .model import (ModelState, NetworkSpec, NonFiniteGradient, ScheduleState,
                     TrainSettings, adam_step, backward_batch, forward_stacks,
                     schedule_tick, train, validation_score)
 from .synth import (CONDITIONS, GeneratorConfig, MalformedDataset, SequenceSample,
-                    UnseenNoise, class_means, generate, load_jsonl, save_jsonl, split)
+                    UnseenNoise, class_means, generate, load_dataset, save_dataset, split)
 from .metrics import (EvalReport, best_paths, collapse, edit_distances, embedding_report,
                       token_error_rate)
 from .config import (ConfigError, RunConfig, load_checkpoint, load_config,

@@ -47,13 +47,13 @@ def _config_for(args):
 
 
 def dataset_path(data_dir, condition, part):
-    return os.path.join(data_dir, "%s_%s.jsonl" % (condition, part))
+    return os.path.join(data_dir, "%s_%s.npz" % (condition, part))
 
 
 def _write_part(gen, condition, part, count, path):
     """Write one dataset file; returns its record count."""
     samples = corpus_part(gen, condition, part, count)
-    synth.save_jsonl(samples, path)
+    synth.save_dataset(samples, path)
     return len(samples)
 
 
@@ -80,7 +80,7 @@ def _load_checked(path, spec, temporal):
     must fit its frames; the first that does not raises ShapeMismatch
     naming the file and the sample.  The whole file is screened with
     array operations, and the message is read off the screen's arrays."""
-    samples = synth.load_jsonl(path)
+    samples = synth.load_dataset(path)
     n, limit = len(samples), spec.num_classes - 1 if temporal else spec.num_classes
     width = np.array([sample.x.shape[1] for sample in samples], dtype=np.intp)
     frames = np.array([len(sample.x) for sample in samples], dtype=np.intp)
@@ -134,7 +134,7 @@ def _load_train_pool(cfg):
 
 
 def _test_files(data_dir):
-    """The <condition>_test.jsonl files of a dataset directory."""
+    """The <condition>_test.npz files of a dataset directory."""
     return [path for path in (dataset_path(data_dir, condition, "test")
                               for condition in CONDITIONS) if os.path.exists(path)]
 
@@ -213,7 +213,7 @@ def cmd_eval(args):
     if os.path.isdir(args.data):
         paths = _test_files(args.data)
         if not paths:
-            raise ConfigError("data: %s holds no <condition>_test.jsonl file" % args.data)
+            raise ConfigError("data: %s holds no <condition>_test.npz file" % args.data)
     else:
         paths = [args.data]
     tests = _load_test_sets(paths, state.spec, meta["mode"] in TEMPORAL_MODES)
@@ -263,7 +263,7 @@ def build_parser():
     p = sub.add_parser("eval", help="score a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True,
-                   help="a .jsonl file or a dataset directory")
+                   help="a .npz file or a dataset directory")
     p.add_argument("--out", help="write the report CSV here")
     p.set_defaults(fn=cmd_eval)
 

@@ -151,9 +151,8 @@ def make_datasets(spec, seed):
     split into train and validation, and one held-out test set per
     condition."""
     gen = _generator(spec, seed)
-    pool = []
-    for cond in ("clean", "seen"):
-        pool.extend(corpus_part(gen, cond, "train", spec.num_train_per_condition))
+    pool = [sample for cond in ("clean", "seen")
+            for sample in corpus_part(gen, cond, "train", spec.num_train_per_condition)]
     train, val = split_pool(pool, spec.val_fraction, seed)
     tests = {cond: corpus_part(gen, cond, "test", spec.num_test)
              for cond in synth.CONDITIONS}
@@ -182,8 +181,7 @@ def run_experiment(spec=None, progress=None):
     unseen report) calls come in the serial order, seed by seed, bit for
     bit as one process would compute them.
     """
-    if spec is None:
-        spec = ExperimentSpec()
+    spec = ExperimentSpec() if spec is None else spec
     jobs = [(spec, mode, seed) for seed in spec.seeds for mode in spec.modes]
     for _, mode, seed in jobs:
         run_config_for(spec, mode, seed)
@@ -201,19 +199,14 @@ def headline(results, seeds):
     def series(mode, cond, attr):
         return np.array([getattr(results[mode][s][cond], attr) for s in seeds])
 
-    ter_tmf = series("tmf", "unseen", "token_error_rate")
-    ter_ctc = series("ctc", "unseen", "token_error_rate")
-    acc_fmf = series("fmf", "unseen", "frame_accuracy")
-    acc_ce = series("ce", "unseen", "frame_accuracy")
-    sc_tmf = series("tmf", "clean", "scatter_ratio")
-    sc_ctc = series("ctc", "clean", "scatter_ratio")
-    return {
-        "ter_tmf": ter_tmf, "ter_ctc": ter_ctc,
-        "acc_fmf": acc_fmf, "acc_ce": acc_ce,
-        "scatter_tmf": sc_tmf, "scatter_ctc": sc_ctc,
-        "ter_mean_gap": float(ter_ctc.mean() - ter_tmf.mean()),
-        "ter_wins": int((ter_tmf < ter_ctc).sum()),
-        "acc_mean_gap": float(acc_fmf.mean() - acc_ce.mean()),
-        "acc_wins": int((acc_fmf > acc_ce).sum()),
-        "scatter_wins": int((sc_tmf < sc_ctc).sum()),
-    }
+    h = {"ter_tmf": series("tmf", "unseen", "token_error_rate"),
+         "ter_ctc": series("ctc", "unseen", "token_error_rate"),
+         "acc_fmf": series("fmf", "unseen", "frame_accuracy"),
+         "acc_ce": series("ce", "unseen", "frame_accuracy"),
+         "scatter_tmf": series("tmf", "clean", "scatter_ratio"),
+         "scatter_ctc": series("ctc", "clean", "scatter_ratio")}
+    return dict(h, ter_mean_gap=float(h["ter_ctc"].mean() - h["ter_tmf"].mean()),
+                ter_wins=int((h["ter_tmf"] < h["ter_ctc"]).sum()),
+                acc_mean_gap=float(h["acc_fmf"].mean() - h["acc_ce"].mean()),
+                acc_wins=int((h["acc_fmf"] > h["acc_ce"]).sum()),
+                scatter_wins=int((h["scatter_tmf"] < h["scatter_ctc"]).sum()))

@@ -10,16 +10,6 @@ through the last layer with the center-loss signal at the feature layer,
 steps the weights with Adam, and moves the class centers with their own
 momentum rule.  Centers are never differentiated through.
 
-Flat parameters.  A ``ModelState`` keeps its n parameters and the two
-Adam moments as three flat vectors, each array at its offset in
-``param_names()`` (sorted) order; ``params``, ``adam_m`` and ``adam_v``
-are read-only mappings of views into them, built once per vector.
-Write into a view (``state.params["W"][...] = W``), or load every
-parameter at once by assigning ``state.flat`` a length-n vector or a
-(P, n) stack of per-input ones.  ``_batch_step`` returns the batch's
-gradient as one flat vector in that order, and ``adam_step`` updates
-all three vectors with one pass of elementwise operations.
-
 Batched layout.  ``forward_stacks`` runs B sequences at once on padded
 (B, T_max, .) stacks, each sequence left-aligned in its slice, and
 returns its activation stacks with its outputs; ``backward_batch`` takes
@@ -227,9 +217,6 @@ class ModelState:
 
     def param_names(self):
         return sorted(self._layout)
-
-    def flat_params(self):
-        return self._flat.copy()
 
     def unflatten(self, flat):
         """Parameter views of a (..., n) array of flat parameter vectors:
@@ -576,11 +563,8 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
     sched = ScheduleState(halve_after=settings.halve_after,
                           stop_after=settings.stop_after)
     rng = np.random.default_rng(settings.seed)
-    rows = []
-    batches_seen = 0
+    rows, batches_seen, stop, selected = [], 0, False, None
     running_loss, running_n = 0.0, 0
-    stop = False
-    selected = None
     while not stop:
         order = rng.permutation(len(train_samples))
         for start in range(0, len(order), settings.batch_size):

@@ -9,7 +9,7 @@ Everything derives from (seed, sequence index), so datasets are
 reproducible sequence by sequence.
 """
 
-import json
+import zipfile
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -18,9 +18,9 @@ CONDITIONS = ("clean", "seen", "unseen")
 
 
 class MalformedDataset(ValueError):
-    """A dataset file that cannot be read, a line of it that is not a
-    sample record of finite features and integer labels, or a test file
-    with nothing to score."""
+    """A dataset file that cannot be read, an array of it that is
+    missing, of another dtype or shape, non-finite or out of range, or a
+    test file with nothing to score."""
 
 
 @dataclass
@@ -171,59 +171,81 @@ def split(dataset, validation_fraction, seed=0):
     return tuple([dataset[i] for i in sorted(part)] for part in parts)
 
 
-def save_jsonl(samples, path):
-    """One JSON object per sample; float lists round-trip bit-exactly."""
-    with open(path, "w") as fh:
-        for s in samples:
-            fh.write(json.dumps({
-                "features": s.x.tolist(),
-                "framewise": [int(k) for k in s.framewise],
-                "collapsed": [int(c) for c in s.collapsed],
-                "condition": s.condition,
-            }) + "\n")
+# the arrays of a dataset file
+ARRAYS = ("features", "frame_counts", "framewise", "collapsed", "label_counts", "condition")
 
 
-def _labels(rec, field):
-    values = rec[field]
-    # json reads 1.7 as a float and true as a bool, which intp would
-    # truncate to a label
-    if not isinstance(values, list) or set(map(type, values)) - {int}:
-        raise ValueError("%s must be a list of integer labels" % field)
-    return np.array(values, dtype=np.intp)
+def save_dataset(samples, path):
+    """One .npz of concatenated arrays: the features (N_frames, F), each
+    sequence's frame count, the framewise labels, the collapsed
+    labelings and each one's length, and each sequence's condition as
+    its index in CONDITIONS.  samples is a nonempty list.  zipfile dates
+    every entry 1980-01-01, so the same samples give the same bytes."""
+    with open(path, "wb") as fh:
+        np.savez(fh, features=np.concatenate([s.x for s in samples]),
+                 frame_counts=[len(s.x) for s in samples],
+                 framewise=np.concatenate([s.framewise for s in samples]),
+                 collapsed=np.concatenate([s.collapsed for s in samples]),
+                 label_counts=[len(s.collapsed) for s in samples],
+                 condition=[CONDITIONS.index(s.condition) for s in samples])
 
 
-def _sample_from_record(rec):
-    x = np.array(rec["features"], dtype=float)
-    framewise = _labels(rec, "framewise")
-    collapsed = _labels(rec, "collapsed")
-    if x.ndim != 2 or framewise.shape != (len(x),):
-        raise ValueError("features must be T rows with one framewise label each")
-    if not np.isfinite(x).all():
-        raise ValueError("features hold a non-finite value")
-    if rec["condition"] not in CONDITIONS:
-        raise ValueError("unknown condition %r" % (rec["condition"],))
-    return SequenceSample(x=x, framewise=framewise, collapsed=collapsed,
-                          condition=rec["condition"])
+def _screens(a):
+    """(array, ok, expected) for each check of a dataset's arrays, in
+    order: each check assumes that the ones before it passed."""
+    x = a["features"]
+    yield "features", x.ndim == 2 and x.dtype == np.float64, \
+        "a 2-D float64 array, got %d-D %s" % (x.ndim, x.dtype)
+    yield "features", np.isfinite(x).all(), "finite values, got a NaN or an infinity"
+    for name in ARRAYS[1:]:
+        # bool is not an integer kind, and a float label would truncate
+        yield name, a[name].ndim == 1 and a[name].dtype.kind in "iu", \
+            "a 1-D integer array, got %d-D %s" % (a[name].ndim, a[name].dtype)
+    n = len(a["frame_counts"])
+    for name, least, total in (("frame_counts", 1, len(x)),
+                               ("label_counts", 0, len(a["collapsed"]))):
+        v = a[name]
+        yield name, len(v) == n and (v >= least).all() and v.sum() == total, \
+            "counts of at least %d, one per sequence (%d), summing to %d" % (least, n, total)
+    yield "framewise", len(a["framewise"]) == len(x), "one label per frame (%d)" % len(x)
+    codes = a["condition"]
+    yield "condition", len(codes) == n and ((codes >= 0) & (codes < len(CONDITIONS))).all(), \
+        "indices into %s, one per sequence (%d)" % (CONDITIONS, n)
 
 
-def load_jsonl(path):
-    """Read the samples save_jsonl wrote.  A file that cannot be read
-    raises MalformedDataset naming it, and a line that is not UTF-8 or
-    not a sample record of finite features and integer labels one
-    naming its line."""
-    out = []
+def load_dataset(path):
+    """Read the samples save_dataset wrote, as views into the file's
+    arrays.  A file that cannot be read, or is not an .npz, raises
+    MalformedDataset naming it; an array that is missing, of another
+    dtype or shape, or that does not fit the others, one naming the
+    file and the array.  Each array is screened whole."""
+    name, a = None, {}
     try:
-        # as bytes, so that json.loads raises a line's decode error
-        with open(path, "rb") as fh:
-            for lineno, line in enumerate(fh, 1):
-                try:
-                    out.append(_sample_from_record(json.loads(line)))
-                except KeyError as exc:
-                    raise MalformedDataset("%s line %d: missing field %s"
-                                           % (path, lineno, exc)) from exc
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise MalformedDataset("%s line %d: %s"
-                                           % (path, lineno, exc)) from exc
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ValueError("one array, not an archive")
+        with npz:
+            for name in ARRAYS:
+                a[name] = npz[name]
     except OSError as exc:
         raise MalformedDataset("%s: cannot read: %s" % (path, exc.strerror)) from exc
-    return out
+    except KeyError:
+        raise MalformedDataset("%s: missing array '%s'" % (path, name)) from None
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        # np.load reads what is not a zip archive as a pickle, and says so;
+        # allow_pickle=False refuses an object array
+        raise MalformedDataset("%s: %s" % (path, "%s: %s" % (name, exc) if name
+                                           else "not an .npz file")) from exc
+    for name, ok, expected in _screens(a):
+        if not ok:
+            raise MalformedDataset("%s: %s: expected %s" % (path, name, expected))
+    frame_ends, label_ends = (np.cumsum(a[k])[:-1] for k in ("frame_counts", "label_counts"))
+    framewise, collapsed = (a[k].astype(np.intp, copy=False) for k in ("framewise", "collapsed"))
+    return [SequenceSample(*arrays, condition=CONDITIONS[code]) for *arrays, code in zip(
+        np.split(a["features"], frame_ends), np.split(framewise, frame_ends),
+        np.split(collapsed, label_ends), a["condition"])]
+
+
+# the benchmark reads test files by this name; it is the only caller
+# until it moves to load_dataset (ROADMAP item 1)
+load_jsonl = load_dataset

@@ -245,7 +245,7 @@ def grad_full_suite(n=50, seed=6, lam=0.1):
         def loss_of(points):
             return network_loss(state, points, batch, settings, bank)
 
-        fd = oracle.finite_diff(loss_of, state.flat_params())
+        fd = oracle.finite_diff(loss_of, state.flat.copy())
         errors.append(_rel_err(analytic, fd))
     return _max_err(errors), n
 

@@ -240,9 +240,9 @@ def test_criterion_10_serialization_round_trips(tmp_path):
                                                   shallow=False)
 
     assert cli.main(["gen-data", "--config", str(cfg_path)]) == 0
-    data_file = tmp_path / "data" / "unseen_test.jsonl"
-    copied = tmp_path / "copy.jsonl"
-    synth.save_jsonl(synth.load_jsonl(data_file), copied)
+    data_file = cli.dataset_path(tmp_path / "data", "unseen", "test")
+    copied = tmp_path / "copy.npz"
+    synth.save_dataset(synth.load_dataset(data_file), copied)
     dataset_ok = filecmp.cmp(data_file, copied, shallow=False)
 
     assert cli.main(["train", "--config", str(cfg_path)]) == 0

@@ -7,7 +7,7 @@ import dataclasses
 import filecmp
 import json
 import os
-import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -43,8 +43,7 @@ def gen_data(tmp_path, cfg_path):
     assert cli.main(["gen-data", "--config", str(cfg_path)]) == 0
 
 
-ALL_FILES = ["%s_%s.jsonl" % (c, p)
-             for c in ("clean", "seen", "unseen") for p in ("train", "test")]
+ALL_FILES = [cli.dataset_path("", c, p) for c in synth.CONDITIONS for p in ("train", "test")]
 
 
 def child_environment():
@@ -64,8 +63,8 @@ def test_gen_data_writes_six_files_and_counts(tmp_path, capsys):
     for name in ALL_FILES:
         path = os.path.join(cfg.data_dir, name)
         assert os.path.exists(path)
-        count = 40 if name.endswith("train.jsonl") else 10
-        assert len(synth.load_jsonl(path)) == count
+        count = 40 if "_train" in name else 10
+        assert len(synth.load_dataset(path)) == count
         assert "%s: %d records" % (path, count) in out
 
 
@@ -86,8 +85,8 @@ def test_gen_data_seed_override_changes_content(tmp_path):
     cli.main(["gen-data", "--config", str(cfg_path), "--out", str(a)])
     cli.main(["gen-data", "--config", str(cfg_path), "--out", str(b),
               "--seed", "99"])
-    assert not filecmp.cmp(a / "clean_train.jsonl", b / "clean_train.jsonl",
-                           shallow=False)
+    assert not filecmp.cmp(cli.dataset_path(a, "clean", "train"),
+                           cli.dataset_path(b, "clean", "train"), shallow=False)
 
 
 # --------------------------------------------------------------------- train
@@ -108,7 +107,7 @@ def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
     state, bank, sched, meta = config.load_checkpoint(cfg.checkpoint_path)
     assert meta["mode"] == "tmf"
     assert meta["step_count"] == 20
-    assert np.isfinite(state.flat_params()).all()
+    assert np.isfinite(state.flat).all()
 
 
 def test_train_reruns_byte_identical(tmp_path):
@@ -228,7 +227,7 @@ def test_train_checkpoint_is_the_model_training_selected(tmp_path, monkeypatch):
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
     pool = []
     for condition in cfg.train_conditions:
-        pool += synth.load_jsonl(cli.dataset_path(cfg.data_dir, condition, "train"))
+        pool += synth.load_dataset(cli.dataset_path(cfg.data_dir, condition, "train"))
     train_set, val_set = synth.split(pool, cfg.validation_fraction, seed=cfg.seed)
     state, bank, rows = model.train(cfg.new_state(), cfg.new_bank(), train_set,
                                     val_set, cfg.settings())
@@ -249,7 +248,7 @@ def test_train_checkpoint_is_the_model_training_selected(tmp_path, monkeypatch):
                      "--data", cfg.data_dir, "--out", str(report)]) == 0
     expected = []
     for condition in synth.CONDITIONS:
-        samples = synth.load_jsonl(cli.dataset_path(cfg.data_dir, condition, "test"))
+        samples = synth.load_dataset(cli.dataset_path(cfg.data_dir, condition, "test"))
         rep = experiment.evaluate_model(state, bank, samples, cfg.mode, condition)
         expected.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
                                  for v in rep.csv_row()))
@@ -291,13 +290,13 @@ def test_eval_is_repeatable(tmp_path, capsys):
 
 
 def test_train_and_eval_score_a_sample_under_its_own_condition(tmp_path):
-    # seen_test.jsonl relabeled "unseen": both commands pool its samples
-    # with unseen_test.jsonl's, whatever file they come from
+    # the seen test file relabeled "unseen": both commands pool its
+    # samples with the unseen test file's, whatever file they come from
     cfg_path, cfg = write_config(tmp_path, mode="ctc", seed=1)
     gen_data(tmp_path, cfg_path)
-    seen = tmp_path / "data" / "seen_test.jsonl"
-    seen.write_text("".join(json.dumps(dict(json.loads(line), condition="unseen")) + "\n"
-                            for line in seen.read_text().splitlines()))
+    seen = cli.dataset_path(cfg.data_dir, "seen", "test")
+    samples = synth.load_dataset(seen)
+    synth.save_dataset([dataclasses.replace(s, condition="unseen") for s in samples], seen)
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
     # the metrics row of the evaluation whose model the checkpoint holds
     _, _, _, meta = config.load_checkpoint(cfg.checkpoint_path)
@@ -320,7 +319,7 @@ def test_eval_single_file_and_out_path(tmp_path):
     cfg = trained_checkpoint(tmp_path)
     report = tmp_path / "report.csv"
     assert cli.main(["eval", "--checkpoint", cfg.checkpoint_path,
-                     "--data", os.path.join(cfg.data_dir, "unseen_test.jsonl"),
+                     "--data", cli.dataset_path(cfg.data_dir, "unseen", "test"),
                      "--out", str(report)]) == 0
     lines = report.read_text().splitlines()
     assert len(lines) == 2
@@ -381,7 +380,7 @@ def test_file_screen_reports_the_first_sample_that_does_not_fit(temporal, monkey
             framewise = rng.integers(1 if rng.random() > 0.1 else 0, 4, T)
             collapsed = rng.integers(1, 4 if rng.random() > 0.1 else 5, rng.integers(0, 4))
             samples.append(synth.SequenceSample(x, framewise, collapsed, "clean"))
-        monkeypatch.setattr(synth, "load_jsonl", lambda path: samples)
+        monkeypatch.setattr(synth, "load_dataset", lambda path: samples)
         want = per_sample_check(samples, spec, temporal)
         if want is None:
             assert cli._load_checked("f", spec, temporal) is samples
@@ -533,9 +532,9 @@ def dataset_edit(condition, part, edit):
     the message names."""
     def change(env):
         env.path = cli.dataset_path(env.cfg.data_dir, condition, part)
-        samples = synth.load_jsonl(env.path)
+        samples = synth.load_dataset(env.path)
         vars(env).update(edit(samples) or {})
-        synth.save_jsonl(samples, env.path)
+        synth.save_dataset(samples, env.path)
     return change
 
 
@@ -564,7 +563,9 @@ def set_collapsed(index, labels):
 
 
 def widen(samples):
-    samples[2].x = np.hstack([samples[2].x, np.zeros((len(samples[2].x), 1))])
+    # a file holds one feature width, so every sample is widened
+    for sample in samples:
+        sample.x = np.hstack([sample.x, np.zeros((len(sample.x), 1))])
 
 
 def lengthen(samples):
@@ -608,8 +609,8 @@ def narrow_test_file(env):
     narrow = synth.GeneratorConfig(num_classes=2, feature_dim=3,
                                    segment_length=(2, 4),
                                    labels_per_sequence=(1, 3), seed=0)
-    env.path = str(env.tmp / "narrow.jsonl")
-    synth.save_jsonl(synth.generate(narrow, 5), env.path)
+    env.path = str(env.tmp / "narrow.npz")
+    synth.save_dataset(synth.generate(narrow, 5), env.path)
 
 
 def truncated_checkpoint(env):
@@ -647,49 +648,67 @@ def non_finite(field, value):
     return edit
 
 
+def rewritten(edit):
+    """The file's arrays, changed by edit in place, written back."""
+    def fault(path):
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        edit(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+    return fault
+
+
+def truncate(path):
+    with open(path, "rb") as fh:
+        content = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(content[:len(content) // 2])
+
+
+def replace_with_text(path):
+    # a dataset in the JSON lines format this one replaced
+    with open(path, "w") as fh:
+        fh.write('{"features": [[0.5]], "framewise": [1], "collapsed": [1], '
+                 '"condition": "clean"}\n')
+
+
 MALFORMED = {
-    "truncated": (lambda good: good[:len(good) // 2], "Expecting"),
-    "empty_record": (lambda good: "{}", "missing field 'features'"),
-    "unknown_condition": (lambda good: re.sub(r'"condition": "\w+"',
-                                              '"condition": "noisy"', good),
-                          "unknown condition 'noisy'"),
-    # json reads NaN, and an overflowing literal as inf
-    "nan_feature": (lambda good: re.sub(r'"features": \[\[[^,\]]+', '"features": [[NaN',
-                                        good, count=1),
-                    "features hold a non-finite value"),
-    "inf_feature": (lambda good: re.sub(r'"features": \[\[[^,\]]+', '"features": [[1e400',
-                                        good, count=1),
-                    "features hold a non-finite value"),
-    # written as latin-1, so "\xff" is the byte 0xff, which UTF-8 never starts with
-    "not_utf8": (lambda good: "\xff" + good, "can't decode byte 0xff"),
-    # integer labels would read 1.7 as 1, and true as 1
-    "fractional_framewise": (lambda good: re.sub(r'"framewise": \[(\d+)',
-                                                 r'"framewise": [\1.7', good),
-                             "framewise must be a list of integer labels"),
-    "boolean_collapsed": (lambda good: re.sub(r'"collapsed": \[\d+',
-                                              '"collapsed": [true', good),
-                          "collapsed must be a list of integer labels"),
+    "truncated": (truncate, "not an .npz file"),
+    "empty_record": (rewritten(dict.clear), "missing array 'features'"),
+    "unknown_condition": (rewritten(lambda a: a["condition"].put(-1, len(synth.CONDITIONS))),
+                          "condition: expected indices into ('clean', 'seen', 'unseen'), "
+                          "one per sequence"),
+    "nan_feature": (rewritten(lambda a: a["features"].put(0, np.nan)),
+                    "features: expected finite values, got a NaN or an infinity"),
+    "inf_feature": (rewritten(lambda a: a["features"].put(0, np.inf)),
+                    "features: expected finite values, got a NaN or an infinity"),
+    "not_a_zip": (replace_with_text, "not an .npz file"),
+    # integer labels would read 1.7 as 1, and True as 1
+    "fractional_framewise": (rewritten(lambda a: a.update(framewise=a["framewise"] + 0.7)),
+                             "framewise: expected a 1-D integer array, got 1-D float64"),
+    "boolean_collapsed": (rewritten(lambda a: a.update(collapsed=a["collapsed"] > 0)),
+                          "collapsed: expected a 1-D integer array, got 1-D bool"),
+    # np.savez pickles an object array, which the loader does not unpickle
+    "object_array": (rewritten(lambda a: a.update(features=a["features"].astype(object))),
+                     "features: Object arrays cannot be loaded when allow_pickle=False"),
 }
 
 
-def malformed_train_line(case):
-    """Line 7 of a training file becomes the case's malformed line."""
+def malformed_train_file(case):
+    """A training file gets the case's fault."""
     def change(env):
         env.path = cli.dataset_path(env.cfg.data_dir, "seen", "train")
-        lines = open(env.path).read().splitlines()
-        lines[6] = MALFORMED[case][0](lines[6])
-        with open(env.path, "w", encoding="latin-1") as fh:
-            fh.write("\n".join(lines) + "\n")
+        MALFORMED[case][0](env.path)
     return change
 
 
 def malformed_test_file(case):
-    """A test file of a good line, then the case's malformed line."""
+    """A copy of a test file with the case's fault."""
     def change(env):
-        good = open(cli.dataset_path(env.cfg.data_dir, "unseen", "test")).readline()
-        env.path = str(env.tmp / "bad.jsonl")
-        with open(env.path, "w", encoding="latin-1") as fh:
-            fh.write(good + MALFORMED[case][0](good.rstrip("\n")) + "\n")
+        env.path = str(env.tmp / "bad.npz")
+        shutil.copyfile(cli.dataset_path(env.cfg.data_dir, "unseen", "test"), env.path)
+        MALFORMED[case][0](env.path)
     return change
 
 
@@ -887,17 +906,19 @@ ROWS = [
         config={"num_train_sequences": 1, "validation_fraction": 0.9}),
     # ---- 2: a dataset file or checkpoint that cannot be read, or is malformed
     Row("test_train_missing_data_exits_2", "config", EXIT_2, None, TRAIN,
-        ["missing dataset file", "clean_train.jsonl"], files=()),
+        ["missing dataset file", cli.dataset_path("", "clean", "train")], files=()),
     Row("test_train_dataset_file_that_is_a_directory_exits_2_naming_it", "data",
         EXIT_2, directory_for_train_file, TRAIN,
         ["dataset: {path}: cannot read: Is a directory"], files=()),
+    # the message names the file and, where the file is an .npz, the
+    # array; the ids keep the names of the tests from before the format
     *[Row("test_train_malformed_dataset_exits_2_naming_file_and_line[%s]" % case,
-          "data", EXIT_2, malformed_train_line(case), TRAIN,
-          ["{path} line 7", reason], files=())
+          "data", EXIT_2, malformed_train_file(case), TRAIN,
+          ["dataset: {path}: " + reason], files=())
       for case, (_, reason) in sorted(MALFORMED.items())],
     *[Row("test_eval_malformed_dataset_exits_2_naming_file_and_line[%s]" % case,
           "trained", EXIT_2, malformed_test_file(case),
-          lambda env: env.eval(data=env.path), ["{path} line 2", reason])
+          lambda env: env.eval(data=env.path), ["dataset: {path}: " + reason])
       for case, (_, reason) in sorted(MALFORMED.items())],
     Row("test_train_test_set_without_reference_tokens_exits_2_before_writing", "data",
         EXIT_2, dataset_edit("seen", "test", drop_references), TRAIN,
@@ -990,7 +1011,8 @@ ROWS = [
         files=("checkpoint", "metrics"), after=step_0_checkpoint_kept),
     # ---- 4: a dataset that does not fit the network, named by file and sample
     Row("test_train_shape_mismatch_exits_4", "data", EXIT_4, wide_network, TRAIN,
-        ["clean_train.jsonl: sample 0 ", "4 features, network expects 5"], files=()),
+        [cli.dataset_path("", "clean", "train") + ": sample 0 ",
+         "4 features, network expects 5"], files=()),
     # a framewise label of 0 would index the last one-hot column
     Row("test_train_frame_label_outside_the_classes_exits_4", "data", EXIT_4,
         dataset_edit("clean", "train", set_label(3, "framewise", 0, 0)), TRAIN,
@@ -999,7 +1021,7 @@ ROWS = [
     # before it writes
     Row("test_train_test_set_with_wide_features_exits_4_before_writing", "data", EXIT_4,
         dataset_edit("seen", "test", widen), TRAIN,
-        ["{path}: sample 2 ", "5 features", "network expects 4"], files=()),
+        ["{path}: sample 0 ", "5 features", "network expects 4"], files=()),
     Row("test_train_test_set_frame_label_outside_the_classes_exits_4", "data", EXIT_4,
         dataset_edit("unseen", "test", set_label(4, "framewise", -1, 7)), TRAIN,
         ["{path}: sample 4 ", "class 7", "1..2"], files=(),

@@ -44,7 +44,7 @@ def test_feature_dim_is_last_hidden_size():
 
 def test_flat_params_round_trip():
     state = model.ModelState(model.NetworkSpec(3, [4], 3, recurrent=True))
-    flat = state.flat_params()
+    flat = state.flat.copy()
     other = model.ModelState(model.NetworkSpec(3, [4], 3, recurrent=True),
                              seed=99)
     other.flat = flat
@@ -253,7 +253,7 @@ def test_forward_batch_per_input_parameters_match_each_loaded_point_bitwise(
     rng = np.random.default_rng(seed)
     spec = model.NetworkSpec(4, hidden, K, recurrent=recurrent)
     state = model.ModelState(spec, seed=int(rng.integers(1 << 30)))
-    base = state.flat_params()
+    base = state.flat.copy()
     points = base + rng.normal(0.0, 0.5, (P, base.size))
     xs = [rng.normal(size=(T, 4)) for T in Ts]
 
@@ -428,9 +428,9 @@ def test_backward_last_layer_is_outer_product():
 
 def test_adam_zero_gradient_from_rest_leaves_parameters():
     state = model.ModelState(model.NetworkSpec(2, [3], 2))
-    before = state.flat_params()
+    before = state.flat.copy()
     model.adam_step(state, np.zeros(state.size))
-    np.testing.assert_array_equal(state.flat_params(), before)
+    np.testing.assert_array_equal(state.flat, before)
 
 
 def test_adam_zero_gradient_decays_existing_moments():
@@ -455,16 +455,16 @@ def test_adam_first_step_closed_form():
 
 def test_adam_zero_learning_rate():
     state = model.ModelState(model.NetworkSpec(2, [3], 2), lr=0.0)
-    before = state.flat_params()
+    before = state.flat.copy()
     model.adam_step(state, np.ones(state.size))
-    np.testing.assert_array_equal(state.flat_params(), before)
+    np.testing.assert_array_equal(state.flat, before)
 
 
 def test_adam_rejects_non_finite_gradients():
     state = model.ModelState(model.NetworkSpec(2, [3], 2))
     grad = np.zeros(state.size)
     state.unflatten(grad)["W"][...] = np.nan
-    before = state.flat_params()
+    before = state.flat.copy()
     with pytest.raises(model.NonFiniteGradient):
         model.adam_step(state, grad)
     assert state.step_count == 0 and np.array_equal(state.flat, before)
@@ -1054,12 +1054,12 @@ def test_train_goes_on_where_the_softmax_underflows(mode):
                                                  eval_interval=3))
     assert len(rows) == 2
     assert all(np.isfinite(row[k]) for row in rows for k in ("train_loss", "val_score"))
-    assert np.isfinite(state.flat_params()).all() and np.isfinite(bank.centers).all()
+    assert np.isfinite(state.flat).all() and np.isfinite(bank.centers).all()
 
 
 def test_train_parameters_stay_finite():
     state, bank, _ = fresh_run("tmf", lam=1e-3)
-    assert np.isfinite(state.flat_params()).all()
+    assert np.isfinite(state.flat).all()
     assert np.isfinite(bank.centers).all()
 
 
@@ -1208,6 +1208,6 @@ def test_reported_loss_is_the_objective_of_the_gradient(mode):
     bank.centers = rng.normal(size=bank.centers.shape)
     batch = verify._random_batch(rng, mode, 2, 3)
     seq_losses, _, _ = model._batch_step(state, batch, settings, bank)
-    want = verify.network_loss(state, state.flat_params()[None], batch, settings, bank)
+    want = verify.network_loss(state, state.flat.copy()[None], batch, settings, bank)
     assert len(seq_losses) == 2
     assert sum(seq_losses) == pytest.approx(want[0], rel=1e-12, abs=0)

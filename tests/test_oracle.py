@@ -431,7 +431,7 @@ def per_point_grad_full_suite(n=50, seed=6, lam=0.1):
                                bank.gather(tables.zp[1::2])))
             elif mode == "fmf":
                 frozen.append((np.eye(C)[sample.framewise - 1], bank.centers))
-        base = state.flat_params()
+        base = state.flat.copy()
 
         def loss_of(flat):
             state.flat = flat
@@ -464,7 +464,7 @@ def test_tmf_network_loss_leaves_the_state_alone():
         params = state.params
         arrays = dict(params)
         values = {k: v.copy() for k, v in params.items()}
-        base = state.flat_params()
+        base = state.flat.copy()
         points = base + rng.normal(0.0, 0.1, (6, base.size))
         losses_at = verify.network_loss(state, points, batch,
                                         model.TrainSettings(mode=mode, lam=0.1), bank)
@@ -489,7 +489,7 @@ def test_network_loss_runs_the_backward_rows_at_the_base_point_only(mode, monkey
         return real(log_y, Ts, labels_list)
 
     monkeypatch.setattr(ctc, "forward_backward_batch", counted)
-    points = state.flat_params() + rng.normal(0.0, 0.1, (5, state.flat_params().size))
+    points = state.flat + rng.normal(0.0, 0.1, (5, state.size))
     verify.network_loss(state, points, batch, model.TrainSettings(mode=mode),
                         losses.CenterBank(2, spec.feature_dim))
     assert sizes == [len(batch)]

@@ -1,14 +1,19 @@
 """Unit tests for the synthetic data generator and its serialization."""
 
 import filecmp
+import os
+import re
+import subprocess
+import sys
 import types
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmfusion import synth
+from tmfusion import cli, config, experiment, synth
 
 
 def dedup(seq):
@@ -324,45 +329,82 @@ def test_split_partitions_the_pool(sizes, fraction, seed):
 
 # ------------------------------------------------------------- serialization
 
-def test_jsonl_round_trip_is_exact(tmp_path):
-    cfg = synth.GeneratorConfig(seed=22, noise_condition="unseen")
-    samples = synth.generate(cfg, 25)
-    path = tmp_path / "data.jsonl"
-    synth.save_jsonl(samples, path)
-    loaded = synth.load_jsonl(path)
-    assert len(loaded) == len(samples)
-    for s, t in zip(samples, loaded):
-        np.testing.assert_array_equal(s.x, t.x)
-        np.testing.assert_array_equal(s.framewise, t.framewise)
-        np.testing.assert_array_equal(s.collapsed, t.collapsed)
-        assert s.condition == t.condition
-    again = tmp_path / "again.jsonl"
-    synth.save_jsonl(loaded, again)
-    assert filecmp.cmp(path, again, shallow=False)
+def gen_data_config(tmp_path):
+    cfg = config.RunConfig(seed=5, num_train_sequences=12, num_test_sequences=4,
+                           data_dir=str(tmp_path / "data"))
+    path = tmp_path / "run.json"
+    config.save_config(cfg, path)
+    return str(path), cfg
 
 
-@pytest.mark.parametrize("record, reason", [
-    ('[1, 2]', "list indices"),
-    ('{"features": [1.0, 2.0], "framewise": [1, 1], "collapsed": [1], '
-     '"condition": "clean"}', "one framewise label"),
-    ('{"features": [[1.0], [2.0, 3.0]], "framewise": [1, 1], "collapsed": [1], '
-     '"condition": "clean"}', "array element"),
-    ('{"features": [[1.0]], "framewise": [1], "collapsed": [1], '
-     '"condition": "noisy"}', "unknown condition 'noisy'"),
-])
-def test_load_jsonl_names_the_line_that_is_not_a_sample(tmp_path, record, reason):
-    path = tmp_path / "data.jsonl"
-    synth.save_jsonl(synth.generate(synth.GeneratorConfig(seed=1), 2), path)
-    with open(path, "a") as fh:
-        fh.write(record + "\n")
-    with pytest.raises(synth.MalformedDataset, match="line 3: .*%s" % reason) as info:
-        synth.load_jsonl(path)
-    assert str(path) in str(info.value)
+DATA_FILES = [(condition, part) for condition in synth.CONDITIONS for part in ("train", "test")]
 
 
-def test_jsonl_files_are_byte_identical_per_seed(tmp_path):
-    cfg = synth.GeneratorConfig(seed=23)
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    synth.save_jsonl(synth.generate(cfg, 15), a)
-    synth.save_jsonl(synth.generate(cfg, 15), b)
-    assert filecmp.cmp(a, b, shallow=False)
+def test_gen_data_files_decode_to_the_generated_samples(tmp_path, capsys):
+    path, cfg = gen_data_config(tmp_path)
+    assert cli.main(["gen-data", "--config", path]) == 0
+    for condition, part in DATA_FILES:
+        gen = synth.GeneratorConfig(seed=cfg.seed, noise_condition=condition)
+        count, start = {"train": (cfg.num_train_sequences, 0),
+                        "test": (cfg.num_test_sequences, experiment.TEST_START_INDEX)}[part]
+        want = synth.generate(gen, count, start_index=start)
+        loaded = synth.load_dataset(cli.dataset_path(cfg.data_dir, condition, part))
+        assert len(loaded) == len(want)
+        for s, t in zip(want, loaded):
+            for field in ("x", "framewise", "collapsed"):
+                a, b = getattr(s, field), getattr(t, field)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert s.condition == t.condition
+
+
+def test_gen_data_files_are_byte_identical_across_processes(tmp_path):
+    path, cfg = gen_data_config(tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(synth.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for out in ("a", "b"):
+        proc = subprocess.run([sys.executable, "-m", "tmfusion.cli", "gen-data",
+                               "--config", path, "--out", str(tmp_path / out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    for condition, part in DATA_FILES:
+        a, b = (cli.dataset_path(tmp_path / out, condition, part) for out in ("a", "b"))
+        assert filecmp.cmp(a, b, shallow=False)
+        # no entry carries the day it was written
+        with zipfile.ZipFile(a) as archive:
+            assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda a: a.update(features=a["features"].ravel()),
+     "features: expected a 2-D float64 array, got 1-D float64"),
+    (lambda a: a["frame_counts"].put(0, a["frame_counts"][0] - 1),
+     r"frame_counts: expected counts of at least 1, one per sequence \(2\), summing to"),
+    (lambda a: a.update(frame_counts=np.array([0, a["frame_counts"].sum()])),
+     "frame_counts: expected counts of at least 1"),
+    (lambda a: a.update(framewise=a["framewise"][1:]), "framewise: expected one label per frame"),
+    (lambda a: a.update(label_counts=a["label_counts"] + 1),
+     "label_counts: expected counts of at least 0"),
+    (lambda a: a.update(condition=np.zeros(3, dtype=np.intp)),
+     r"condition: expected indices into \('clean', 'seen', 'unseen'\), one per sequence \(2\)"),
+    (lambda a: a["condition"].put(0, -1), "condition: expected indices into"),
+    (lambda a: a.update(collapsed=a["collapsed"][:, None]),
+     "collapsed: expected a 1-D integer array, got 2-D int64"),
+    (None, "not an .npz file"),
+], ids=["features_not_2d", "frame_counts_not_summing", "sequence_without_frames",
+        "framewise_per_frame", "label_counts_not_summing", "condition_per_sequence",
+        "condition_out_of_range", "collapsed_not_1d", "npy_file"])
+def test_load_dataset_names_the_array_that_is_not_a_sample(tmp_path, edit, reason):
+    path = tmp_path / "data.npz"
+    synth.save_dataset(synth.generate(synth.GeneratorConfig(seed=1), 2), path)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    with open(path, "wb") as fh:
+        if edit is None:
+            # one array, not an archive of them
+            np.save(fh, arrays["features"])
+        else:
+            edit(arrays)
+            np.savez(fh, **arrays)
+    with pytest.raises(synth.MalformedDataset, match="^%s: %s" % (re.escape(str(path)), reason)):
+        synth.load_dataset(path)

@@ -11,8 +11,7 @@ import pytest
 
 from tmfusion import cli, config, experiment, model, synth, workers
 
-ALL_FILES = ["%s_%s.jsonl" % (c, p) for c in synth.CONDITIONS
-             for p in ("train", "test")]
+ALL_FILES = [cli.dataset_path("", c, p) for c in synth.CONDITIONS for p in ("train", "test")]
 
 
 def force_cpus(monkeypatch, count):
@@ -170,13 +169,15 @@ def test_gen_data_write_failure_raises_the_first_files_error(monkeypatch, capsys
     force_cpus(monkeypatch, cpus)
     # a directory where a file goes: writing it fails on a worker, and
     # the error reaches main with the file's name
-    for name in ("seen_train.jsonl", "unseen_test.jsonl"):
+    seen_train, unseen_test = (cli.dataset_path("", c, p)
+                               for c, p in (("seen", "train"), ("unseen", "test")))
+    for name in (seen_train, unseen_test):
         (tmp_path / "data" / name).mkdir(parents=True)
     assert cli.main(["gen-data", "--config", conf,
                      "--out", str(tmp_path / "data")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "cannot write %s: Is a directory" % (tmp_path / "data" / "seen_train.jsonl") in err
-    assert "unseen_test.jsonl" not in err
+    assert "cannot write %s: Is a directory" % (tmp_path / "data" / seen_train) in err
+    assert unseen_test not in err
     assert multiprocessing.active_children() == []
     for name in ALL_FILES[:2]:
         assert os.path.isfile(tmp_path / "data" / name)
