@@ -25,9 +25,8 @@ def center_step(bank, u, gamma, zp):
     """One occupancy-weighted center update from one sequence: its
     center statistics over the label positions, then one bank step."""
     labels = zp[1::2]
-    _, sums = losses.center_stats(bank, u, gamma[:, 1::2], labels,
-                                  bank.gather(labels))
-    return bank.step(sums)
+    return bank.step(losses.center_stats(bank, u, gamma[:, 1::2], labels,
+                                         bank.gather(labels)))
 
 
 def main():

@@ -14,11 +14,11 @@ import dataclasses
 import os
 import sys
 import traceback
-from contextlib import closing, nullcontext
+from contextlib import nullcontext
 
 import numpy as np
 
-from . import ctc, metrics, model, synth, verify, workers
+from . import ctc, metrics, model, synth, verify
 from .config import (ConfigError, append_metrics, load_checkpoint, load_config,
                      open_metrics, save_checkpoint)
 from .experiment import corpus_part, evaluate_model, split_pool
@@ -50,27 +50,18 @@ def dataset_path(data_dir, condition, part):
     return os.path.join(data_dir, "%s_%s.npz" % (condition, part))
 
 
-def _write_part(gen, condition, part, count, path):
-    """Write one dataset file; returns its record count."""
-    samples = corpus_part(gen, condition, part, count)
-    synth.save_dataset(samples, path)
-    return len(samples)
-
-
 def cmd_gen_data(args):
     cfg = _config_for(args)
     out_dir = args.out or cfg.data_dir
     os.makedirs(out_dir, exist_ok=True)
     gen = dataclasses.replace(cfg.generator, seed=cfg.seed)
-    jobs = [(gen, condition, part, count, dataset_path(out_dir, condition, part))
-            for condition in CONDITIONS
-            for part, count in (("train", cfg.num_train_sequences),
-                                ("test", cfg.num_test_sequences))]
-    # the files are independent: written on worker processes, reported
-    # in this order
-    with closing(workers.in_order(_write_part, jobs)) as counts:
-        for job, count in zip(jobs, counts):
-            print("%s: %d records" % (job[-1], count))
+    for condition in CONDITIONS:
+        for part, count in (("train", cfg.num_train_sequences),
+                            ("test", cfg.num_test_sequences)):
+            path = dataset_path(out_dir, condition, part)
+            samples = corpus_part(gen, condition, part, count)
+            synth.save_dataset(samples, path)
+            print("%s: %d records" % (path, len(samples)))
     return 0
 
 

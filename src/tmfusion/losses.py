@@ -18,7 +18,10 @@ the weights w (..., T, r), the centers (..., r, D) of the r positions and
 padded (B, T_max, .) stacks, with zero weight and label 0 on the
 padding.  The terms keep each sequence's bits; the ECL total, summed over
 a padded (T_max, r_max) block, and tmf's w @ c can move the last bit.
-The modes' center updates differ only in normalization (``CenterBank.step``).
+Both modes take one momentum step on the gated sums (``CenterBank.step``).
+That departs from Wen et al., who divide each class's sum by 1 + its
+frame count: over five seeds the division moved fmf's unseen frame
+accuracy by 0.02 points and doubled its clean scatter ratio (README).
 
 The feature-space error signal (``ecl_grad_features``) deliberately
 omits the factor 2 that differentiating a squared norm produces; the
@@ -62,17 +65,13 @@ class CenterBank:
             raise UnknownClass("label outside 1..%d" % self.num_classes)
         return self.centers[labels - 1]
 
-    def step(self, sums, weights=None):
+    def step(self, sums):
         """Return a bank moved by -momentum * sums, the (C, D) center-update
-        sums of ``center_stats``.  With the (C,) weights given, each
-        class's sum is first divided by 1 + its weight, the framewise
-        rule:
+        sums of ``center_stats``, the one rule of both fusion modes:
 
-            c_j <- c_j - momentum * (sum over frames labeled j of c_j - u_t)
-                                    / (1 + number of frames labeled j)
+            c_j <- c_j - momentum * (sum over gated (t, i) with label j
+                                     of w(t, i) * (c_j - u_t))
         """
-        if weights is not None:
-            sums = sums / (1.0 + weights)[:, None]
         out = CenterBank(self.num_classes, self.dim, self.momentum, self.occupancy_threshold)
         out.centers = self.centers - self.momentum * sums
         return out
@@ -153,8 +152,7 @@ def center_stats(bank, u, w, labels, centers, over_frames=_over_frames):
     For class j, over the positions i with labels[i] = j and the frames t
     with w(t, i) >= the bank's threshold:
 
-        weights[j - 1] = sum of w(t, i)
-        sums[j - 1]    = sum of w(t, i) * (c_j - u_t)
+        sums[j - 1] = sum of w(t, i) * (c_j - u_t)
 
     u, w and centers are shaped as for ``ecl_terms``, labels (..., r);
     label 0 pads a shorter labeling and adds nothing.  Each (sequence,
@@ -163,16 +161,13 @@ def center_stats(bank, u, w, labels, centers, over_frames=_over_frames):
     each sequence's bits), and adds into its class in position order,
     the sequences in sequence order.
 
-    Returns the (C,) weights and (C, D) sums for one ``CenterBank.step``.
+    Returns the (C, D) sums for one ``CenterBank.step``.
     """
     u = np.asarray(u, dtype=float)
     gated = np.where(w >= bank.occupancy_threshold, w, 0.0)
     prod, n = over_frames(gated, u)
     s = n[..., None] * centers - prod
-    N, r, C, D = math.prod(n.shape[:-1]), n.shape[-1], bank.num_classes, bank.dim
-    weights, sums = np.zeros((N, C + 1)), np.zeros((N, C + 1, D))
-    at = (np.arange(N)[:, None], np.reshape(labels, (N, r)))
-    np.add.at(weights, at, n.reshape(N, r))
-    np.add.at(sums, at, s.reshape(N, r, D))
-    return (np.add.accumulate(weights[:, 1:], axis=0)[-1],
-            np.add.accumulate(sums[:, 1:], axis=0)[-1])
+    N, r, D = math.prod(n.shape[:-1]), n.shape[-1], bank.dim
+    sums = np.zeros((N, bank.num_classes + 1, D))
+    np.add.at(sums, (np.arange(N)[:, None], np.reshape(labels, (N, r))), s.reshape(N, r, D))
+    return np.add.accumulate(sums[:, 1:], axis=0)[-1]

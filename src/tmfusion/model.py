@@ -576,9 +576,7 @@ def train(state, bank, train_samples, val_samples, settings, eval_hook=None):
                 raise NonFiniteGradient("training loss is not finite")
             adam_step(state, grad)
             if mode in FUSION_MODES:
-                # the framewise rule divides each class's sum by 1 + its weight
-                weights, sums = stats
-                bank = bank.step(sums, weights if mode == "fmf" else None)
+                bank = bank.step(stats)
             running_n += len(batch)
             batches_seen += 1
             if batches_seen % settings.eval_interval == 0 or batches_seen >= settings.max_batches:

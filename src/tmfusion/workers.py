@@ -1,11 +1,12 @@
-"""Independent jobs on worker processes, with the serial run's results.
+"""Independent jobs on worker processes, with the serial run's results:
+the models of ``experiment.run_experiment``.
 
 The pool takes the platform's default start method, fork on Linux:
 CPython forks every worker before the pool's own thread starts, the
 library starts no threads, and OpenBLAS stops its own across a fork.
 Spawned workers import numpy and the library again: a two-worker pool
 took 0.43 s to start and stop spawned against 0.02 s forked (2-CPU
-x86-64), more than writing gen-data's six files in parallel saves.
+x86-64).
 """
 
 import os

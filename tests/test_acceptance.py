@@ -75,9 +75,8 @@ def _tmf_center_step(bank, u, gamma, zp):
     """The occupancy-weighted center update of one sequence: the center
     statistics of its label positions, then one bank step."""
     labels = zp[1::2]
-    _, sums = losses.center_stats(bank, u, gamma[:, 1::2], labels,
-                                  bank.gather(labels))
-    return bank.step(sums)
+    return bank.step(losses.center_stats(bank, u, gamma[:, 1::2], labels,
+                                         bank.gather(labels)))
 
 
 def test_criterion_05_center_fixed_points_gating_and_blank():

@@ -89,6 +89,23 @@ def test_gen_data_seed_override_changes_content(tmp_path):
                            cli.dataset_path(b, "clean", "train"), shallow=False)
 
 
+def test_gen_data_write_failure_raises_the_first_files_error(tmp_path, capsys):
+    cfg_path, _ = write_config(tmp_path)
+    # a directory where a file goes: writing it fails, and the error
+    # reaches main with the file's name; the files before it are written
+    seen_train, unseen_test = (cli.dataset_path("", c, p)
+                               for c, p in (("seen", "train"), ("unseen", "test")))
+    for name in (seen_train, unseen_test):
+        (tmp_path / "data" / name).mkdir(parents=True)
+    assert cli.main(["gen-data", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "data")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot write %s: Is a directory" % (tmp_path / "data" / seen_train) in err
+    assert unseen_test not in err
+    for name in ALL_FILES[:2]:
+        assert os.path.isfile(tmp_path / "data" / name)
+
+
 # --------------------------------------------------------------------- train
 
 def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):

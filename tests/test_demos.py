@@ -1,7 +1,7 @@
 """The demos, and the README's quick tour, run end to end against the
-library in src/: each one is a subprocess that must exit 0.  They call
-the public API by name, so a rename that misses one of them fails
-here."""
+library in src/: each one is a subprocess that must exit 0, and demo 02
+must print its center fixed point.  They call the public API by name,
+so a rename that misses one of them fails here."""
 
 import os
 import subprocess
@@ -22,14 +22,20 @@ def run_python(*args):
 
 
 def run_demo(name, *args):
-    assert run_python(os.path.join(DEMOS, name), *args)
+    out = run_python(os.path.join(DEMOS, name), *args)
+    assert out
+    return out
+
+
+# a line each demo must print, where one pins a result
+EXPECTED = {"02_occupancy_and_centers.py": "center 1 movement = 0.000e+00"}
 
 
 @pytest.mark.parametrize("name", [
     "01_forward_backward.py", "02_occupancy_and_centers.py",
     "03_gradient_checks.py", "04_generate_data.py", "05_train_modes.py"])
 def test_demo_runs(name):
-    run_demo(name)
+    assert EXPECTED.get(name, "") in run_demo(name)
 
 
 @pytest.mark.slow

@@ -483,8 +483,7 @@ def train_batches(state, bank, batches, settings):
         _, grad, stats = model._batch_step(state, batch, settings, bank)
         model.adam_step(state, grad)
         if stats is not None:
-            weights, sums = stats
-            bank = bank.step(sums, weights if settings.mode == "fmf" else None)
+            bank = bank.step(stats)
     return bank
 
 
@@ -804,7 +803,7 @@ def train_one_at_a_time(run, monkeypatch):
             seq_losses.append(loss)
             if st is not None:
                 pieces.append(st)
-        stats = (sum(w for w, _ in pieces), sum(s for _, s in pieces)) if pieces else None
+        stats = sum(pieces) if pieces else None
         return seq_losses, np.concatenate([total[k].ravel() for k in state.param_names()]), stats
 
     def forward_each(state, xs):
@@ -851,7 +850,7 @@ def signals_against_parent(run, monkeypatch):
         pairs += [(np.concatenate([out[j][b, :Tb] for b, Tb in enumerate(Ts)]),
                    np.concatenate([p[j] for p in parts])) for j in (1, 2)]
         if out[3] is not None:
-            pairs += [(out[3][j], sum(p[3][j] for p in parts)) for j in (0, 1)]
+            pairs.append((out[3], sum(p[3] for p in parts)))
         worst.append(max(relative_difference(got, want) for got, want in pairs))
         return out
 
@@ -933,8 +932,8 @@ def onehot_batch_signals(state, batch, Ts, u, log_y, y, settings, bank):
 @pytest.mark.parametrize("hidden", [(8,), (3, 1)])
 def test_fmf_run_weights_match_the_onehot_layout(hidden, monkeypatch):
     # weighing the runs of the frame labels instead of every class gives
-    # each batch's gradients bit for bit, equal center weights, and center
-    # sums that add run by run instead of class by class, to 1e-12
+    # each batch's gradients bit for bit, and center sums that add run by
+    # run instead of class by class, to 1e-12
     cfg = synth.GeneratorConfig(num_classes=5, feature_dim=5, segment_length=(1, 4),
                                 labels_per_sequence=(1, 5), seed=3)
     data = synth.generate(cfg, 160)
@@ -954,8 +953,7 @@ def test_fmf_run_weights_match_the_onehot_layout(hidden, monkeypatch):
             onehot = model._batch_step(state, batch, settings, bank)
         np.testing.assert_allclose(runs[0], onehot[0], rtol=1e-12)
         assert runs[1].tobytes() == onehot[1].tobytes(), n
-        assert np.array_equal(runs[2][0], onehot[2][0])
-        np.testing.assert_allclose(runs[2][1], onehot[2][1], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(runs[2], onehot[2], rtol=1e-12, atol=1e-12)
     assert recurs          # some labelings revisit a class in a later run
 
 

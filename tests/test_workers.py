@@ -1,17 +1,13 @@
-"""Worker processes: the robustness sweep and gen-data give the serial
-run's results, calls, lines and files, and leave no worker behind."""
+"""Worker processes: the robustness sweep gives the serial run's results
+and calls, and leaves no worker behind."""
 
 import concurrent.futures
 import dataclasses
-import filecmp
 import multiprocessing
-import os
 
 import pytest
 
-from tmfusion import cli, config, experiment, model, synth, workers
-
-ALL_FILES = [cli.dataset_path("", c, p) for c in synth.CONDITIONS for p in ("train", "test")]
+from tmfusion import config, experiment, model, workers
 
 
 def force_cpus(monkeypatch, count):
@@ -127,57 +123,3 @@ def test_sweep_with_an_empty_split_trains_no_model(monkeypatch):
     with pytest.raises(config.ConfigError, match="^validation_fraction: 0.1 of 2 "
                        "training sequences leaves the validation split empty"):
         experiment.run_experiment(empty)
-
-
-# ---------------------------------------------------------- gen-data
-
-def gen_data_config(tmp_path):
-    cfg = config.RunConfig(
-        mode="tmf", seed=3,
-        hidden=(6,),
-        generator=synth.GeneratorConfig(num_classes=2, feature_dim=4,
-                                        segment_length=(2, 4),
-                                        labels_per_sequence=(1, 3)),
-        num_train_sequences=40, num_test_sequences=10)
-    path = tmp_path / "run.json"
-    config.save_config(cfg, path)
-    return str(path)
-
-
-def test_gen_data_on_two_workers_equals_one(monkeypatch, tmp_path, capsys):
-    conf = gen_data_config(tmp_path)
-    out = {}
-    for cpus in (1, 2):
-        force_cpus(monkeypatch, cpus)
-        target = tmp_path / str(cpus)
-        assert cli.main(["gen-data", "--config", conf, "--out", str(target)]) == 0
-        out[cpus] = capsys.readouterr().out.replace(str(target), "DIR")
-        assert multiprocessing.active_children() == []
-    assert out[2] == out[1]
-    assert out[1].splitlines() == ["DIR/%s: %d records"
-                                   % (name, 40 if "train" in name else 10)
-                                   for name in ALL_FILES]
-    for name in ALL_FILES:
-        assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name,
-                           shallow=False)
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_gen_data_write_failure_raises_the_first_files_error(monkeypatch, capsys,
-                                                             tmp_path, cpus):
-    conf = gen_data_config(tmp_path)
-    force_cpus(monkeypatch, cpus)
-    # a directory where a file goes: writing it fails on a worker, and
-    # the error reaches main with the file's name
-    seen_train, unseen_test = (cli.dataset_path("", c, p)
-                               for c, p in (("seen", "train"), ("unseen", "test")))
-    for name in (seen_train, unseen_test):
-        (tmp_path / "data" / name).mkdir(parents=True)
-    assert cli.main(["gen-data", "--config", conf,
-                     "--out", str(tmp_path / "data")]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "cannot write %s: Is a directory" % (tmp_path / "data" / seen_train) in err
-    assert unseen_test not in err
-    assert multiprocessing.active_children() == []
-    for name in ALL_FILES[:2]:
-        assert os.path.isfile(tmp_path / "data" / name)
