@@ -41,6 +41,14 @@ and ``log_seq_probs`` runs the forward rows alone:
   sequence alone computes them.  The emissions are copied into the
   table's cells only; the padding frames of log y reach neither the
   table nor the above-0 check: they may hold anything.
+* Each frame's contiguous (2B, S_max + 2) block is swept as one flat
+  vector, so position s reads s, s - 1 and s - 2 at the frame before
+  as the same vector shifted by 0, 1 and 2.  A row's pad columns then
+  read the previous row's last two cells; with their -inf emission
+  and a -inf skip mask they stay -inf.  A NaN emission would carry
+  on through them into the next row, so a table holding a NaN has
+  its pad columns reset after every frame: a NaN stays in its own
+  sequence, and every other sequence keeps its bits then too.
 * ``occupancy`` and ``ctc_grad_logits`` take such stacks too, with the
   tables' mask of live frames.  Elementwise they keep each sequence's
   bits; their row sums over S_max positions (of the occupancy and of
@@ -152,20 +160,35 @@ def _recursion(blocks, cells, skip):
     (B, T, S) blocks read on the (B, T, S) cells of their lattices, with
     their (R, S) additive skip masks.  Returns the (T, R, S + 2) table
     of log alpha, position s at column s + 2 behind two pad columns,
-    -inf off each lattice."""
+    -inf off each lattice.
+
+    Each frame's (R, S + 2) block is swept as one flat vector of
+    R * (S + 2) cells: cell i takes from cells i, i - 1 and i - 2 one
+    frame earlier, which for a real cell are positions s, s - 1 and
+    s - 2 of its own row, so every real cell goes through the same
+    operations as in a sweep row by row.  The flat skip mask is -inf
+    on the pad columns, so a pad cell adds its -inf emission to what
+    it reads of the row before and stays -inf; -inf + NaN is NaN, so
+    when the filled table holds a NaN the pad columns are set back to
+    -inf after every frame, and the NaN stays in its row."""
     (B, T, S), R = cells.shape, len(skip)
     table = np.full((T, R, S + 2), -np.inf)
     for k, block in enumerate(blocks):
         np.copyto(table[:, k * B:(k + 1) * B, 2:].swapaxes(0, 1), block, where=cells)
-    acc, tmp = np.empty((R, S)), np.empty((R, S))
     # frame 0 can only be at the first blank or the first label (read
     # backwards: frame T_b - 1 at the last label or the last blank)
     table[:1, :, 4:] = -np.inf
-    cur, back1, back2 = table[:, :, 2:], table[:, :, 1:-1], table[:, :, :-2]
-    for c, p, p1, p2 in zip(cur[1:], cur[:-1], back1[:-1], back2[:-1]):
+    nan = np.isnan(table).any()
+    mask = np.concatenate([np.full((R, 2), -np.inf), skip], axis=1).reshape(-1)[2:]
+    acc, tmp = np.empty(mask.shape), np.empty(mask.shape)
+    flat = table.reshape(T, R * (S + 2))
+    cur, back1, back2 = flat[:, 2:], flat[:, 1:-1], flat[:, :-2]
+    for c, p, p1, p2, pad in zip(cur[1:], cur[:-1], back1[:-1], back2[:-1], table[1:, :, :2]):
         np.logaddexp(p, p1, out=acc)
-        np.logaddexp(acc, np.add(p2, skip, out=tmp), out=acc)
+        np.logaddexp(acc, np.add(p2, mask, out=tmp), out=acc)
         c += acc
+        if nan:
+            pad[...] = -np.inf
     return table
 
 

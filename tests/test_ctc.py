@@ -383,6 +383,111 @@ def test_lattice_matches_two_table_reference_bitwise(data):
         assert not batch_occupancy[b, :, Sb:].any()
 
 
+def _strided_recursion(blocks, cells, skip):
+    """Reference: ctc._recursion as it ran on each frame's strided (R, S)
+    view of the table, one row at a time inside numpy, before it swept
+    the frame as one flat vector.  Its pad columns are never written."""
+    (B, T, S), R = cells.shape, len(skip)
+    table = np.full((T, R, S + 2), -np.inf)
+    for k, block in enumerate(blocks):
+        np.copyto(table[:, k * B:(k + 1) * B, 2:].swapaxes(0, 1), block, where=cells)
+    acc, tmp = np.empty((R, S)), np.empty((R, S))
+    table[:1, :, 4:] = -np.inf
+    cur, back1, back2 = table[:, :, 2:], table[:, :, 1:-1], table[:, :, :-2]
+    for c, p, p1, p2 in zip(cur[1:], cur[:-1], back1[:-1], back2[:-1]):
+        np.logaddexp(p, p1, out=acc)
+        np.logaddexp(acc, np.add(p2, skip, out=tmp), out=acc)
+        c += acc
+    return table
+
+
+def _special_log_posteriors(rng, shape, nan=False):
+    """Log-probabilities with -inf, 0.0 and -0.0 planted, and NaN too
+    if asked."""
+    log_y = np.log(rng.dirichlet(np.ones(shape[-1]), size=shape[:-1]))
+    planted = [-np.inf, 0.0, -0.0] + [np.nan] * nan
+    where = rng.random(shape) < 0.2
+    log_y[where] = rng.choice(planted, size=int(where.sum()))
+    return log_y
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_flat_sweep_matches_the_strided_recursion_bitwise(data):
+    # -inf, 0.0, -0.0 and NaN emissions, repeated labels (a -inf skip),
+    # empty labelings (S_b = 1), mixed T_b and S_b, B = 0, T_max = 1,
+    # and one block (log_seq_probs) or two (forward_backward_batch):
+    # every cell, pad columns and the sign of zero included, keeps its bits
+    K = data.draw(st.integers(2, 4))
+    B = data.draw(st.integers(0, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    zs = [np.array(data.draw(st.lists(st.integers(1, K - 1), max_size=4)), dtype=np.intp)
+          for _ in range(B)]
+    Ts = [data.draw(st.integers(ctc.min_frames(z), 9)) for z in zs]
+    T = max(Ts, default=data.draw(st.integers(0, 3)))
+    nan = data.draw(st.booleans())
+    blocks, skips = [], []
+    for _ in range(data.draw(st.integers(1, 2))):
+        lyz, cells, _, skip, _, _, _ = ctc._lattice_inputs(
+            _special_log_posteriors(rng, (B, T, K), nan), Ts, zs)
+        blocks.append(lyz)
+        skips.append(skip)
+    with np.errstate(invalid="ignore"):
+        got = ctc._recursion(blocks, cells, np.concatenate(skips))
+        want = _strided_recursion(blocks, cells, np.concatenate(skips))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("b", [0, 1, 2])
+def test_nan_emission_stays_in_its_row(monkeypatch, b):
+    # a NaN reaches its row's last column within a few frames; swept as
+    # one flat vector, the next row's pad columns would carry it on into
+    # that row's lattice (and the last forward row's into the first
+    # reversed row)
+    rng = np.random.default_rng(b)
+    zs = [np.array([1, 2]), np.array([], dtype=np.intp), np.array([2, 2, 1])]
+    ys = [np.log(rand_posteriors(rng, T, 3)) for T in (9, 8, 10)]
+    ys[b][1, ctc.BLANK] = np.nan
+    y, Ts = stacked(ys, fill=-1.0)
+    tables, sweep = [], ctc._recursion
+
+    def recording(*args):
+        tables.append(sweep(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(ctc, "_recursion", recording)
+    with np.errstate(invalid="ignore"):
+        batch = ctc.forward_backward_batch(y, Ts, zs)
+        log_probs = ctc.log_seq_probs(y, Ts, zs)
+    assert np.isnan(batch.log_seq_prob[b]) and np.isnan(log_probs[b])
+    assert len(tables) == 2
+    for table in tables:
+        assert np.isnan(table).any() and np.all(table[:, :, :2] == -np.inf)
+    for other in set(range(3)) - {b}:
+        alone = ctc.forward_backward(ys[other], zs[other])
+        Tb, Sb = alone.log_alpha.shape
+        assert np.array_equal(batch.log_alpha[other, :Tb, :Sb], alone.log_alpha)
+        assert np.array_equal(batch.log_beta[other, :Tb, :Sb], alone.log_beta)
+        assert batch.log_seq_prob[other] == log_probs[other] == alone.log_seq_prob
+
+
+@pytest.mark.parametrize("Ts, zs, T", [
+    ([], [], 0), ([], [], 3), ([1, 1, 1], [[1], [], [2]], 1), ([3, 1, 4], [[], [], []], 5),
+    ([5], [[1, 1]], 5),
+], ids=["B=0", "B=0,T_max=3", "T_max=1", "S_max=1", "B=1"])
+def test_edge_shapes_match_the_strided_recursion(monkeypatch, Ts, zs, T):
+    log_y = np.log(np.random.default_rng(len(Ts) + T).dirichlet(np.ones(3), size=(len(Ts), T)))
+    S = 2 * max(map(len, zs), default=0) + 1
+    got = ctc.forward_backward_batch(log_y, Ts, zs), ctc.log_seq_probs(log_y, Ts, zs)
+    monkeypatch.setattr(ctc, "_recursion", _strided_recursion)
+    want = ctc.forward_backward_batch(log_y, Ts, zs), ctc.log_seq_probs(log_y, Ts, zs)
+    for name in ("log_alpha", "log_beta", "log_emissions"):
+        assert getattr(got[0], name).shape == (len(Ts), T, S)
+        assert getattr(got[0], name).tobytes() == getattr(want[0], name).tobytes()
+    for g, w in ((got[0].log_seq_prob, want[0].log_seq_prob), (got[1], want[1])):
+        assert g.shape == (len(Ts),) and g.tobytes() == w.tobytes()
+
+
 # ----------------------------------------------------------------- occupancy
 
 def test_occupancy_single_path_literal_value():
